@@ -6,7 +6,7 @@ whole splitting field) and a canonical default CM-type.
 from __future__ import annotations
 
 from .errors import NoCentralInvolution, UnknownCatalogEntry
-from .groups import build_group
+from .groups import build_group, check_order
 from .instance import InstanceSpec
 
 CATALOG_NAMES = ("cyclic", "elementary-abelian", "dihedral", "quaternion", "product")
@@ -68,19 +68,27 @@ def _product_table(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
     return [[mul(a, b) for b in range(n)] for a in range(n)]
 
 
+def _order(name: str, params: str) -> int:
+    try:
+        n = int(params)
+    except ValueError:
+        raise UnknownCatalogEntry(f"{name} wants an integer order, got {params!r}") from None
+    return check_order(n)
+
+
 def _group_data(name: str, params: str) -> tuple[str, list[list[int]], int]:
     """Resolve a catalog entry to (label, table, iota index)."""
     if name == "cyclic":
-        n = int(params)
+        n = _order(name, params)
         if n % 2:
             raise NoCentralInvolution(f"cyclic group of odd order {n} has no involution")
         return f"cyclic:{n}", cyclic_table(n), n // 2
     if name == "elementary-abelian":
-        size = int(params)
+        size = _order(name, params)
         # iota = the all-ones vector
         return f"elementary-abelian:{size}", elementary_abelian_table(size), size - 1
     if name == "dihedral":
-        order = int(params)
+        order = _order(name, params)
         table = dihedral_table(order)
         if order % 4:
             raise NoCentralInvolution(
@@ -102,6 +110,7 @@ def _group_data(name: str, params: str) -> tuple[str, list[list[int]], int]:
             inner_name, _, inner_params = part.partition(".")
             specs.append(_group_data(inner_name, inner_params))
         (label1, t1, iota1), (label2, t2, _) = specs
+        check_order(len(t1) * len(t2))
         table = _product_table(t1, t2)
         iota = iota1 * len(t2)  # (iota1, identity)
         return f"product:{params}", table, iota

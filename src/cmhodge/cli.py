@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -50,7 +49,6 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--orbits-only", action="store_true")
         cmd.add_argument("--certify", metavar="PATH", help="certificate file to write or verify")
         cmd.add_argument("--cap", type=int, default=10**7, help="subset-count cap")
-        cmd.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -78,18 +76,9 @@ def _degrees(args, built: BuiltInstance) -> list[int]:
     return [p]
 
 
-def _map_degrees(fn, degrees: list[int], jobs: int) -> list:
-    # results are collected in degree order regardless of jobs, so output
-    # bytes never depend on the parallelism level
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, degrees))
-    return [fn(p) for p in degrees]
-
-
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
-    reports = _map_degrees(lambda p: classify(built.cm_type, p), _degrees(args, built), args.jobs)
+    reports = [classify(built.cm_type, p) for p in _degrees(args, built)]
     out.write(canonical_json(analysis_report(built, reports)))
     return EXIT_OK
 
@@ -103,16 +92,14 @@ def _cmd_deltas(args, out) -> int:
             valid = [orbit[0] for orbit in galois_orbits(built.embeddings, valid)]
         return p, valid
 
-    per_degree = _map_degrees(one, _degrees(args, built), args.jobs)
+    per_degree = [one(p) for p in _degrees(args, built)]
     out.write(canonical_json(deltas_report(built, per_degree, args.orbits_only)))
     return EXIT_OK
 
 
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
-    certs = _map_degrees(
-        lambda p: coverage_certificate(built.cm_type, p), _degrees(args, built), args.jobs
-    )
+    certs = [coverage_certificate(built.cm_type, p) for p in _degrees(args, built)]
     text = canonical_json(certificate_bundle(built.spec, certs))
     if args.certify:
         Path(args.certify).write_text(text, encoding="utf-8")

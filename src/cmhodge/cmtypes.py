@@ -8,6 +8,7 @@ bit mask over the canonical point order, so set algebra is mask algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator
 
@@ -26,6 +27,20 @@ class CMType:
     @property
     def points(self) -> tuple[int, ...]:
         return tuple(bits(self.members))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The distinct translates t*phi as point masks, ascending.
+
+        This is the one statement of validity that every route shares: a
+        monomial delta is valid at degree p iff |delta| = 2p and
+        |delta & r| = p for every row r.  (|t*delta & phi| equals
+        |delta & t^-1*phi|, so translating delta is never needed.)
+        """
+        carrier = self.carrier
+        return tuple(
+            sorted({carrier.translate_mask(t, self.members) for t in carrier.parent.elements()})
+        )
 
 
 @dataclass(frozen=True)
@@ -98,15 +113,6 @@ def induced_type(phi: CMType, s: int) -> RegularCMType:
         if phi.contains(carrier.action[t][s]):
             members |= 1 << t
     return RegularCMType(group, members)
-
-
-def translate_type(phi: CMType, t: int) -> CMType:
-    """Pointwise image of phi under left translation by t; stays a CM-type."""
-    return CMType(phi.carrier, phi.carrier.translate_mask(t, phi.members))
-
-
-def conjugate_type(phi: CMType) -> CMType:
-    return CMType(phi.carrier, phi.carrier.conj_mask(phi.members))
 
 
 def hodge_numbers(carrier: EmbeddingSet, phi: CMType, r: int) -> dict[tuple[int, int], int]:

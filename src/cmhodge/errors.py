@@ -47,14 +47,6 @@ class NotValid(CmhodgeError):
     """The monomial does not satisfy the validity criterion."""
 
 
-class BalanceFailure(CmhodgeError):
-    """Internal consistency failure while building a witness; indicates a bug."""
-
-
-class SizeMismatch(CmhodgeError):
-    """Family size does not match the required 2p."""
-
-
 class ParseError(CmhodgeError):
     def __init__(self, message: str, line: int | None = None) -> None:
         if line is not None:

@@ -1,8 +1,9 @@
 """Finite groups as explicit multiplication tables, and the coset spaces they act on.
 
 Element and point indices are 0-based everywhere.  Groups are small
-(order <= 64), so every structural check is done by a direct exhaustive
-loop rather than anything clever.  All values are immutable after
+(order <= MAX_ORDER = 64, enforced by ``build_group``), so every
+structural check is done by a direct exhaustive loop rather than anything
+clever.  All values are immutable after
 construction; everything here is a pure function.
 
 Convention: only left cosets and left actions are used anywhere.  The
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
+
+MAX_ORDER = 64
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -54,6 +57,14 @@ class GroupTable:
         return range(self.order)
 
 
+def check_order(order: int) -> int:
+    """Return ``order`` if it lies in 1..MAX_ORDER; raise ``NotAGroup``
+    otherwise, before any table of that size is built."""
+    if not 0 < order <= MAX_ORDER:
+        raise NotAGroup(f"order must be in 1..{MAX_ORDER}, got {order}")
+    return order
+
+
 def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int) -> GroupTable:
     """Validate a multiplication table and wrap it as a ``GroupTable``.
 
@@ -62,9 +73,7 @@ def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int
     ``BadInvolution`` if ``iota_index`` is not a central involution
     distinct from the identity.
     """
-    n = int(order)
-    if n <= 0:
-        raise NotAGroup(f"order must be positive, got {order}")
+    n = check_order(int(order))
     mult = tuple(tuple(int(x) for x in row) for row in mult_table)
     if len(mult) != n or any(len(row) != n for row in mult):
         raise NotAGroup(f"multiplication table is not {n}x{n}")
@@ -199,9 +208,6 @@ class EmbeddingSet:
     @property
     def all_mask(self) -> int:
         return (1 << self.size) - 1
-
-    def translate_point(self, t: int, s: int) -> int:
-        return self.action[t][s]
 
     def translate_mask(self, t: int, mask: int) -> int:
         """Elementwise image of a point set under left translation by t.

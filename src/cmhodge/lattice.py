@@ -2,18 +2,16 @@
 translates, its rank over Q, and a reduced linear system that decides
 validity with fewer dot products.
 
-All arithmetic is exact (integer fraction-free elimination for ranks,
-``fractions.Fraction`` for the reduced system).  No floating point:
-validity is an integer statement and any epsilon would be a bug.
+All arithmetic is exact integer arithmetic (fraction-free elimination for
+ranks, popcounts for the reduced system).  No floating point: validity is
+an integer statement and any epsilon would be a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cmtypes import CMType
-from .groups import bits
 
 
 @dataclass(frozen=True)
@@ -27,12 +25,12 @@ class OrbitMatrix:
 
 
 def orbit_matrix(phi: CMType) -> OrbitMatrix:
-    carrier = phi.carrier
-    masks = sorted({carrier.translate_mask(t, phi.members) for t in carrier.parent.elements()})
-    rows = tuple(
-        tuple((mask >> s) & 1 for s in range(carrier.size)) for mask in masks
-    )
-    return OrbitMatrix(rows, carrier.size)
+    m = phi.carrier.size
+    return OrbitMatrix(tuple(_unpack(r, m) for r in phi.rows), m)
+
+
+def _unpack(mask: int, ncols: int) -> tuple[int, ...]:
+    return tuple((mask >> s) & 1 for s in range(ncols))
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -80,48 +78,34 @@ def is_rank_maximal(matrix: OrbitMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ValiditySystem:
-    """A maximal independent subset of the translate rows, with the target
-    value each basis row must attain on a valid monomial.
+    """A maximal independent subset of the translate rows, as point masks.
+    A valid monomial meets each basis row in exactly p points.
 
     Soundness: every row is a rational combination of basis rows whose
     coefficients sum to 1 (all rows have the same dot with the all-ones
-    vector), so hitting the targets on the basis forces the full system.
+    vector), so meeting every basis row in p points forces the full system.
     """
 
     ncols: int
     p: int
-    basis: tuple[tuple[int, ...], ...]
-    targets: tuple[Fraction, ...]
+    basis: tuple[int, ...]
 
 
 def reduced_validity_system(phi: CMType, p: int) -> ValiditySystem:
-    matrix = orbit_matrix(phi)
-    half = matrix.ncols // 2
-    basis: list[tuple[int, ...]] = []
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in matrix.rows:
-        v = [Fraction(x) for x in row]
-        for piv_row, piv_col in zip(echelon, pivots):
-            if v[piv_col] != 0:
-                f = v[piv_col] / piv_row[piv_col]
-                for c in range(matrix.ncols):
-                    v[c] -= f * piv_row[c]
-        lead = next((c for c in range(matrix.ncols) if v[c] != 0), None)
-        if lead is not None:
-            echelon.append(v)
-            pivots.append(lead)
+    m = phi.carrier.size
+    basis: list[int] = []
+    unpacked: list[list[int]] = []
+    for row in phi.rows:
+        candidate = unpacked + [list(_unpack(row, m))]
+        if _rank_bareiss(candidate) > len(basis):
             basis.append(row)
-    targets = tuple(Fraction(p * sum(b), half) for b in basis)
-    return ValiditySystem(matrix.ncols, p, tuple(basis), targets)
+            unpacked = candidate
+    return ValiditySystem(m, p, tuple(basis))
 
 
 def check_via_system(system: ValiditySystem, delta: int, p: int) -> bool:
-    """Exact rational check of a size-2p subset against the reduced system;
-    must agree with the direct validity test on every input."""
+    """Check a size-2p subset against the reduced system only; must agree
+    with the direct validity test on every input."""
     if p != system.p or delta.bit_count() != 2 * p:
         return False
-    for row, target in zip(system.basis, system.targets):
-        if Fraction(sum(row[s] for s in bits(delta))) != target:
-            return False
-    return True
+    return all((delta & row).bit_count() == p for row in system.basis)

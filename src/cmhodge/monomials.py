@@ -21,15 +21,8 @@ from .groups import bits, mask_of
 
 def valid_delta(phi: CMType, delta: int, p: int) -> bool:
     """Pohlmann validity: |delta| = 2p and every translate of delta meets
-    phi in exactly p points.  (The complementary intersection count is then
-    forced, since translates have size 2p.)"""
-    if delta.bit_count() != 2 * p:
-        return False
-    carrier = phi.carrier
-    for t in carrier.parent.elements():
-        if (carrier.translate_mask(t, delta) & phi.members).bit_count() != p:
-            return False
-    return True
+    phi in exactly p points, stated on the translate rows of phi."""
+    return delta.bit_count() == 2 * p and all((delta & r).bit_count() == p for r in phi.rows)
 
 
 def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = 10**7) -> list[int]:
@@ -43,10 +36,11 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = 10**7) -> list[in
         return []
     if comb(m, 2 * p) > cap:
         raise CapExceeded(f"C({m},{2 * p}) exceeds the cap of {cap}")
+    rows = phi.rows
     out = [
-        mask_of(pts)
-        for pts in combinations(range(m), 2 * p)
-        if valid_delta(phi, mask_of(pts), p)
+        delta
+        for delta in map(mask_of, combinations(range(m), 2 * p))
+        if all((delta & r).bit_count() == p for r in rows)
     ]
     out.sort()
     return out
@@ -55,33 +49,30 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = 10**7) -> list[in
 def enumerate_valid(phi: CMType, p: int) -> list[int]:
     """Optimized enumerator; must agree with the brute-force oracle.
 
-    Backtracks over points in canonical order, maintaining for every group
-    element t the running count of hits of the partial translate in phi.
-    A branch is cut as soon as some count exceeds p, or can no longer
-    reach p given the points still available (both the open-slot bound and
-    a per-t suffix-hit bound are applied).
+    Backtracks over points in canonical order, maintaining for every
+    translate row r the running count of chosen points inside r.  A branch
+    is cut as soon as some count exceeds p, or can no longer reach p given
+    the points still available (both the open-slot bound and a per-row
+    suffix-hit bound are applied).
     """
-    carrier = phi.carrier
-    m = carrier.size
-    n = carrier.parent.order
+    m = phi.carrier.size
+    rows = phi.rows
+    n = len(rows)
     target = 2 * p
     if target > m:
         return []
     if p == 0:
         return [0]
 
-    # hits[s] = group elements t whose translate of s lands in phi
-    hits = [
-        [t for t in range(n) if phi.contains(carrier.action[t][s])]
-        for s in range(m)
-    ]
-    # suffix_hits[t][s] = how many points >= s hit t
+    # hits[s] = indices of the rows containing point s
+    hits = [[k for k in range(n) if (rows[k] >> s) & 1] for s in range(m)]
+    # suffix_hits[k][s] = how many points >= s lie in row k
     suffix_hits = [[0] * (m + 1) for _ in range(n)]
     for s in range(m - 1, -1, -1):
-        for t in range(n):
-            suffix_hits[t][s] = suffix_hits[t][s + 1]
-        for t in hits[s]:
-            suffix_hits[t][s] += 1
+        for k in range(n):
+            suffix_hits[k][s] = suffix_hits[k][s + 1]
+        for k in hits[s]:
+            suffix_hits[k][s] += 1
 
     counts = [0] * n
     out: list[int] = []
@@ -92,18 +83,18 @@ def enumerate_valid(phi: CMType, p: int) -> list[int]:
             return
         need = target - size
         for s in range(start, m - need + 1):
-            for t in hits[s]:
-                counts[t] += 1
+            for k in hits[s]:
+                counts[k] += 1
             feasible = True
-            for t in range(n):
-                c = counts[t]
-                if c > p or c + min(need - 1, suffix_hits[t][s + 1]) < p:
+            for k in range(n):
+                c = counts[k]
+                if c > p or c + min(need - 1, suffix_hits[k][s + 1]) < p:
                     feasible = False
                     break
             if feasible:
                 extend(s + 1, mask | (1 << s), size + 1)
-            for t in hits[s]:
-                counts[t] -= 1
+            for k in hits[s]:
+                counts[k] -= 1
 
     extend(0, 0, 0)
     out.sort()
@@ -161,13 +152,6 @@ def pairing_witness(delta: int, valid_pairs: list[int]) -> list[int] | None:
     return rec(delta, [])
 
 
-def is_decomposable(delta: int, valid_pairs: list[int]) -> tuple[bool, list[int] | None]:
-    """Whether delta splits into disjoint valid pairs (the combinatorial
-    shadow of "lies in the span of products of degree-2 classes")."""
-    witness = pairing_witness(delta, valid_pairs)
-    return witness is not None, witness
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Full per-degree classification: the valid monomials, their orbits,
@@ -198,8 +182,7 @@ def classify(phi: CMType, p: int) -> DecompositionReport:
     decomposable = []
     exotic = []
     for d in valid:
-        ok, _ = is_decomposable(d, pairs)
-        (decomposable if ok else exotic).append(d)
+        (exotic if pairing_witness(d, pairs) is None else decomposable).append(d)
     return DecompositionReport(
         cm_type=phi,
         p=p,

@@ -55,6 +55,8 @@ def _fail(check: str, detail: str) -> VerificationResult:
 
 def verify_certificate(data: dict) -> VerificationResult:
     """Re-check a single certificate from scratch."""
+    if not isinstance(data, dict):
+        return _fail("schema", "certificate is not a JSON object")
     try:
         if data.get("kind") != CERTIFICATE_KIND:
             return _fail("schema", f"unexpected kind {data.get('kind')!r}")
@@ -72,6 +74,8 @@ def verify_certificate(data: dict) -> VerificationResult:
         verdict = data["verdict"]
     except (KeyError, TypeError) as exc:
         return _fail("schema", f"missing or malformed field: {exc}")
+    if type(p) is not int or p < 0:
+        return _fail("schema", f"p must be a non-negative integer, got {p!r}")
 
     if data.get("content_hash") != content_hash(data):
         return _fail("content_hash", "stored hash does not match the content")
@@ -155,13 +159,20 @@ def verify_certificate(data: dict) -> VerificationResult:
     return VerificationResult(True)
 
 
-def verify_document(data: dict) -> list[tuple[str, VerificationResult]]:
-    """Verify a certificate or a bundle; returns (label, result) pairs."""
-    if data.get("kind") == BUNDLE_KIND:
-        if data.get("content_hash") != content_hash(data):
-            return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
-        return [
-            (f"p={cert.get('p', '?')}", verify_certificate(cert))
-            for cert in data.get("certificates", [])
-        ]
-    return [(f"p={data.get('p', '?')}", verify_certificate(data))]
+def _label(cert) -> str:
+    return f"p={cert.get('p', '?')}" if isinstance(cert, dict) else "p=?"
+
+
+def verify_document(data) -> list[tuple[str, VerificationResult]]:
+    """Verify a certificate or a bundle; returns (label, result) pairs,
+    at least one, so that no input passes by checking nothing."""
+    if not isinstance(data, dict):
+        return [("document", _fail("schema", "top level is not a JSON object"))]
+    if data.get("kind") != BUNDLE_KIND:
+        return [(_label(data), verify_certificate(data))]
+    certs = data.get("certificates")
+    if not isinstance(certs, list) or not certs:
+        return [("bundle", _fail("schema", "bundle lists no certificates"))]
+    if data.get("content_hash") != content_hash(data):
+        return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
+    return [(_label(cert), verify_certificate(cert)) for cert in certs]

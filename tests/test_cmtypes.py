@@ -6,11 +6,9 @@ from math import comb
 import pytest
 
 from cmhodge.cmtypes import (
-    conjugate_type,
     enumerate_cm_types,
     hodge_numbers,
     induced_type,
-    translate_type,
     validate_cm_type,
 )
 from cmhodge.errors import CapExceeded, NotACMType
@@ -98,23 +96,29 @@ def test_induced_along_orbit(order8_instances):
 
 
 def test_translate_identity_and_conj_involution(z4):
-    phi = z4.cm_type
-    assert translate_type(phi, z4.group.identity).members == phi.members
-    assert conjugate_type(conjugate_type(phi)).members == phi.members
+    phi, s = z4.cm_type, z4.embeddings
+    assert s.translate_mask(z4.group.identity, phi.members) == phi.members
+    assert s.conj_mask(s.conj_mask(phi.members)) == phi.members
+    assert phi.members in phi.rows
 
 
 def test_translate_by_iota_is_conjugate(z4):
-    phi = z4.cm_type  # {0,1}
-    tau = translate_type(phi, 2)
-    assert sorted(tau.points) == [2, 3]
-    assert tau.members == conjugate_type(phi).members
+    phi, s = z4.cm_type, z4.embeddings  # phi = {0,1}
+    tau = s.translate_mask(2, phi.members)
+    assert tau == mask_of([2, 3])
+    assert tau == s.conj_mask(phi.members)
+    assert tau in phi.rows
 
 
 def test_translates_stay_cm_types(order8_instances):
     for built in order8_instances:
-        for phi in enumerate_cm_types(built.embeddings):
-            for t in built.group.elements():
-                validate_cm_type(built.embeddings, translate_type(phi, t).members)
+        s = built.embeddings
+        for phi in enumerate_cm_types(s):
+            assert phi.rows == tuple(
+                sorted({s.translate_mask(t, phi.members) for t in built.group.elements()})
+            )
+            for row in phi.rows:
+                validate_cm_type(s, row)
 
 
 def test_hodge_numbers_z4(z4):

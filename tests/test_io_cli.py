@@ -6,10 +6,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from cmhodge.catalog import catalog, sweep_instances
+from cmhodge.catalog import catalog, cyclic_table, sweep_instances
 from cmhodge.cli import main
 from cmhodge.errors import NoCentralInvolution, ParseError, UnknownCatalogEntry, ValidationError
-from cmhodge.instance import build_instance, parse_instance, serialize_instance
+from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
 
 Z2_TEXT = """\
 # minimal elliptic-curve instance
@@ -110,13 +110,22 @@ def test_cli_deltas_orbits_only():
     assert report["degrees"] == [{"p": 1, "deltas": [[0, 2]]}]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("analyze")[0] == 1  # neither --input nor --catalog
     assert run_cli("analyze", "--catalog", "dihedral:6")[0] == 2
+    for entry in ("cyclic:abc", "cyclic:", "cyclic:66", "product:cyclic.16xcyclic.8"):
+        assert run_cli("analyze", "--catalog", entry)[0] == 2, entry
+    capsys.readouterr()
+    assert run_cli("analyze", "--catalog", "cyclic:-4")[0] == 2
+    assert "-4" in capsys.readouterr().err
     assert run_cli("oracle", "--catalog", "cyclic:12", "--cap", "10")[0] == 4
     bad = tmp_path / "bad.txt"
     bad.write_text("group 2\n")
     assert run_cli("analyze", "--input", str(bad))[0] == 2
+    table = tuple(map(tuple, cyclic_table(66)))
+    too_big = InstanceSpec("", 66, table, 33, ((0,),), tuple(range(33)), None)
+    bad.write_text(serialize_instance(too_big))
+    assert run_cli("analyze", "--input", str(bad))[0] == 2  # groups stop at order 64
 
 
 def test_cli_input_file(tmp_path):
@@ -136,14 +145,8 @@ def test_cli_catalog_listing():
     assert parse_instance(out).order == 2
 
 
-def test_reports_byte_identical_across_runs_and_jobs():
-    outputs = {
-        run_cli("analyze", "--catalog", "dihedral:8", "--jobs", str(jobs))[1]
-        for jobs in (1, 1, 3, 4)
-    }
+def test_reports_byte_identical_across_runs():
+    outputs = {run_cli("analyze", "--catalog", "dihedral:8")[1] for _ in range(3)}
     assert len(outputs) == 1
-    certs = {
-        run_cli("witness", "--catalog", "quaternion:8", "--jobs", str(jobs))[1]
-        for jobs in (1, 3)
-    }
+    certs = {run_cli("witness", "--catalog", "quaternion:8")[1] for _ in range(2)}
     assert len(certs) == 1

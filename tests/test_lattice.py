@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -75,10 +74,12 @@ def test_dedup_against_stabilizer(order8_instances):
 
 
 def test_system_targets_are_p(z2, z4):
-    # basis rows are original translate rows, whose dot with all-ones is m/2
+    # basis rows are original translate rows, of weight m/2, so a valid
+    # monomial meets each in exactly p points
     for built, p in ((z2, 1), (z4, 1), (z4, 0)):
         system = reduced_validity_system(built.cm_type, p)
-        assert all(t == Fraction(p) for t in system.targets)
+        assert set(system.basis) <= set(built.cm_type.rows)
+        assert all(row.bit_count() == built.embeddings.size // 2 for row in system.basis)
     assert len(reduced_validity_system(z4.cm_type, 1).basis) == 3
 
 
@@ -97,14 +98,22 @@ def test_system_examples(z4):
 
 
 def test_system_agrees_with_direct_check_exhaustively(order8_instances):
+    # both checks read phi.rows, so pin them to the literal definition too:
+    # every translate of delta meets phi in exactly p points
     for built in order8_instances:
-        m = built.embeddings.size
-        for phi in enumerate_cm_types(built.embeddings):
+        s = built.embeddings
+        m = s.size
+        for phi in enumerate_cm_types(s):
             for p in range(m // 2 + 1):
                 system = reduced_validity_system(phi, p)
                 for pts in combinations(range(m), 2 * p):
                     delta = mask_of(pts)
-                    assert check_via_system(system, delta, p) == valid_delta(phi, delta, p)
+                    literal = all(
+                        (s.translate_mask(t, delta) & phi.members).bit_count() == p
+                        for t in built.group.elements()
+                    )
+                    assert valid_delta(phi, delta, p) == literal
+                    assert check_via_system(system, delta, p) == literal
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,7 +16,7 @@ from cmhodge.monomials import (
     enumerate_valid,
     enumerate_valid_bruteforce,
     galois_orbits,
-    is_decomposable,
+    pairing_witness,
     valid_delta,
 )
 
@@ -143,17 +143,14 @@ def test_conjugate_pair_unions_are_valid(order8_instances):
 
 def test_decomposable_examples(z4):
     pairs = enumerate_valid(z4.cm_type, 1)
-    ok, witness = is_decomposable(mask_of([0, 1, 2, 3]), pairs)
-    assert ok
-    assert witness == masks([[0, 2], [1, 3]])
-    assert is_decomposable(0, pairs) == (True, [])
-    assert is_decomposable(mask_of([0, 2]), []) == (False, None)
+    assert pairing_witness(mask_of([0, 1, 2, 3]), pairs) == masks([[0, 2], [1, 3]])
+    assert pairing_witness(0, pairs) == []
+    assert pairing_witness(mask_of([0, 2]), []) is None
 
 
 def test_witness_is_lexicographically_least(ea4):
     pairs = enumerate_valid(ea4.cm_type, 1)  # all four cross pairs
-    ok, witness = is_decomposable(ea4.embeddings.all_mask, pairs)
-    assert ok
+    witness = pairing_witness(ea4.embeddings.all_mask, pairs)
     # point 0 gets its smallest valid partner (2), forcing {1,3}
     assert witness == [mask_of([0, 2]), mask_of([1, 3])]
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import copy
+import io
+import json
+from contextlib import redirect_stdout
 
 import pytest
 
-from cmhodge.report import certificate_payload, content_hash, finalize
+from cmhodge.cli import main
+from cmhodge.report import certificate_bundle, certificate_payload, content_hash, finalize
 from cmhodge.verify import verify_certificate
 from cmhodge.weil import coverage_certificate
 
@@ -96,3 +100,39 @@ def test_wrong_kind(payload):
 
 def test_content_hash_helper_is_stable(payload):
     assert payload["content_hash"] == content_hash(payload)
+
+
+def _empty_bundle(spec, payload):
+    return certificate_bundle(spec, [])
+
+
+def _bundle_without_certificates(spec, payload):
+    bundle = dict(certificate_bundle(spec, []))
+    del bundle["certificates"]
+    return finalize(bundle)
+
+
+def _bundle_of_non_object(spec, payload):
+    return finalize({**certificate_bundle(spec, []), "certificates": [1]})
+
+
+def _top_level_array(spec, payload):
+    return [payload]
+
+
+def _boolean_p(spec, payload):
+    return rehash({**payload, "p": True})  # True == 1 in Python, not in the schema
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_empty_bundle, _bundle_without_certificates, _bundle_of_non_object, _top_level_array, _boolean_p],
+)
+def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make(z4.spec, payload)))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["verify", "--certify", str(path)])
+    assert code == 3
+    assert "fail [schema]" in buf.getvalue()

@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 import pytest
 
 from cmhodge.cmtypes import RegularCMType, enumerate_cm_types, induced_type
-from cmhodge.errors import NotValid, SizeMismatch
+from cmhodge.errors import NotValid
 from cmhodge.groups import mask_of
 from cmhodge.monomials import enumerate_valid
 from cmhodge.report import certificate_payload, canonical_json
 from cmhodge.verify import verify_certificate
-from cmhodge.weil import (
-    coverage_certificate,
-    is_balanced_family,
-    split_weil_witness,
-)
+from cmhodge.weil import coverage_certificate, split_weil_witness
+
+
+def transcript(group, families: Sequence[RegularCMType]) -> tuple[int, ...]:
+    """How many of the families contain each group element."""
+    return tuple(sum(f.contains(t) for f in families) for t in group.elements())
 
 
 def test_witness_elliptic_curve(z2):
@@ -46,22 +48,21 @@ def test_witness_rejects_invalid_monomial(z4):
 
 def test_balanced_family_examples(z2):
     g = z2.group
-    ok = [RegularCMType(g, 0b01), RegularCMType(g, 0b10)]
-    assert is_balanced_family(ok, 1)
-    assert not is_balanced_family([RegularCMType(g, 0b10)] * 2, 1)
-    with pytest.raises(SizeMismatch):
-        is_balanced_family(ok, 2)
-    assert is_balanced_family([], 0)
+    assert transcript(g, [RegularCMType(g, 0b01), RegularCMType(g, 0b10)]) == (1, 1)
+    assert transcript(g, [RegularCMType(g, 0b10)] * 2) == (0, 2)
+    assert transcript(g, []) == (0, 0)
 
 
 def test_every_witness_family_is_balanced(order8_instances):
+    # the witness states its transcript as (p,)*|G|; recount it
     for built in order8_instances:
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):
             for p in range(half + 1):
                 for delta in enumerate_valid(phi, p):
-                    families = [induced_type(phi, s) for s in range(built.embeddings.size) if delta >> s & 1]
-                    assert is_balanced_family(families, p)
+                    w = split_weil_witness(phi, delta, p)
+                    recount = transcript(built.group, w.family)
+                    assert w.balanced_transcript == recount == (p,) * built.group.order
 
 
 def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
@@ -74,7 +75,8 @@ def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
             for pts in combinations(range(m), 2 * p):
                 delta = mask_of(pts)
                 families = [induced_type(phi, s) for s in pts]
-                assert is_balanced_family(families, p) == (delta in valid)
+                balanced = transcript(built.group, families) == (p,) * built.group.order
+                assert balanced == (delta in valid)
 
 
 def test_coverage_z4(z4):
