@@ -108,11 +108,16 @@ def _cmd_witness(args, out) -> int:
     return EXIT_OK
 
 
+def _no_constant(name: str):
+    # Python's json reads NaN and Infinity, which canonical JSON cannot hash
+    raise ParseError(f"certificate contains {name}, which JSON does not allow")
+
+
 def _cmd_verify(args, out) -> int:
     if not args.certify:
         raise _UsageError("verify requires --certify PATH")
     try:
-        data = json.loads(Path(args.certify).read_text(encoding="utf-8"))
+        data = json.loads(Path(args.certify).read_text(encoding="utf-8"), parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"certificate is not valid JSON: {exc}")
     results = verify_document(data)

@@ -18,6 +18,9 @@ from .cmtypes import CMType
 from .errors import CapExceeded, NotClosed
 from .groups import bits, mask_of
 
+# largest number of subsets one half table of ``enumerate_valid`` may hold
+HALF_TABLE_CAP = 10**7
+
 
 def valid_delta(phi: CMType, delta: int, p: int) -> bool:
     """Pohlmann validity: |delta| = 2p and every translate of delta meets
@@ -47,56 +50,36 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = 10**7) -> list[in
 
 
 def enumerate_valid(phi: CMType, p: int) -> list[int]:
-    """Optimized enumerator; must agree with the brute-force oracle.
+    """Meet-in-the-middle enumerator; must agree with the brute-force oracle.
 
-    Backtracks over points in canonical order, maintaining for every
-    translate row r the running count of chosen points inside r.  A branch
-    is cut as soon as some count exceeds p, or can no longer reach p given
-    the points still available (both the open-slot bound and a per-row
-    suffix-hit bound are applied).
+    Point s weighs ``1 + sum_k [s in rows[k]] << F*(k+1)``, F = m.bit_length(),
+    so a subset's weight packs its size and its count in each translate row
+    into F-bit fields.  No field carries, because it counts at most m < 2**F
+    points; so delta is valid iff its weight is ``2p + sum_k p << F*(k+1)``.
+    The size-k subsets of the low half of the points are indexed by weight,
+    and each size-(2p-k) subset of the high half looks up the weight that
+    completes the target (Horowitz-Sahni).  Masks come back ascending.
+    Raises ``CapExceeded``, before building anything, if a half table
+    would hold more than ``HALF_TABLE_CAP`` subsets.
     """
     m = phi.carrier.size
-    rows = phi.rows
-    n = len(rows)
-    target = 2 * p
-    if target > m:
-        return []
-    if p == 0:
-        return [0]
-
-    # hits[s] = indices of the rows containing point s
-    hits = [[k for k in range(n) if (rows[k] >> s) & 1] for s in range(m)]
-    # suffix_hits[k][s] = how many points >= s lie in row k
-    suffix_hits = [[0] * (m + 1) for _ in range(n)]
-    for s in range(m - 1, -1, -1):
-        for k in range(n):
-            suffix_hits[k][s] = suffix_hits[k][s + 1]
-        for k in hits[s]:
-            suffix_hits[k][s] += 1
-
-    counts = [0] * n
+    half = m // 2
+    sizes = range(max(0, 2 * p - half), min(half, 2 * p) + 1)  # empty if 2p > m
+    largest = max((comb(half, k) for k in sizes), default=0)
+    if largest > HALF_TABLE_CAP:
+        raise CapExceeded(f"a half table of {largest} subsets exceeds the cap of {HALF_TABLE_CAP}")
+    f = m.bit_length()
+    weight = [1 + sum(1 << f * (k + 1) for k, r in enumerate(phi.rows) if r >> s & 1) for s in range(m)]
+    target = 2 * p + sum(p << f * (k + 1) for k in range(len(phi.rows)))
+    bit = [1 << s for s in range(m)]
     out: list[int] = []
-
-    def extend(start: int, mask: int, size: int) -> None:
-        if size == target:
-            out.append(mask)
-            return
-        need = target - size
-        for s in range(start, m - need + 1):
-            for k in hits[s]:
-                counts[k] += 1
-            feasible = True
-            for k in range(n):
-                c = counts[k]
-                if c > p or c + min(need - 1, suffix_hits[k][s + 1]) < p:
-                    feasible = False
-                    break
-            if feasible:
-                extend(s + 1, mask | (1 << s), size + 1)
-            for k in hits[s]:
-                counts[k] -= 1
-
-    extend(0, 0, 0)
+    for k in sizes:
+        low: dict[int, list[int]] = {}
+        for w, b in zip(combinations(weight[:half], k), combinations(bit[:half], k)):
+            low.setdefault(sum(w), []).append(sum(b))
+        for w, b in zip(combinations(weight[half:], 2 * p - k), combinations(bit[half:], 2 * p - k)):
+            for lo in low.get(target - sum(w), ()):
+                out.append(sum(b) | lo)
     out.sort()
     return out
 

@@ -53,46 +53,77 @@ def _fail(check: str, detail: str) -> VerificationResult:
     return VerificationResult(False, check, detail)
 
 
+# The JSON shape of a certificate: a dict lists its fields, [s] is a list
+# of s, {int} a list of distinct ints, and int means a non-negative int
+# that is not a bool (JSON true loads as one, and int() would take "2").
+_SCHEMA = {
+    "instance": {
+        "group": {"order": int, "table": [[int]], "iota": int},
+        "factors": [{int}],
+        "cm_type": {int},
+    },
+    "p": int,
+    "witnesses": [
+        {
+            "delta": {int},
+            "family": [{int}],
+            "balanced_transcript": [int],
+            "covered_translates": [{int}],
+            "weil_data": {"d": int, "rank_over_f": int, "dim_over_q": int},
+        }
+    ],
+    "orbit_reps": [{int}],
+    "coverage": [{int}],
+    "valid_set": [{int}],
+    "verdict": bool,
+}
+
+
+def _conforms(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_conforms(value.get(k), s) for k, s in shape.items())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_conforms(v, shape[0]) for v in value)
+    if isinstance(shape, set):
+        return _conforms(value, [int]) and len(set(value)) == len(value)
+    return type(value) is shape and (shape is not int or value >= 0)
+
+
 def verify_certificate(data: dict) -> VerificationResult:
-    """Re-check a single certificate from scratch."""
+    """Re-check a single certificate from scratch.  Never raises: input of
+    the wrong shape fails the ``schema`` check before anything reads it."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
-    try:
-        if data.get("kind") != CERTIFICATE_KIND:
-            return _fail("schema", f"unexpected kind {data.get('kind')!r}")
-        inst = data["instance"]
-        order = inst["group"]["order"]
-        table = inst["group"]["table"]
-        iota = inst["group"]["iota"]
-        factors = inst["factors"]
-        cm_points = inst["cm_type"]
-        p = data["p"]
-        witnesses = data["witnesses"]
-        orbit_reps = data["orbit_reps"]
-        coverage = data["coverage"]
-        valid_set = data["valid_set"]
-        verdict = data["verdict"]
-    except (KeyError, TypeError) as exc:
-        return _fail("schema", f"missing or malformed field: {exc}")
-    if type(p) is not int or p < 0:
-        return _fail("schema", f"p must be a non-negative integer, got {p!r}")
+    if data.get("kind") != CERTIFICATE_KIND:
+        return _fail("schema", f"unexpected kind {data.get('kind')!r}")
+    bad = [key for key, shape in _SCHEMA.items() if not _conforms(data.get(key), shape)]
+    if bad:
+        return _fail("schema", f"field {bad[0]!r} is missing or malformed")
+    inst, p, witnesses, orbit_reps = data["instance"], data["p"], data["witnesses"], data["orbit_reps"]
 
     if data.get("content_hash") != content_hash(data):
         return _fail("content_hash", "stored hash does not match the content")
 
     try:
-        group = build_group(order, table, iota)
+        group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
     except CmhodgeError as exc:
         return _fail("group_axioms", str(exc))
     try:
-        embeddings = embedding_set(group, factors)
+        embeddings = embedding_set(group, inst["factors"])
     except CmhodgeError as exc:
         return _fail("factors", str(exc))
+    # bound every point before it is shifted into a mask
+    point_lists = [inst["cm_type"], *orbit_reps, *data["coverage"], *data["valid_set"]]
+    point_lists += [pts for w in witnesses for pts in (w["delta"], *w["covered_translates"])]
+    if max(map(max, filter(None, point_lists)), default=0) >= embeddings.size:
+        return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
     try:
-        phi = validate_cm_type(embeddings, cm_points)
+        phi = validate_cm_type(embeddings, inst["cm_type"])
     except CmhodgeError as exc:
         return _fail("cm_type", str(exc))
 
+    if 2 * p > embeddings.size:
+        return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
@@ -117,12 +148,8 @@ def verify_certificate(data: dict) -> VerificationResult:
                     f"witness {i}: stored type at point {s} is not the induced type",
                 )
 
-        transcript = w["balanced_transcript"]
-        member_sets = [set(f) for f in family]
-        recomputed = [
-            sum(1 for ms in member_sets if t in ms) for t in group.elements()
-        ]
-        if list(transcript) != recomputed:
+        recomputed = [sum(t in f for f in family) for t in group.elements()]
+        if w["balanced_transcript"] != recomputed:
             return _fail("balanced", f"witness {i} transcript does not match the family")
         if any(v != p for v in recomputed):
             return _fail("balanced", f"witness {i} transcript is not identically {p}")
@@ -139,7 +166,7 @@ def verify_certificate(data: dict) -> VerificationResult:
         if (wd["d"], wd["rank_over_f"], wd["dim_over_q"]) != (2 * p, 1, group.order):
             return _fail("weil_data", f"witness {i} weil numerology is wrong")
 
-    stored_coverage = sorted(mask_of(d) for d in coverage)
+    stored_coverage = sorted(mask_of(d) for d in data["coverage"])
     union = sorted(
         {
             mask_of(d)
@@ -151,9 +178,9 @@ def verify_certificate(data: dict) -> VerificationResult:
         return _fail("coverage", "stored coverage is not the union of witness translates")
 
     true_valid = enumerate_valid_bruteforce(phi, p)
-    if sorted(mask_of(d) for d in valid_set) != true_valid:
+    if sorted(mask_of(d) for d in data["valid_set"]) != true_valid:
         return _fail("valid_set", "stored valid set differs from the brute-force recomputation")
-    if (stored_coverage == true_valid) != verdict or not verdict:
+    if (stored_coverage == true_valid) != data["verdict"] or not data["verdict"]:
         return _fail("coverage", "coverage verdict is wrong")
 
     return VerificationResult(True)
@@ -175,4 +202,6 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
         return [("bundle", _fail("schema", "bundle lists no certificates"))]
     if data.get("content_hash") != content_hash(data):
         return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
+    if any(isinstance(cert, dict) and cert.get("instance") != data.get("instance") for cert in certs):
+        return [("bundle", _fail("schema", "a certificate's instance differs from the bundle's"))]
     return [(_label(cert), verify_certificate(cert)) for cert in certs]

@@ -41,8 +41,8 @@ def run_cli(*argv: str) -> tuple[int, str]:
 
 
 def test_criterion_1_oracle_triad_agreement(m12_instances):
-    # the oracle command runs brute force, the backtracker and the reduced
-    # lattice system side by side at every degree
+    # the oracle command runs brute force, the meet-in-the-middle enumerator
+    # and the reduced lattice system side by side at every degree
     checked = 0
     for built in m12_instances:
         code, out = run_cli("oracle", "--catalog", built.spec.name)

@@ -119,6 +119,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("analyze", "--catalog", "cyclic:-4")[0] == 2
     assert "-4" in capsys.readouterr().err
     assert run_cli("oracle", "--catalog", "cyclic:12", "--cap", "10")[0] == 4
+    # the enumerator's bound is on its half tables, C(32, 16) here, not on m
+    assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "16")[0] == 4
+    assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "1")[0] == 0
     bad = tmp_path / "bad.txt"
     bad.write_text("group 2\n")
     assert run_cli("analyze", "--input", str(bad))[0] == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cmtypes import enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, NotClosed
-from cmhodge.groups import mask_of
+from cmhodge.groups import build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.monomials import (
     classify,
@@ -76,6 +76,23 @@ def test_enumerator_matches_oracle_hypothesis(data):
     phi = list(enumerate_cm_types(built.embeddings))[code]
     p = data.draw(st.integers(min_value=0, max_value=m // 2))
     assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
+
+
+@pytest.mark.parametrize(
+    "entry, factors",
+    [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])],
+)
+def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
+    # m = 16 from two factors, at least one a coset space of a non-trivial
+    # subgroup; the halves of the split are the two factors in the first
+    # set and cut through the larger factor in the second
+    spec = catalog(*entry.split(":"))
+    group = build_group(spec.order, spec.mult, spec.iota)
+    carrier = embedding_set(group, factors)
+    assert carrier.size == 16
+    for phi in list(enumerate_cm_types(carrier))[::32]:
+        for p in range(9):
+            assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
 
 
 def test_orbits_z4(z4):
