@@ -3,19 +3,28 @@
 Takes nothing in a certificate on trust: the group axioms, the CM-type
 partition, validity of every monomial, the induced families, the balanced
 transcripts, and the coverage claim are all recomputed from the raw tables
-in the file and compared against what the certificate asserts.  The valid
-set itself is recomputed by brute force, so a certificate cannot pass by
-being self-consistent about a wrong answer.
+in the file and compared against what the certificate asserts.
+
+The valid set is checked by recount, not rebuilt.  Every listed monomial
+must pass the validity criterion and the listed masks must be distinct, so
+the list is a subset of the true valid set; its length must then equal the
+number of valid monomials, counted by ``_count_valid`` on a split of the
+points (evens against odds) that the producer's enumerator does not use.
+A subset of the right size is the whole set, so a certificate cannot pass
+by being self-consistent about a wrong answer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
-from .cmtypes import induced_type, validate_cm_type
-from .errors import CmhodgeError
+from .cmtypes import CMType, induced_type, validate_cm_type
+from .errors import CapExceeded, CmhodgeError
 from .groups import build_group, embedding_set, mask_of
-from .monomials import enumerate_valid_bruteforce, valid_delta
+from .monomials import HALF_TABLE_CAP, valid_delta
 from .report import BUNDLE_KIND, CERTIFICATE_KIND, content_hash
 
 # checks, in the order they run; the verdict names the first one to fail
@@ -85,13 +94,56 @@ def _conforms(value, shape) -> bool:
     if isinstance(shape, list):
         return isinstance(value, list) and all(_conforms(v, shape[0]) for v in value)
     if isinstance(shape, set):
-        return _conforms(value, [int]) and len(set(value)) == len(value)
+        # checked flat: valid_set and coverage each hold the whole valid set
+        return (
+            isinstance(value, list)
+            and all(type(v) is int for v in value)
+            and min(value, default=0) >= 0
+            and len(set(value)) == len(value)
+        )
     return type(value) is shape and (shape is not int or value >= 0)
 
 
+def _count_valid(phi: CMType, p: int) -> int:
+    """The number of valid monomials at degree p, counted without listing one.
+
+    A subset S of the points splits into its even points E and odd points O,
+    and |S & r| = |E & r| + |O & r| for every row r.  So each half's subsets
+    are tabulated by (|S|, |S & r| for each row r), and S is valid iff its
+    even key and its odd key add up to (2p, p, ..., p).  One row of each
+    complementary pair is enough, since |S & (all ^ r)| = |S| - |S & r|.
+    Raises ``CapExceeded``, before tabulating anything, if the two halves
+    hold more than ``HALF_TABLE_CAP`` subsets over the sizes used.
+    """
+    m = phi.carrier.size
+    rows: list[int] = []
+    for r in phi.rows:
+        if phi.carrier.all_mask ^ r not in rows:
+            rows.append(r)
+    evens = [1 << s for s in range(0, m, 2)]
+    odds = [1 << s for s in range(1, m, 2)]
+    sizes = range(max(0, 2 * p - len(odds)), min(len(evens), 2 * p) + 1)
+    subsets = sum(comb(len(evens), k) + comb(len(odds), 2 * p - k) for k in sizes)
+    if subsets > HALF_TABLE_CAP:
+        raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
+
+    def table(points: list[int], ks) -> Counter:
+        return Counter(
+            (k, *map(int.bit_count, map(s.__and__, rows)))
+            for k in ks
+            for s in map(sum, combinations(points, k))
+        )
+
+    even = table(evens, sizes)
+    odd = table(odds, [2 * p - k for k in sizes])
+    return sum(n * odd[(2 * p - k, *(p - c for c in counts))] for (k, *counts), n in even.items())
+
+
 def verify_certificate(data: dict) -> VerificationResult:
-    """Re-check a single certificate from scratch.  Never raises: input of
-    the wrong shape fails the ``schema`` check before anything reads it."""
+    """Re-check a single certificate from scratch.  Input of the wrong shape
+    fails the ``schema`` check before anything reads it.  The one exception
+    that gets through is ``CapExceeded``, raised before any table is built
+    when the valid set is too large to recount."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
     if data.get("kind") != CERTIFICATE_KIND:
@@ -177,10 +229,15 @@ def verify_certificate(data: dict) -> VerificationResult:
     if stored_coverage != union:
         return _fail("coverage", "stored coverage is not the union of witness translates")
 
-    true_valid = enumerate_valid_bruteforce(phi, p)
-    if sorted(mask_of(d) for d in data["valid_set"]) != true_valid:
-        return _fail("valid_set", "stored valid set differs from the brute-force recomputation")
-    if (stored_coverage == true_valid) != data["verdict"] or not data["verdict"]:
+    # valid, distinct and as many as there are: the listed set is the valid set
+    listed = sorted(mask_of(d) for d in data["valid_set"])
+    if not all(valid_delta(phi, d, p) for d in listed):
+        return _fail("valid_set", "a listed monomial fails the validity criterion")
+    if len(set(listed)) != len(listed):
+        return _fail("valid_set", "a monomial is listed twice")
+    if len(listed) != _count_valid(phi, p):
+        return _fail("valid_set", "stored valid set differs in size from the independent count")
+    if (stored_coverage == listed) != data["verdict"] or not data["verdict"]:
         return _fail("coverage", "coverage verdict is wrong")
 
     return VerificationResult(True)

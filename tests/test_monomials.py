@@ -19,6 +19,7 @@ from cmhodge.monomials import (
     pairing_witness,
     valid_delta,
 )
+from cmhodge.verify import _count_valid
 
 
 def masks(point_lists):
@@ -75,7 +76,9 @@ def test_enumerator_matches_oracle_hypothesis(data):
     code = data.draw(st.integers(min_value=0, max_value=2 ** (m // 2) - 1))
     phi = list(enumerate_cm_types(built.embeddings))[code]
     p = data.draw(st.integers(min_value=0, max_value=m // 2))
-    assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
+    oracle = enumerate_valid_bruteforce(phi, p)
+    assert enumerate_valid(phi, p) == oracle
+    assert _count_valid(phi, p) == len(oracle)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +95,9 @@ def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
     assert carrier.size == 16
     for phi in list(enumerate_cm_types(carrier))[::32]:
         for p in range(9):
-            assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
+            oracle = enumerate_valid_bruteforce(phi, p)
+            assert enumerate_valid(phi, p) == oracle
+            assert _count_valid(phi, p) == len(oracle)
 
 
 def test_orbits_z4(z4):

@@ -3,7 +3,9 @@ from __future__ import annotations
 import copy
 import io
 import json
+import time
 from contextlib import redirect_stdout
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from cmhodge.catalog import catalog
 from cmhodge.cli import main
+from cmhodge.instance import build_instance
 from cmhodge.report import (
     certificate_bundle,
     certificate_payload,
@@ -98,6 +101,58 @@ def test_padded_valid_set(payload):
     doc["valid_set"] = doc["valid_set"] + [[0, 1]]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "valid_set"
+
+
+@pytest.fixture(scope="module")
+def d8_p2():
+    built = build_instance(catalog("dihedral", "8"))
+    return certificate_payload(built.spec, coverage_certificate(built.cm_type, 2))
+
+
+def _drop_orbit(doc):
+    # consistent but incomplete: only the count can tell
+    orbit = doc["witnesses"].pop()["covered_translates"]
+    doc["orbit_reps"].pop()
+    doc["coverage"] = [d for d in doc["coverage"] if d not in orbit]
+    doc["valid_set"] = [d for d in doc["valid_set"] if d not in orbit]
+
+
+def _repeat_entry(doc):
+    # the count still matches, so only distinctness can tell
+    doc["valid_set"][1] = doc["valid_set"][0]
+
+
+def _invalid_entry(doc):
+    # the count still matches, so only the validity check can tell
+    doc["valid_set"][0] = next(
+        list(c) for c in combinations(range(8), 4) if list(c) not in doc["valid_set"]
+    )
+
+
+@pytest.mark.parametrize("mutate", [_drop_orbit, _repeat_entry, _invalid_entry])
+def test_wrong_valid_set_of_right_shape(d8_p2, mutate):
+    assert (len(d8_p2["orbit_reps"]), len(d8_p2["valid_set"])) == (5, 18)
+    doc = copy.deepcopy(d8_p2)
+    mutate(doc)
+    result = verify_certificate(rehash(doc))
+    assert result.failed_check == "valid_set"
+
+
+def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
+    path = tmp_path / "cert.json"
+    assert main(["witness", "--catalog", "cyclic:32", "--degree", "4", "--certify", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--certify", str(path)]) == 0
+    assert capsys.readouterr().out == "p=4: pass\n"
+    # nothing listed, so every check before the count passes; the count's
+    # tables would hold 2**33 subsets, so it must refuse before building one
+    empty = {"witnesses": [], "orbit_reps": [], "coverage": [], "valid_set": [], "verdict": True}
+    doc = {**payload, **empty, "instance": instance_payload(catalog("cyclic", "64")), "p": 16}
+    path.write_text(json.dumps(rehash(doc)))
+    start = time.perf_counter()
+    assert main(["verify", "--certify", str(path)]) == 4
+    assert time.perf_counter() - start < 10
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_wrong_weil_data(payload):
