@@ -1,0 +1,109 @@
+"""Golden outputs: the SHA-256 of stdout for a fixed set of CLI calls, and
+of one certificate file that ``verify`` passes.
+
+Outputs are canonical and byte-identical across runs, so a digest may
+change only with a version or format bump recorded in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+from dataclasses import replace
+
+import pytest
+
+from cmhodge.catalog import catalog
+from cmhodge.cli import main
+from cmhodge.instance import serialize_instance
+
+# product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input
+PRODUCT = "product-6..13"
+INSTANCES = ("cyclic:8", "quaternion:8", "elementary-abelian:16", "cyclic:20", PRODUCT)
+COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",))
+
+GOLDEN = {
+    "analyze cyclic:8":
+        "601ecb22ab70fc5b73335ce7f62dd9e513dfa8c27eecc0425ee52a6140756215",
+    "deltas cyclic:8":
+        "f71e660124cb4d68c6554471d8e2b64113d84072ad7bdd4f914565cee26c40c9",
+    "deltas --orbits-only cyclic:8":
+        "d4de22b745459522884e31a35b3195388ed07b8ddd47928b528ca8db2de818a7",
+    "witness cyclic:8":
+        "6e2885543781ddaa76f788d2432aa252cfd48c26bb37dfdd1ec4e27a3cd767b6",
+    "analyze quaternion:8":
+        "77c1e80581c593a8fe2b958a648e6f86113b19bca71ffc7c327d19df4b17dff9",
+    "deltas quaternion:8":
+        "3da0ef8872ec8060fc8a6ce4f08c624b4b70a7bdcd8962f62fa2c63f622694d2",
+    "deltas --orbits-only quaternion:8":
+        "f76a9d5eb5c7a1e39eb4c7d7b558d7b37e7b084c821a65306f9b4c8b9e9a65c7",
+    "witness quaternion:8":
+        "fd106848e38a0fe25ef3b35aa86bc353984cafb3957556f14f7f6816bd7c0ab1",
+    "analyze elementary-abelian:16":
+        "e6d0fc461d54386bd55e5fe4d95162b9ffa8edd25b6d889950fa4e55cefcec2c",
+    "deltas elementary-abelian:16":
+        "40c57510f96dad3fb7abd9be568e209e2a8125340baf024348bee87f1e5770f9",
+    "deltas --orbits-only elementary-abelian:16":
+        "8cedb64ebf311ed480fb8fda974ce1c9f2c5fd1563456f74a19d49639f350668",
+    "witness elementary-abelian:16":
+        "bee0a9de124f5704f848f7c4db2aad210fd53385eef7a98ad1818838a4ff8124",
+    "analyze cyclic:20":
+        "1395f1f6c32493973cd185a4630e95fd1340c97771aaf98a8fb00ee681294361",
+    "deltas cyclic:20":
+        "c5936d7749cd5664fc30e6afd9ca58604e4e08348d3b32990cc8dcc1b01a7777",
+    "deltas --orbits-only cyclic:20":
+        "8320ba481893122083b83a368b3d4de095aee0800e7a7e0ebd3d4415ea495da8",
+    "witness cyclic:20":
+        "5c87cd032880b27909904b3f464061c6bd4b5a3a2c4ba54c0f533315dd384a1f",
+    f"analyze {PRODUCT}":
+        "5311f469cd4dfe0822e5f09d5f9889e66074489ad1f50ceee560dc3139d83784",
+    f"deltas {PRODUCT}":
+        "5ff3329741e26556f2c2a63afca84dd267fe6b0373fb6fb1399ffa5c141b44cd",
+    f"deltas --orbits-only {PRODUCT}":
+        "139366463dbf27ec4438e6d9d94468e653dabe62368b87910fe3573fc97daa83",
+    f"witness {PRODUCT}":
+        "329bbbcedd28e28a3482dc95f57766c7cda4222149d32a84f3f6ac3d22433b5d",
+}
+
+
+def run_cli(*argv: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def product_input(tmp_path_factory) -> str:
+    spec = replace(catalog("product", "cyclic.4xcyclic.4"), cm_type=tuple(range(6, 14)))
+    path = tmp_path_factory.mktemp("golden") / "product.txt"
+    path.write_text(serialize_instance(spec), encoding="utf-8")
+    return str(path)
+
+
+def source(instance: str, product_input: str) -> tuple[str, str]:
+    return ("--input", product_input) if instance == PRODUCT else ("--catalog", instance)
+
+
+@pytest.mark.parametrize("instance", INSTANCES)
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_stdout_digest(command, instance, product_input):
+    code, out = run_cli(*command, *source(instance, product_input))
+    assert code == 0
+    assert sha256(out) == GOLDEN[" ".join((*command, instance))]
+
+
+def test_certificate_file_digest_and_verify(product_input, tmp_path):
+    cert = tmp_path / "cert.json"
+    code, out = run_cli("witness", "--input", product_input, "--certify", str(cert))
+    assert (code, out) == (0, "")
+    # the file holds the bytes `witness` prints
+    assert sha256(cert.read_text(encoding="utf-8")) == GOLDEN[f"witness {PRODUCT}"]
+    code, out = run_cli("verify", "--certify", str(cert))
+    assert code == 0
+    assert out == "".join(f"p={p}: pass\n" for p in range(9))
