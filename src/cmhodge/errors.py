@@ -43,10 +43,6 @@ class NotClosed(CmhodgeError):
     """A set handed to the orbit partitioner is not translation-closed."""
 
 
-class NotValid(CmhodgeError):
-    """The monomial does not satisfy the validity criterion."""
-
-
 class ParseError(CmhodgeError):
     def __init__(self, message: str, line: int | None = None) -> None:
         if line is not None:

@@ -199,7 +199,6 @@ class EmbeddingSet:
     of CM-fields, with the global group action and conjugation."""
 
     parent: GroupTable
-    factors: tuple[CosetSpace, ...]
     size: int
     action: tuple[tuple[int, ...], ...]  # n x m
     conj: tuple[int, ...]
@@ -257,4 +256,4 @@ def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> Embe
     )
     factor_of = tuple(k for k in range(len(factors)) for _ in range(sizes[k]))
     assert m % 2 == 0
-    return EmbeddingSet(group, factors, m, action, conj, factor_of)
+    return EmbeddingSet(group, m, action, conj, factor_of)

@@ -21,7 +21,7 @@ Exactly one ``group``/``table``/``iota``/``cmtype`` each; at least one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CmhodgeError, ParseError, ValidationError
@@ -37,9 +37,6 @@ class InstanceSpec:
     factors: tuple[tuple[int, ...], ...]
     cm_type: tuple[int, ...]
     degrees: tuple[int, ...] | None  # None means "all"
-
-    def with_cm_type(self, points) -> "InstanceSpec":
-        return replace(self, cm_type=tuple(sorted(points)))
 
 
 @dataclass(frozen=True)

