@@ -180,11 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
     except CmhodgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

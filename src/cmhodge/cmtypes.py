@@ -42,6 +42,28 @@ class CMType:
             sorted({carrier.translate_mask(t, self.members) for t in carrier.parent.elements()})
         )
 
+    @cached_property
+    def class_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The complementary column classes (U, iota*U) as point masks.
+
+        The column of a point s records which rows contain it; a class is
+        the set of points sharing one column.  Every row is a CM-type, so
+        iota*s has the complementary column, and a pair {a, b} is valid
+        (meets every row once) iff the columns of a and b are complementary,
+        i.e. b lies in the partner class of a.  A monomial is therefore a
+        disjoint union of valid pairs iff it meets U and iota*U in equally
+        many points for every pair here: pair those points off in any
+        order.  iota maps U onto iota*U, so |U| = |iota*U|.  Each pair is
+        listed once, with U the class whose mask is smaller.
+        """
+        rows = self.rows
+        full = (1 << len(rows)) - 1
+        classes: dict[int, int] = {}
+        for s in range(self.carrier.size):
+            column = sum(1 << k for k, r in enumerate(rows) if r >> s & 1)
+            classes[column] = classes.get(column, 0) | 1 << s
+        return tuple((u, classes[c ^ full]) for c, u in classes.items() if u < classes[c ^ full])
+
 
 @dataclass(frozen=True)
 class RegularCMType:

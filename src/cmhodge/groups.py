@@ -202,7 +202,6 @@ class EmbeddingSet:
     size: int
     action: tuple[tuple[int, ...], ...]  # n x m
     conj: tuple[int, ...]
-    factor_of: tuple[int, ...]
 
     @property
     def all_mask(self) -> int:
@@ -254,6 +253,5 @@ def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> Embe
         for k in range(len(factors))
         for s in range(sizes[k])
     )
-    factor_of = tuple(k for k in range(len(factors)) for _ in range(sizes[k]))
     assert m % 2 == 0
-    return EmbeddingSet(group, m, action, conj, factor_of)
+    return EmbeddingSet(group, m, action, conj)

@@ -16,7 +16,7 @@ from math import comb
 
 from .cmtypes import CMType
 from .errors import CapExceeded, NotClosed
-from .groups import bits, mask_of
+from .groups import mask_of
 
 # largest number of subsets one half table of ``enumerate_valid`` may hold
 HALF_TABLE_CAP = 10**7
@@ -112,34 +112,6 @@ def galois_orbits(carrier, deltas: list[int]) -> list[tuple[int, ...]]:
     return orbits
 
 
-def pairing_witness(delta: int, valid_pairs: list[int]) -> list[int] | None:
-    """Lexicographically least decomposition of delta into disjoint valid
-    pairs, or None if there is none.
-
-    Backtracking perfect matching: always branch on the smallest unmatched
-    point and try its partners in ascending order, so the first complete
-    matching found is the least one.
-    """
-    pair_set = set(valid_pairs)
-
-    def rec(remaining: int, acc: list[int]) -> list[int] | None:
-        if remaining == 0:
-            return list(acc)
-        v = (remaining & -remaining).bit_length() - 1
-        rest = remaining ^ (1 << v)
-        for u in bits(rest):
-            pm = (1 << v) | (1 << u)
-            if pm in pair_set:
-                acc.append(pm)
-                found = rec(rest ^ (1 << u), acc)
-                if found is not None:
-                    return found
-                acc.pop()
-        return None
-
-    return rec(delta, [])
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Full per-degree classification: the valid monomials, their orbits,
@@ -166,24 +138,27 @@ class DecompositionReport:
 def classify(phi: CMType, p: int) -> DecompositionReport:
     """Split the valid monomials at degree p into divisor-generated and exotic.
 
-    The valid pairs are translation-closed, so delta is a disjoint union of
-    valid pairs iff every translate t*delta is one (translate the pairs by t
-    or by its inverse).  The pair matching therefore runs once per Galois
-    orbit, on its least member, and the whole orbit is filed with it.
+    A valid pair joins a column class U to its partner iota*U, so delta is
+    a disjoint union of valid pairs iff it meets U and iota*U equally often
+    for every pair of ``CMType.class_pairs``; there are sum |U|**2 valid
+    pairs.  Translates permute the class pairs, so the balance is tested
+    once per Galois orbit, on its least member, and the orbit filed with it.
     """
     valid = enumerate_valid(phi, p)
     orbits = galois_orbits(phi.carrier, valid)
-    pairs = enumerate_valid(phi, 1)
+    pairs = phi.class_pairs
     decomposable = []
     exotic = []
     for orbit in orbits:
-        (exotic if pairing_witness(orbit[0], pairs) is None else decomposable).extend(orbit)
+        d = orbit[0]
+        balanced = all((d & u).bit_count() == (d & w).bit_count() for u, w in pairs)
+        (decomposable if balanced else exotic).extend(orbit)
     return DecompositionReport(
         cm_type=phi,
         p=p,
         valid=tuple(valid),
         orbits=tuple(orbits),
-        valid_pair_count=len(pairs),
+        valid_pair_count=sum(u.bit_count() ** 2 for u, _ in pairs),
         decomposable=tuple(sorted(decomposable)),
         exotic=tuple(sorted(exotic)),
     )

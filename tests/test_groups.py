@@ -85,7 +85,6 @@ def test_embedding_set_disjoint_union():
     g = build_group(4, cyclic_table(4), 2)
     s = embedding_set(g, [[0], [0]])
     assert s.size == 8
-    assert s.factor_of == (0, 0, 0, 0, 1, 1, 1, 1)
     # second copy is offset by 4
     assert s.conj[4:] == tuple(4 + c for c in s.conj[:4])
 

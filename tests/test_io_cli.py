@@ -133,6 +133,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     too_big = InstanceSpec("", 66, table, 33, ((0,),), tuple(range(33)), None)
     bad.write_text(serialize_instance(too_big))
     assert run_cli("analyze", "--input", str(bad))[0] == 2  # groups stop at order 64
+    # unreadable paths and undecodable text are input errors, not tracebacks
+    capsys.readouterr()
+    assert run_cli("analyze", "--input", str(tmp_path))[0] == 2
+    assert run_cli("verify", "--certify", str(tmp_path))[0] == 2
+    assert run_cli("witness", "--catalog", "cyclic:4", "--certify", str(tmp_path))[0] == 2
+    bad.write_bytes(b"\xff\xfe group 2\n")
+    assert run_cli("analyze", "--input", str(bad))[0] == 2
+    assert run_cli("verify", "--certify", str(bad))[0] == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 5
 
 
 def test_cli_input_file(tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import runpy
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +18,32 @@ from cmhodge.monomials import (
     enumerate_valid,
     enumerate_valid_bruteforce,
     galois_orbits,
-    pairing_witness,
     valid_delta,
 )
 from cmhodge.verify import _count_valid
 
+EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
+MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
+
 
 def masks(point_lists):
     return sorted(mask_of(pts) for pts in point_lists)
+
+
+def mixed_carrier(entry, factors):
+    spec = catalog(*entry.split(":"))
+    return embedding_set(build_group(spec.order, spec.mult, spec.iota), factors)
+
+
+def has_pair_matching(delta, pairs):
+    # oracle for the balance test: search for any perfect matching of delta
+    # into the given pairs, branching on its lowest point
+    if not delta:
+        return True
+    low = delta & -delta
+    return any(
+        pm & low and pm & delta == pm and has_pair_matching(delta ^ pm, pairs) for pm in pairs
+    )
 
 
 def test_empty_monomial_is_valid(z4):
@@ -81,17 +101,12 @@ def test_enumerator_matches_oracle_hypothesis(data):
     assert _count_valid(phi, p) == len(oracle)
 
 
-@pytest.mark.parametrize(
-    "entry, factors",
-    [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])],
-)
+@pytest.mark.parametrize("entry, factors", MIXED_CARRIERS)
 def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
     # m = 16 from two factors, at least one a coset space of a non-trivial
     # subgroup; the halves of the split are the two factors in the first
     # set and cut through the larger factor in the second
-    spec = catalog(*entry.split(":"))
-    group = build_group(spec.order, spec.mult, spec.iota)
-    carrier = embedding_set(group, factors)
+    carrier = mixed_carrier(entry, factors)
     assert carrier.size == 16
     for phi in list(enumerate_cm_types(carrier))[::32]:
         for p in range(9):
@@ -163,20 +178,6 @@ def test_conjugate_pair_unions_are_valid(order8_instances):
                     assert valid_delta(phi, union, p)
 
 
-def test_decomposable_examples(z4):
-    pairs = enumerate_valid(z4.cm_type, 1)
-    assert pairing_witness(mask_of([0, 1, 2, 3]), pairs) == masks([[0, 2], [1, 3]])
-    assert pairing_witness(0, pairs) == []
-    assert pairing_witness(mask_of([0, 2]), []) is None
-
-
-def test_witness_is_lexicographically_least(ea4):
-    pairs = enumerate_valid(ea4.cm_type, 1)  # all four cross pairs
-    witness = pairing_witness(ea4.embeddings.all_mask, pairs)
-    # point 0 gets its smallest valid partner (2), forcing {1,3}
-    assert witness == [mask_of([0, 2]), mask_of([1, 3])]
-
-
 def test_classify_z4_top_degree(z4):
     report = classify(z4.cm_type, 2)
     assert report.hodge_dim == 1
@@ -200,16 +201,53 @@ def test_classify_partition_invariants(order8_instances):
 
 
 def test_classify_agrees_with_per_monomial_matching_c4xc4():
-    # classify matches one member per Galois orbit; at p = 2, the degree of
-    # the smallest exotic hits, every CM-type gives the per-monomial answer
+    # classify tests one member per Galois orbit for balance; at p = 2, the
+    # degree of the smallest exotic hits, every CM-type gives the
+    # per-monomial matching answer
     built = build_instance(catalog("product", "cyclic.4xcyclic.4"))
     with_exotic = 0
     for phi in enumerate_cm_types(built.embeddings):
-        pairs = enumerate_valid(phi, 1)
-        exotic = [d for d in enumerate_valid(phi, 2) if pairing_witness(d, pairs) is None]
+        pairs = enumerate_valid_bruteforce(phi, 1)
+        exotic = [d for d in enumerate_valid(phi, 2) if not has_pair_matching(d, pairs)]
         assert list(classify(phi, 2).exotic) == exotic, sorted(phi.points)
         with_exotic += bool(exotic)
     assert with_exotic > 0
+
+
+def test_classify_agrees_with_per_monomial_matching_mixed_carrier():
+    # non-regular carrier with exotic monomials at p = 2..6
+    carrier = mixed_carrier(*MIXED_CARRIERS[1])
+    exotic_total = 0
+    for phi in list(enumerate_cm_types(carrier))[::8]:
+        pairs = enumerate_valid_bruteforce(phi, 1)
+        for p in range(9):
+            report = classify(phi, p)
+            exotic = [d for d in report.valid if not has_pair_matching(d, pairs)]
+            assert list(report.exotic) == exotic, (sorted(phi.points), p)
+            exotic_total += len(exotic)
+    assert exotic_total == 1632
+
+
+def test_class_pairs_partition_points(order8_instances):
+    carriers = [built.embeddings for built in order8_instances] + [
+        mixed_carrier(*entry) for entry in MIXED_CARRIERS
+    ]
+    for carrier in carriers:
+        for phi in enumerate_cm_types(carrier):
+            covered = 0
+            for u, w in phi.class_pairs:
+                assert carrier.conj_mask(u) == w
+                assert u.bit_count() == w.bit_count()
+                assert not (u & w or covered & (u | w))
+                covered |= u | w
+            assert covered == carrier.all_mask
+            assert classify(phi, 1).valid_pair_count == len(enumerate_valid(phi, 1))
+
+
+def test_exotic_hunt_script():
+    hunt = runpy.run_path(str(EXOTIC_HUNT))["hunt"]
+    assert hunt("product:cyclic.4xcyclic.4", 2) == 64
+    assert hunt("dihedral:16", 2) == 0
 
 
 def test_exotic_regression_c4xc4():
