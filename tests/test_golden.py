@@ -11,6 +11,7 @@ import hashlib
 import io
 from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,11 @@ from cmhodge.instance import serialize_instance
 
 # product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input
 PRODUCT = "product-6..13"
-INSTANCES = ("cyclic:8", "quaternion:8", "elementary-abelian:16", "cyclic:20", PRODUCT)
+# 17 regular cyclic:4 factors: m = 68 points, past 64 bits and not a
+# multiple of 8, read through --input
+M68 = "m68"
+M68_PATH = Path(__file__).parent / "fixtures" / "m68.txt"
+INSTANCES = ("cyclic:8", "quaternion:8", "elementary-abelian:16", "cyclic:20", PRODUCT, M68)
 COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",))
 
 GOLDEN = {
@@ -64,6 +69,14 @@ GOLDEN = {
         "139366463dbf27ec4438e6d9d94468e653dabe62368b87910fe3573fc97daa83",
     f"witness {PRODUCT}":
         "329bbbcedd28e28a3482dc95f57766c7cda4222149d32a84f3f6ac3d22433b5d",
+    f"analyze {M68}":
+        "9c60c171684547661888eaa39650b40255bb02e5d7898a42c39098f5287b4a22",
+    f"deltas {M68}":
+        "6d4f53351ea48daba64d9ed5ca13c8b7335cd75153d6a4e3972e58585e38ebca",
+    f"deltas --orbits-only {M68}":
+        "34e394468329dce4fb5f78be32e4c5df5d49b7d7fed4ea07116d56cd49dd836a",
+    f"witness {M68}":
+        "ed520446ffb951c44c1b7fbc42fbbfef7ab68bd80d4f2f72eadb6d9c79afed92",
 }
 
 
@@ -87,6 +100,8 @@ def product_input(tmp_path_factory) -> str:
 
 
 def source(instance: str, product_input: str) -> tuple[str, str]:
+    if instance == M68:
+        return ("--input", str(M68_PATH))
     return ("--input", product_input) if instance == PRODUCT else ("--catalog", instance)
 
 
