@@ -18,9 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cmhodge.catalog import catalog
 from cmhodge.cmtypes import enumerate_cm_types
+from cmhodge.groups import bits
 from cmhodge.instance import build_instance
 from cmhodge.monomials import classify
-from cmhodge.report import points
 
 DEFAULT_ENTRIES = [
     "cyclic:8",
@@ -47,7 +47,7 @@ def hunt(entry: str, max_degree: int | None) -> int:
                 print(
                     f"  phi={list(phi.points)} p={p}: "
                     f"hodge={report.hodge_dim} lefschetz={report.lefschetz_dim} "
-                    f"exotic={[points(d) for d in report.exotic]}"
+                    f"exotic={[bits(d) for d in report.exotic]}"
                 )
                 break
     print(f"{entry}: {hits} CM-types with exotic monomials ({time.time() - t0:.1f}s)")

@@ -18,9 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cmhodge.catalog import sweep_instances
 from cmhodge.cmtypes import enumerate_cm_types
+from cmhodge.groups import bits
 from cmhodge.instance import build_instance
 from cmhodge.monomials import classify, enumerate_valid_bruteforce
-from cmhodge.report import points
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "order8_degree2.json"
 
@@ -40,7 +40,7 @@ def run_sweep() -> dict:
                 "hodge_dim": report.hodge_dim,
                 "lefschetz_dim": report.lefschetz_dim,
                 "orbit_count": len(report.orbits),
-                "exotic": [points(d) for d in report.exotic],
+                "exotic": [bits(d) for d in report.exotic],
             }
         out[spec.name] = per_type
     return out

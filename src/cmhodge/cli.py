@@ -18,7 +18,7 @@ from .groups import mask_of
 from .instance import BuiltInstance, build_instance, parse_instance, serialize_instance
 from .lattice import check_via_system, reduced_validity_system
 from .monomials import classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
-from .report import analysis_report, canonical_json, certificate_bundle, deltas_report
+from .report import analysis_report, certificate_bundle, deltas_report
 from .verify import verify_document
 from .weil import coverage_certificate
 
@@ -38,17 +38,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the options each command reads; any other option is a usage error
+_OPTIONS = {
+    "analyze": ("--input", "--catalog", "--degree"),
+    "deltas": ("--input", "--catalog", "--degree", "--orbits-only"),
+    "witness": ("--input", "--catalog", "--degree", "--certify"),
+    "verify": ("--certify",),
+    "oracle": ("--input", "--catalog", "--degree", "--cap"),
+    "catalog": ("--catalog",),
+}
+_ARGUMENTS = {
+    "--input": {"metavar": "PATH", "help": "instance file"},
+    "--catalog": {"metavar": "NAME:PARAMS", "help": "built-in instance"},
+    "--degree": {"default": "all", "help": "a degree p, or 'all'"},
+    "--orbits-only": {"action": "store_true"},
+    "--certify": {"metavar": "PATH", "help": "certificate file to write or verify"},
+    "--cap": {"type": int, "default": 10**7, "help": "subset-count cap"},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cmhodge")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "deltas", "witness", "verify", "oracle", "catalog"):
+    for name, options in _OPTIONS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--input", metavar="PATH", help="instance file")
-        cmd.add_argument("--catalog", metavar="NAME:PARAMS", help="built-in instance")
-        cmd.add_argument("--degree", default="all", help="a degree p, or 'all'")
-        cmd.add_argument("--orbits-only", action="store_true")
-        cmd.add_argument("--certify", metavar="PATH", help="certificate file to write or verify")
-        cmd.add_argument("--cap", type=int, default=10**7, help="subset-count cap")
+        for option in options:
+            cmd.add_argument(option, **_ARGUMENTS[option])
     return parser
 
 
@@ -79,7 +94,7 @@ def _degrees(args, built: BuiltInstance) -> list[int]:
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
     reports = [classify(built.cm_type, p) for p in _degrees(args, built)]
-    out.write(canonical_json(analysis_report(built, reports)))
+    out.write(analysis_report(built, reports))
     return EXIT_OK
 
 
@@ -93,14 +108,14 @@ def _cmd_deltas(args, out) -> int:
         return p, valid
 
     per_degree = [one(p) for p in _degrees(args, built)]
-    out.write(canonical_json(deltas_report(built, per_degree, args.orbits_only)))
+    out.write(deltas_report(built, per_degree, args.orbits_only))
     return EXIT_OK
 
 
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
     certs = [coverage_certificate(built.cm_type, p) for p in _degrees(args, built)]
-    text = canonical_json(certificate_bundle(built.spec, certs))
+    text = certificate_bundle(built.spec, certs)
     if args.certify:
         Path(args.certify).write_text(text, encoding="utf-8")
     else:

@@ -37,10 +37,7 @@ class CMType:
         |delta & r| = p for every row r.  (|t*delta & phi| equals
         |delta & t^-1*phi|, so translating delta is never needed.)
         """
-        carrier = self.carrier
-        return tuple(
-            sorted({carrier.translate_mask(t, self.members) for t in carrier.parent.elements()})
-        )
+        return tuple(sorted(set(self.carrier.translates(self.members))))
 
     @cached_property
     def class_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -127,14 +124,13 @@ def induced_type(phi: CMType, s: int) -> RegularCMType:
     """The CM-type on the full group induced at the point s: t is a member
     iff the translate of s by t lies in phi."""
     carrier = phi.carrier
-    group = carrier.parent
     if not 0 <= s < carrier.size:
         raise NotACMType(f"point {s} out of range")
     members = 0
-    for t in group.elements():
-        if phi.contains(carrier.action[t][s]):
+    for t, row in enumerate(carrier.action):
+        if phi.members >> row[s] & 1:
             members |= 1 << t
-    return RegularCMType(group, members)
+    return RegularCMType(carrier.parent, members)
 
 
 def hodge_numbers(carrier: EmbeddingSet, phi: CMType, r: int) -> dict[tuple[int, int], int]:

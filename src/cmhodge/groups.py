@@ -13,19 +13,36 @@ composite "t after s" is ``action[t][s]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from operator import or_
+from typing import Iterable
 
 from .errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
 
 MAX_ORDER = 64
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _byte_points(offset: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b lists ``offset + s`` for each set bit s of the byte b, ascending."""
+    table: list[tuple[int, ...]] = [()]
+    for s in range(offset, offset + 8):
+        table += [t + (s,) for t in table]
+    return tuple(table)
+
+
+# _BYTE_POINTS[i][b]: the set bits of a mask whose byte i is b
+_BYTE_POINTS = tuple(_byte_points(8 * i) for i in range(8))
+
+
+def bits(mask: int) -> list[int]:
+    """Indices of set bits, ascending, read a byte at a time from tables."""
+    out: list[int] = []
+    for table, byte in zip(_BYTE_POINTS, mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            out += table[byte]
+    if mask >> 64:
+        out += [64 + s for s in bits(mask >> 64)]
+    return out
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -207,23 +224,47 @@ class EmbeddingSet:
     def all_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def translate_mask(self, t: int, mask: int) -> int:
-        """Elementwise image of a point set under left translation by t.
+    @cached_property
+    def _translate_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Entry [i][b] holds, for every group element t in element order,
+        the image under t of the points 8i + s for the set bits s of the
+        byte b.  The last table covers only the points below m."""
+        tables = []
+        for base in range(0, self.size, 8):
+            table = [(0,) * self.parent.order]
+            for s in range(base, min(base + 8, self.size)):
+                image = tuple(1 << row[s] for row in self.action)
+                table += [tuple(map(or_, t, image)) for t in table]
+            tables.append(tuple(table))
+        return tuple(tables)
 
-        This is the single shared translation helper: both CM-types and
-        monomials go through it, so the two uses cannot drift apart.
+    def translates(self, mask: int) -> list[int]:
+        """The images of a point set under every group element, in element
+        order: the table entries of its bytes, OR-ed elementwise.
+
+        Every translation goes through these tables (``translate_mask`` and
+        ``conj_mask`` read one column), so CM-types and monomials cannot
+        be translated differently.
         """
-        row = self.action[t]
+        tables = self._translate_tables
+        images = (0,) * self.parent.order
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            if byte:
+                images = map(or_, images, table[byte])
+        return list(images)
+
+    def translate_mask(self, t: int, mask: int) -> int:
+        """Elementwise image of a point set under left translation by t."""
+        tables = self._translate_tables
         out = 0
-        for s in bits(mask):
-            out |= 1 << row[s]
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            if byte:
+                out |= table[byte][t]
         return out
 
     def conj_mask(self, mask: int) -> int:
-        out = 0
-        for s in bits(mask):
-            out |= 1 << self.conj[s]
-        return out
+        """Elementwise conjugate of a point set: its translate by iota."""
+        return self.translate_mask(self.parent.iota, mask)
 
 
 def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> EmbeddingSet:

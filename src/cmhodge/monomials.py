@@ -103,7 +103,7 @@ def galois_orbits(carrier, deltas: list[int]) -> list[tuple[int, ...]]:
     for d in sorted(deltas):
         if d in seen:
             continue
-        orbit = {carrier.translate_mask(t, d) for t in carrier.parent.elements()}
+        orbit = set(carrier.translates(d))
         stray = orbit - pool
         if stray:
             raise NotClosed(f"translate {min(stray)} of {d} missing from the input set")

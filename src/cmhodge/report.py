@@ -5,12 +5,21 @@ integers and strings only (no floats anywhere), terminated by a single
 newline.  The content hash is the SHA-256 of the canonical serialization
 with the ``content_hash`` field removed, so two runs agree iff their
 outputs are byte-identical.
+
+Each output is encoded once.  ``canonical_json`` encodes each top-level
+value of a document, and ``_document`` assembles the document from those
+texts: it hashes the joined text, which is the canonical serialization
+without ``content_hash``, and inserts the hash at its sorted key position.
+A bundle is joined from the finished text of each certificate.  The
+verifier's ``content_hash`` re-encodes the parsed document on its own,
+which cross-checks the inserted hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect
 
 from . import __version__
 from .cmtypes import hodge_numbers
@@ -40,15 +49,17 @@ def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
 
 
-def finalize(obj: dict) -> dict:
-    """Attach the content hash; idempotent on the other fields."""
-    obj = dict(obj)
-    obj["content_hash"] = content_hash(obj)
-    return obj
-
-
-def points(mask: int) -> list[int]:
-    return list(bits(mask))
+def _document(fields: dict, **texts: str) -> str:
+    """The canonical text of a document with its content hash.  Each value
+    of ``fields`` is encoded once; ``texts`` holds values already encoded
+    (without the newline)."""
+    texts.update((k, canonical_json(v)[:-1]) for k, v in fields.items())
+    keys = sorted(texts)
+    items = [canonical_json(k)[:-1] + ":" + texts[k] for k in keys]
+    digest = hashlib.sha256(("{" + ",".join(items) + "}\n").encode("utf-8")).hexdigest()
+    hash_item = canonical_json("content_hash")[:-1] + ":" + canonical_json(digest)[:-1]
+    items.insert(bisect(keys, "content_hash"), hash_item)
+    return "{" + ",".join(items) + "}\n"
 
 
 def instance_payload(spec: InstanceSpec) -> dict:
@@ -65,6 +76,8 @@ def instance_payload(spec: InstanceSpec) -> dict:
 
 
 def degree_payload(report: DecompositionReport) -> dict:
+    # every list holds valid monomials: read each one's points once
+    points = {d: bits(d) for d in report.valid}
     return {
         "p": report.p,
         "hodge_dim": report.hodge_dim,
@@ -72,10 +85,10 @@ def degree_payload(report: DecompositionReport) -> dict:
         "exotic_count": len(report.exotic),
         "orbit_count": len(report.orbits),
         "valid_pair_count": report.valid_pair_count,
-        "valid": [points(d) for d in report.valid],
-        "decomposable": [points(d) for d in report.decomposable],
-        "exotic": [points(d) for d in report.exotic],
-        "orbits": [[points(d) for d in orbit] for orbit in report.orbits],
+        "valid": list(points.values()),
+        "decomposable": [points[d] for d in report.decomposable],
+        "exotic": [points[d] for d in report.exotic],
+        "orbits": [[points[d] for d in orbit] for orbit in report.orbits],
     }
 
 
@@ -101,8 +114,8 @@ def hodge_numbers_payload(built: BuiltInstance) -> list[dict]:
     return out
 
 
-def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionReport]) -> dict:
-    return finalize(
+def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionReport]) -> str:
+    return _document(
         {
             "kind": REPORT_KIND,
             "version": __version__,
@@ -114,56 +127,58 @@ def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionRepo
     )
 
 
-def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> dict:
+def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> str:
+    """The canonical text of one certificate, content hash included."""
     # the transcript, Weil data, coverage and verdict are forced by validity
     # (see ``weil``); they are written out for the verifier to recheck
     p = cert.p
+    # every list holds valid monomials: read each one's points once
+    points = {d: bits(d) for d in cert.valid_set}
     witnesses = []
     for w in cert.witnesses:
         witnesses.append(
             {
-                "delta": points(w.delta),
+                "delta": points[w.delta],
                 "family": [sorted(f.elements) for f in w.family],
                 "balanced_transcript": [p] * spec.order,
-                "covered_translates": [points(d) for d in w.covered_translates],
+                "covered_translates": [points[d] for d in w.covered_translates],
                 "weil_data": {"d": 2 * p, "rank_over_f": 1, "dim_over_q": spec.order},
             }
         )
-    return finalize(
+    return _document(
         {
             "kind": CERTIFICATE_KIND,
             "version": __version__,
             "instance": instance_payload(spec),
             "p": p,
-            "orbit_reps": [points(w.delta) for w in cert.witnesses],
+            "orbit_reps": [points[w.delta] for w in cert.witnesses],
             "witnesses": witnesses,
-            "coverage": [points(d) for d in cert.valid_set],
-            "valid_set": [points(d) for d in cert.valid_set],
+            "coverage": list(points.values()),
+            "valid_set": list(points.values()),
             "verdict": True,
         }
     )
 
 
-def certificate_bundle(spec: InstanceSpec, certs: list[CoverageCertificate]) -> dict:
-    return finalize(
-        {
-            "kind": BUNDLE_KIND,
-            "version": __version__,
-            "instance": instance_payload(spec),
-            "certificates": [certificate_payload(spec, c) for c in certs],
-        }
+def certificate_bundle(spec: InstanceSpec, certs: list[CoverageCertificate]) -> str:
+    """The canonical text of a bundle, joined from the finished text of
+    each certificate."""
+    certificates = "[" + ",".join(certificate_payload(spec, c)[:-1] for c in certs) + "]"
+    return _document(
+        {"kind": BUNDLE_KIND, "version": __version__, "instance": instance_payload(spec)},
+        certificates=certificates,
     )
 
 
-def deltas_report(built: BuiltInstance, per_degree: list[tuple[int, list[int]]], orbits_only: bool) -> dict:
-    return finalize(
+def deltas_report(built: BuiltInstance, per_degree: list[tuple[int, list[int]]], orbits_only: bool) -> str:
+    return _document(
         {
             "kind": DELTAS_KIND,
             "version": __version__,
             "instance": instance_payload(built.spec),
             "orbits_only": orbits_only,
             "degrees": [
-                {"p": p, "deltas": [points(d) for d in deltas]}
+                {"p": p, "deltas": [bits(d) for d in deltas]}
                 for p, deltas in per_degree
             ],
         }

@@ -23,7 +23,7 @@ from math import comb
 
 from .cmtypes import CMType, induced_type, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
-from .groups import build_group, embedding_set, mask_of
+from .groups import EmbeddingSet, build_group, embedding_set, mask_of
 from .monomials import HALF_TABLE_CAP, valid_delta
 from .report import BUNDLE_KIND, CERTIFICATE_KIND, content_hash
 
@@ -139,11 +139,35 @@ def _count_valid(phi: CMType, p: int) -> int:
     return sum(n * odd[(2 * p - k, *(p - c for c in counts))] for (k, *counts), n in even.items())
 
 
-def verify_certificate(data: dict) -> VerificationResult:
+def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, VerificationResult | None]:
+    """Build the embedding set and CM-type of a schema-checked instance.
+
+    Returns (embeddings, phi, failure).  A failed ``group_axioms`` or
+    ``factors`` check leaves both objects None; a failed ``cm_type`` check
+    keeps the embedding set, because the points are bounded before the
+    CM-type is checked.
+    """
+    try:
+        group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
+    except CmhodgeError as exc:
+        return None, None, _fail("group_axioms", str(exc))
+    try:
+        embeddings = embedding_set(group, inst["factors"])
+    except CmhodgeError as exc:
+        return None, None, _fail("factors", str(exc))
+    try:
+        return embeddings, validate_cm_type(embeddings, inst["cm_type"]), None
+    except CmhodgeError as exc:
+        return embeddings, None, _fail("cm_type", str(exc))
+
+
+def verify_certificate(data: dict, built: tuple | None = None) -> VerificationResult:
     """Re-check a single certificate from scratch.  Input of the wrong shape
-    fails the ``schema`` check before anything reads it.  The one exception
-    that gets through is ``CapExceeded``, raised before any table is built
-    when the valid set is too large to recount."""
+    fails the ``schema`` check before anything reads it.  ``built`` is what
+    ``_build`` returned for an instance equal to the certificate's; a bundle
+    passes it so that its instance is built once.  The one exception that
+    gets through is ``CapExceeded``, raised before any table is built when
+    the valid set is too large to recount."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
     if data.get("kind") != CERTIFICATE_KIND:
@@ -156,23 +180,17 @@ def verify_certificate(data: dict) -> VerificationResult:
     if data.get("content_hash") != content_hash(data):
         return _fail("content_hash", "stored hash does not match the content")
 
-    try:
-        group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
-    except CmhodgeError as exc:
-        return _fail("group_axioms", str(exc))
-    try:
-        embeddings = embedding_set(group, inst["factors"])
-    except CmhodgeError as exc:
-        return _fail("factors", str(exc))
+    embeddings, phi, failure = built or _build(inst)
+    if embeddings is None:
+        return failure
+    group = embeddings.parent
     # bound every point before it is shifted into a mask
     point_lists = [inst["cm_type"], *orbit_reps, *data["coverage"], *data["valid_set"]]
     point_lists += [pts for w in witnesses for pts in (w["delta"], *w["covered_translates"])]
     if max(map(max, filter(None, point_lists)), default=0) >= embeddings.size:
         return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
-    try:
-        phi = validate_cm_type(embeddings, inst["cm_type"])
-    except CmhodgeError as exc:
-        return _fail("cm_type", str(exc))
+    if phi is None:
+        return failure
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
@@ -200,15 +218,14 @@ def verify_certificate(data: dict) -> VerificationResult:
                     f"witness {i}: stored type at point {s} is not the induced type",
                 )
 
-        recomputed = [sum(t in f for f in family) for t in group.elements()]
+        members = Counter(t for f in family for t in f)
+        recomputed = [members[t] for t in group.elements()]
         if w["balanced_transcript"] != recomputed:
             return _fail("balanced", f"witness {i} transcript does not match the family")
         if any(v != p for v in recomputed):
             return _fail("balanced", f"witness {i} transcript is not identically {p}")
 
-        translates = sorted(
-            {embeddings.translate_mask(t, delta) for t in group.elements()}
-        )
+        translates = sorted(set(embeddings.translates(delta)))
         if [mask_of(d) for d in w["covered_translates"]] != translates:
             return _fail("translates", f"witness {i} covered translates are wrong")
         if delta != translates[0]:
@@ -261,4 +278,8 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
         return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
     if any(isinstance(cert, dict) and cert.get("instance") != data.get("instance") for cert in certs):
         return [("bundle", _fail("schema", "a certificate's instance differs from the bundle's"))]
-    return [(_label(cert), verify_certificate(cert)) for cert in certs]
+    # every certificate carries this instance, so it is built once; one
+    # that does not conform fails each certificate's schema check instead
+    inst = data.get("instance")
+    built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
+    return [(_label(cert), verify_certificate(cert, built)) for cert in certs]

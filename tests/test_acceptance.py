@@ -22,7 +22,7 @@ from cmhodge.groups import mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import lattice_rank, orbit_matrix
 from cmhodge.monomials import classify, enumerate_valid
-from cmhodge.report import certificate_payload, finalize
+from cmhodge.report import certificate_payload, content_hash
 from cmhodge.verify import verify_certificate
 from cmhodge.weil import coverage_certificate
 
@@ -65,7 +65,7 @@ def test_criterion_2_theorem1_coverage(order8_instances):
                 cert = coverage_certificate(phi, p)
                 covered = sorted({d for w in cert.witnesses for d in w.covered_translates})
                 assert covered == list(cert.valid_set), (built.spec.name, sorted(phi.points), p)
-                payload = certificate_payload(spec, cert)
+                payload = json.loads(certificate_payload(spec, cert))
                 assert payload["verdict"] and payload["coverage"] == payload["valid_set"]
                 for w, stored in zip(cert.witnesses, payload["witnesses"], strict=True):
                     # recount the transcript from the induced family
@@ -154,12 +154,12 @@ def test_criterion_7_order8_degree2_sweep():
 def test_criterion_8_certificate_integrity(z4, order8_instances):
     for built in order8_instances:
         for p in built.degrees:
-            payload = certificate_payload(
-                built.spec, coverage_certificate(built.cm_type, p)
+            payload = json.loads(
+                certificate_payload(built.spec, coverage_certificate(built.cm_type, p))
             )
             assert verify_certificate(payload).ok
 
-    payload = certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1))
+    payload = json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1)))
     mutations = []
     doc = copy.deepcopy(payload)
     doc["witnesses"][0]["family"][0] = [0, 2]
@@ -175,7 +175,7 @@ def test_criterion_8_certificate_integrity(z4, order8_instances):
     doc["instance"]["group"]["table"][1][1] = 1
     mutations.append((doc, "group_axioms"))
     for doc, expected in mutations:
-        result = verify_certificate(finalize(doc))
+        result = verify_certificate({**doc, "content_hash": content_hash(doc)})
         assert result.failed_check == expected, (expected, result.describe())
     passed(8, "all generated certificates verify; 4 mutations fail with the named check")
 

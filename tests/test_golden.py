@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
+import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 from cmhodge.catalog import catalog
 from cmhodge.cli import main
 from cmhodge.instance import serialize_instance
+from cmhodge.report import canonical_json, content_hash
 
 # product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input
 PRODUCT = "product-6..13"
@@ -111,6 +114,29 @@ def test_stdout_digest(command, instance, product_input):
     code, out = run_cli(*command, *source(instance, product_input))
     assert code == 0
     assert sha256(out) == GOLDEN[" ".join((*command, instance))]
+    # the inserted hashes against the verifier's independent encoder
+    doc = json.loads(out)
+    assert canonical_json(doc) == out
+    for part in (doc, *doc.get("certificates", ())):
+        assert part["content_hash"] == content_hash(part)
+
+
+@pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
+def test_each_output_byte_is_encoded_once(command, monkeypatch):
+    original = canonical_json
+    encoded = []
+
+    def tally(obj):
+        text = original(obj)
+        encoded.append(len(text))
+        return text
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmhodge") and getattr(module, "canonical_json", None) is original:
+            monkeypatch.setattr(module, "canonical_json", tally)
+    code, out = run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")
+    assert code == 0 and encoded
+    assert sum(encoded) <= len(out)
 
 
 def test_certificate_file_digest_and_verify(product_input, tmp_path):

@@ -1,10 +1,37 @@
 from __future__ import annotations
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from cmhodge.catalog import cyclic_table, dihedral_table
+from cmhodge.catalog import catalog, cyclic_table, dihedral_table
+from cmhodge.cmtypes import conjugate_pairs, induced_type, validate_cm_type
 from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
-from cmhodge.groups import build_group, coset_space, embedding_set
+from cmhodge.groups import bits, build_group, coset_space, embedding_set, mask_of
+from cmhodge.instance import build_instance, parse_instance
+
+# every catalog carrier up to order 32, and two carriers of several factors
+TABLE_CARRIERS = (
+    [f"cyclic:{n}" for n in range(2, 33, 2)]
+    + [f"elementary-abelian:{n}" for n in (2, 4, 8, 16, 32)]
+    + [f"dihedral:{n}" for n in range(4, 33, 4)]
+    + ["quaternion:8"]
+    + [
+        f"product:{p}"
+        for p in (
+            "cyclic.4xcyclic.2",
+            "cyclic.4xcyclic.4",
+            "dihedral.8xcyclic.2",
+            "cyclic.6xcyclic.4",
+            "cyclic.8xcyclic.4",
+            "quaternion.8xcyclic.4",
+        )
+    ]
+    + ["dihedral:16 [[0,8],[0,9]]", "cyclic:12 [[0,4,8],[0]]", "m68"]
+)
+M68 = Path(__file__).parent / "fixtures" / "m68.txt"
 
 
 def test_z2_is_a_group():
@@ -121,3 +148,41 @@ def test_conj_is_fixed_point_free_involution(order8_instances):
         for x in range(s.size):
             assert s.conj[x] != x
             assert s.conj[s.conj[x]] == x
+
+
+def table_carrier(name):
+    if name == "m68":  # 68 points: past 64 bits, and not a multiple of 8
+        return build_instance(parse_instance(M68.read_text(encoding="utf-8"))).embeddings
+    entry, _, factors = name.partition(" ")
+    spec = catalog(*entry.split(":"))
+    group = build_group(spec.order, spec.mult, spec.iota)
+    return embedding_set(group, json.loads(factors) if factors else spec.factors)
+
+
+@pytest.mark.parametrize("name", TABLE_CARRIERS)
+def test_byte_tables_match_plain_loops(name):
+    # the tables against the per-point definitions, so that a table bug
+    # cannot agree with itself
+    carrier = table_carrier(name)
+    m = carrier.size
+    rng = random.Random(name)
+    masks = [0, carrier.all_mask, 1 << (m - 1)] + [rng.getrandbits(m) for _ in range(30)]
+    for mask in masks:
+        points = [s for s in range(m) if mask >> s & 1]
+        assert bits(mask) == points
+        images = [mask_of(row[s] for s in points) for row in carrier.action]
+        assert carrier.translates(mask) == images
+        assert [carrier.translate_mask(t, mask) for t in range(len(images))] == images
+        assert carrier.conj_mask(mask) == mask_of(carrier.conj[s] for s in points)
+    for _ in range(3):
+        phi = validate_cm_type(carrier, [rng.choice(pair) for pair in conjugate_pairs(carrier)])
+        for s in range(m):
+            # t is in the induced type iff the translate of s by t lies in phi
+            members = [t for t, row in enumerate(carrier.action) if row[s] in phi.points]
+            assert list(induced_type(phi, s).elements) == members
+
+
+def test_bits_past_the_tables():
+    rng = random.Random(0)
+    for mask in [1 << 64, (1 << 200) - 1] + [rng.getrandbits(300) for _ in range(20)]:
+        assert bits(mask) == [s for s in range(mask.bit_length()) if mask >> s & 1]

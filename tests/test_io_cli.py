@@ -112,6 +112,15 @@ def test_cli_deltas_orbits_only():
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("analyze")[0] == 1  # neither --input nor --catalog
+    # each command takes only the options it reads
+    assert run_cli("analyze", "--catalog", "cyclic:4", "--certify", str(tmp_path / "x"))[0] == 1
+    assert not (tmp_path / "x").exists()
+    assert run_cli("catalog", "--input", str(tmp_path / "x"))[0] == 1
+    cert = tmp_path / "cert.json"
+    assert run_cli("witness", "--catalog", "cyclic:4", "--certify", str(cert))[0] == 0
+    assert run_cli("verify", "--certify", str(cert), "--degree", "2")[0] == 1
+    assert run_cli("analyze", "--catalog", "cyclic:4", "--orbits-only")[0] == 1
+    assert run_cli("deltas", "--catalog", "cyclic:4", "--cap", "5")[0] == 1
     assert run_cli("analyze", "--catalog", "dihedral:6")[0] == 2
     for entry in ("cyclic:abc", "cyclic:", "cyclic:66", "product:cyclic.16xcyclic.8"):
         assert run_cli("analyze", "--catalog", entry)[0] == 2, entry

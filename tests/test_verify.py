@@ -18,21 +18,22 @@ from cmhodge.report import (
     certificate_bundle,
     certificate_payload,
     content_hash,
-    finalize,
     instance_payload,
 )
-from cmhodge.verify import CHECKS, verify_certificate
+from cmhodge import verify
+from cmhodge.groups import build_group
+from cmhodge.verify import CHECKS, verify_certificate, verify_document
 from cmhodge.weil import coverage_certificate
 
 
 @pytest.fixture()
 def payload(z4):
-    return certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1))
+    return json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1)))
 
 
 def rehash(doc: dict) -> dict:
     # a forger who recomputes the hash still has to get the math right
-    return finalize(doc)
+    return {**doc, "content_hash": content_hash(doc)}
 
 
 def test_intact_certificate_passes(payload):
@@ -106,7 +107,7 @@ def test_padded_valid_set(payload):
 @pytest.fixture(scope="module")
 def d8_p2():
     built = build_instance(catalog("dihedral", "8"))
-    return certificate_payload(built.spec, coverage_certificate(built.cm_type, 2))
+    return json.loads(certificate_payload(built.spec, coverage_certificate(built.cm_type, 2)))
 
 
 def _drop_orbit(doc):
@@ -173,18 +174,41 @@ def test_content_hash_helper_is_stable(payload):
     assert payload["content_hash"] == content_hash(payload)
 
 
+def _z4_bundle(z4) -> dict:
+    certs = [coverage_certificate(z4.cm_type, p) for p in z4.degrees]
+    return json.loads(certificate_bundle(z4.spec, certs))
+
+
+def test_bundle_with_bad_group_fails_group_axioms_on_every_certificate(z4):
+    bundle = _z4_bundle(z4)
+    for doc in (bundle, *bundle["certificates"]):
+        doc["instance"]["group"]["table"][1][1] = 1  # breaks the Latin property
+    bundle["certificates"] = [rehash(cert) for cert in bundle["certificates"]]
+    results = verify_document(rehash(bundle))
+    assert [label for label, _ in results] == ["p=0", "p=1", "p=2"]
+    assert all(res.failed_check == "group_axioms" for _, res in results)
+
+
+def test_bundle_builds_its_instance_once(z4, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "build_group", lambda *args: calls.append(args) or build_group(*args))
+    results = verify_document(_z4_bundle(z4))
+    assert [res.ok for _, res in results] == [True] * 3
+    assert len(calls) == 1
+
+
 def _empty_bundle(spec, payload):
-    return certificate_bundle(spec, [])
+    return json.loads(certificate_bundle(spec, []))
 
 
 def _bundle_without_certificates(spec, payload):
-    bundle = dict(certificate_bundle(spec, []))
+    bundle = json.loads(certificate_bundle(spec, []))
     del bundle["certificates"]
-    return finalize(bundle)
+    return rehash(bundle)
 
 
 def _bundle_of_non_object(spec, payload):
-    return finalize({**certificate_bundle(spec, []), "certificates": [1]})
+    return rehash({**json.loads(certificate_bundle(spec, [])), "certificates": [1]})
 
 
 def _top_level_array(spec, payload):
@@ -224,8 +248,8 @@ def _without_weil_data(spec, payload):
 
 def _bundle_of_other_instance(spec, payload):
     # z4 certificates under a bundle that declares cyclic:8
-    bundle = {**certificate_bundle(spec, []), "certificates": [payload]}
-    return finalize({**bundle, "instance": instance_payload(catalog("cyclic", "8"))})
+    bundle = {**json.loads(certificate_bundle(spec, [])), "certificates": [payload]}
+    return rehash({**bundle, "instance": instance_payload(catalog("cyclic", "8"))})
 
 
 @pytest.mark.parametrize(
@@ -290,7 +314,7 @@ _JUNK = (-1, "x", None, [], {}, True, 2.5)
 @given(data=st.data())
 def test_junk_node_fails_a_named_check_and_never_raises(z4, data):
     p = data.draw(st.sampled_from(z4.degrees))
-    doc = certificate_payload(z4.spec, coverage_certificate(z4.cm_type, p))
+    doc = json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, p)))
     paths = [path for path in _node_paths(doc) if path not in _UNINTERPRETED]
     node, key = _at(doc, data.draw(st.sampled_from(paths)))
     junk = data.draw(st.sampled_from(_JUNK))
