@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import or_
-from typing import Iterable
+from itertools import repeat
+from operator import lshift, or_
+from struct import Struct
+from typing import Callable, Iterable
 
 from .errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
 
@@ -37,11 +39,11 @@ _BYTE_POINTS = tuple(_byte_points(8 * i) for i in range(8))
 def bits(mask: int) -> list[int]:
     """Indices of set bits, ascending, read a byte at a time from tables."""
     out: list[int] = []
-    for table, byte in zip(_BYTE_POINTS, mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-        if byte:
-            out += table[byte]
-    if mask >> 64:
-        out += [64 + s for s in bits(mask >> 64)]
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for base in range(0, len(data), 8):  # 64 points per round
+        for table, byte in zip(_BYTE_POINTS, data[base : base + 8]):
+            if byte:
+                out += [8 * base + s for s in table[byte]] if base else table[byte]
     return out
 
 
@@ -225,42 +227,65 @@ class EmbeddingSet:
         return (1 << self.size) - 1
 
     @cached_property
-    def _translate_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Entry [i][b] holds, for every group element t in element order,
-        the image under t of the points 8i + s for the set bits s of the
-        byte b.  The last table covers only the points below m."""
-        tables = []
-        for base in range(0, self.size, 8):
-            table = [(0,) * self.parent.order]
-            for s in range(base, min(base + 8, self.size)):
-                image = tuple(1 << row[s] for row in self.action)
-                table += [tuple(map(or_, t, image)) for t in table]
-            tables.append(tuple(table))
-        return tuple(tables)
+    def _translate_tables(self) -> tuple[Callable, tuple[tuple[int, int, tuple], ...]]:
+        """An unpacker and one (offset, size, tables) per factor.
+
+        A factor is an orbit of the action: the points offset..offset+size-1,
+        which every group element maps among themselves.  Its size divides
+        the order, so it is at most 64, and the images of a set of its
+        points under every group element pack into one int: 64 bits per
+        element, in element order, each image shifted down by the offset.
+        The unpacker splits such an int.  ``tables[i]`` is a pair of
+        16-entry tables, for the low and the high nibble of byte i of the
+        factor: entry b packs the images of the points offset + 8i + s
+        (s + 4 for the high nibble) for the set bits s of b.  So the tables
+        hold 32 ints of 8 * order bytes for every 8 points, about as much
+        memory as the action table.
+        """
+        factors = []
+        offset = 0
+        while offset < self.size:
+            size = len({row[offset] for row in self.action})
+            images = [
+                sum(1 << (64 * t + row[s] - offset) for t, row in enumerate(self.action))
+                for s in range(offset, offset + size)
+            ] + [0] * (-size % 8)  # no points past the factor: whole bytes
+            nibbles = []
+            for base in range(0, len(images), 4):
+                table = [0]
+                for image in images[base : base + 4]:
+                    table += [packed | image for packed in table]
+                nibbles.append(tuple(table))
+            factors.append((offset, size, tuple(zip(nibbles[::2], nibbles[1::2]))))
+            offset += size
+        return Struct(f"<{self.parent.order}Q").unpack, tuple(factors)
 
     def translates(self, mask: int) -> list[int]:
         """The images of a point set under every group element, in element
-        order: the table entries of its bytes, OR-ed elementwise.
+        order: per factor, the table entries of its nibbles OR-ed into one
+        packed int, unpacked and shifted up to the factor's offset.
 
         Every translation goes through these tables (``translate_mask`` and
-        ``conj_mask`` read one column), so CM-types and monomials cannot
-        be translated differently.
+        ``conj_mask`` pick one image), so CM-types and monomials cannot be
+        translated differently.
         """
-        tables = self._translate_tables
-        images = (0,) * self.parent.order
-        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-            if byte:
-                images = map(or_, images, table[byte])
-        return list(images)
+        unpack, factors = self._translate_tables
+        images = [0] * self.parent.order
+        for offset, size, tables in factors:
+            local = mask >> offset & ((1 << size) - 1)
+            if not local:
+                continue
+            packed = 0
+            for (low, high), byte in zip(tables, local.to_bytes(len(tables), "little")):
+                if byte:
+                    packed |= low[byte & 15] | high[byte >> 4]
+            part = unpack(packed.to_bytes(8 * len(images), "little"))
+            images = list(map(or_, images, map(lshift, part, repeat(offset)))) if offset else list(part)
+        return images
 
     def translate_mask(self, t: int, mask: int) -> int:
         """Elementwise image of a point set under left translation by t."""
-        tables = self._translate_tables
-        out = 0
-        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-            if byte:
-                out |= table[byte][t]
-        return out
+        return self.translates(mask)[t]
 
     def conj_mask(self, mask: int) -> int:
         """Elementwise conjugate of a point set: its translate by iota."""

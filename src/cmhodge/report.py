@@ -52,14 +52,27 @@ def content_hash(obj) -> str:
 def _document(fields: dict, **texts: str) -> str:
     """The canonical text of a document with its content hash.  Each value
     of ``fields`` is encoded once; ``texts`` holds values already encoded
-    (without the newline)."""
+    (without the newline).  The hash is taken piece by piece, so the text
+    is joined only once."""
     texts.update((k, canonical_json(v)[:-1]) for k, v in fields.items())
     keys = sorted(texts)
-    items = [canonical_json(k)[:-1] + ":" + texts[k] for k in keys]
-    digest = hashlib.sha256(("{" + ",".join(items) + "}\n").encode("utf-8")).hexdigest()
-    hash_item = canonical_json("content_hash")[:-1] + ":" + canonical_json(digest)[:-1]
+    items = [(canonical_json(k)[:-1], texts[k]) for k in keys]
+    digest = hashlib.sha256()
+    for piece in _pieces(items):
+        digest.update(piece.encode("utf-8"))
+    hash_item = (canonical_json("content_hash")[:-1], canonical_json(digest.hexdigest())[:-1])
     items.insert(bisect(keys, "content_hash"), hash_item)
-    return "{" + ",".join(items) + "}\n"
+    return "".join(_pieces(items))
+
+
+def _pieces(items: list[tuple[str, str]]):
+    """The canonical text of an object, in pieces, from its encoded keys
+    and values in key order."""
+    sep = "{"
+    for key, value in items:
+        yield from (sep, key, ":", value)
+        sep = ","
+    yield "}\n"
 
 
 def instance_payload(spec: InstanceSpec) -> dict:

@@ -161,13 +161,15 @@ def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, Verification
         return embeddings, None, _fail("cm_type", str(exc))
 
 
-def verify_certificate(data: dict, built: tuple | None = None) -> VerificationResult:
+def verify_certificate(data: dict, *, _built: tuple | None = None) -> VerificationResult:
     """Re-check a single certificate from scratch.  Input of the wrong shape
-    fails the ``schema`` check before anything reads it.  ``built`` is what
-    ``_build`` returned for an instance equal to the certificate's; a bundle
-    passes it so that its instance is built once.  The one exception that
-    gets through is ``CapExceeded``, raised before any table is built when
-    the valid set is too large to recount."""
+    fails the ``schema`` check before anything reads it.  The one exception
+    that gets through is ``CapExceeded``, raised before any table is built
+    when the valid set is too large to recount.
+
+    ``_built`` is private to ``verify_document``: what ``_build`` returned
+    for the bundle's instance, passed only after every certificate's
+    instance was found equal to it, so that the instance is built once."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
     if data.get("kind") != CERTIFICATE_KIND:
@@ -180,7 +182,7 @@ def verify_certificate(data: dict, built: tuple | None = None) -> VerificationRe
     if data.get("content_hash") != content_hash(data):
         return _fail("content_hash", "stored hash does not match the content")
 
-    embeddings, phi, failure = built or _build(inst)
+    embeddings, phi, failure = _built or _build(inst)
     if embeddings is None:
         return failure
     group = embeddings.parent
@@ -282,4 +284,4 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     # that does not conform fails each certificate's schema check instead
     inst = data.get("instance")
     built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
-    return [(_label(cert), verify_certificate(cert, built)) for cert in certs]
+    return [(_label(cert), verify_certificate(cert, _built=built)) for cert in certs]

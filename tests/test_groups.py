@@ -12,7 +12,10 @@ from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgrou
 from cmhodge.groups import bits, build_group, coset_space, embedding_set, mask_of
 from cmhodge.instance import build_instance, parse_instance
 
-# every catalog carrier up to order 32, and two carriers of several factors
+# every catalog carrier up to order 32, two carriers of several factors,
+# the m = 68 carrier, a regular order-64 carrier (every element's image
+# fills its 64-bit field) and an order-64 carrier of repeated and distinct
+# factors
 TABLE_CARRIERS = (
     [f"cyclic:{n}" for n in range(2, 33, 2)]
     + [f"elementary-abelian:{n}" for n in (2, 4, 8, 16, 32)]
@@ -30,6 +33,7 @@ TABLE_CARRIERS = (
         )
     ]
     + ["dihedral:16 [[0,8],[0,9]]", "cyclic:12 [[0,4,8],[0]]", "m68"]
+    + ["dihedral:64", "elementary-abelian:64 [[0,1],[0,2],[0,4],[0],[0,1]]"]
 )
 M68 = Path(__file__).parent / "fixtures" / "m68.txt"
 
@@ -186,3 +190,22 @@ def test_bits_past_the_tables():
     rng = random.Random(0)
     for mask in [1 << 64, (1 << 200) - 1] + [rng.getrandbits(300) for _ in range(20)]:
         assert bits(mask) == [s for s in range(mask.bit_length()) if mask >> s & 1]
+    # far past any recursion limit, one round per 64 points
+    mask = rng.getrandbits(70_000) | 1 << 70_000
+    assert bits(mask) == [s for s in range(70_001) if mask >> s & 1]
+
+
+def test_translate_tables_grow_linearly_in_the_points():
+    # per factor, 32 ints of 64 bits per group element for every 8 points:
+    # entries are packed factor by factor, so they do not widen with m
+    spec = catalog("cyclic", "64")
+    group = build_group(spec.order, spec.mult, spec.iota)
+    carrier = embedding_set(group, [(0,)] * 16)  # m = 1024
+    _, factors = carrier._translate_tables
+    assert [(offset, size) for offset, size, _ in factors] == [(64 * k, 64) for k in range(16)]
+    entries = [x for _, _, tables in factors for pair in tables for table in pair for x in table]
+    assert len(entries) == 32 * carrier.size // 8
+    assert max(entries).bit_length() <= 64 * group.order
+    mask = sum(1 << s for s in (3, 64, 700, 1023))
+    images = [mask_of(row[s] for s in (3, 64, 700, 1023)) for row in carrier.action]
+    assert carrier.translates(mask) == images
