@@ -128,14 +128,21 @@ def _no_constant(name: str):
     raise ParseError(f"certificate contains {name}, which JSON does not allow")
 
 
+def _read_certificate(path: str):
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text, parse_constant=_no_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"certificate is not valid JSON: {exc}")
+    except (RecursionError, ValueError) as exc:
+        # nesting or an integer past the decoder's limits
+        raise ParseError(f"certificate cannot be decoded: {exc}")
+
+
 def _cmd_verify(args, out) -> int:
     if not args.certify:
         raise _UsageError("verify requires --certify PATH")
-    try:
-        data = json.loads(Path(args.certify).read_text(encoding="utf-8"), parse_constant=_no_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"certificate is not valid JSON: {exc}")
-    results = verify_document(data)
+    results = verify_document(_read_certificate(args.certify))
     all_ok = all(res.ok for _, res in results)
     for label, res in results:
         out.write(f"{label}: {res.describe()}\n")

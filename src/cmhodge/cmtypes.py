@@ -61,6 +61,12 @@ class CMType:
             classes[column] = classes.get(column, 0) | 1 << s
         return tuple((u, classes[c ^ full]) for c, u in classes.items() if u < classes[c ^ full])
 
+    @cached_property
+    def induced_types(self) -> tuple[RegularCMType, ...]:
+        """The induced type at each point, indexed by point: witnesses and
+        the verifier read one object per point instead of recomputing it."""
+        return tuple(induced_type(self, s) for s in range(self.carrier.size))
+
 
 @dataclass(frozen=True)
 class RegularCMType:
@@ -73,7 +79,7 @@ class RegularCMType:
     def contains(self, t: int) -> bool:
         return bool((self.members >> t) & 1)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[int, ...]:
         return tuple(bits(self.members))
 

@@ -11,8 +11,9 @@ value of a document, and ``_document`` assembles the document from those
 texts: it hashes the joined text, which is the canonical serialization
 without ``content_hash``, and inserts the hash at its sorted key position.
 A bundle is joined from the finished text of each certificate.  The
-verifier's ``content_hash`` re-encodes the parsed document on its own,
-which cross-checks the inserted hash.
+verifier checks the inserted hashes with an encoder of its own, which
+rebuilds the canonical text from the parsed document and never calls
+``_document``.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ DELTAS_KIND = "cmhodge.deltas"
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-
-
-def content_hash(obj) -> str:
-    stripped = {k: v for k, v in obj.items() if k != "content_hash"}
-    return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
 
 
 def _document(fields: dict, **texts: str) -> str:
@@ -152,7 +148,7 @@ def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> str:
         witnesses.append(
             {
                 "delta": points[w.delta],
-                "family": [sorted(f.elements) for f in w.family],
+                "family": [list(f.elements) for f in w.family],
                 "balanced_transcript": [p] * spec.order,
                 "covered_translates": [points[d] for d in w.covered_translates],
                 "weil_data": {"d": 2 * p, "rank_over_f": 1, "dim_over_q": spec.order},

@@ -5,6 +5,14 @@ partition, validity of every monomial, the induced families, the balanced
 transcripts, and the coverage claim are all recomputed from the raw tables
 in the file and compared against what the certificate asserts.
 
+Each content hash is checked once, on text the verifier encodes itself
+and never takes from ``report``.  ``_encoded`` encodes every top-level
+value of a parsed certificate once and hashes the entries other than
+``content_hash``; a bundle's digest takes each certificate's text as soon
+as that text is made, and keeps only whether the certificate's own hash
+matched.  So nothing is encoded twice, and no two certificate texts are
+held at once.
+
 The valid set is checked by recount, not rebuilt.  Every listed monomial
 must pass the validity criterion and the listed masks must be distinct, so
 the list is a subset of the true valid set; its length must then equal the
@@ -16,16 +24,18 @@ by being self-consistent about a wrong answer.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from typing import Iterable
 
-from .cmtypes import CMType, induced_type, validate_cm_type
+from .cmtypes import CMType, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
 from .groups import EmbeddingSet, build_group, embedding_set, mask_of
 from .monomials import HALF_TABLE_CAP, valid_delta
-from .report import BUNDLE_KIND, CERTIFICATE_KIND, content_hash
+from .report import BUNDLE_KIND, CERTIFICATE_KIND, canonical_json
 
 # checks, in the order they run; the verdict names the first one to fail
 CHECKS = (
@@ -91,17 +101,52 @@ _SCHEMA = {
 def _conforms(value, shape) -> bool:
     if isinstance(shape, dict):
         return isinstance(value, dict) and all(_conforms(value.get(k), s) for k, s in shape.items())
-    if isinstance(shape, list):
-        return isinstance(value, list) and all(_conforms(v, shape[0]) for v in value)
-    if isinstance(shape, set):
-        # checked flat: valid_set and coverage each hold the whole valid set
+    if shape == [{int}]:
+        # checked flat, by C-level scans: these fields hold every monomial
         return (
             isinstance(value, list)
-            and all(type(v) is int for v in value)
-            and min(value, default=0) >= 0
-            and len(set(value)) == len(value)
+            and set(map(type, value)) <= {list}
+            and set(map(type, chain.from_iterable(value))) <= {int}
+            and min(chain.from_iterable(value), default=0) >= 0
+            and list(map(len, map(set, value))) == list(map(len, value))
         )
+    if shape in ([int], {int}):
+        return (
+            isinstance(value, list)
+            and set(map(type, value)) <= {int}
+            and min(value, default=0) >= 0
+            and (shape == [int] or len(set(value)) == len(value))
+        )
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_conforms(v, shape[0]) for v in value)
     return type(value) is shape and (shape is not int or value >= 0)
+
+
+def _hash_ok(doc: dict, entries: dict[str, Iterable[str]]) -> bool:
+    """Whether a parsed document's stored content hash is the SHA-256 of
+    its canonical text without that hash.  ``entries`` holds the text of
+    every other top-level entry, '"key":value', in pieces; the entries are
+    read in key order, so their pieces may be made as the digest takes
+    them."""
+    digest = hashlib.sha256(b"{")
+    for i, key in enumerate(sorted(entries)):
+        digest.update(b"," if i else b"")
+        for piece in entries[key]:
+            digest.update(piece.encode("utf-8"))
+    digest.update(b"}\n")
+    return doc.get("content_hash") == digest.hexdigest()
+
+
+def _entry(key: str, value) -> str:
+    return f"{canonical_json(key)[:-1]}:{canonical_json(value)[:-1]}"
+
+
+def _encoded(doc: dict) -> tuple[str, bool]:
+    """The canonical text of a parsed document, each top-level value encoded
+    once, and whether its stored content hash matches that text."""
+    entries = {k: _entry(k, v) for k, v in doc.items()}
+    text = "{" + ",".join(entries[k] for k in sorted(entries)) + "}\n"
+    return text, _hash_ok(doc, {k: (e,) for k, e in entries.items() if k != "content_hash"})
 
 
 def _count_valid(phi: CMType, p: int) -> int:
@@ -161,15 +206,19 @@ def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, Verification
         return embeddings, None, _fail("cm_type", str(exc))
 
 
-def verify_certificate(data: dict, *, _built: tuple | None = None) -> VerificationResult:
+def verify_certificate(data: dict) -> VerificationResult:
     """Re-check a single certificate from scratch.  Input of the wrong shape
     fails the ``schema`` check before anything reads it.  The one exception
     that gets through is ``CapExceeded``, raised before any table is built
-    when the valid set is too large to recount.
+    when the valid set is too large to recount."""
+    return _verify(data)
 
-    ``_built`` is private to ``verify_document``: what ``_build`` returned
-    for the bundle's instance, passed only after every certificate's
-    instance was found equal to it, so that the instance is built once."""
+
+def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> VerificationResult:
+    """The checks of ``verify_certificate``.  ``verify_document`` passes
+    what ``_build`` returned for the bundle's instance, after finding every
+    certificate's instance equal to it, and the certificate's hash result
+    from ``_encoded``, so that neither is computed twice."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
     if data.get("kind") != CERTIFICATE_KIND:
@@ -179,10 +228,15 @@ def verify_certificate(data: dict, *, _built: tuple | None = None) -> Verificati
         return _fail("schema", f"field {bad[0]!r} is missing or malformed")
     inst, p, witnesses, orbit_reps = data["instance"], data["p"], data["witnesses"], data["orbit_reps"]
 
-    if data.get("content_hash") != content_hash(data):
+    if hash_ok is None:
+        try:
+            hash_ok = _encoded(data)[1]
+        except RecursionError:  # nested past what the encoder takes
+            hash_ok = False
+    if not hash_ok:
         return _fail("content_hash", "stored hash does not match the content")
 
-    embeddings, phi, failure = _built or _build(inst)
+    embeddings, phi, failure = built or _build(inst)
     if embeddings is None:
         return failure
     group = embeddings.parent
@@ -199,6 +253,7 @@ def verify_certificate(data: dict, *, _built: tuple | None = None) -> Verificati
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
+    covered: set[int] = set()  # the union of the checked covered translates
     for i, w in enumerate(witnesses):
         delta = mask_of(w["delta"])
         if delta != mask_of(orbit_reps[i]):
@@ -213,8 +268,7 @@ def verify_certificate(data: dict, *, _built: tuple | None = None) -> Verificati
         if len(family) != len(delta_points):
             return _fail("induced_family", f"witness {i} family size differs from |delta|")
         for s, stored in zip(delta_points, family):
-            expected = sorted(induced_type(phi, s).elements)
-            if sorted(stored) != expected:
+            if tuple(sorted(stored)) != phi.induced_types[s].elements:
                 return _fail(
                     "induced_family",
                     f"witness {i}: stored type at point {s} is not the induced type",
@@ -232,20 +286,14 @@ def verify_certificate(data: dict, *, _built: tuple | None = None) -> Verificati
             return _fail("translates", f"witness {i} covered translates are wrong")
         if delta != translates[0]:
             return _fail("orbit_reps", f"representative {i} is not minimal in its orbit")
+        covered.update(translates)
 
         wd = w["weil_data"]
         if (wd["d"], wd["rank_over_f"], wd["dim_over_q"]) != (2 * p, 1, group.order):
             return _fail("weil_data", f"witness {i} weil numerology is wrong")
 
     stored_coverage = sorted(mask_of(d) for d in data["coverage"])
-    union = sorted(
-        {
-            mask_of(d)
-            for w in witnesses
-            for d in w["covered_translates"]
-        }
-    )
-    if stored_coverage != union:
+    if stored_coverage != sorted(covered):
         return _fail("coverage", "stored coverage is not the union of witness translates")
 
     # valid, distinct and as many as there are: the listed set is the valid set
@@ -276,7 +324,24 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     certs = data.get("certificates")
     if not isinstance(certs, list) or not certs:
         return [("bundle", _fail("schema", "bundle lists no certificates"))]
-    if data.get("content_hash") != content_hash(data):
+    hash_oks: list[bool] = []
+
+    def certificates():
+        # each certificate is encoded once: its hash is checked and its text
+        # joins the bundle's digest, and only the result is kept
+        yield '"certificates":['
+        for i, cert in enumerate(certs):
+            text, ok = _encoded(cert) if isinstance(cert, dict) else (canonical_json(cert), False)
+            hash_oks.append(ok)
+            yield ("," if i else "") + text[:-1]
+        yield "]"
+
+    try:
+        others = {k: (_entry(k, v),) for k, v in data.items() if k not in ("certificates", "content_hash")}
+        hash_ok = _hash_ok(data, {**others, "certificates": certificates()})
+    except RecursionError:  # nested past what the encoder takes
+        hash_ok = False
+    if not hash_ok:
         return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
     if any(isinstance(cert, dict) and cert.get("instance") != data.get("instance") for cert in certs):
         return [("bundle", _fail("schema", "a certificate's instance differs from the bundle's"))]
@@ -284,4 +349,4 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     # that does not conform fails each certificate's schema check instead
     inst = data.get("instance")
     built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
-    return [(_label(cert), verify_certificate(cert, _built=built)) for cert in certs]
+    return [(_label(cert), _verify(cert, built, ok)) for cert, ok in zip(certs, hash_oks)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cmtypes import CMType, RegularCMType, induced_type
+from .cmtypes import CMType, RegularCMType
 from .groups import bits
 from .monomials import enumerate_valid, galois_orbits
 
@@ -48,7 +48,8 @@ class CoverageCertificate:
 def split_weil_witness(phi: CMType, orbit: tuple[int, ...]) -> SplitWeilWitness:
     """Build the witness for one orbit as ``galois_orbits`` lists it."""
     delta = orbit[0]
-    return SplitWeilWitness(delta, tuple(induced_type(phi, s) for s in bits(delta)), orbit)
+    types = phi.induced_types
+    return SplitWeilWitness(delta, tuple(types[s] for s in bits(delta)), orbit)
 
 
 def coverage_certificate(phi: CMType, p: int) -> CoverageCertificate:

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.instance import BuiltInstance, build_instance
+from cmhodge.report import canonical_json
+
+
+def content_hash(doc: dict) -> str:
+    """The content hash of a parsed document, from one encoding of the whole
+    document without its hash: independent of how the package assembles
+    its output and of how the verifier re-encodes it."""
+    stripped = {k: v for k, v in doc.items() if k != "content_hash"}
+    return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -22,9 +22,10 @@ from cmhodge.groups import mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import lattice_rank, orbit_matrix
 from cmhodge.monomials import classify, enumerate_valid
-from cmhodge.report import certificate_payload, content_hash
+from cmhodge.report import certificate_payload
 from cmhodge.verify import verify_certificate
 from cmhodge.weil import coverage_certificate
+from conftest import content_hash
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SWEEP_SCRIPT = Path(__file__).parents[1] / "scripts" / "sweep_order8_degree2.py"

@@ -20,7 +20,8 @@ import pytest
 from cmhodge.catalog import catalog
 from cmhodge.cli import main
 from cmhodge.instance import serialize_instance
-from cmhodge.report import canonical_json, content_hash
+from cmhodge.report import canonical_json
+from conftest import content_hash
 
 # product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input
 PRODUCT = "product-6..13"
@@ -121,22 +122,38 @@ def test_stdout_digest(command, instance, product_input):
         assert part["content_hash"] == content_hash(part)
 
 
-@pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
-def test_each_output_byte_is_encoded_once(command, monkeypatch):
+@pytest.fixture()
+def encoded(monkeypatch) -> list[int]:
+    """The length of every text that ``canonical_json`` returns from here on."""
     original = canonical_json
-    encoded = []
+    lengths = []
 
     def tally(obj):
         text = original(obj)
-        encoded.append(len(text))
+        lengths.append(len(text))
         return text
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cmhodge") and getattr(module, "canonical_json", None) is original:
             monkeypatch.setattr(module, "canonical_json", tally)
+    return lengths
+
+
+@pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
+def test_each_output_byte_is_encoded_once(command, encoded):
     code, out = run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")
     assert code == 0 and encoded
     assert sum(encoded) <= len(out)
+
+
+def test_verify_encodes_each_input_byte_once(product_input, tmp_path, encoded):
+    # the bundle's hash is taken over the certificates' own texts
+    cert = tmp_path / "cert.json"
+    assert run_cli("witness", "--input", product_input, "--certify", str(cert)) == (0, "")
+    encoded.clear()
+    code, out = run_cli("verify", "--certify", str(cert))
+    assert code == 0 and out.count("pass") == 9 and encoded
+    assert sum(encoded) <= len(cert.read_text(encoding="utf-8"))
 
 
 def test_certificate_file_digest_and_verify(product_input, tmp_path):

@@ -11,6 +11,7 @@ from cmhodge.cmtypes import conjugate_pairs, induced_type, validate_cm_type
 from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
 from cmhodge.groups import bits, build_group, coset_space, embedding_set, mask_of
 from cmhodge.instance import build_instance, parse_instance
+from cmhodge.weil import coverage_certificate
 
 # every catalog carrier up to order 32, two carriers of several factors,
 # the m = 68 carrier, a regular order-64 carrier (every element's image
@@ -184,6 +185,20 @@ def test_byte_tables_match_plain_loops(name):
             # t is in the induced type iff the translate of s by t lies in phi
             members = [t for t, row in enumerate(carrier.action) if row[s] in phi.points]
             assert list(induced_type(phi, s).elements) == members
+
+
+@pytest.mark.parametrize("name", [n for n in TABLE_CARRIERS if "64" not in n])
+def test_induced_type_table(name):
+    carrier = table_carrier(name)
+    rng = random.Random(name)
+    for _ in range(2):
+        phi = validate_cm_type(carrier, [rng.choice(pair) for pair in conjugate_pairs(carrier)])
+        table = phi.induced_types
+        assert len(table) == carrier.size
+        assert all(table[s] == induced_type(phi, s) for s in range(carrier.size))
+        # witnesses hold the table's own objects, not copies
+        for w in coverage_certificate(phi, 1).witnesses:
+            assert all(f is table[s] for s, f in zip(bits(w.delta), w.family, strict=True))
 
 
 def test_bits_past_the_tables():

@@ -150,8 +150,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe group 2\n")
     assert run_cli("analyze", "--input", str(bad))[0] == 2
     assert run_cli("verify", "--certify", str(bad))[0] == 2
+    # JSON past the decoder's nesting and integer-digit limits
+    bad.write_text("[" * 100_000)
+    assert run_cli("verify", "--certify", str(bad))[0] == 2
+    bad.write_text('{"p": ' + "9" * 5000 + "}")
+    assert run_cli("verify", "--certify", str(bad))[0] == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and len(err.splitlines()) == 5
+    assert "Traceback" not in err and len(err.splitlines()) == 7
 
 
 def test_cli_input_file(tmp_path):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stdout
 from itertools import combinations
@@ -13,17 +15,20 @@ from hypothesis import strategies as st
 
 from cmhodge.catalog import catalog
 from cmhodge.cli import main
+from cmhodge.errors import CapExceeded
 from cmhodge.instance import build_instance
 from cmhodge.report import (
+    BUNDLE_KIND,
+    canonical_json,
     certificate_bundle,
     certificate_payload,
-    content_hash,
     instance_payload,
 )
 from cmhodge import verify
 from cmhodge.groups import build_group
-from cmhodge.verify import CHECKS, verify_certificate, verify_document
+from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
 from cmhodge.weil import coverage_certificate
+from conftest import content_hash
 
 
 @pytest.fixture()
@@ -310,9 +315,8 @@ _UNINTERPRETED = {("version",), ("instance", "name"), ("content_hash",)}
 _JUNK = (-1, "x", None, [], {}, True, 2.5)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_junk_node_fails_a_named_check_and_never_raises(z4, data):
+def _junk_doc(z4, data) -> dict:
+    """A z4 certificate with one node replaced by junk, rehashed."""
     p = data.draw(st.sampled_from(z4.degrees))
     doc = json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, p)))
     paths = [path for path in _node_paths(doc) if path not in _UNINTERPRETED]
@@ -320,6 +324,199 @@ def test_junk_node_fails_a_named_check_and_never_raises(z4, data):
     junk = data.draw(st.sampled_from(_JUNK))
     assume(not (type(node[key]) is type(junk) and node[key] == junk))
     node[key] = junk
-    result = verify_certificate(rehash(doc))
+    return rehash(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_junk_node_fails_a_named_check_and_never_raises(z4, data):
+    result = verify_certificate(_junk_doc(z4, data))
     assert not result.ok
     assert result.failed_check in CHECKS
+
+
+def _recursive_conforms(value, shape) -> bool:
+    """The schema check as it was before point lists were checked flat:
+    one call per node, the oracle for ``verify._conforms``."""
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_recursive_conforms(value.get(k), s) for k, s in shape.items())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_recursive_conforms(v, shape[0]) for v in value)
+    if isinstance(shape, set):
+        return (
+            isinstance(value, list)
+            and all(type(v) is int for v in value)
+            and min(value, default=0) >= 0
+            and len(set(value)) == len(value)
+        )
+    return type(value) is shape and (shape is not int or value >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
+    doc = _junk_doc(z4, data)
+    for key, shape in verify._SCHEMA.items():
+        assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
+
+
+# every field that holds a list of point lists, by its path to one point
+_POINT_LIST_FIELDS = {
+    "family": ("witnesses", 0, "family", 0, 0),
+    "covered_translates": ("witnesses", 0, "covered_translates", 0, 0),
+    "coverage": ("coverage", 0, 0),
+    "valid_set": ("valid_set", 0, 0),
+    "orbit_reps": ("orbit_reps", 0, 0),
+}
+
+
+def _repeat_point(doc, path):
+    inner, _ = _at(doc, path)
+    inner[1] = inner[0]
+
+
+def _replace_inner_list(doc, path):
+    outer, key = _at(doc, path[:-1])
+    outer[key] = 3
+
+
+def _nest_point(doc, path):
+    inner, key = _at(doc, path)
+    inner[key] = [inner[key]]
+
+
+def _point_value(value):
+    def mutate(doc, path):
+        inner, key = _at(doc, path)
+        inner[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize("field", _POINT_LIST_FIELDS)
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_point_value(True), id="true"),
+        pytest.param(_point_value(-1), id="negative"),
+        pytest.param(_point_value("2"), id="string"),
+        pytest.param(_point_value(2.0), id="float"),
+        pytest.param(_repeat_point, id="repeated-point"),
+        pytest.param(_replace_inner_list, id="non-list-inner"),
+        pytest.param(_nest_point, id="nested-list"),
+    ],
+)
+def test_point_list_field_rejects(payload, field, mutate):
+    doc = copy.deepcopy(payload)
+    path = _POINT_LIST_FIELDS[field]
+    mutate(doc, path)
+    result = verify_certificate(rehash(doc))
+    assert result.failed_check == "schema"
+    assert f"field {path[0]!r}" in result.detail
+    assert not verify._conforms(doc[path[0]], verify._SCHEMA[path[0]])
+    assert not _recursive_conforms(doc[path[0]], verify._SCHEMA[path[0]])
+
+
+def _changed(doc: dict, key: str, op: str) -> dict:
+    """A shallow copy of doc with one top-level entry changed by op."""
+    out = dict(doc)
+    if op == "drop":
+        del out[key]
+    elif op == "null":
+        out[key] = None
+    elif op == "wrap":
+        out[key] = [doc[key]]
+    elif op == "flip":
+        out[key] = doc[key][:-1] + ("1" if doc[key].endswith("0") else "0")
+    else:  # "add": a key that no check reads
+        out[key] = 1
+    return out
+
+
+def _tamper_corpus():
+    """(name, bundle) for mutations of the golden witness bundles: each
+    top-level entry of the bundle and of each cyclic:8 certificate nulled,
+    wrapped in a list or dropped, each stored hash flipped, an extra key
+    added, and one certificate replaced by a non-object.  Each is kept
+    with stale hashes and with hashes recomputed around the change: a
+    changed certificate under a stale bundle hash is only checked with
+    its own hash recomputed."""
+    for instance in ("cyclic:8", "quaternion:8"):
+        built = build_instance(catalog(*instance.split(":")))
+        certs = [coverage_certificate(built.cm_type, p) for p in built.degrees]
+        bundle = json.loads(certificate_bundle(built.spec, certs))
+        changes = [(key, op) for key in sorted(bundle) for op in ("null", "wrap", "drop")]
+        for key, op in changes + [("content_hash", "flip"), ("extra", "add")]:
+            doc = _changed(bundle, key, op)
+            yield f"{instance} bundle {key} {op}", doc
+            yield f"{instance} bundle {key} {op} rehashed", rehash(doc)
+        for i, junk in enumerate((0, None, [], "x")):
+            doc = {**bundle, "certificates": [*bundle["certificates"]]}
+            doc["certificates"][i] = junk
+            yield f"{instance} certificate {i} is {junk!r}", doc
+            yield f"{instance} certificate {i} is {junk!r} rehashed", rehash(doc)
+        if instance != "cyclic:8":
+            continue
+        for i, cert in enumerate(bundle["certificates"]):
+            changes = [(key, op) for key in sorted(cert) for op in ("null", "wrap", "drop")]
+            for key, op in changes + [("content_hash", "flip"), ("extra", "add")]:
+                name = f"{instance} p={i} {key} {op}"
+                stale = {**bundle, "certificates": [*bundle["certificates"]]}
+                stale["certificates"][i] = _changed(cert, key, op)
+                fresh = {**bundle, "certificates": [*bundle["certificates"]]}
+                fresh["certificates"][i] = rehash(_changed(cert, key, op))
+                yield name + ", bundle rehashed", rehash(stale)
+                yield name + " rehashed", fresh
+                yield name + " rehashed, bundle rehashed", rehash(fresh)
+
+
+# the verdicts on the tamper corpus, pinned when each hash was checked by
+# encoding its whole document; a change to any verdict or check order
+# changes this digest
+TAMPER_DIGEST = "2cda4fecd3871cbcebd478efa036f2651a77758e238a088b01e0734bda4105f9"
+_BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
+
+
+def test_tamper_corpus_hash_results_and_verdicts():
+    corpus = list(_tamper_corpus())
+    assert len(corpus) >= 200
+    lines = []
+    for name, doc in corpus:
+        results = verify_document(doc)
+        lines += [f"{name}: {label}: {res.describe()}" for label, res in results]
+        certs = doc.get("certificates")
+        if doc.get("kind") != BUNDLE_KIND or not isinstance(certs, list) or not certs:
+            continue
+        # each hash result against one encoding of the whole document
+        bundle_failed = results == [("bundle", _BUNDLE_HASH_MISMATCH)]
+        assert bundle_failed == (doc.get("content_hash") != content_hash(doc)), name
+        for cert in certs:
+            if isinstance(cert, dict):
+                expected = (canonical_json(cert), cert.get("content_hash") == content_hash(cert))
+                assert verify._encoded(cert) == expected, name
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == TAMPER_DIGEST
+
+
+def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
+    # the decoder takes a little more depth than the encoder leaves from
+    # inside the verifier; such a document has no canonical text to hash
+    nested = []
+    for _ in range(sys.getrecursionlimit()):
+        nested = [nested]
+    assert verify_certificate({**payload, "extra": nested}).failed_check == "content_hash"
+    bundle = _z4_bundle(z4)
+    deep_cert = {**bundle, "certificates": [{**bundle["certificates"][0], "extra": nested}]}
+    for doc in ({**bundle, "extra": nested}, deep_cert):
+        assert verify_document(doc) == [("bundle", _BUNDLE_HASH_MISMATCH)]
+
+
+def test_bundle_hash_is_checked_before_a_count_that_raises(payload):
+    # a certificate whose count refuses: the bundle's stale hash is still
+    # the verdict, and with a good hash the refusal gets through
+    empty = {"witnesses": [], "orbit_reps": [], "coverage": [], "valid_set": [], "verdict": True}
+    inst = instance_payload(catalog("cyclic", "64"))
+    cert = rehash({**payload, **empty, "instance": inst, "p": 16})
+    bundle = {**json.loads(certificate_bundle(catalog("cyclic", "4"), [])), "instance": inst, "certificates": [cert]}
+    assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
+    with pytest.raises(CapExceeded):
+        verify_document(rehash(bundle))
