@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
-from .groups import EmbeddingSet, build_group, embedding_set, mask_of
+from .groups import EmbeddingSet, build_group, embedding_set
 from .monomials import HALF_TABLE_CAP, valid_delta
 from .report import BUNDLE_KIND, CERTIFICATE_KIND, canonical_json
 
@@ -247,6 +247,8 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
         return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
     if phi is None:
         return failure
+    # the points are bounded and distinct: a list's mask is the sum of its bits
+    bit = [1 << s for s in range(embeddings.size)].__getitem__
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
@@ -255,8 +257,8 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
 
     covered: set[int] = set()  # the union of the checked covered translates
     for i, w in enumerate(witnesses):
-        delta = mask_of(w["delta"])
-        if delta != mask_of(orbit_reps[i]):
+        delta = sum(map(bit, w["delta"]))
+        if delta != sum(map(bit, orbit_reps[i])):
             return _fail("schema", f"witness {i} delta differs from its orbit representative")
         if len(w["delta"]) != 2 * p:
             return _fail("degree", f"witness {i} has {len(w['delta'])} points, expected {2 * p}")
@@ -282,7 +284,7 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
             return _fail("balanced", f"witness {i} transcript is not identically {p}")
 
         translates = sorted(set(embeddings.translates(delta)))
-        if [mask_of(d) for d in w["covered_translates"]] != translates:
+        if [sum(map(bit, d)) for d in w["covered_translates"]] != translates:
             return _fail("translates", f"witness {i} covered translates are wrong")
         if delta != translates[0]:
             return _fail("orbit_reps", f"representative {i} is not minimal in its orbit")
@@ -292,12 +294,15 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
         if (wd["d"], wd["rank_over_f"], wd["dim_over_q"]) != (2 * p, 1, group.order):
             return _fail("weil_data", f"witness {i} weil numerology is wrong")
 
-    stored_coverage = sorted(mask_of(d) for d in data["coverage"])
+    listed = sorted(sum(map(bit, d)) for d in data["valid_set"])
+    # the producer writes the two lists alike; convert coverage only if not
+    stored_coverage = listed
+    if data["coverage"] != data["valid_set"]:
+        stored_coverage = sorted(sum(map(bit, d)) for d in data["coverage"])
     if stored_coverage != sorted(covered):
         return _fail("coverage", "stored coverage is not the union of witness translates")
 
     # valid, distinct and as many as there are: the listed set is the valid set
-    listed = sorted(mask_of(d) for d in data["valid_set"])
     if not all(valid_delta(phi, d, p) for d in listed):
         return _fail("valid_set", "a listed monomial fails the validity criterion")
     if len(set(listed)) != len(listed):

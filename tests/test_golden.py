@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -17,9 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from cmhodge import report
 from cmhodge.catalog import catalog
 from cmhodge.cli import main
-from cmhodge.instance import serialize_instance
+from cmhodge.groups import bits
+from cmhodge.instance import build_instance, parse_instance, serialize_instance
+from cmhodge.monomials import enumerate_valid
 from cmhodge.report import canonical_json
 from conftest import content_hash
 
@@ -139,11 +143,47 @@ def encoded(monkeypatch) -> list[int]:
     return lengths
 
 
+@pytest.fixture()
+def monomial_texts(monkeypatch) -> list[int]:
+    """The length of every text that ``report._monomial_text`` returns from
+    here on."""
+    original = report._monomial_text
+    lengths = []
+
+    def tally(mask):
+        text = original(mask)
+        lengths.append(len(text))
+        return text
+
+    monkeypatch.setattr(report, "_monomial_text", tally)
+    return lengths
+
+
+def test_monomial_text_matches_canonical_json():
+    masks = [b << 8 * i for i in range(8) for b in range(256)]  # mask 0 among them
+    fixture = build_instance(parse_instance(M68_PATH.read_text(encoding="utf-8")))
+    masks += [d for p in fixture.degrees for d in enumerate_valid(fixture.cm_type, p)]
+    rng = random.Random(0)
+    for m in (64, 128, 320, 1024):  # 1 to 16 regular factors of order 64
+        masks += [rng.getrandbits(m) for _ in range(50)] + [(1 << m) - 1, 1 << (m - 1)]
+    for mask in masks:
+        assert report._monomial_text(mask) == canonical_json(bits(mask))[:-1]
+
+
+@pytest.mark.parametrize("command", ("analyze", "witness"))
+def test_each_monomial_is_written_once(command, monomial_texts):
+    # a monomial appears in three lists of its degree or certificate
+    built = build_instance(catalog("product", "cyclic.4xcyclic.4"))
+    hodge_dims = [len(enumerate_valid(built.cm_type, p)) for p in built.degrees]
+    assert run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")[0] == 0
+    assert len(monomial_texts) == sum(hodge_dims) > 0
+
+
 @pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
-def test_each_output_byte_is_encoded_once(command, encoded):
+def test_each_output_byte_is_encoded_once(command, encoded, monomial_texts):
     code, out = run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")
-    assert code == 0 and encoded
-    assert sum(encoded) <= len(out)
+    assert code == 0 and encoded and monomial_texts
+    assert sum(encoded) + sum(monomial_texts) <= len(out)
 
 
 def test_verify_encodes_each_input_byte_once(product_input, tmp_path, encoded):
