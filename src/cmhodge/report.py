@@ -42,8 +42,9 @@ from .monomials import DecompositionReport
 from .weil import CoverageCertificate
 
 REPORT_KIND = "cmhodge.report"
-CERTIFICATE_KIND = "cmhodge.certificate"
-BUNDLE_KIND = "cmhodge.certificate-bundle"
+# version 2: each orbit listed once; ``verify`` still reads version 1
+CERTIFICATE_KIND = "cmhodge.certificate/2"
+BUNDLE_KIND = "cmhodge.certificate-bundle/2"
 DELTAS_KIND = "cmhodge.deltas"
 
 
@@ -202,31 +203,33 @@ def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> str:
 
 
 def _certificate(instance: str, order: int, cert: CoverageCertificate) -> str:
-    # the transcript, Weil data, coverage and verdict are forced by validity
-    # (see ``weil``); they are written out for the verifier to recheck
+    # the transcript, Weil data and verdict are forced by validity (see
+    # ``weil``); they are written out for the verifier to recheck.  Each
+    # orbit is listed once, as its witness's covered translates, whose
+    # least member is the witness's delta
     p = cert.p
-    # every list holds valid monomials: write each one once
-    text = dict(zip(cert.valid_set, map(_monomial_text, cert.valid_set)))
+    covered = [list(map(_monomial_text, w.covered_translates)) for w in cert.witnesses]
+    # a family member is the induced type at a point: write each one once
+    types = {f.members: None for w in cert.witnesses for f in w.family}
+    family = dict(zip(types, map(_monomial_text, types)))
     transcript = canonical_json([p] * order)[:-1]
     weil_data = canonical_json({"d": 2 * p, "rank_over_f": 1, "dim_over_q": order})[:-1]
     witnesses = _list(
         _object(
-            {"family": [list(f.elements) for f in w.family]},
-            delta=text[w.delta],
+            {},
+            delta=texts[0],
+            family=_list(family[f.members] for f in w.family),
             balanced_transcript=transcript,
-            covered_translates=_list(map(text.__getitem__, w.covered_translates)),
+            covered_translates=_list(texts),
             weil_data=weil_data,
         )
-        for w in cert.witnesses
+        for w, texts in zip(cert.witnesses, covered)
     )
-    valid_set = _list(text.values())
     return _document(
         {"kind": CERTIFICATE_KIND, "version": __version__, "p": p, "verdict": True},
         instance=instance,
-        orbit_reps=_list(text[w.delta] for w in cert.witnesses),
+        orbit_reps=_list(texts[0] for texts in covered),
         witnesses=witnesses,
-        coverage=valid_set,
-        valid_set=valid_set,
     )
 
 

@@ -13,13 +13,27 @@ as that text is made, and keeps only whether the certificate's own hash
 matched.  So nothing is encoded twice, and no two certificate texts are
 held at once.
 
+A certificate of format version 2 (its ``kind`` ends in ``/2``) lists
+each Galois orbit once, as the covered translates of its witness.  Its
+coverage and valid set are derived: each witness's covered translates must
+be exactly the translates of its delta, and the valid set is the
+concatenation of those checked lists, so an orbit listed twice is a
+monomial listed twice.  A version-1 certificate stores ``coverage`` and
+``valid_set`` as well; they are read from the file and checked as before.
+A bundle accepts only certificates of its own version.
+
 The valid set is checked by recount, not rebuilt.  Every listed monomial
 must pass the validity criterion and the listed masks must be distinct, so
 the list is a subset of the true valid set; its length must then equal the
 number of valid monomials, counted by ``_count_valid`` on a split of the
 points (evens against odds) that the producer's enumerator does not use.
 A subset of the right size is the whole set, so a certificate cannot pass
-by being self-consistent about a wrong answer.
+by being self-consistent about a wrong answer.  The count packs, for each
+point, one F-bit field per row of each complementary pair into a single
+int weight, so a subset's summed weight holds its count in every row;
+since a field of an even sum plus an odd sum is at most 2p < 2**F, no
+field carries, and two halves match iff their sums add up to p in every
+field.
 """
 
 from __future__ import annotations
@@ -75,7 +89,7 @@ def _fail(check: str, detail: str) -> VerificationResult:
 # The JSON shape of a certificate: a dict lists its fields, [s] is a list
 # of s, {int} a list of distinct ints, and int means a non-negative int
 # that is not a bool (JSON true loads as one, and int() would take "2").
-_SCHEMA = {
+_SCHEMA_V1 = {
     "instance": {
         "group": {"order": int, "table": [[int]], "iota": int},
         "factors": [{int}],
@@ -96,6 +110,12 @@ _SCHEMA = {
     "valid_set": [{int}],
     "verdict": bool,
 }
+# version 2 lists each orbit once, as its witness's covered translates
+_SCHEMA = {k: s for k, s in _SCHEMA_V1.items() if k not in ("coverage", "valid_set")}
+# the schema of each certificate kind, and the certificate kind of each
+# bundle kind; the format generation is read from the kind
+_SCHEMAS = {CERTIFICATE_KIND: _SCHEMA, "cmhodge.certificate": _SCHEMA_V1}
+_BUNDLES = {BUNDLE_KIND: CERTIFICATE_KIND, "cmhodge.certificate-bundle": "cmhodge.certificate"}
 
 
 def _conforms(value, shape) -> bool:
@@ -153,10 +173,14 @@ def _count_valid(phi: CMType, p: int) -> int:
     """The number of valid monomials at degree p, counted without listing one.
 
     A subset S of the points splits into its even points E and odd points O,
-    and |S & r| = |E & r| + |O & r| for every row r.  So each half's subsets
-    are tabulated by (|S|, |S & r| for each row r), and S is valid iff its
-    even key and its odd key add up to (2p, p, ..., p).  One row of each
+    and |S & r| = |E & r| + |O & r| for every row r.  One row of each
     complementary pair is enough, since |S & (all ^ r)| = |S| - |S & r|.
+    Each point gets a weight with one F-bit field per kept row, holding 1
+    where the row contains the point, so the sum of a subset's weights holds
+    |S & r| in the field of r.  No field carries into the next: a field of
+    an even sum plus an odd sum is |S & r| <= |S| = 2p < 2**F.  So, size by
+    size, each half's subsets are tabulated by summed weight, and S is valid
+    iff its even and odd sums add up to the weight with p in every field.
     Raises ``CapExceeded``, before tabulating anything, if the two halves
     hold more than ``HALF_TABLE_CAP`` subsets over the sizes used.
     """
@@ -165,23 +189,19 @@ def _count_valid(phi: CMType, p: int) -> int:
     for r in phi.rows:
         if phi.carrier.all_mask ^ r not in rows:
             rows.append(r)
-    evens = [1 << s for s in range(0, m, 2)]
-    odds = [1 << s for s in range(1, m, 2)]
+    f = (2 * p).bit_length()
+    weights = [sum((r >> s & 1) << f * j for j, r in enumerate(rows)) for s in range(m)]
+    evens, odds = weights[0::2], weights[1::2]
     sizes = range(max(0, 2 * p - len(odds)), min(len(evens), 2 * p) + 1)
     subsets = sum(comb(len(evens), k) + comb(len(odds), 2 * p - k) for k in sizes)
     if subsets > HALF_TABLE_CAP:
         raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
-
-    def table(points: list[int], ks) -> Counter:
-        return Counter(
-            (k, *map(int.bit_count, map(s.__and__, rows)))
-            for k in ks
-            for s in map(sum, combinations(points, k))
-        )
-
-    even = table(evens, sizes)
-    odd = table(odds, [2 * p - k for k in sizes])
-    return sum(n * odd[(2 * p - k, *(p - c for c in counts))] for (k, *counts), n in even.items())
+    target = sum(p << f * j for j in range(len(rows)))
+    count = 0
+    for k in sizes:
+        odd = Counter(map(sum, combinations(odds, 2 * p - k)))
+        count += sum(n * odd[target - w] for w, n in Counter(map(sum, combinations(evens, k))).items())
+    return count
 
 
 def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, VerificationResult | None]:
@@ -214,16 +234,20 @@ def verify_certificate(data: dict) -> VerificationResult:
     return _verify(data)
 
 
-def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> VerificationResult:
+def _verify(
+    data, built: tuple | None = None, hash_ok: bool | None = None, kind: str | None = None
+) -> VerificationResult:
     """The checks of ``verify_certificate``.  ``verify_document`` passes
     what ``_build`` returned for the bundle's instance, after finding every
-    certificate's instance equal to it, and the certificate's hash result
-    from ``_encoded``, so that neither is computed twice."""
+    certificate's instance equal to it, the certificate's hash result from
+    ``_encoded``, so that neither is computed twice, and the certificate
+    kind of the bundle's generation, the only kind it accepts."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
-    if data.get("kind") != CERTIFICATE_KIND:
+    if data.get("kind") not in ((kind,) if kind else tuple(_SCHEMAS)):
         return _fail("schema", f"unexpected kind {data.get('kind')!r}")
-    bad = [key for key, shape in _SCHEMA.items() if not _conforms(data.get(key), shape)]
+    v1 = data["kind"] != CERTIFICATE_KIND
+    bad = [key for key, shape in _SCHEMAS[data["kind"]].items() if not _conforms(data.get(key), shape)]
     if bad:
         return _fail("schema", f"field {bad[0]!r} is missing or malformed")
     inst, p, witnesses, orbit_reps = data["instance"], data["p"], data["witnesses"], data["orbit_reps"]
@@ -241,7 +265,7 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
         return failure
     group = embeddings.parent
     # bound every point before it is shifted into a mask
-    point_lists = [inst["cm_type"], *orbit_reps, *data["coverage"], *data["valid_set"]]
+    point_lists = [inst["cm_type"], *orbit_reps, *(data["coverage"] + data["valid_set"] if v1 else ())]
     point_lists += [pts for w in witnesses for pts in (w["delta"], *w["covered_translates"])]
     if max(map(max, filter(None, point_lists)), default=0) >= embeddings.size:
         return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
@@ -255,7 +279,7 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
-    covered: set[int] = set()  # the union of the checked covered translates
+    found: list[int] = []  # the checked covered translates, witness by witness
     for i, w in enumerate(witnesses):
         delta = sum(map(bit, w["delta"]))
         if delta != sum(map(bit, orbit_reps[i])):
@@ -276,7 +300,7 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
                     f"witness {i}: stored type at point {s} is not the induced type",
                 )
 
-        members = Counter(t for f in family for t in f)
+        members = Counter(chain.from_iterable(family))
         recomputed = [members[t] for t in group.elements()]
         if w["balanced_transcript"] != recomputed:
             return _fail("balanced", f"witness {i} transcript does not match the family")
@@ -288,22 +312,28 @@ def _verify(data, built: tuple | None = None, hash_ok: bool | None = None) -> Ve
             return _fail("translates", f"witness {i} covered translates are wrong")
         if delta != translates[0]:
             return _fail("orbit_reps", f"representative {i} is not minimal in its orbit")
-        covered.update(translates)
+        found += translates
 
         wd = w["weil_data"]
         if (wd["d"], wd["rank_over_f"], wd["dim_over_q"]) != (2 * p, 1, group.order):
             return _fail("weil_data", f"witness {i} weil numerology is wrong")
 
-    listed = sorted(sum(map(bit, d)) for d in data["valid_set"])
-    # the producer writes the two lists alike; convert coverage only if not
-    stored_coverage = listed
-    if data["coverage"] != data["valid_set"]:
-        stored_coverage = sorted(sum(map(bit, d)) for d in data["coverage"])
-    if stored_coverage != sorted(covered):
-        return _fail("coverage", "stored coverage is not the union of witness translates")
+    # version 2 lists each orbit once: its coverage and valid set are what
+    # the witnesses cover, so a repeated or missing orbit fails valid_set
+    listed = stored_coverage = found
+    if v1:
+        listed = sorted(sum(map(bit, d)) for d in data["valid_set"])
+        # the producer writes the two lists alike; convert coverage only if not
+        stored_coverage = listed
+        if data["coverage"] != data["valid_set"]:
+            stored_coverage = sorted(sum(map(bit, d)) for d in data["coverage"])
+        if stored_coverage != sorted(set(found)):
+            return _fail("coverage", "stored coverage is not the union of witness translates")
 
     # valid, distinct and as many as there are: the listed set is the valid set
-    if not all(valid_delta(phi, d, p) for d in listed):
+    if not set(map(int.bit_count, listed)) <= {2 * p} or any(
+        not set(map(int.bit_count, map(r.__and__, listed))) <= {p} for r in phi.rows
+    ):
         return _fail("valid_set", "a listed monomial fails the validity criterion")
     if len(set(listed)) != len(listed):
         return _fail("valid_set", "a monomial is listed twice")
@@ -324,7 +354,8 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     at least one, so that no input passes by checking nothing."""
     if not isinstance(data, dict):
         return [("document", _fail("schema", "top level is not a JSON object"))]
-    if data.get("kind") != BUNDLE_KIND:
+    kind = data.get("kind")
+    if kind not in tuple(_BUNDLES):
         return [(_label(data), verify_certificate(data))]
     certs = data.get("certificates")
     if not isinstance(certs, list) or not certs:
@@ -354,4 +385,4 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     # that does not conform fails each certificate's schema check instead
     inst = data.get("instance")
     built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
-    return [(_label(cert), _verify(cert, built, ok)) for cert, ok in zip(certs, hash_oks)]
+    return [(_label(cert), _verify(cert, built, ok, _BUNDLES[kind])) for cert, ok in zip(certs, hash_oks)]

@@ -42,7 +42,6 @@ class SplitWeilWitness:
 class CoverageCertificate:
     p: int
     witnesses: tuple[SplitWeilWitness, ...]  # one per orbit, by least member
-    valid_set: tuple[int, ...]
 
 
 def split_weil_witness(phi: CMType, orbit: tuple[int, ...]) -> SplitWeilWitness:
@@ -54,6 +53,5 @@ def split_weil_witness(phi: CMType, orbit: tuple[int, ...]) -> SplitWeilWitness:
 
 def coverage_certificate(phi: CMType, p: int) -> CoverageCertificate:
     """One witness per Galois orbit of the valid monomials at degree p."""
-    valid = enumerate_valid(phi, p)
-    orbits = galois_orbits(phi.carrier, valid)
-    return CoverageCertificate(p, tuple(split_weil_witness(phi, orbit) for orbit in orbits), tuple(valid))
+    orbits = galois_orbits(phi.carrier, enumerate_valid(phi, p))
+    return CoverageCertificate(p, tuple(split_weil_witness(phi, orbit) for orbit in orbits))

@@ -2,7 +2,8 @@
 of one certificate file that ``verify`` passes.
 
 Outputs are canonical and byte-identical across runs, so a digest may
-change only with a version or format bump recorded in CHANGES.md.
+change only with a version or format bump recorded in CHANGES.md.  The
+witness digests were re-recorded with certificate format version 2.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from pathlib import Path
 import pytest
 
 from cmhodge import report
-from cmhodge.catalog import catalog
+from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cli import main
 from cmhodge.groups import bits
 from cmhodge.instance import build_instance, parse_instance, serialize_instance
-from cmhodge.monomials import enumerate_valid
+from cmhodge.monomials import enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json
 from conftest import content_hash
 
@@ -44,7 +45,7 @@ GOLDEN = {
     "deltas --orbits-only cyclic:8":
         "d4de22b745459522884e31a35b3195388ed07b8ddd47928b528ca8db2de818a7",
     "witness cyclic:8":
-        "6e2885543781ddaa76f788d2432aa252cfd48c26bb37dfdd1ec4e27a3cd767b6",
+        "77920c0898deb5354ccb5077cd239f2b46f89dbb576911af5139c02302cb7d45",
     "analyze quaternion:8":
         "77c1e80581c593a8fe2b958a648e6f86113b19bca71ffc7c327d19df4b17dff9",
     "deltas quaternion:8":
@@ -52,7 +53,7 @@ GOLDEN = {
     "deltas --orbits-only quaternion:8":
         "f76a9d5eb5c7a1e39eb4c7d7b558d7b37e7b084c821a65306f9b4c8b9e9a65c7",
     "witness quaternion:8":
-        "fd106848e38a0fe25ef3b35aa86bc353984cafb3957556f14f7f6816bd7c0ab1",
+        "712316a812d8810b6085b9f7fd923d0a65c1b5909771cb022b332e6ee42235df",
     "analyze elementary-abelian:16":
         "e6d0fc461d54386bd55e5fe4d95162b9ffa8edd25b6d889950fa4e55cefcec2c",
     "deltas elementary-abelian:16":
@@ -60,7 +61,7 @@ GOLDEN = {
     "deltas --orbits-only elementary-abelian:16":
         "8cedb64ebf311ed480fb8fda974ce1c9f2c5fd1563456f74a19d49639f350668",
     "witness elementary-abelian:16":
-        "bee0a9de124f5704f848f7c4db2aad210fd53385eef7a98ad1818838a4ff8124",
+        "37a9d5abc3b64eb8967cf47efc499d50232ce6d21b3b008ebe9d8b30a723a4e0",
     "analyze cyclic:20":
         "1395f1f6c32493973cd185a4630e95fd1340c97771aaf98a8fb00ee681294361",
     "deltas cyclic:20":
@@ -68,7 +69,7 @@ GOLDEN = {
     "deltas --orbits-only cyclic:20":
         "8320ba481893122083b83a368b3d4de095aee0800e7a7e0ebd3d4415ea495da8",
     "witness cyclic:20":
-        "5c87cd032880b27909904b3f464061c6bd4b5a3a2c4ba54c0f533315dd384a1f",
+        "7574f1f05b393873ae9010de0270e96706d4784c842ba842eacf2f2c2510a5bd",
     f"analyze {PRODUCT}":
         "5311f469cd4dfe0822e5f09d5f9889e66074489ad1f50ceee560dc3139d83784",
     f"deltas {PRODUCT}":
@@ -76,7 +77,7 @@ GOLDEN = {
     f"deltas --orbits-only {PRODUCT}":
         "139366463dbf27ec4438e6d9d94468e653dabe62368b87910fe3573fc97daa83",
     f"witness {PRODUCT}":
-        "329bbbcedd28e28a3482dc95f57766c7cda4222149d32a84f3f6ac3d22433b5d",
+        "e3938158862df13b3e5d5186d4bbf4a84e93827c6ba2638ec64b12ea76344416",
     f"analyze {M68}":
         "9c60c171684547661888eaa39650b40255bb02e5d7898a42c39098f5287b4a22",
     f"deltas {M68}":
@@ -84,7 +85,7 @@ GOLDEN = {
     f"deltas --orbits-only {M68}":
         "34e394468329dce4fb5f78be32e4c5df5d49b7d7fed4ea07116d56cd49dd836a",
     f"witness {M68}":
-        "ed520446ffb951c44c1b7fbc42fbbfef7ab68bd80d4f2f72eadb6d9c79afed92",
+        "e6847ddae49bd46c4056c087e46b7f5f2c13b846f17e0eb5c4d6b4d3888df351",
 }
 
 
@@ -170,13 +171,27 @@ def test_monomial_text_matches_canonical_json():
         assert report._monomial_text(mask) == canonical_json(bits(mask))[:-1]
 
 
+def test_family_text_of_each_point_matches_canonical_json():
+    # a witness's family lists the induced type at each point of its delta
+    fixture = build_instance(parse_instance(M68_PATH.read_text(encoding="utf-8")))
+    for built in (*map(build_instance, sweep_instances(16)), fixture):
+        for t in built.cm_type.induced_types:
+            assert report._monomial_text(t.members) == canonical_json(list(t.elements))[:-1]
+
+
 @pytest.mark.parametrize("command", ("analyze", "witness"))
 def test_each_monomial_is_written_once(command, monomial_texts):
-    # a monomial appears in three lists of its degree or certificate
+    # a monomial appears in three lists of its degree, or once in its
+    # certificate; a certificate also writes once the induced type at each
+    # point of an orbit representative, which the witness families list
     built = build_instance(catalog("product", "cyclic.4xcyclic.4"))
-    hodge_dims = [len(enumerate_valid(built.cm_type, p)) for p in built.degrees]
+    phi = built.cm_type
+    valid = [enumerate_valid(phi, p) for p in built.degrees]
+    reps = [[orbit[0] for orbit in galois_orbits(built.embeddings, v)] for v in valid]
+    types = [len({phi.induced_types[s].members for d in r for s in bits(d)}) for r in reps]
     assert run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")[0] == 0
-    assert len(monomial_texts) == sum(hodge_dims) > 0
+    hodge_dims = sum(map(len, valid))
+    assert len(monomial_texts) == hodge_dims + (sum(types) if command == "witness" else 0) > 0
 
 
 @pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
@@ -184,6 +199,10 @@ def test_each_output_byte_is_encoded_once(command, encoded, monomial_texts):
     code, out = run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")
     assert code == 0 and encoded and monomial_texts
     assert sum(encoded) + sum(monomial_texts) <= len(out)
+    if command == "witness":
+        # nothing is encoded per witness: each family is joined from texts
+        # written once per point, and the other values once per certificate
+        assert len(encoded) < sum(len(cert["witnesses"]) for cert in json.loads(out)["certificates"])
 
 
 def test_verify_encodes_each_input_byte_once(product_input, tmp_path, encoded):
@@ -205,3 +224,10 @@ def test_certificate_file_digest_and_verify(product_input, tmp_path):
     code, out = run_cli("verify", "--certify", str(cert))
     assert code == 0
     assert out == "".join(f"p={p}: pass\n" for p in range(9))
+
+
+def test_v1_certificate_file_still_verifies():
+    # the same bundle as written before the format's version 2
+    cert = Path(__file__).parent / "fixtures" / "v1" / "product-6..13.bundle.json"
+    assert json.loads(cert.read_text(encoding="utf-8"))["kind"] == "cmhodge.certificate-bundle"
+    assert run_cli("verify", "--certify", str(cert)) == (0, "".join(f"p={p}: pass\n" for p in range(9)))

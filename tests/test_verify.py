@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from cmhodge.errors import CapExceeded
 from cmhodge.instance import build_instance
 from cmhodge.report import (
     BUNDLE_KIND,
+    CERTIFICATE_KIND,
     canonical_json,
     certificate_bundle,
     certificate_payload,
@@ -31,9 +33,25 @@ from cmhodge.weil import coverage_certificate
 from conftest import content_hash
 
 
+# outputs of format version 1, as written before version 2 dropped the
+# coverage and valid set: the verifier still reads them
+V1 = Path(__file__).parent / "fixtures" / "v1"
+V1_BUNDLE_KIND = "cmhodge.certificate-bundle"
+
+
+def v1_fixture(name: str) -> dict:
+    return json.loads((V1 / name).read_text(encoding="utf-8"))
+
+
 @pytest.fixture()
 def payload(z4):
     return json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1)))
+
+
+@pytest.fixture()
+def payload_v1():
+    """The z4 certificate at p = 1, version 1."""
+    return v1_fixture("z4-p1.certificate.json")
 
 
 def rehash(doc: dict) -> dict:
@@ -83,7 +101,7 @@ def test_corrupted_group_table(payload):
 
 def test_degree_above_half(payload):
     # no monomial has 2p > m points, so an empty certificate would check nothing
-    doc = {**payload, "p": 3, "witnesses": [], "orbit_reps": [], "coverage": [], "valid_set": []}
+    doc = {**payload, "p": 3, "witnesses": [], "orbit_reps": []}
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "degree"
 
@@ -95,15 +113,15 @@ def test_wrong_transcript(payload):
     assert result.failed_check == "balanced"
 
 
-def test_missing_coverage_entry(payload):
-    doc = copy.deepcopy(payload)
+def test_missing_coverage_entry(payload_v1):
+    doc = copy.deepcopy(payload_v1)
     doc["coverage"] = doc["coverage"][:1]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "coverage"
 
 
-def test_padded_valid_set(payload):
-    doc = copy.deepcopy(payload)
+def test_padded_valid_set(payload_v1):
+    doc = copy.deepcopy(payload_v1)
     doc["valid_set"] = doc["valid_set"] + [[0, 1]]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "valid_set"
@@ -111,6 +129,11 @@ def test_padded_valid_set(payload):
 
 @pytest.fixture(scope="module")
 def d8_p2():
+    return v1_fixture("dihedral8-p2.certificate.json")
+
+
+@pytest.fixture(scope="module")
+def d8_p2_v2():
     built = build_instance(catalog("dihedral", "8"))
     return json.loads(certificate_payload(built.spec, coverage_certificate(built.cm_type, 2)))
 
@@ -144,6 +167,47 @@ def test_wrong_valid_set_of_right_shape(d8_p2, mutate):
     assert result.failed_check == "valid_set"
 
 
+def _drop_witness(doc):
+    # each orbit is listed once, by its witness: only the count can tell
+    doc["witnesses"].pop()
+    doc["orbit_reps"].pop()
+
+
+def _repeat_witness(doc):
+    # another orbit of the same size in place of the last one, so the count
+    # still matches: only distinctness can tell
+    size = len(doc["witnesses"][-1]["covered_translates"])
+    i = next(i for i, w in enumerate(doc["witnesses"]) if len(w["covered_translates"]) == size)
+    doc["witnesses"][-1] = doc["witnesses"][i]
+    doc["orbit_reps"][-1] = doc["orbit_reps"][i]
+
+
+def _invalid_covered_translate(doc):
+    # an unlisted 4-subset is invalid; the listing is checked against the
+    # translates of the witness's delta first
+    listed = [d for w in doc["witnesses"] for d in w["covered_translates"]]
+    doc["witnesses"][0]["covered_translates"][-1] = next(
+        list(c) for c in combinations(range(8), 4) if list(c) not in listed
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, check, detail",
+    [
+        (_drop_witness, "valid_set", "stored valid set differs in size from the independent count"),
+        (_repeat_witness, "valid_set", "a monomial is listed twice"),
+        (_invalid_covered_translate, "translates", "witness 0 covered translates are wrong"),
+    ],
+    ids=("drop", "repeat", "invalid"),
+)
+def test_v2_wrong_orbits_of_right_shape(d8_p2_v2, mutate, check, detail):
+    assert d8_p2_v2["kind"] == CERTIFICATE_KIND and "valid_set" not in d8_p2_v2
+    assert [len(w["covered_translates"]) for w in d8_p2_v2["witnesses"]] == [2, 8, 4, 2, 2]
+    doc = copy.deepcopy(d8_p2_v2)
+    mutate(doc)
+    assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
+
+
 def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
     path = tmp_path / "cert.json"
     assert main(["witness", "--catalog", "cyclic:32", "--degree", "4", "--certify", str(path)]) == 0
@@ -152,7 +216,7 @@ def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
     assert capsys.readouterr().out == "p=4: pass\n"
     # nothing listed, so every check before the count passes; the count's
     # tables would hold 2**33 subsets, so it must refuse before building one
-    empty = {"witnesses": [], "orbit_reps": [], "coverage": [], "valid_set": [], "verdict": True}
+    empty = {"witnesses": [], "orbit_reps": [], "verdict": True}
     doc = {**payload, **empty, "instance": instance_payload(catalog("cyclic", "64")), "p": 16}
     path.write_text(json.dumps(rehash(doc)))
     start = time.perf_counter()
@@ -251,6 +315,22 @@ def _without_weil_data(spec, payload):
     return rehash(doc)
 
 
+def _v1(make):
+    """A document maker that starts from the version-1 z4 certificate."""
+    return lambda spec, payload: make(spec, v1_fixture("z4-p1.certificate.json"))
+
+
+def _bundle_of_v1_certificate(spec, payload):
+    # a version-2 bundle may hold only version-2 certificates
+    certs = [payload, v1_fixture("z4-p1.certificate.json")]
+    return rehash({**json.loads(certificate_bundle(spec, [])), "certificates": certs})
+
+
+def _v1_bundle_of_v2_certificate(spec, payload):
+    bundle = v1_fixture("cyclic8.bundle.json")
+    return rehash({**bundle, "instance": payload["instance"], "certificates": [payload]})
+
+
 def _bundle_of_other_instance(spec, payload):
     # z4 certificates under a bundle that declares cyclic:8
     bundle = {**json.loads(certificate_bundle(spec, [])), "certificates": [payload]}
@@ -268,17 +348,19 @@ def _bundle_of_other_instance(spec, payload):
         pytest.param(_set(("witnesses", 0, "delta", 0), -1), id="negative-point"),
         pytest.param(_set(("orbit_reps", 0, 0), "0"), id="string-point"),
         pytest.param(_set(("witnesses", 0, "delta", 0), False), id="boolean-point"),
-        pytest.param(_set(("valid_set", 0, 1), 0), id="repeated-point"),
+        pytest.param(_v1(_set(("valid_set", 0, 1), 0)), id="repeated-point"),
         pytest.param(_set(("witnesses", 0, "covered_translates", 0, 0), 4), id="point-out-of-range"),
         pytest.param(_without_weil_data, id="missing-weil-data"),
         pytest.param(_set(("witnesses", 0), 1), id="non-object-witness"),
         pytest.param(_set(("witnesses", 0, "family"), None), id="null-family"),
         pytest.param(_set(("witnesses", 0, "covered_translates"), None), id="null-covered-translates"),
-        pytest.param(_set(("coverage",), None), id="null-coverage"),
-        pytest.param(_set(("valid_set",), None), id="null-valid-set"),
+        pytest.param(_v1(_set(("coverage",), None)), id="null-coverage"),
+        pytest.param(_v1(_set(("valid_set",), None)), id="null-valid-set"),
         pytest.param(_set(("instance", "group", "iota"), "2"), id="string-iota"),
         pytest.param(_set(("instance", "group", "iota"), 2.5), id="float-iota"),
         pytest.param(_bundle_of_other_instance, id="bundle-instance-mismatch"),
+        pytest.param(_bundle_of_v1_certificate, id="bundle-of-v1-certificate"),
+        pytest.param(_v1_bundle_of_v2_certificate, id="v1-bundle-of-v2-certificate"),
     ],
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
@@ -406,15 +488,17 @@ def _point_value(value):
         pytest.param(_nest_point, id="nested-list"),
     ],
 )
-def test_point_list_field_rejects(payload, field, mutate):
-    doc = copy.deepcopy(payload)
+def test_point_list_field_rejects(payload, payload_v1, field, mutate):
+    # coverage and the valid set are fields of version 1 only
+    doc = copy.deepcopy(payload_v1 if field in ("coverage", "valid_set") else payload)
     path = _POINT_LIST_FIELDS[field]
     mutate(doc, path)
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "schema"
     assert f"field {path[0]!r}" in result.detail
-    assert not verify._conforms(doc[path[0]], verify._SCHEMA[path[0]])
-    assert not _recursive_conforms(doc[path[0]], verify._SCHEMA[path[0]])
+    schema = verify._SCHEMAS[doc["kind"]]
+    assert not verify._conforms(doc[path[0]], schema[path[0]])
+    assert not _recursive_conforms(doc[path[0]], schema[path[0]])
 
 
 def _changed(doc: dict, key: str, op: str) -> dict:
@@ -433,18 +517,27 @@ def _changed(doc: dict, key: str, op: str) -> dict:
     return out
 
 
-def _tamper_corpus():
+def _v1_bundle(instance: str) -> dict:
+    return v1_fixture(f"{instance.replace(':', '')}.bundle.json")
+
+
+def _v2_bundle(instance: str) -> dict:
+    built = build_instance(catalog(*instance.split(":")))
+    certs = [coverage_certificate(built.cm_type, p) for p in built.degrees]
+    return json.loads(certificate_bundle(built.spec, certs))
+
+
+def _tamper_corpus(bundle_of):
     """(name, bundle) for mutations of the golden witness bundles: each
     top-level entry of the bundle and of each cyclic:8 certificate nulled,
     wrapped in a list or dropped, each stored hash flipped, an extra key
     added, and one certificate replaced by a non-object.  Each is kept
     with stale hashes and with hashes recomputed around the change: a
     changed certificate under a stale bundle hash is only checked with
-    its own hash recomputed."""
+    its own hash recomputed.  ``bundle_of`` gives each bundle in one
+    format version."""
     for instance in ("cyclic:8", "quaternion:8"):
-        built = build_instance(catalog(*instance.split(":")))
-        certs = [coverage_certificate(built.cm_type, p) for p in built.degrees]
-        bundle = json.loads(certificate_bundle(built.spec, certs))
+        bundle = bundle_of(instance)
         changes = [(key, op) for key in sorted(bundle) for op in ("null", "wrap", "drop")]
         for key, op in changes + [("content_hash", "flip"), ("extra", "add")]:
             doc = _changed(bundle, key, op)
@@ -470,22 +563,36 @@ def _tamper_corpus():
                 yield name + " rehashed, bundle rehashed", rehash(fresh)
 
 
-# the verdicts on the tamper corpus, pinned when each hash was checked by
-# encoding its whole document; a change to any verdict or check order
-# changes this digest
+# the verdicts on the tamper corpus of version-1 bundles, pinned when each
+# hash was checked by encoding its whole document; a change to any verdict
+# or check order changes this digest
 TAMPER_DIGEST = "2cda4fecd3871cbcebd478efa036f2651a77758e238a088b01e0734bda4105f9"
+# the same for the corpus of version-2 bundles, pinned when that version
+# was introduced; its verdicts are the version-1 ones but for the kind
+# names and the mutations of the two fields version 2 drops
+TAMPER_DIGEST_V2 = "12b980409a75b09c501270d03ce34a295474cc762bddb23cda76ddd352a7ce22"
 _BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
 
 
 def test_tamper_corpus_hash_results_and_verdicts():
-    corpus = list(_tamper_corpus())
+    assert _tamper_digest(_v1_bundle, V1_BUNDLE_KIND) == TAMPER_DIGEST
+
+
+def test_tamper_corpus_v2_hash_results_and_verdicts():
+    assert _tamper_digest(_v2_bundle, BUNDLE_KIND) == TAMPER_DIGEST_V2
+
+
+def _tamper_digest(bundle_of, kind: str) -> str:
+    """The digest of the verdict lines on one version's tamper corpus,
+    with each hash result checked against one encoding of its document."""
+    corpus = list(_tamper_corpus(bundle_of))
     assert len(corpus) >= 200
     lines = []
     for name, doc in corpus:
         results = verify_document(doc)
         lines += [f"{name}: {label}: {res.describe()}" for label, res in results]
         certs = doc.get("certificates")
-        if doc.get("kind") != BUNDLE_KIND or not isinstance(certs, list) or not certs:
+        if doc.get("kind") != kind or not isinstance(certs, list) or not certs:
             continue
         # each hash result against one encoding of the whole document
         bundle_failed = results == [("bundle", _BUNDLE_HASH_MISMATCH)]
@@ -494,7 +601,7 @@ def test_tamper_corpus_hash_results_and_verdicts():
             if isinstance(cert, dict):
                 expected = (canonical_json(cert), cert.get("content_hash") == content_hash(cert))
                 assert verify._encoded(cert) == expected, name
-    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == TAMPER_DIGEST
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
@@ -513,7 +620,7 @@ def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
 def test_bundle_hash_is_checked_before_a_count_that_raises(payload):
     # a certificate whose count refuses: the bundle's stale hash is still
     # the verdict, and with a good hash the refusal gets through
-    empty = {"witnesses": [], "orbit_reps": [], "coverage": [], "valid_set": [], "verdict": True}
+    empty = {"witnesses": [], "orbit_reps": [], "verdict": True}
     inst = instance_payload(catalog("cyclic", "64"))
     cert = rehash({**payload, **empty, "instance": inst, "p": 16})
     bundle = {**json.loads(certificate_bundle(catalog("cyclic", "4"), [])), "instance": inst, "certificates": [cert]}

@@ -98,16 +98,18 @@ def test_coverage_z4(z4):
     cert = coverage_certificate(z4.cm_type, 1)
     assert [w.delta for w in cert.witnesses] == [mask_of([0, 2])]
     assert coverage(cert) == tuple(sorted([mask_of([0, 2]), mask_of([1, 3])]))
-    assert coverage(cert) == cert.valid_set
+    assert coverage(cert) == tuple(enumerate_valid(z4.cm_type, 1))
     payload = json.loads(certificate_payload(z4.spec, cert))
-    assert payload["verdict"] and payload["coverage"] == payload["valid_set"] == [[0, 2], [1, 3]]
+    # the one orbit is listed once, and the valid set is not repeated
+    assert payload["verdict"] and payload["witnesses"][0]["covered_translates"] == [[0, 2], [1, 3]]
+    assert "coverage" not in payload and "valid_set" not in payload
     assert verify_certificate(payload).ok
 
 
 def test_coverage_m2(z2):
     cert = coverage_certificate(z2.cm_type, 1)
     assert len(cert.witnesses) == 1
-    assert coverage(cert) == cert.valid_set
+    assert coverage(cert) == tuple(enumerate_valid(z2.cm_type, 1))
     assert verify_certificate(json.loads(certificate_payload(z2.spec, cert))).ok
 
 
@@ -115,7 +117,7 @@ def test_coverage_ea4(ea4):
     cert = coverage_certificate(ea4.cm_type, 1)
     assert len(cert.witnesses) == 2
     assert len(coverage(cert)) == 4
-    assert coverage(cert) == cert.valid_set
+    assert coverage(cert) == tuple(enumerate_valid(ea4.cm_type, 1))
     assert verify_certificate(json.loads(certificate_payload(ea4.spec, cert))).ok
 
 
