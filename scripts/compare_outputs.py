@@ -107,10 +107,10 @@ def compare(trees: tuple[Path, Path], instance: str, n: int, scratch: Path) -> i
     mismatches = 0
     path = Path(instance)
     source = ["--input", str(path.resolve())] if path.is_file() else ["--catalog", instance]
+    bundles = tuple(scratch / f"{tree}.json" for tree in TREES)
     for k, command in enumerate(COMMANDS):
         # alternate which tree runs first, so neither always runs on a warm cache
         order = (0, 1) if (n + k) % 2 == 0 else (1, 0)
-        bundles = tuple(scratch / f"{tree}.json" for tree in TREES)
         keep = command == ("witness",)
         results = {i: run(trees[i], [*command, *source], bundles[i] if keep else None) for i in order}
         old, new = results[0], results[1]
