@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare the CLI outputs of two source trees byte for byte.
 
-Runs ``analyze``, ``deltas``, ``deltas --orbits-only`` and ``witness`` on
-each instance, once per tree, each in a child process of its own with the
+Runs ``analyze``, ``deltas``, ``deltas --orbits-only``, ``witness`` and
+``oracle`` on each instance, once per tree, each in a child process of its own with the
 tree's ``src`` on ``PYTHONPATH``.  For every run it prints the SHA-256 of
 stdout (first 16 hex digits), the exit code, the wall time and the peak
 resident memory of the child (``ru_maxrss``), and it exits 1 if any
@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 TREES = ("old", "new")
-COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",))
+COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",), ("oracle",))
 DEFAULT_INSTANCES = (
     *(f"cyclic:{n}" for n in range(2, 17, 2)),
     *(f"elementary-abelian:{n}" for n in (2, 4, 8, 16)),

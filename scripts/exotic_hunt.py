@@ -45,7 +45,7 @@ def hunt(entry: str, max_degree: int | None) -> int:
             if report.exotic:
                 hits += 1
                 print(
-                    f"  phi={list(phi.points)} p={p}: "
+                    f"  phi={bits(phi.members)} p={p}: "
                     f"hodge={report.hodge_dim} lefschetz={report.lefschetz_dim} "
                     f"exotic={[bits(d) for d in report.exotic]}"
                 )

@@ -35,7 +35,7 @@ def run_sweep() -> dict:
         for phi in enumerate_cm_types(built.embeddings):
             report = classify(phi, 2)
             assert list(report.valid) == enumerate_valid_bruteforce(phi, 2)
-            key = ",".join(str(s) for s in phi.points)
+            key = ",".join(str(s) for s in bits(phi.members))
             per_type[key] = {
                 "hodge_dim": report.hodge_dim,
                 "lefschetz_dim": report.lefschetz_dim,

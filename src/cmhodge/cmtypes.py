@@ -21,13 +21,6 @@ class CMType:
     carrier: EmbeddingSet
     members: int  # bit mask over points
 
-    def contains(self, s: int) -> bool:
-        return bool((self.members >> s) & 1)
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        return tuple(bits(self.members))
-
     @cached_property
     def rows(self) -> tuple[int, ...]:
         """The distinct translates t*phi as point masks, ascending.
@@ -40,25 +33,32 @@ class CMType:
         return tuple(sorted(set(self.carrier.translates(self.members))))
 
     @cached_property
-    def class_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The complementary column classes (U, iota*U) as point masks.
-
-        The column of a point s records which rows contain it; a class is
-        the set of points sharing one column.  Every row is a CM-type, so
-        iota*s has the complementary column, and a pair {a, b} is valid
-        (meets every row once) iff the columns of a and b are complementary,
-        i.e. b lies in the partner class of a.  A monomial is therefore a
-        disjoint union of valid pairs iff it meets U and iota*U in equally
-        many points for every pair here: pair those points off in any
-        order.  iota maps U onto iota*U, so |U| = |iota*U|.  Each pair is
-        listed once, with U the class whose mask is smaller.
-        """
+    def classes(self) -> dict[int, int]:
+        """Each column to its class, in order of least point: the column of
+        a point records which rows contain it (bit k for ``rows[k]``), and a
+        class is the mask of the points sharing one column.  The lattice
+        matrix and the class pairs share this table: do not change it."""
         rows = self.rows
-        full = (1 << len(rows)) - 1
         classes: dict[int, int] = {}
         for s in range(self.carrier.size):
             column = sum(1 << k for k, r in enumerate(rows) if r >> s & 1)
             classes[column] = classes.get(column, 0) | 1 << s
+        return classes
+
+    @cached_property
+    def class_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The complementary column classes (U, iota*U) of ``classes``.
+
+        Every row is a CM-type, so iota*s has the complementary column, and
+        a pair {a, b} is valid (meets every row once) iff the columns of a
+        and b are complementary, i.e. b lies in the partner class of a.  A
+        monomial is therefore a disjoint union of valid pairs iff it meets U
+        and iota*U in equally many points for every pair here: pair those
+        points off in any order.  iota maps U onto iota*U, so |U| = |iota*U|.
+        Each pair is listed once, with U the class whose mask is smaller.
+        """
+        classes = self.classes
+        full = (1 << len(self.rows)) - 1
         return tuple((u, classes[c ^ full]) for c, u in classes.items() if u < classes[c ^ full])
 
     @cached_property
@@ -75,9 +75,6 @@ class RegularCMType:
 
     group: GroupTable
     members: int
-
-    def contains(self, t: int) -> bool:
-        return bool((self.members >> t) & 1)
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
@@ -139,13 +136,14 @@ def induced_type(phi: CMType, s: int) -> RegularCMType:
     return RegularCMType(carrier.parent, members)
 
 
-def hodge_numbers(carrier: EmbeddingSet, phi: CMType, r: int) -> dict[tuple[int, int], int]:
-    """Counts of size-r point subsets by intersection pattern with phi:
-    (p, q) maps to the number of subsets meeting phi in p points and its
-    conjugate in q = r - p points.
+def hodge_numbers(carrier: EmbeddingSet, r: int) -> dict[tuple[int, int], int]:
+    """Counts of size-r point subsets by intersection pattern with a
+    CM-type phi: (p, q) maps to the number of subsets meeting phi in p
+    points and its conjugate in q = r - p points.
 
     With |phi| = m/2 the choices inside and outside phi are independent,
-    so the count is a product of binomials; the row sum is C(m, r).
+    so the count is a product of binomials; the row sum is C(m, r).  Only
+    |phi| enters, so every CM-type on the carrier has the same table.
     """
     m = carrier.size
     g = m // 2

@@ -131,6 +131,9 @@ def parse_instance(text: str) -> InstanceSpec:
                 raise ParseError("duplicate cmtype line", line_no)
             cm_type = tuple(_ints(parts, line_no))
         elif key == "degrees":
+            if not parts:
+                # zero degrees would make every command a vacuous success
+                raise ParseError("degrees wants 'all' or at least one degree", line_no)
             if parts == ["all"]:
                 degrees = None
             else:

@@ -117,7 +117,6 @@ class DecompositionReport:
     """Full per-degree classification: the valid monomials, their orbits,
     and the divisor-generated / exotic split, all canonically sorted."""
 
-    cm_type: CMType
     p: int
     valid: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
@@ -154,7 +153,6 @@ def classify(phi: CMType, p: int) -> DecompositionReport:
         balanced = all((d & u).bit_count() == (d & w).bit_count() for u, w in pairs)
         (decomposable if balanced else exotic).extend(orbit)
     return DecompositionReport(
-        cm_type=phi,
         p=p,
         valid=tuple(valid),
         orbits=tuple(orbits),

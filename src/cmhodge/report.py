@@ -32,12 +32,7 @@ from typing import Iterable
 from . import __version__
 from .cmtypes import hodge_numbers
 from .instance import BuiltInstance, InstanceSpec
-from .lattice import (
-    is_rank_maximal,
-    lattice_rank,
-    lattice_rank_with_ones,
-    orbit_matrix,
-)
+from .lattice import orbit_matrix
 from .monomials import DecompositionReport
 from .weil import CoverageCertificate
 
@@ -164,19 +159,24 @@ def degree_payload(report: DecompositionReport) -> str:
 
 def lattice_payload(built: BuiltInstance) -> dict:
     matrix = orbit_matrix(built.cm_type)
+    rank = len(matrix.basis)
+    # the rows live in an affine set whose direction space has dim m/2, so
+    # the rank can never exceed m/2 + 1
+    top = built.embeddings.size // 2 + 1
     return {
         "row_count": len(matrix.rows),
-        "rank": lattice_rank(matrix),
-        "rank_with_ones": lattice_rank_with_ones(matrix),
-        "max_possible": matrix.ncols // 2 + 1,
-        "is_maximal": is_rank_maximal(matrix),
+        "rank": rank,
+        # forced: the all-ones vector is a sum of two rows (see lattice.py)
+        "rank_with_ones": rank,
+        "max_possible": top,
+        "is_maximal": rank == top,
     }
 
 
 def hodge_numbers_payload(built: BuiltInstance) -> list[dict]:
     out = []
     for r in range(built.embeddings.size + 1):
-        table = hodge_numbers(built.embeddings, built.cm_type, r)
+        table = hodge_numbers(built.embeddings, r)
         counts = [
             {"p": p, "q": q, "count": c} for (p, q), c in sorted(table.items())
         ]

@@ -183,7 +183,7 @@ def test_byte_tables_match_plain_loops(name):
         phi = validate_cm_type(carrier, [rng.choice(pair) for pair in conjugate_pairs(carrier)])
         for s in range(m):
             # t is in the induced type iff the translate of s by t lies in phi
-            members = [t for t, row in enumerate(carrier.action) if row[s] in phi.points]
+            members = [t for t, row in enumerate(carrier.action) if phi.members >> row[s] & 1]
             assert list(induced_type(phi, s).elements) == members
 
 

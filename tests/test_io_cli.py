@@ -79,7 +79,10 @@ def test_cli_analyze_dims():
     report = json.loads(out)
     dims = [(d["p"], d["hodge_dim"]) for d in report["degrees"]]
     assert dims == [(0, 1), (1, 2), (2, 1)]
-    assert report["lattice"]["rank"] == 3
+    # rank-maximal: m/2 + 1 = 3, and the rank with ones is forced to the rank
+    assert report["lattice"] == {
+        "row_count": 4, "rank": 3, "rank_with_ones": 3, "max_possible": 3, "is_maximal": True
+    }
 
 
 def test_cli_witness_verify_cycle(tmp_path):
@@ -142,6 +145,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     too_big = InstanceSpec("", 66, table, 33, ((0,),), tuple(range(33)), None)
     bad.write_text(serialize_instance(too_big))
     assert run_cli("analyze", "--input", str(bad))[0] == 2  # groups stop at order 64
+    # an empty degrees line selects no degree, so every command would pass vacuously
+    capsys.readouterr()
+    bad.write_text(Z2_TEXT.replace("degrees all", "degrees"))
+    for command in ("analyze", "deltas", "witness", "oracle"):
+        assert run_cli(command, "--input", str(bad))[0] == 2, command
+    assert "line 9: degrees" in capsys.readouterr().err
     # unreadable paths and undecodable text are input errors, not tracebacks
     capsys.readouterr()
     assert run_cli("analyze", "--input", str(tmp_path))[0] == 2

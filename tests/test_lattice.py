@@ -1,39 +1,40 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhodge.catalog import sweep_instances
-from cmhodge.cmtypes import enumerate_cm_types
+from cmhodge.catalog import catalog, sweep_instances
+from cmhodge.cmtypes import conjugate_pairs, enumerate_cm_types, validate_cm_type
 from cmhodge.groups import mask_of
 from cmhodge.instance import build_instance
-from cmhodge.lattice import (
-    check_via_system,
-    is_rank_maximal,
-    lattice_rank,
-    lattice_rank_with_ones,
-    orbit_matrix,
-    reduced_validity_system,
-)
+from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import valid_delta
 
 
+def meets_basis(basis: tuple[int, ...], delta: int, p: int) -> bool:
+    """The oracle's third route: a size-2p monomial meeting every basis row
+    in p points."""
+    return delta.bit_count() == 2 * p and all((delta & row).bit_count() == p for row in basis)
+
+
 def test_orbit_matrix_z2(z2):
-    assert orbit_matrix(z2.cm_type).rows == ((1, 0), (0, 1))
+    assert orbit_matrix(z2.cm_type).rows == (0b01, 0b10)
 
 
 def test_orbit_matrix_z4(z4):
     rows = orbit_matrix(z4.cm_type).rows
-    assert set(rows) == {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)}
+    assert set(rows) == {0b0011, 0b0110, 0b1100, 0b1001}
     assert len(rows) == 4
 
 
 def test_orbit_matrix_ea4_dedupes(ea4):
     # phi = {0, 1} is stabilized by translation by 1, so only 2 rows survive
     rows = orbit_matrix(ea4.cm_type).rows
-    assert rows == ((1, 1, 0, 0), (0, 0, 1, 1))  # masks 0b0011, 0b1100
+    assert rows == (0b0011, 0b1100)
 
 
 def test_rows_partition_with_conjugate(order8_instances):
@@ -42,24 +43,20 @@ def test_rows_partition_with_conjugate(order8_instances):
         matrix = orbit_matrix(built.cm_type)
         for row in matrix.rows:
             for x in range(s.size):
-                assert row[x] + row[s.conj[x]] == 1
+                assert (row >> x & 1) + (row >> s.conj[x] & 1) == 1
 
 
 def test_ranks_small_cases(z2, z4, ea4):
-    assert lattice_rank(orbit_matrix(z2.cm_type)) == 2
-    assert lattice_rank(orbit_matrix(z4.cm_type)) == 3  # 1100 - 0110 + 0011 = 1001
-    assert lattice_rank(orbit_matrix(ea4.cm_type)) == 2
+    assert len(orbit_matrix(z2.cm_type).basis) == 2
+    assert len(orbit_matrix(z4.cm_type).basis) == 3  # 1100 - 0110 + 0011 = 1001
+    assert len(orbit_matrix(ea4.cm_type).basis) == 2
 
 
 def test_rank_bound(order8_instances):
     for built in order8_instances:
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):
-            matrix = orbit_matrix(phi)
-            r = lattice_rank(matrix)
-            assert r <= half + 1
-            assert r <= lattice_rank_with_ones(matrix) <= half + 1
-            assert is_rank_maximal(matrix) == (r == half + 1)
+            assert len(orbit_matrix(phi).basis) <= half + 1
 
 
 def test_dedup_against_stabilizer(order8_instances):
@@ -73,28 +70,83 @@ def test_dedup_against_stabilizer(order8_instances):
             assert len(matrix.rows) * stab == g.order
 
 
+def reference_elimination(phi) -> tuple[int, tuple[int, ...], int]:
+    """(rank, greedy basis, rank with the all-ones vector adjoined) by
+    Gauss-Jordan elimination in Fractions over the literal R x m 0/1 rows,
+    one column per point: no class compression and no integer scaling."""
+    m = phi.carrier.size
+
+    def kept(vectors: list[list[Fraction]]) -> list[int]:
+        reduced: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+        out = []
+        for index, v in enumerate(vectors):
+            for col, row in reduced:
+                if f := v[col]:
+                    v = [x - f * y for x, y in zip(v, row)]
+            pivot = next((col for col, x in enumerate(v) if x), None)
+            if pivot is None:
+                continue
+            v = [x / v[pivot] for x in v]
+            reduced = [(col, [x - row[pivot] * y for x, y in zip(row, v)]) for col, row in reduced]
+            reduced.append((pivot, v))
+            out.append(index)
+        return out
+
+    rows = [[Fraction(r >> s & 1) for s in range(m)] for r in phi.rows]
+    basis = tuple(phi.rows[k] for k in kept(rows))
+    return len(basis), basis, len(kept(rows + [[Fraction(1)] * m]))
+
+
+def random_types(entry: str, seeds):
+    built = build_instance(catalog(*entry.split(":")))
+    yield built.cm_type
+    pairs = conjugate_pairs(built.embeddings)
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield validate_cm_type(built.embeddings, [rng.choice(pair) for pair in pairs])
+
+
+def test_elimination_matches_fraction_reference():
+    types = [
+        phi
+        for spec in sweep_instances(12)
+        for phi in enumerate_cm_types(build_instance(spec).embeddings)
+    ]
+    # seed 3 draws a type of rank 25 < 33 with 64 distinct columns on
+    # elementary-abelian:64; the defaults there are compressed to few columns
+    for entry in ("cyclic:64", "dihedral:64", "elementary-abelian:64", "product:cyclic.8xcyclic.4"):
+        types += random_types(entry, (0, 3))
+    for phi in types:
+        rank, basis, rank_with_ones = reference_elimination(phi)
+        got = orbit_matrix(phi).basis
+        assert (len(got), got) == (rank, basis), bin(phi.members)
+        # forced, so the report writes the rank for it: the complement of
+        # every row, its translate by iota, is a row, and the two sum to 1
+        assert rank_with_ones == rank
+        assert {phi.carrier.all_mask ^ r for r in phi.rows} == set(phi.rows)
+
+
 def test_system_targets_are_p(z2, z4):
     # basis rows are original translate rows, of weight m/2, so a valid
     # monomial meets each in exactly p points
-    for built, p in ((z2, 1), (z4, 1), (z4, 0)):
-        system = reduced_validity_system(built.cm_type, p)
-        assert set(system.basis) <= set(built.cm_type.rows)
-        assert all(row.bit_count() == built.embeddings.size // 2 for row in system.basis)
-    assert len(reduced_validity_system(z4.cm_type, 1).basis) == 3
+    for built in (z2, z4):
+        basis = orbit_matrix(built.cm_type).basis
+        assert set(basis) <= set(built.cm_type.rows)
+        assert all(row.bit_count() == built.embeddings.size // 2 for row in basis)
+    assert len(orbit_matrix(z4.cm_type).basis) == 3
 
 
 def test_system_p0_only_empty_set(z4):
-    system = reduced_validity_system(z4.cm_type, 0)
-    assert check_via_system(system, 0, 0)
-    assert not check_via_system(system, mask_of([0, 2]), 1)
+    basis = orbit_matrix(z4.cm_type).basis
+    assert meets_basis(basis, 0, 0)
+    assert not meets_basis(basis, mask_of([0, 2]), 0)
 
 
 def test_system_examples(z4):
-    system = reduced_validity_system(z4.cm_type, 1)
-    assert check_via_system(system, mask_of([0, 2]), 1)
-    assert not check_via_system(system, mask_of([0, 1]), 1)
-    top = reduced_validity_system(z4.cm_type, 2)
-    assert check_via_system(top, z4.embeddings.all_mask, 2)
+    basis = orbit_matrix(z4.cm_type).basis
+    assert meets_basis(basis, mask_of([0, 2]), 1)
+    assert not meets_basis(basis, mask_of([0, 1]), 1)
+    assert meets_basis(basis, z4.embeddings.all_mask, 2)
 
 
 def test_system_agrees_with_direct_check_exhaustively(order8_instances):
@@ -104,8 +156,8 @@ def test_system_agrees_with_direct_check_exhaustively(order8_instances):
         s = built.embeddings
         m = s.size
         for phi in enumerate_cm_types(s):
+            basis = orbit_matrix(phi).basis
             for p in range(m // 2 + 1):
-                system = reduced_validity_system(phi, p)
                 for pts in combinations(range(m), 2 * p):
                     delta = mask_of(pts)
                     literal = all(
@@ -113,7 +165,7 @@ def test_system_agrees_with_direct_check_exhaustively(order8_instances):
                         for t in built.group.elements()
                     )
                     assert valid_delta(phi, delta, p) == literal
-                    assert check_via_system(system, delta, p) == literal
+                    assert meets_basis(basis, delta, p) == literal
 
 
 @settings(max_examples=80, deadline=None)
@@ -127,5 +179,4 @@ def test_system_agrees_on_random_subsets(data):
         st.sets(st.integers(min_value=0, max_value=m - 1), min_size=2 * p, max_size=2 * p)
     )
     delta = mask_of(pts)
-    system = reduced_validity_system(phi, p)
-    assert check_via_system(system, delta, p) == valid_delta(phi, delta, p)
+    assert meets_basis(orbit_matrix(phi).basis, delta, p) == valid_delta(phi, delta, p)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cmtypes import enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, NotClosed
-from cmhodge.groups import build_group, embedding_set, mask_of
+from cmhodge.groups import bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.monomials import (
     classify,
@@ -209,7 +209,7 @@ def test_classify_agrees_with_per_monomial_matching_c4xc4():
     for phi in enumerate_cm_types(built.embeddings):
         pairs = enumerate_valid_bruteforce(phi, 1)
         exotic = [d for d in enumerate_valid(phi, 2) if not has_pair_matching(d, pairs)]
-        assert list(classify(phi, 2).exotic) == exotic, sorted(phi.points)
+        assert list(classify(phi, 2).exotic) == exotic, bits(phi.members)
         with_exotic += bool(exotic)
     assert with_exotic > 0
 
@@ -223,7 +223,7 @@ def test_classify_agrees_with_per_monomial_matching_mixed_carrier():
         for p in range(9):
             report = classify(phi, p)
             exotic = [d for d in report.valid if not has_pair_matching(d, pairs)]
-            assert list(report.exotic) == exotic, (sorted(phi.points), p)
+            assert list(report.exotic) == exotic, (bits(phi.members), p)
             exotic_total += len(exotic)
     assert exotic_total == 1632
 
