@@ -20,7 +20,6 @@ from .lattice import orbit_matrix
 from .monomials import classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
 from .report import analysis_report, certificate_bundle, deltas_report
 from .verify import verify_document
-from .weil import coverage_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,8 +113,10 @@ def _cmd_deltas(args, out) -> int:
 
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
-    certs = [coverage_certificate(built.cm_type, p) for p in _degrees(args, built)]
-    text = certificate_bundle(built.spec, certs)
+    per_degree = [
+        (p, galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))) for p in _degrees(args, built)
+    ]
+    text = certificate_bundle(built, per_degree)
     if args.certify:
         Path(args.certify).write_text(text, encoding="utf-8")
     else:

@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, NotACMType
-from .groups import EmbeddingSet, GroupTable, bits, mask_of
+from .groups import EmbeddingSet, mask_of
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,16 @@ class CMType:
         return tuple((u, classes[c ^ full]) for c, u in classes.items() if u < classes[c ^ full])
 
     @cached_property
-    def induced_types(self) -> tuple[RegularCMType, ...]:
-        """The induced type at each point, indexed by point: witnesses and
-        the verifier read one object per point instead of recomputing it."""
-        return tuple(induced_type(self, s) for s in range(self.carrier.size))
-
-
-@dataclass(frozen=True)
-class RegularCMType:
-    """A CM-type on the group itself (the regular embedding set), stored as
-    a bit mask over group elements."""
-
-    group: GroupTable
-    members: int
-
-    @cached_property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(bits(self.members))
+    def induced_types(self) -> tuple[int, ...]:
+        """The CM-type on the group induced at each point, indexed by point,
+        as a mask over group elements: t is a member of the type at s iff
+        the translate of s by t lies in phi.  Certificates and the verifier
+        read this one table."""
+        action = self.carrier.action
+        return tuple(
+            sum(1 << t for t, row in enumerate(action) if self.members >> row[s] & 1)
+            for s in range(self.carrier.size)
+        )
 
 
 def validate_cm_type(carrier: EmbeddingSet, members: int | Iterable[int]) -> CMType:
@@ -121,19 +114,6 @@ def enumerate_cm_types(carrier: EmbeddingSet, cap: int = 20) -> Iterator[CMType]
             bit = (code >> (g - 1 - i)) & 1
             mask |= 1 << (hi if bit else lo)
         yield CMType(carrier, mask)
-
-
-def induced_type(phi: CMType, s: int) -> RegularCMType:
-    """The CM-type on the full group induced at the point s: t is a member
-    iff the translate of s by t lies in phi."""
-    carrier = phi.carrier
-    if not 0 <= s < carrier.size:
-        raise NotACMType(f"point {s} out of range")
-    members = 0
-    for t, row in enumerate(carrier.action):
-        if phi.members >> row[s] & 1:
-            members |= 1 << t
-    return RegularCMType(carrier.parent, members)
 
 
 def hodge_numbers(carrier: EmbeddingSet, r: int) -> dict[tuple[int, int], int]:

@@ -265,8 +265,8 @@ class EmbeddingSet:
         order: per factor, the table entries of its nibbles OR-ed into one
         packed int, unpacked and shifted up to the factor's offset.
 
-        Every translation goes through these tables (``translate_mask`` and
-        ``conj_mask`` pick one image), so CM-types and monomials cannot be
+        Every translation goes through these tables (the conjugate of a
+        set is its image under iota), so CM-types and monomials cannot be
         translated differently.
         """
         unpack, factors = self._translate_tables
@@ -282,14 +282,6 @@ class EmbeddingSet:
             part = unpack(packed.to_bytes(8 * len(images), "little"))
             images = list(map(or_, images, map(lshift, part, repeat(offset)))) if offset else list(part)
         return images
-
-    def translate_mask(self, t: int, mask: int) -> int:
-        """Elementwise image of a point set under left translation by t."""
-        return self.translates(mask)[t]
-
-    def conj_mask(self, mask: int) -> int:
-        """Elementwise conjugate of a point set: its translate by iota."""
-        return self.translate_mask(self.parent.iota, mask)
 
 
 def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> EmbeddingSet:

@@ -115,14 +115,20 @@ def galois_orbits(carrier, deltas: list[int]) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class DecompositionReport:
     """Full per-degree classification: the valid monomials, their orbits,
-    and the divisor-generated / exotic split, all canonically sorted."""
+    and the exotic ones, all canonically sorted; the rest of the valid
+    monomials are divisor-generated."""
 
     p: int
     valid: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
     valid_pair_count: int
-    decomposable: tuple[int, ...]
     exotic: tuple[int, ...]
+
+    @property
+    def decomposable(self) -> tuple[int, ...]:
+        """The valid monomials that are not exotic, ascending."""
+        exotic = set(self.exotic)
+        return tuple(d for d in self.valid if d not in exotic)
 
     @property
     def hodge_dim(self) -> int:
@@ -131,7 +137,7 @@ class DecompositionReport:
     @property
     def lefschetz_dim(self) -> int:
         # counts only products of degree-2 classes of the variety itself
-        return len(self.decomposable)
+        return self.hodge_dim - len(self.exotic)
 
 
 def classify(phi: CMType, p: int) -> DecompositionReport:
@@ -146,17 +152,15 @@ def classify(phi: CMType, p: int) -> DecompositionReport:
     valid = enumerate_valid(phi, p)
     orbits = galois_orbits(phi.carrier, valid)
     pairs = phi.class_pairs
-    decomposable = []
     exotic = []
     for orbit in orbits:
         d = orbit[0]
-        balanced = all((d & u).bit_count() == (d & w).bit_count() for u, w in pairs)
-        (decomposable if balanced else exotic).extend(orbit)
+        if any((d & u).bit_count() != (d & w).bit_count() for u, w in pairs):
+            exotic.extend(orbit)
     return DecompositionReport(
         p=p,
         valid=tuple(valid),
         orbits=tuple(orbits),
         valid_pair_count=sum(u.bit_count() ** 2 for u, _ in pairs),
-        decomposable=tuple(sorted(decomposable)),
         exotic=tuple(sorted(exotic)),
     )

@@ -11,15 +11,17 @@ Each output is encoded once, and each monomial in it is written once.
 each byte's points already written out, and a degree, a certificate or a
 deltas listing maps each of its monomials to that text once; every list
 of monomials (and the orbits, a list of such lists) is then joined from
-those texts.  ``_object`` assembles an object in key order from values it
-encodes with ``canonical_json`` and values given as text, and
-``_document`` does the same for a whole output: it hashes the joined
-text, which is the canonical serialization without ``content_hash``, and
-inserts the hash at its sorted key position.  A bundle is joined from the
-finished text of each certificate, and the instance is encoded once per
-output.  The verifier checks the inserted hashes with an encoder of its
-own, which rebuilds the canonical text from the parsed document and never
-calls into this assembly.
+those texts.  A certificate is written straight from its degree's Galois
+orbits and the CM-type's induced-type masks, and writes each induced type
+that a witness's family lists once.  ``_object`` assembles an object in
+key order from values it encodes with ``canonical_json`` and values given
+as text, and ``_document`` does the same for a whole output: it hashes
+the joined text, which is the canonical serialization without
+``content_hash``, and inserts the hash at its sorted key position.  A
+bundle is joined from the finished text of each certificate, and the
+instance is encoded once per output.  The verifier checks the inserted
+hashes with an encoder of its own, which rebuilds the canonical text from
+the parsed document and never calls into this assembly.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from typing import Iterable
 
 from . import __version__
 from .cmtypes import hodge_numbers
+from .groups import bits
 from .instance import BuiltInstance, InstanceSpec
 from .lattice import orbit_matrix
 from .monomials import DecompositionReport
-from .weil import CoverageCertificate
 
 REPORT_KIND = "cmhodge.report"
 # version 2: each orbit listed once; ``verify`` still reads version 1
@@ -197,33 +199,44 @@ def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionRepo
     )
 
 
-def certificate_payload(spec: InstanceSpec, cert: CoverageCertificate) -> str:
-    """The canonical text of one certificate, content hash included."""
-    return _certificate(_instance_text(spec), spec.order, cert)
+def _certificate(instance: str, order: int, types: tuple[int, ...], p: int, orbits: list[tuple[int, ...]]) -> str:
+    """The canonical text of one certificate, content hash included, with a
+    split-Weil witness for each Galois orbit as ``galois_orbits`` lists it.
 
+    A witness is read from its orbit and the induced-type masks ``types``
+    of the CM-type: its ``delta`` is the orbit's least member, its
+    ``family`` the induced type at each point of ``delta``, and its
+    ``covered_translates`` the orbit, so each orbit is listed once.  For a
+    valid monomial the induced family is balanced, which is the criterion
+    for the associated product variety to be of split Weil type.
 
-def _certificate(instance: str, order: int, cert: CoverageCertificate) -> str:
-    # the transcript, Weil data and verdict are forced by validity (see
-    # ``weil``); they are written out for the verifier to recheck.  Each
-    # orbit is listed once, as its witness's covered translates, whose
-    # least member is the witness's delta
-    p = cert.p
-    covered = [list(map(_monomial_text, w.covered_translates)) for w in cert.witnesses]
+    The rest is forced, and is written out for the verifier to recheck
+    from the raw tables.  The verdict, that the covered translates exhaust
+    the valid set, holds because the orbits partition it
+    (``galois_orbits`` raises ``NotClosed`` if a translate escapes it).
+    The balanced transcript is the validity count vector in another guise:
+    the number of family members containing t is the number of points of
+    t*delta in phi, so it is p at every group element.  The Weil
+    numerology is d = 2p, and the d-fold exterior power of a rank-d module
+    over the split field has rank 1, of dimension |G| over Q.
+    """
+    covered = [list(map(_monomial_text, orbit)) for orbit in orbits]
+    points = [bits(orbit[0]) for orbit in orbits]
     # a family member is the induced type at a point: write each one once
-    types = {f.members: None for w in cert.witnesses for f in w.family}
-    family = dict(zip(types, map(_monomial_text, types)))
+    used = {types[s]: None for pts in points for s in pts}
+    family = dict(zip(used, map(_monomial_text, used)))
     transcript = canonical_json([p] * order)[:-1]
     weil_data = canonical_json({"d": 2 * p, "rank_over_f": 1, "dim_over_q": order})[:-1]
     witnesses = _list(
         _object(
             {},
             delta=texts[0],
-            family=_list(family[f.members] for f in w.family),
+            family=_list(family[types[s]] for s in pts),
             balanced_transcript=transcript,
             covered_translates=_list(texts),
             weil_data=weil_data,
         )
-        for w, texts in zip(cert.witnesses, covered)
+        for pts, texts in zip(points, covered)
     )
     return _document(
         {"kind": CERTIFICATE_KIND, "version": __version__, "p": p, "verdict": True},
@@ -233,11 +246,14 @@ def _certificate(instance: str, order: int, cert: CoverageCertificate) -> str:
     )
 
 
-def certificate_bundle(spec: InstanceSpec, certs: list[CoverageCertificate]) -> str:
-    """The canonical text of a bundle, joined from the finished text of
-    each certificate."""
-    instance = _instance_text(spec)
-    certificates = _list(_certificate(instance, spec.order, c)[:-1] for c in certs)
+def certificate_bundle(built: BuiltInstance, per_degree: list[tuple[int, list[tuple[int, ...]]]]) -> str:
+    """The canonical text of a bundle of one certificate per (p, Galois
+    orbits) pair, joined from the finished text of each certificate."""
+    instance = _instance_text(built.spec)
+    types = built.cm_type.induced_types
+    certificates = _list(
+        _certificate(instance, built.group.order, types, p, orbits)[:-1] for p, orbits in per_degree
+    )
     return _document(
         {"kind": BUNDLE_KIND, "version": __version__},
         instance=instance,

@@ -3,7 +3,11 @@
 Takes nothing in a certificate on trust: the group axioms, the CM-type
 partition, validity of every monomial, the induced families, the balanced
 transcripts, and the coverage claim are all recomputed from the raw tables
-in the file and compared against what the certificate asserts.
+in the file and compared against what the certificate asserts.  The
+producer writes each witness from its orbit and the CM-type's induced-type
+masks; the verifier recomputes those masks from the tables, turns them
+into point lists once per certificate, and compares each stored family
+member with them as a list, so no stored element is shifted into a mask.
 
 Each content hash is checked once, on text the verifier encodes itself
 and never takes from ``report``.  ``_encoded`` encodes every top-level
@@ -47,7 +51,7 @@ from typing import Iterable
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
-from .groups import EmbeddingSet, build_group, embedding_set
+from .groups import EmbeddingSet, bits, build_group, embedding_set
 from .monomials import HALF_TABLE_CAP, valid_delta
 from .report import BUNDLE_KIND, CERTIFICATE_KIND, canonical_json
 
@@ -279,6 +283,7 @@ def _verify(
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
+    induced = [bits(t) for t in phi.induced_types]  # the induced type at each point
     found: list[int] = []  # the checked covered translates, witness by witness
     for i, w in enumerate(witnesses):
         delta = sum(map(bit, w["delta"]))
@@ -294,7 +299,7 @@ def _verify(
         if len(family) != len(delta_points):
             return _fail("induced_family", f"witness {i} family size differs from |delta|")
         for s, stored in zip(delta_points, family):
-            if tuple(sorted(stored)) != phi.induced_types[s].elements:
+            if sorted(stored) != induced[s]:
                 return _fail(
                     "induced_family",
                     f"witness {i}: stored type at point {s} is not the induced type",

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
 from cmhodge.catalog import catalog, sweep_instances
+from cmhodge.cmtypes import CMType
+from cmhodge.groups import bits
 from cmhodge.instance import BuiltInstance, build_instance
-from cmhodge.report import canonical_json
+from cmhodge.monomials import enumerate_valid, galois_orbits
+from cmhodge.report import canonical_json, certificate_bundle
 
 
 def content_hash(doc: dict) -> str:
@@ -15,6 +20,31 @@ def content_hash(doc: dict) -> str:
     its output and of how the verifier re-encodes it."""
     stripped = {k: v for k, v in doc.items() if k != "content_hash"}
     return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
+
+
+def with_cm_type(built: BuiltInstance, phi: CMType) -> BuiltInstance:
+    """``built`` with phi as its CM-type, in its spec too."""
+    return replace(built, spec=replace(built.spec, cm_type=tuple(bits(phi.members))), cm_type=phi)
+
+
+def written_bundle(built: BuiltInstance, degrees: list[int]) -> str:
+    """The bundle ``witness`` writes for these degrees."""
+    orbits = [galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p)) for p in degrees]
+    return certificate_bundle(built, list(zip(degrees, orbits)))
+
+
+def written_certificate(built: BuiltInstance, p: int) -> dict:
+    """The degree-p certificate as ``witness`` writes it, read back from a
+    bundle of that degree alone: it carries its own content hash."""
+    return json.loads(written_bundle(built, [p]))["certificates"][0]
+
+
+def induced_family(built: BuiltInstance) -> list[list[int]]:
+    """The induced type at every point, as written: at the top degree the
+    one valid monomial is every point, so its witness lists them all."""
+    (witness,) = written_certificate(built, built.embeddings.size // 2)["witnesses"]
+    assert witness["delta"] == list(range(built.embeddings.size))
+    return witness["family"]
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ import io
 import json
 import runpy
 from contextlib import redirect_stdout
-from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -22,10 +21,8 @@ from cmhodge.groups import bits, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import classify, enumerate_valid
-from cmhodge.report import certificate_payload
 from cmhodge.verify import verify_certificate
-from cmhodge.weil import coverage_certificate
-from conftest import content_hash
+from conftest import content_hash, with_cm_type, written_certificate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SWEEP_SCRIPT = Path(__file__).parents[1] / "scripts" / "sweep_order8_degree2.py"
@@ -61,21 +58,18 @@ def test_criterion_2_theorem1_coverage(order8_instances):
     for built in order8_instances:
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):
-            spec = replace(built.spec, cm_type=tuple(bits(phi.members)))
+            with_phi = with_cm_type(built, phi)
             for p in range(half + 1):
-                cert = coverage_certificate(phi, p)
-                covered = sorted({d for w in cert.witnesses for d in w.covered_translates})
-                assert covered == enumerate_valid(phi, p), (built.spec.name, bits(phi.members), p)
-                payload = json.loads(certificate_payload(spec, cert))
+                payload = written_certificate(with_phi, p)
                 # each orbit is listed once: together they are the valid set
                 listed = [mask_of(d) for w in payload["witnesses"] for d in w["covered_translates"]]
+                covered = sorted(set(listed))
+                assert covered == enumerate_valid(phi, p), (built.spec.name, bits(phi.members), p)
                 assert payload["verdict"] and sorted(listed) == covered
-                for w, stored in zip(cert.witnesses, payload["witnesses"], strict=True):
+                for w in payload["witnesses"]:
                     # recount the transcript from the induced family
-                    recount = tuple(
-                        sum(f.members >> t & 1 for f in w.family) for t in built.group.elements()
-                    )
-                    assert tuple(stored["balanced_transcript"]) == recount == (p,) * built.group.order
+                    recount = tuple(sum(t in f for f in w["family"]) for t in built.group.elements())
+                    assert tuple(w["balanced_transcript"]) == recount == (p,) * built.group.order
                 assert verify_certificate(payload).ok, (built.spec.name, bits(phi.members), p)
                 certs += 1
     passed(2, f"coverage verdict true and transcripts balanced for {certs} certificates")
@@ -90,10 +84,10 @@ def test_criterion_3_closure_invariants(order8_instances):
             for p, valid in valid_by_p.items():
                 dual = valid_by_p[half - p]
                 for d in valid:
-                    assert s.conj_mask(d) in valid
+                    assert s.translates(d)[s.parent.iota] in valid
                     assert (s.all_mask ^ d) in dual
                     for t in built.group.elements():
-                        assert s.translate_mask(t, d) in valid
+                        assert s.translates(d)[t] in valid
     passed(3, "translation, conjugation and complement closure hold on the full sweep")
 
 
@@ -157,12 +151,9 @@ def test_criterion_7_order8_degree2_sweep():
 def test_criterion_8_certificate_integrity(z4, order8_instances):
     for built in order8_instances:
         for p in built.degrees:
-            payload = json.loads(
-                certificate_payload(built.spec, coverage_certificate(built.cm_type, p))
-            )
-            assert verify_certificate(payload).ok
+            assert verify_certificate(written_certificate(built, p)).ok
 
-    payload = json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1)))
+    payload = written_certificate(z4, 1)
     mutations = []
     doc = copy.deepcopy(payload)
     doc["witnesses"][0]["family"][0] = [0, 2]

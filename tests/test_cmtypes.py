@@ -8,11 +8,11 @@ import pytest
 from cmhodge.cmtypes import (
     enumerate_cm_types,
     hodge_numbers,
-    induced_type,
     validate_cm_type,
 )
 from cmhodge.errors import CapExceeded, NotACMType
 from cmhodge.groups import bits, mask_of
+from conftest import induced_family
 
 
 def test_validate_accepts_one_per_pair(z2):
@@ -63,23 +63,23 @@ def test_enumerate_all_are_cm_types(order8_instances):
 
 def test_induced_at_identity_is_phi(z4):
     phi = z4.cm_type  # regular set: points are group elements
-    reg = induced_type(phi, z4.group.identity)
-    assert reg.members == phi.members
+    reg = induced_family(z4)[z4.group.identity]
+    assert mask_of(reg) == phi.members
 
 
 def test_induced_z4_at_point_one(z4):
-    reg = induced_type(z4.cm_type, 1)
-    assert sorted(reg.elements) == [0, 3]
+    reg = induced_family(z4)[1]
+    assert sorted(reg) == [0, 3]
 
 
 def test_induced_satisfies_regular_invariant(order8_instances):
     for built in order8_instances:
         g = built.group
-        for s in range(built.embeddings.size):
-            reg = induced_type(built.cm_type, s)
-            image = mask_of(g.mul(g.iota, t) for t in reg.elements)
-            assert reg.members & image == 0
-            assert reg.members | image == (1 << g.order) - 1
+        for reg in induced_family(built):
+            members = mask_of(reg)
+            image = mask_of(g.mul(g.iota, t) for t in reg)
+            assert members & image == 0
+            assert members | image == (1 << g.order) - 1
 
 
 def test_induced_along_orbit(order8_instances):
@@ -87,26 +87,28 @@ def test_induced_along_orbit(order8_instances):
     # the composed translate
     for built in order8_instances:
         g, s_set, phi = built.group, built.embeddings, built.cm_type
+        family = induced_family(built)
         for s in range(s_set.size):
             for t in g.elements():
-                reg = induced_type(phi, s_set.action[t][s])
+                reg = mask_of(family[s_set.action[t][s]])
                 for u in g.elements():
                     expected = phi.members >> s_set.action[g.mul(u, t)][s] & 1
-                    assert (reg.members >> u & 1) == expected
+                    assert (reg >> u & 1) == expected
 
 
 def test_translate_identity_and_conj_involution(z4):
-    phi, s = z4.cm_type, z4.embeddings
-    assert s.translate_mask(z4.group.identity, phi.members) == phi.members
-    assert s.conj_mask(s.conj_mask(phi.members)) == phi.members
+    phi, s, g = z4.cm_type, z4.embeddings, z4.group
+    assert s.translates(phi.members)[g.identity] == phi.members
+    conj = s.translates(phi.members)[g.iota]
+    assert s.translates(conj)[g.iota] == phi.members
     assert phi.members in phi.rows
 
 
 def test_translate_by_iota_is_conjugate(z4):
     phi, s = z4.cm_type, z4.embeddings  # phi = {0,1}
-    tau = s.translate_mask(2, phi.members)
+    tau = s.translates(phi.members)[2]
     assert tau == mask_of([2, 3])
-    assert tau == s.conj_mask(phi.members)
+    assert tau == s.translates(phi.members)[z4.group.iota]
     assert tau in phi.rows
 
 
@@ -115,7 +117,7 @@ def test_translates_stay_cm_types(order8_instances):
         s = built.embeddings
         for phi in enumerate_cm_types(s):
             assert phi.rows == tuple(
-                sorted({s.translate_mask(t, phi.members) for t in built.group.elements()})
+                sorted({s.translates(phi.members)[t] for t in built.group.elements()})
             )
             for row in phi.rows:
                 validate_cm_type(s, row)

@@ -26,7 +26,7 @@ from cmhodge.groups import bits
 from cmhodge.instance import build_instance, parse_instance, serialize_instance
 from cmhodge.monomials import enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json
-from conftest import content_hash
+from conftest import content_hash, written_bundle
 
 # product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input
 PRODUCT = "product-6..13"
@@ -172,11 +172,15 @@ def test_monomial_text_matches_canonical_json():
 
 
 def test_family_text_of_each_point_matches_canonical_json():
-    # a witness's family lists the induced type at each point of its delta
+    # a witness's family lists the induced type at each point of its delta;
+    # the one witness of the top degree has every point
     fixture = build_instance(parse_instance(M68_PATH.read_text(encoding="utf-8")))
     for built in (*map(build_instance, sweep_instances(16)), fixture):
-        for t in built.cm_type.induced_types:
-            assert report._monomial_text(t.members) == canonical_json(list(t.elements))[:-1]
+        text = written_bundle(built, [built.embeddings.size // 2])
+        doc = json.loads(text)
+        assert canonical_json(doc) == text
+        (witness,) = doc["certificates"][0]["witnesses"]
+        assert witness["family"] == [bits(t) for t in built.cm_type.induced_types]
 
 
 @pytest.mark.parametrize("command", ("analyze", "witness"))
@@ -188,7 +192,7 @@ def test_each_monomial_is_written_once(command, monomial_texts):
     phi = built.cm_type
     valid = [enumerate_valid(phi, p) for p in built.degrees]
     reps = [[orbit[0] for orbit in galois_orbits(built.embeddings, v)] for v in valid]
-    types = [len({phi.induced_types[s].members for d in r for s in bits(d)}) for r in reps]
+    types = [len({phi.induced_types[s] for d in r for s in bits(d)}) for r in reps]
     assert run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")[0] == 0
     hodge_dims = sum(map(len, valid))
     assert len(monomial_texts) == hodge_dims + (sum(types) if command == "witness" else 0) > 0

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from cmhodge.catalog import catalog, cyclic_table, dihedral_table
-from cmhodge.cmtypes import conjugate_pairs, induced_type, validate_cm_type
+from cmhodge.cmtypes import conjugate_pairs, validate_cm_type
 from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
-from cmhodge.groups import bits, build_group, coset_space, embedding_set, mask_of
-from cmhodge.instance import build_instance, parse_instance
-from cmhodge.weil import coverage_certificate
+from cmhodge.groups import EmbeddingSet, bits, build_group, coset_space, embedding_set, mask_of
+from cmhodge.instance import BuiltInstance, InstanceSpec, parse_instance
+from conftest import induced_family, written_certificate
 
 # every catalog carrier up to order 32, two carriers of several factors,
 # the m = 68 carrier, a regular order-64 carrier (every element's image
@@ -155,20 +156,32 @@ def test_conj_is_fixed_point_free_involution(order8_instances):
             assert s.conj[s.conj[x]] == x
 
 
-def table_carrier(name):
+def table_spec(name) -> InstanceSpec:
     if name == "m68":  # 68 points: past 64 bits, and not a multiple of 8
-        return build_instance(parse_instance(M68.read_text(encoding="utf-8"))).embeddings
+        return parse_instance(M68.read_text(encoding="utf-8"))
     entry, _, factors = name.partition(" ")
     spec = catalog(*entry.split(":"))
-    group = build_group(spec.order, spec.mult, spec.iota)
-    return embedding_set(group, json.loads(factors) if factors else spec.factors)
+    return replace(spec, factors=tuple(map(tuple, json.loads(factors)))) if factors else spec
+
+
+def table_carrier(spec: InstanceSpec) -> EmbeddingSet:
+    return embedding_set(build_group(spec.order, spec.mult, spec.iota), spec.factors)
+
+
+def random_cm_types(spec: InstanceSpec, carrier: EmbeddingSet, rng: random.Random, count: int):
+    """``count`` random CM-types on the carrier, each in its instance."""
+    pairs = conjugate_pairs(carrier)
+    for _ in range(count):
+        phi = validate_cm_type(carrier, [rng.choice(pair) for pair in pairs])
+        yield BuiltInstance(replace(spec, cm_type=tuple(bits(phi.members))), carrier.parent, carrier, phi)
 
 
 @pytest.mark.parametrize("name", TABLE_CARRIERS)
 def test_byte_tables_match_plain_loops(name):
     # the tables against the per-point definitions, so that a table bug
     # cannot agree with itself
-    carrier = table_carrier(name)
+    spec = table_spec(name)
+    carrier = table_carrier(spec)
     m = carrier.size
     rng = random.Random(name)
     masks = [0, carrier.all_mask, 1 << (m - 1)] + [rng.getrandbits(m) for _ in range(30)]
@@ -177,28 +190,26 @@ def test_byte_tables_match_plain_loops(name):
         assert bits(mask) == points
         images = [mask_of(row[s] for s in points) for row in carrier.action]
         assert carrier.translates(mask) == images
-        assert [carrier.translate_mask(t, mask) for t in range(len(images))] == images
-        assert carrier.conj_mask(mask) == mask_of(carrier.conj[s] for s in points)
-    for _ in range(3):
-        phi = validate_cm_type(carrier, [rng.choice(pair) for pair in conjugate_pairs(carrier)])
+        assert carrier.translates(mask)[carrier.parent.iota] == mask_of(carrier.conj[s] for s in points)
+    for built in random_cm_types(spec, carrier, rng, 3):
+        family = induced_family(built)
         for s in range(m):
             # t is in the induced type iff the translate of s by t lies in phi
-            members = [t for t, row in enumerate(carrier.action) if phi.members >> row[s] & 1]
-            assert list(induced_type(phi, s).elements) == members
+            members = [t for t, row in enumerate(carrier.action) if built.cm_type.members >> row[s] & 1]
+            assert family[s] == members
 
 
 @pytest.mark.parametrize("name", [n for n in TABLE_CARRIERS if "64" not in n])
 def test_induced_type_table(name):
-    carrier = table_carrier(name)
-    rng = random.Random(name)
-    for _ in range(2):
-        phi = validate_cm_type(carrier, [rng.choice(pair) for pair in conjugate_pairs(carrier)])
-        table = phi.induced_types
+    spec = table_spec(name)
+    carrier = table_carrier(spec)
+    for built in random_cm_types(spec, carrier, random.Random(name), 2):
+        table = built.cm_type.induced_types
         assert len(table) == carrier.size
-        assert all(table[s] == induced_type(phi, s) for s in range(carrier.size))
-        # witnesses hold the table's own objects, not copies
-        for w in coverage_certificate(phi, 1).witnesses:
-            assert all(f is table[s] for s, f in zip(bits(w.delta), w.family, strict=True))
+        assert [bits(t) for t in table] == induced_family(built)
+        # each witness lists the table's type at each point of its delta
+        for w in written_certificate(built, 1)["witnesses"]:
+            assert w["family"] == [bits(table[s]) for s in w["delta"]]
 
 
 def test_bits_past_the_tables():

@@ -65,7 +65,7 @@ def test_dedup_against_stabilizer(order8_instances):
         for phi in enumerate_cm_types(s):
             matrix = orbit_matrix(phi)
             stab = sum(
-                1 for t in g.elements() if s.translate_mask(t, phi.members) == phi.members
+                1 for t in g.elements() if s.translates(phi.members)[t] == phi.members
             )
             assert len(matrix.rows) * stab == g.order
 
@@ -161,7 +161,7 @@ def test_system_agrees_with_direct_check_exhaustively(order8_instances):
                 for pts in combinations(range(m), 2 * p):
                     delta = mask_of(pts)
                     literal = all(
-                        (s.translate_mask(t, delta) & phi.members).bit_count() == p
+                        (s.translates(delta)[t] & phi.members).bit_count() == p
                         for t in built.group.elements()
                     )
                     assert valid_delta(phi, delta, p) == literal

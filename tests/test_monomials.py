@@ -147,9 +147,9 @@ def test_translation_and_conjugation_closure(order8_instances):
             for p in range(half + 1):
                 valid = set(enumerate_valid(phi, p))
                 for d in valid:
-                    assert s.conj_mask(d) in valid
+                    assert s.translates(d)[s.parent.iota] in valid
                     for t in built.group.elements():
-                        assert s.translate_mask(t, d) in valid
+                        assert s.translates(d)[t] in valid
 
 
 def test_complement_duality(order8_instances):
@@ -236,7 +236,7 @@ def test_class_pairs_partition_points(order8_instances):
         for phi in enumerate_cm_types(carrier):
             covered = 0
             for u, w in phi.class_pairs:
-                assert carrier.conj_mask(u) == w
+                assert carrier.translates(u)[carrier.parent.iota] == w
                 assert u.bit_count() == w.bit_count()
                 assert not (u & w or covered & (u | w))
                 covered |= u | w

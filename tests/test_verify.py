@@ -23,14 +23,12 @@ from cmhodge.report import (
     CERTIFICATE_KIND,
     canonical_json,
     certificate_bundle,
-    certificate_payload,
     instance_payload,
 )
 from cmhodge import verify
 from cmhodge.groups import build_group
 from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
-from cmhodge.weil import coverage_certificate
-from conftest import content_hash
+from conftest import content_hash, written_bundle, written_certificate
 
 
 # outputs of format version 1, as written before version 2 dropped the
@@ -45,7 +43,7 @@ def v1_fixture(name: str) -> dict:
 
 @pytest.fixture()
 def payload(z4):
-    return json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, 1)))
+    return written_certificate(z4, 1)
 
 
 @pytest.fixture()
@@ -75,6 +73,18 @@ def test_flipped_family_bit(payload):
     doc["witnesses"][0]["family"][0] = [0, 2]  # induced type is [0, 1]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "induced_family"
+
+
+@pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
+def test_family_element_outside_the_group(tmp_path, capsys, payload, element):
+    # |G| = 4: the stored type is compared with the induced one as a list,
+    # so an element past the group fails the check and shifts nothing
+    doc = copy.deepcopy(payload)
+    doc["witnesses"][0]["family"][0] = [0, element]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(rehash(doc)))
+    assert main(["verify", "--certify", str(path)]) == 3
+    assert "fail [induced_family]" in capsys.readouterr().out
 
 
 def test_invalid_delta(payload):
@@ -134,8 +144,7 @@ def d8_p2():
 
 @pytest.fixture(scope="module")
 def d8_p2_v2():
-    built = build_instance(catalog("dihedral", "8"))
-    return json.loads(certificate_payload(built.spec, coverage_certificate(built.cm_type, 2)))
+    return written_certificate(build_instance(catalog("dihedral", "8")), 2)
 
 
 def _drop_orbit(doc):
@@ -244,8 +253,7 @@ def test_content_hash_helper_is_stable(payload):
 
 
 def _z4_bundle(z4) -> dict:
-    certs = [coverage_certificate(z4.cm_type, p) for p in z4.degrees]
-    return json.loads(certificate_bundle(z4.spec, certs))
+    return json.loads(written_bundle(z4, z4.degrees))
 
 
 def test_bundle_with_bad_group_fails_group_axioms_on_every_certificate(z4):
@@ -266,25 +274,25 @@ def test_bundle_builds_its_instance_once(z4, monkeypatch):
     assert len(calls) == 1
 
 
-def _empty_bundle(spec, payload):
-    return json.loads(certificate_bundle(spec, []))
+def _empty_bundle(built, payload):
+    return json.loads(certificate_bundle(built, []))
 
 
-def _bundle_without_certificates(spec, payload):
-    bundle = json.loads(certificate_bundle(spec, []))
+def _bundle_without_certificates(built, payload):
+    bundle = json.loads(certificate_bundle(built, []))
     del bundle["certificates"]
     return rehash(bundle)
 
 
-def _bundle_of_non_object(spec, payload):
-    return rehash({**json.loads(certificate_bundle(spec, [])), "certificates": [1]})
+def _bundle_of_non_object(built, payload):
+    return rehash({**json.loads(certificate_bundle(built, [])), "certificates": [1]})
 
 
-def _top_level_array(spec, payload):
+def _top_level_array(built, payload):
     return [payload]
 
 
-def _boolean_p(spec, payload):
+def _boolean_p(built, payload):
     return rehash({**payload, "p": True})  # True == 1 in Python, not in the schema
 
 
@@ -300,7 +308,7 @@ def _at(doc, path):
 def _set(path, value):
     """A document maker that replaces the node at path and rehashes."""
 
-    def make(spec, payload):
+    def make(built, payload):
         doc = copy.deepcopy(payload)
         node, key = _at(doc, path)
         node[key] = value
@@ -309,7 +317,7 @@ def _set(path, value):
     return make
 
 
-def _without_weil_data(spec, payload):
+def _without_weil_data(built, payload):
     doc = copy.deepcopy(payload)
     del doc["witnesses"][0]["weil_data"]
     return rehash(doc)
@@ -317,23 +325,23 @@ def _without_weil_data(spec, payload):
 
 def _v1(make):
     """A document maker that starts from the version-1 z4 certificate."""
-    return lambda spec, payload: make(spec, v1_fixture("z4-p1.certificate.json"))
+    return lambda built, payload: make(built, v1_fixture("z4-p1.certificate.json"))
 
 
-def _bundle_of_v1_certificate(spec, payload):
+def _bundle_of_v1_certificate(built, payload):
     # a version-2 bundle may hold only version-2 certificates
     certs = [payload, v1_fixture("z4-p1.certificate.json")]
-    return rehash({**json.loads(certificate_bundle(spec, [])), "certificates": certs})
+    return rehash({**json.loads(certificate_bundle(built, [])), "certificates": certs})
 
 
-def _v1_bundle_of_v2_certificate(spec, payload):
+def _v1_bundle_of_v2_certificate(built, payload):
     bundle = v1_fixture("cyclic8.bundle.json")
     return rehash({**bundle, "instance": payload["instance"], "certificates": [payload]})
 
 
-def _bundle_of_other_instance(spec, payload):
+def _bundle_of_other_instance(built, payload):
     # z4 certificates under a bundle that declares cyclic:8
-    bundle = {**json.loads(certificate_bundle(spec, [])), "certificates": [payload]}
+    bundle = {**json.loads(certificate_bundle(built, [])), "certificates": [payload]}
     return rehash({**bundle, "instance": instance_payload(catalog("cyclic", "8"))})
 
 
@@ -365,7 +373,7 @@ def _bundle_of_other_instance(spec, payload):
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(make(z4.spec, payload)))
+    path.write_text(json.dumps(make(z4, payload)))
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(["verify", "--certify", str(path)])
@@ -400,7 +408,7 @@ _JUNK = (-1, "x", None, [], {}, True, 2.5)
 def _junk_doc(z4, data) -> dict:
     """A z4 certificate with one node replaced by junk, rehashed."""
     p = data.draw(st.sampled_from(z4.degrees))
-    doc = json.loads(certificate_payload(z4.spec, coverage_certificate(z4.cm_type, p)))
+    doc = written_certificate(z4, p)
     paths = [path for path in _node_paths(doc) if path not in _UNINTERPRETED]
     node, key = _at(doc, data.draw(st.sampled_from(paths)))
     junk = data.draw(st.sampled_from(_JUNK))
@@ -523,8 +531,7 @@ def _v1_bundle(instance: str) -> dict:
 
 def _v2_bundle(instance: str) -> dict:
     built = build_instance(catalog(*instance.split(":")))
-    certs = [coverage_certificate(built.cm_type, p) for p in built.degrees]
-    return json.loads(certificate_bundle(built.spec, certs))
+    return json.loads(written_bundle(built, built.degrees))
 
 
 def _tamper_corpus(bundle_of):
@@ -617,13 +624,13 @@ def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
         assert verify_document(doc) == [("bundle", _BUNDLE_HASH_MISMATCH)]
 
 
-def test_bundle_hash_is_checked_before_a_count_that_raises(payload):
+def test_bundle_hash_is_checked_before_a_count_that_raises(z4, payload):
     # a certificate whose count refuses: the bundle's stale hash is still
     # the verdict, and with a good hash the refusal gets through
     empty = {"witnesses": [], "orbit_reps": [], "verdict": True}
     inst = instance_payload(catalog("cyclic", "64"))
     cert = rehash({**payload, **empty, "instance": inst, "p": 16})
-    bundle = {**json.loads(certificate_bundle(catalog("cyclic", "4"), [])), "instance": inst, "certificates": [cert]}
+    bundle = {**json.loads(certificate_bundle(z4, [])), "instance": inst, "certificates": [cert]}
     assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
     with pytest.raises(CapExceeded):
         verify_document(rehash(bundle))
