@@ -17,7 +17,7 @@ from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
 from .groups import mask_of
 from .instance import BuiltInstance, build_instance, parse_instance, serialize_instance
 from .lattice import orbit_matrix
-from .monomials import classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
+from .monomials import check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
 from .report import analysis_report, certificate_bundle, deltas_report
 from .verify import verify_document
 
@@ -90,9 +90,17 @@ def _degrees(args, built: BuiltInstance) -> list[int]:
     return [p]
 
 
+def _listable_degrees(args, built: BuiltInstance) -> list[int]:
+    # count every degree before listing any, so a listing past the cap
+    # exits 4 before the lower degrees are worked out
+    degrees = _degrees(args, built)
+    check_listing_cap(built.cm_type, degrees)
+    return degrees
+
+
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
-    reports = [classify(built.cm_type, p) for p in _degrees(args, built)]
+    reports = [classify(built.cm_type, p) for p in _listable_degrees(args, built)]
     out.write(analysis_report(built, reports))
     return EXIT_OK
 
@@ -106,7 +114,7 @@ def _cmd_deltas(args, out) -> int:
             valid = [orbit[0] for orbit in galois_orbits(built.embeddings, valid)]
         return p, valid
 
-    per_degree = [one(p) for p in _degrees(args, built)]
+    per_degree = [one(p) for p in _listable_degrees(args, built)]
     out.write(deltas_report(built, per_degree, args.orbits_only))
     return EXIT_OK
 
@@ -114,7 +122,8 @@ def _cmd_deltas(args, out) -> int:
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
     per_degree = [
-        (p, galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))) for p in _degrees(args, built)
+        (p, galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p)))
+        for p in _listable_degrees(args, built)
     ]
     text = certificate_bundle(built, per_degree)
     if args.certify:

@@ -6,19 +6,33 @@ A monomial is a subset of the embedding points, held as a bit mask.  It is
 valid at degree p when every group translate meets the CM-type in exactly
 p points; the valid monomials index lines of Hodge classes after scalar
 extension, so their count is the Hodge-class dimension.
+
+The meet-in-the-middle enumerator matches tables of subsets of the two
+halves of the points by packed row weight.  The tables depend on m and
+the translate rows, not on the degree, so one module-level slot holds the
+tables of the rows last enumerated, and every degree of those rows reads
+them, in any order; a call on other rows replaces them.  The slot keeps at
+most ``HALF_TABLE_CAP`` subsets, as many as one half table may hold, and a
+table past that budget is built for its call and dropped.  The tables are
+not a cached property of ``CMType``: a sweep holds every type of a carrier
+at once, and each would keep its own.  ``check_listing_cap`` counts a
+degree's valid monomials from the same tables, so a command can refuse an
+input before listing any degree.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .cmtypes import CMType
 from .errors import CapExceeded, NotClosed
 from .groups import mask_of
 
-# largest number of subsets one half table of ``enumerate_valid`` may hold
+# largest number of subsets one half table of ``enumerate_valid`` may hold,
+# and the most its shared tables keep between calls
 HALF_TABLE_CAP = 10**7
 # largest number of masks ``enumerate_valid`` lists at one degree
 LISTING_CAP = 10**6
@@ -51,40 +65,125 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = 10**7) -> list[in
     return out
 
 
-def enumerate_valid(phi: CMType, p: int) -> list[int]:
-    """Meet-in-the-middle enumerator; must agree with the brute-force oracle.
+class _HalfTables:
+    """The tables of one set of translate rows; see the module docstring.
 
     Point s weighs ``1 + sum_k [s in rows[k]] << F*(k+1)``, F = m.bit_length(),
-    so a subset's weight packs its size and its count in each translate row
-    into F-bit fields.  No field carries, because it counts at most m < 2**F
-    points; so delta is valid iff its weight is ``2p + sum_k p << F*(k+1)``.
-    The size-k subsets of the low half of the points are indexed by weight,
-    and each size-(2p-k) subset of the high half looks up the weight that
-    completes the target (Horowitz-Sahni).  Masks come back ascending.
-    Raises ``CapExceeded``, before building anything, if a half table
-    would hold more than ``HALF_TABLE_CAP`` subsets, and as soon as the list
-    would hold more than ``LISTING_CAP`` masks.
+    over one row of each complementary pair: a size-2p subset meets the
+    other row of a pair in 2p minus its count in this one.  So a subset's
+    weight packs its size and its count in each kept row into F-bit fields,
+    and ``unit`` is the weight of a pair meeting each kept row once.  The
+    size-k subsets of a half are tabulated on first use, keyed (a dict from
+    weight to masks) or scanned (a list of weights and one of their masks).
     """
+
+    def __init__(self, m: int, rows: tuple[int, ...]):
+        self.key = (m, rows)
+        self.half = m // 2
+        f = m.bit_length()
+        full = (1 << m) - 1
+        rows = [r for r in rows if r < full ^ r]
+        self.weight = [1 + sum(1 << f * (k + 1) for k, r in enumerate(rows) if r >> s & 1) for s in range(m)]
+        self.unit = 2 + sum(1 << f * (k + 1) for k in range(len(rows)))
+        self.bit = [1 << s for s in range(m)]
+        self.kept: dict[tuple[int, int, bool], object] = {}
+        self.subsets = 0  # held in ``kept``
+
+    def table(self, side: int, k: int, keyed: bool):
+        """The size-k subsets of the low (side 0) or high (side 1) half."""
+        table = self.kept.get((side, k, keyed))
+        if table is None:
+            part = slice(self.half, None) if side else slice(self.half)
+            weights = map(sum, combinations(self.weight[part], k))
+            masks = map(sum, combinations(self.bit[part], k))
+            if keyed:
+                table = defaultdict(list)
+                for w, b in zip(weights, masks):
+                    table[w].append(b)
+            else:
+                table = list(weights), list(masks)
+            n = comb(self.half, k)
+            if self.subsets + n <= HALF_TABLE_CAP:
+                self.kept[side, k, keyed] = table
+                self.subsets += n
+        return table
+
+    def matches(self, p: int, sizes: range):
+        """For each split of 2p points into k low and 2p-k high: the keyed
+        table of the smaller side and the scanned lists of the other."""
+        for k in sizes:
+            j = 2 * p - k
+            if comb(self.half, k) <= comb(self.half, j):
+                yield self.table(0, k, keyed=True), self.table(1, j, keyed=False)
+            else:
+                yield self.table(1, j, keyed=True), self.table(0, k, keyed=False)
+
+
+# the tables of the rows last enumerated; other rows replace them
+_slot: _HalfTables | None = None
+
+
+def _half_tables(phi: CMType, p: int) -> tuple[_HalfTables, range]:
+    """The shared tables for phi and the low-half subset sizes degree p
+    reads.  Raises ``CapExceeded``, before building anything, if one half
+    table of those sizes would hold more than ``HALF_TABLE_CAP`` subsets."""
+    global _slot
     m = phi.carrier.size
     half = m // 2
     sizes = range(max(0, 2 * p - half), min(half, 2 * p) + 1)  # empty if 2p > m
     largest = max((comb(half, k) for k in sizes), default=0)
     if largest > HALF_TABLE_CAP:
         raise CapExceeded(f"a half table of {largest} subsets exceeds the cap of {HALF_TABLE_CAP}")
-    f = m.bit_length()
-    weight = [1 + sum(1 << f * (k + 1) for k, r in enumerate(phi.rows) if r >> s & 1) for s in range(m)]
-    target = 2 * p + sum(p << f * (k + 1) for k in range(len(phi.rows)))
-    bit = [1 << s for s in range(m)]
+    if _slot is None or _slot.key != (m, phi.rows):
+        _slot = _HalfTables(m, phi.rows)
+    return _slot, sizes
+
+
+def _listing_cap(p: int) -> CapExceeded:
+    return CapExceeded(f"degree {p} has more than {LISTING_CAP} valid monomials, the listing cap")
+
+
+def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
+    """Raise the ``CapExceeded`` that ``enumerate_valid`` would raise at the
+    first of these degrees that has one, without listing a monomial.
+
+    Each degree is counted from the shared half tables: every scanned
+    subset adds the number of keyed masks that complete it.  The listing
+    that follows reads the same tables.
+    """
+    for p in degrees:
+        tables, sizes = _half_tables(phi, p)
+        target = p * tables.unit
+        count = 0
+        for keyed, (weights, _) in tables.matches(p, sizes):
+            count += sum(map(len, map(keyed.get, map(target.__sub__, weights), repeat(()))))
+            if count > LISTING_CAP:
+                raise _listing_cap(p)
+
+
+def enumerate_valid(phi: CMType, p: int) -> list[int]:
+    """Meet-in-the-middle enumerator; must agree with the brute-force oracle.
+
+    A subset's packed weight (see ``_HalfTables``) holds its size and its
+    count in each kept row in fields that never carry, since each counts
+    at most m < 2**F points; so delta is valid iff its weight is
+    ``p * unit``.  For each split of the 2p points between the halves, each
+    subset of the scanned side looks up the keyed masks of the completing
+    weight (Horowitz-Sahni); the smaller side is keyed.  The tables are
+    shared with every other degree of the same rows.  Masks come back
+    ascending.  Raises ``CapExceeded``, before building anything, if a half
+    table would hold more than ``HALF_TABLE_CAP`` subsets, and as soon as
+    the list would hold more than ``LISTING_CAP`` masks.
+    """
+    tables, sizes = _half_tables(phi, p)
+    target = p * tables.unit
     out: list[int] = []
-    for k in sizes:
-        low: dict[int, list[int]] = {}
-        for w, b in zip(combinations(weight[:half], k), combinations(bit[:half], k)):
-            low.setdefault(sum(w), []).append(sum(b))
-        for w, b in zip(combinations(weight[half:], 2 * p - k), combinations(bit[half:], 2 * p - k)):
-            for lo in low.get(target - sum(w), ()):
-                out.append(sum(b) | lo)
-            if len(out) > LISTING_CAP:
-                raise CapExceeded(f"degree {p} has more than {LISTING_CAP} valid monomials, the listing cap")
+    for keyed, (weights, masks) in tables.matches(p, sizes):
+        for b, found in zip(masks, map(keyed.get, map(target.__sub__, weights))):
+            if found:
+                out.extend(map(b.__or__, found))
+                if len(out) > LISTING_CAP:
+                    raise _listing_cap(p)
     out.sort()
     return out
 

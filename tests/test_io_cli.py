@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from cmhodge.catalog import catalog, cyclic_table, sweep_instances
+from cmhodge import cli
 from cmhodge.cli import main
 from cmhodge.errors import NoCentralInvolution, ParseError, UnknownCatalogEntry, ValidationError
 from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
@@ -166,6 +167,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("verify", "--certify", str(bad))[0] == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 7
+
+
+def test_listing_cap_exits_before_any_degree_is_listed(monkeypatch, capsys):
+    # product:cyclic.8xcyclic.4 has 894,912 valid monomials at p = 5 and
+    # 2,665,648 at p = 6: every degree is counted before p = 0 is listed
+    def refuse(*args):
+        raise AssertionError("a degree was listed before the count")
+
+    for name in ("classify", "galois_orbits", "enumerate_valid"):
+        monkeypatch.setattr(cli, name, refuse)
+    for command in ("analyze", "witness", "deltas"):
+        capsys.readouterr()
+        assert run_cli(command, "--catalog", "product:cyclic.8xcyclic.4") == (4, ""), command
+        assert capsys.readouterr().err == (
+            "cap exceeded: degree 6 has more than 1000000 valid monomials, the listing cap\n"
+        )
 
 
 def test_cli_input_file(tmp_path):

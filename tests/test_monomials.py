@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import runpy
+from functools import cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -9,21 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmhodge.catalog import catalog, sweep_instances
-from cmhodge.cmtypes import enumerate_cm_types, validate_cm_type
+from cmhodge import monomials
+from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, NotClosed
 from cmhodge.groups import bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.monomials import (
+    check_listing_cap,
     classify,
     enumerate_valid,
     enumerate_valid_bruteforce,
     galois_orbits,
     valid_delta,
 )
-from cmhodge.verify import _count_valid
+from cmhodge.verify import _count_valid, verify_document
+from conftest import written_bundle
 
 EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
 MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
+# carriers for the shared-table tests: two catalog defaults and the mixed ones
+SLOT_CARRIERS = [("product:cyclic.4xcyclic.4", None), ("dihedral:16", None), *MIXED_CARRIERS]
 
 
 def masks(point_lists):
@@ -113,6 +121,96 @@ def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
             oracle = enumerate_valid_bruteforce(phi, p)
             assert enumerate_valid(phi, p) == oracle
             assert _count_valid(phi, p) == len(oracle)
+
+
+@cache
+def slot_carrier_types(index):
+    entry, factors = SLOT_CARRIERS[index]
+    if factors is None:
+        carrier = build_instance(catalog(*entry.split(":"))).embeddings
+    else:
+        carrier = mixed_carrier(entry, factors)
+    return carrier, list(enumerate_cm_types(carrier))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_shared_tables_match_the_oracle_in_any_order(data):
+    # degrees in shuffled order, calls alternating between two types of one
+    # carrier with different rows, and a translate of the first type, which
+    # has its rows and so reads its tables
+    carrier, types = slot_carrier_types(data.draw(st.integers(0, len(SLOT_CARRIERS) - 1)))
+    phi = data.draw(st.sampled_from(types))
+    other = data.draw(st.sampled_from([psi for psi in types if psi.rows != phi.rows]))
+    t = data.draw(st.integers(0, carrier.parent.order - 1))
+    moved = CMType(carrier, carrier.translates(phi.members)[t])
+    assert moved.rows == phi.rows
+    for p in data.draw(st.permutations(range(carrier.size // 2 + 1))):
+        oracle = enumerate_valid_bruteforce(phi, p)
+        assert enumerate_valid(phi, p) == oracle
+        slot = monomials._slot
+        assert enumerate_valid(moved, p) == oracle
+        assert monomials._slot is slot
+        assert enumerate_valid(other, p) == enumerate_valid_bruteforce(other, p)
+        assert monomials._slot is not slot
+
+
+def test_count_is_exact_at_the_listing_cap(monkeypatch):
+    # check_listing_cap lets a degree through iff it has at most
+    # LISTING_CAP valid monomials, so it counts each degree exactly
+    carrier, types = slot_carrier_types(0)
+    for phi in types[::37]:
+        for p in range(carrier.size // 2 + 1):
+            n = len(enumerate_valid_bruteforce(phi, p))
+            monkeypatch.setattr(monomials, "LISTING_CAP", n)
+            check_listing_cap(phi, [p])
+            monkeypatch.setattr(monomials, "LISTING_CAP", n - 1)
+            with pytest.raises(CapExceeded, match=f"degree {p} has more than {n - 1} valid monomials"):
+                check_listing_cap(phi, [p])
+
+
+def test_tables_past_the_retention_budget_are_dropped(monkeypatch):
+    # m = 16: one half table holds at most C(8, 4) = 70 subsets, and one
+    # degree reads 2 * 2**8 = 512 table entries in all at p = 4
+    _, types = slot_carrier_types(0)
+    phi = types[100]
+    monkeypatch.setattr(monomials, "_slot", None)
+    monkeypatch.setattr(monomials, "HALF_TABLE_CAP", 100)
+    for p in (4, 2, 8, 0, 5, 3, 7, 1, 6):
+        assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
+        slot = monomials._slot
+        assert slot.subsets == sum(comb(8, k) for _, k, _ in slot.kept) <= 100
+    # a table that would not fit is not kept, however often it is asked for
+    assert not any(k == 4 for _, k, _ in slot.kept)
+
+
+def test_listing_cap_leaves_the_tables_usable(monkeypatch):
+    _, types = slot_carrier_types(1)
+    phi = types[77]
+    oracle = enumerate_valid_bruteforce(phi, 4)
+    monkeypatch.setattr(monomials, "LISTING_CAP", 10)
+    with pytest.raises(CapExceeded, match="degree 4 has more than 10 valid monomials, the listing cap"):
+        enumerate_valid(phi, 4)
+    slot = monomials._slot
+    monkeypatch.undo()
+    assert enumerate_valid(phi, 4) == oracle
+    assert monomials._slot is slot
+
+
+def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
+    # the verifier's count, the brute force and the verifier itself must
+    # agree with the enumerator without sharing its tables
+    bundle = json.loads(written_bundle(z4, z4.degrees))
+    carrier, types = slot_carrier_types(3)
+
+    def refuse(*args):
+        raise AssertionError("an independent route built the enumerator's tables")
+
+    monkeypatch.setattr(monomials, "_slot", None)
+    monkeypatch.setattr(monomials, "_HalfTables", refuse)
+    assert all(result.ok for _, result in verify_document(bundle))
+    for p in range(carrier.size // 2 + 1):
+        assert _count_valid(types[5], p) == len(enumerate_valid_bruteforce(types[5], p))
 
 
 def test_orbits_z4(z4):
