@@ -18,7 +18,7 @@ old verifier says of the new one.
 
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
-to group order 16 is run.  Example, a parent checkout against the working
+to group order 16 is run, and ``tests/fixtures/d16-mixed.txt``.  Example, a parent checkout against the working
 tree:
 
     git archive HEAD | tar -x -C /tmp/parent
@@ -45,6 +45,8 @@ DEFAULT_INSTANCES = (
     "quaternion:8",
     "product:cyclic.4xcyclic.2",
     "product:cyclic.4xcyclic.4",
+    # a carrier of non-normal factors, whose points are cosets
+    str(Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "d16-mixed.txt"),
 )
 
 

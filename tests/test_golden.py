@@ -34,7 +34,11 @@ PRODUCT = "product-6..13"
 # multiple of 8, read through --input
 M68 = "m68"
 M68_PATH = Path(__file__).parent / "fixtures" / "m68.txt"
-INSTANCES = ("cyclic:8", "quaternion:8", "elementary-abelian:16", "cyclic:20", PRODUCT, M68)
+# dihedral:16 with the non-normal factors {1, s} and {1, rs}: a carrier that
+# is not regular, so its points are cosets whose order the digests pin
+D16_MIXED = "d16-mixed"
+INPUTS = {M68: M68_PATH, D16_MIXED: Path(__file__).parent / "fixtures" / "d16-mixed.txt"}
+INSTANCES = ("cyclic:8", "quaternion:8", "elementary-abelian:16", "cyclic:20", PRODUCT, M68, D16_MIXED)
 COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",))
 
 GOLDEN = {
@@ -86,6 +90,14 @@ GOLDEN = {
         "34e394468329dce4fb5f78be32e4c5df5d49b7d7fed4ea07116d56cd49dd836a",
     f"witness {M68}":
         "e6847ddae49bd46c4056c087e46b7f5f2c13b846f17e0eb5c4d6b4d3888df351",
+    f"analyze {D16_MIXED}":
+        "86ee90c908c267312c19f298ae78a6591b90df455006576022a5762cf7a56af3",
+    f"deltas {D16_MIXED}":
+        "c3caacb6a0ee998752ee249061f47ad6316462ea1fe9769e24d092fe97719b92",
+    f"deltas --orbits-only {D16_MIXED}":
+        "6fbe5e4047f0085dd589f541465a70c395892dd489a4290ef4e3b5a660c07a2c",
+    f"witness {D16_MIXED}":
+        "e5489e8f0e20f8100d4c08be882ffb5df6191e40e6adfdfb0ab174fdc224f350",
 }
 
 
@@ -109,8 +121,8 @@ def product_input(tmp_path_factory) -> str:
 
 
 def source(instance: str, product_input: str) -> tuple[str, str]:
-    if instance == M68:
-        return ("--input", str(M68_PATH))
+    if instance in INPUTS:
+        return ("--input", str(INPUTS[instance]))
     return ("--input", product_input) if instance == PRODUCT else ("--catalog", instance)
 
 
