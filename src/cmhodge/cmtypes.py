@@ -81,13 +81,14 @@ def validate_cm_type(carrier: EmbeddingSet, members: int | Iterable[int]) -> CMT
     mask = members if isinstance(members, int) else mask_of(members)
     if mask >> carrier.size:
         raise NotACMType("member index out of range")
+    conj = carrier.conj
     for s in range(carrier.size):
         inside = (mask >> s) & 1
-        partner_inside = (mask >> carrier.conj[s]) & 1
+        partner_inside = (mask >> conj[s]) & 1
         if inside == partner_inside:
             where = "in" if inside else "out"
             raise NotACMType(
-                f"point {s} and its conjugate {carrier.conj[s]} are both {where}",
+                f"point {s} and its conjugate {conj[s]} are both {where}",
                 witness=s,
             )
     return CMType(carrier, mask)
@@ -95,7 +96,7 @@ def validate_cm_type(carrier: EmbeddingSet, members: int | Iterable[int]) -> CMT
 
 def conjugate_pairs(carrier: EmbeddingSet) -> list[tuple[int, int]]:
     """Conjugate pairs (s, conj s) with s < conj s, sorted by s."""
-    return [(s, carrier.conj[s]) for s in range(carrier.size) if s < carrier.conj[s]]
+    return [(s, c) for s, c in enumerate(carrier.conj) if s < c]
 
 
 def enumerate_cm_types(carrier: EmbeddingSet, cap: int = 20) -> Iterator[CMType]:

@@ -1,13 +1,17 @@
-"""Finite groups as explicit multiplication tables, and the coset spaces they act on.
+"""Finite groups as explicit multiplication tables, and the embedding
+sets they act on.
 
 Element and point indices are 0-based everywhere.  Groups are small
 (order <= MAX_ORDER = 64, enforced by ``build_group``), so every
 structural check is done by a direct exhaustive loop rather than anything
-clever.  All values are immutable after
-construction; everything here is a pure function.
+clever.  All values are immutable after construction; everything here is
+a pure function.
 
-Convention: only left cosets and left actions are used anywhere.  The
-composite "t after s" is ``action[t][s]``.
+The embedding set of a product of CM-fields E = E_1 x ... x E_k is the
+disjoint union of the left coset spaces G/H_i, one per factor; G acts on
+it by left translation, and complex conjugation is translation by the
+central iota.  Only left cosets and left actions are used anywhere.  The
+image of point s under t is ``action[t][s]``.
 """
 
 from __future__ import annotations
@@ -24,27 +28,9 @@ from .errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
 MAX_ORDER = 64
 
 
-def _byte_points(offset: int) -> tuple[tuple[int, ...], ...]:
-    """Entry b lists ``offset + s`` for each set bit s of the byte b, ascending."""
-    table: list[tuple[int, ...]] = [()]
-    for s in range(offset, offset + 8):
-        table += [t + (s,) for t in table]
-    return tuple(table)
-
-
-# _BYTE_POINTS[i][b]: the set bits of a mask whose byte i is b
-_BYTE_POINTS = tuple(_byte_points(8 * i) for i in range(8))
-
-
 def bits(mask: int) -> list[int]:
-    """Indices of set bits, ascending, read a byte at a time from tables."""
-    out: list[int] = []
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for base in range(0, len(data), 8):  # 64 points per round
-        for table, byte in zip(_BYTE_POINTS, data[base : base + 8]):
-            if byte:
-                out += [8 * base + s for s in table[byte]] if base else table[byte]
-    return out
+    """Indices of set bits, ascending, read from the binary text of the mask."""
+    return [s for s, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -141,36 +127,16 @@ def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int
     return GroupTable(n, mult, identity, tuple(inverse), iota)
 
 
-@dataclass(frozen=True)
-class CosetSpace:
-    """Left cosets of a subgroup, with the left translation action and the
-    conjugation involution (translation by iota).
-
-    Points are indexed 0..m-1 in canonical order: each coset is stored as
-    its sorted element tuple and cosets are ordered by minimal
-    representative, so indices are reproducible across runs.
-    """
-
-    parent: GroupTable
-    subgroup: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-    action: tuple[tuple[int, ...], ...]  # action[t][point] -> point
-    conj: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
-def coset_space(group: GroupTable, subgroup_elements: Iterable[int]) -> CosetSpace:
-    """Build the space of left cosets gH with its translation action.
+def _cosets(group: GroupTable, elements: Iterable[int]) -> list[tuple[int, ...]]:
+    """The left cosets gH of the subgroup H with the given elements, each
+    as its sorted element tuple, in order of least element.
 
     Raises ``NotASubgroup`` if the elements do not form a subgroup and
     ``IotaInSubgroup`` if iota lies in it (conjugation would then fix a
     point, which no CM-algebra allows).
     """
     n = group.order
-    elems = sorted({int(x) for x in subgroup_elements})
+    elems = sorted({int(x) for x in elements})
     if any(not 0 <= x < n for x in elems):
         raise NotASubgroup(f"subgroup element out of range in {elems}")
     if group.identity not in elems:
@@ -184,43 +150,23 @@ def coset_space(group: GroupTable, subgroup_elements: Iterable[int]) -> CosetSpa
                 raise NotASubgroup(f"not closed under multiplication at ({a},{b})", (a, b))
     if group.iota in in_h:
         raise IotaInSubgroup(f"iota = {group.iota} lies in the subgroup {elems}")
-
-    elem_to_point: dict[int, int] = {}
-    cosets: list[tuple[int, ...]] = []
-    for g in range(n):
-        if g in elem_to_point:
-            continue
-        coset = tuple(sorted(group.mul(g, h) for h in elems))
-        idx = len(cosets)
-        cosets.append(coset)
-        for x in coset:
-            elem_to_point[x] = idx
-    # reorder by minimal representative (first element of the sorted tuple)
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i])
-    points = tuple(cosets[i] for i in order)
-    relabel = {old: new for new, old in enumerate(order)}
-    elem_to_point = {x: relabel[i] for x, i in elem_to_point.items()}
-
-    m = len(points)
-    action = tuple(
-        tuple(elem_to_point[group.mul(t, coset[0])] for coset in points)
-        for t in range(n)
-    )
-    conj = action[group.iota]
-    for s in range(m):
-        assert conj[s] != s and conj[conj[s]] == s
-    return CosetSpace(group, tuple(elems), points, action, tuple(conj))
+    # disjoint sorted tuples sort by their least elements
+    return sorted({tuple(sorted(group.mul(g, h) for h in elems)) for g in range(n)})
 
 
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Disjoint union of coset spaces: the set of embeddings of a product
-    of CM-fields, with the global group action and conjugation."""
+    of CM-fields, with the group's action by left translation."""
 
     parent: GroupTable
     size: int
     action: tuple[tuple[int, ...], ...]  # n x m
-    conj: tuple[int, ...]
+
+    @property
+    def conj(self) -> tuple[int, ...]:
+        """Complex conjugation: translation by the central iota."""
+        return self.action[self.parent.iota]
 
     @property
     def all_mask(self) -> int:
@@ -285,31 +231,23 @@ class EmbeddingSet:
 
 
 def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> EmbeddingSet:
-    """Disjoint union of the coset spaces of the given subgroups, with
-    deterministic global indices (factor order, then coset order)."""
-    factors = tuple(coset_space(group, h) for h in subgroups)
+    """The disjoint union of the left coset spaces G/H of the given
+    subgroups, its points numbered factor by factor and, within a factor,
+    coset by coset in order of least element."""
+    factors = [_cosets(group, h) for h in subgroups]
     if not factors:
         raise NotASubgroup("at least one factor is required")
-    n = group.order
-    sizes = [f.size for f in factors]
-    m = sum(sizes)
-    offsets = []
-    off = 0
-    for sz in sizes:
-        offsets.append(off)
-        off += sz
-    action = tuple(
-        tuple(
-            offsets[k] + factors[k].action[t][s]
-            for k in range(len(factors))
-            for s in range(sizes[k])
-        )
-        for t in range(n)
-    )
-    conj = tuple(
-        offsets[k] + factors[k].conj[s]
-        for k in range(len(factors))
-        for s in range(sizes[k])
-    )
-    assert m % 2 == 0
-    return EmbeddingSet(group, m, action, conj)
+    owner: list[list[int]] = []  # per point: its factor's map from element to point
+    least: list[int] = []  # per point: the least element of its coset
+    for cosets in factors:
+        point_of = [0] * group.order
+        for coset in cosets:
+            for g in coset:
+                point_of[g] = len(least)
+            owner.append(point_of)
+            least.append(coset[0])
+    # t maps the coset gH to tgH, the point of t*g for any g in it
+    action = tuple(tuple(point_of[row[g]] for point_of, g in zip(owner, least)) for row in group.mult)
+    conj = action[group.iota]
+    assert all(conj[s] != s and conj[conj[s]] == s for s in range(len(conj)))
+    return EmbeddingSet(group, len(least), action)

@@ -196,17 +196,17 @@ def galois_orbits(carrier, deltas: list[int]) -> list[tuple[int, ...]]:
     input set; for genuinely valid sets that cannot happen, so it flags an
     enumerator bug.
     """
-    pool = set(deltas)
-    seen: set[int] = set()
+    pool = set(deltas)  # the monomials of no orbit taken yet
     orbits: list[tuple[int, ...]] = []
     for d in sorted(deltas):
-        if d in seen:
+        if d not in pool:
             continue
         orbit = set(carrier.translates(d))
+        # orbits are disjoint, so no taken orbit holds a translate of d
         stray = orbit - pool
         if stray:
             raise NotClosed(f"translate {min(stray)} of {d} missing from the input set")
-        seen |= orbit
+        pool -= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
 

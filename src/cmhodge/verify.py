@@ -230,22 +230,19 @@ def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, Verification
         return embeddings, None, _fail("cm_type", str(exc))
 
 
-def verify_certificate(data: dict) -> VerificationResult:
+def verify_certificate(
+    data, built: tuple | None = None, hash_ok: bool | None = None, kind: str | None = None
+) -> VerificationResult:
     """Re-check a single certificate from scratch.  Input of the wrong shape
     fails the ``schema`` check before anything reads it.  The one exception
     that gets through is ``CapExceeded``, raised before any table is built
-    when the valid set is too large to recount."""
-    return _verify(data)
+    when the valid set is too large to recount.
 
-
-def _verify(
-    data, built: tuple | None = None, hash_ok: bool | None = None, kind: str | None = None
-) -> VerificationResult:
-    """The checks of ``verify_certificate``.  ``verify_document`` passes
-    what ``_build`` returned for the bundle's instance, after finding every
-    certificate's instance equal to it, the certificate's hash result from
-    ``_encoded``, so that neither is computed twice, and the certificate
-    kind of the bundle's generation, the only kind it accepts."""
+    ``verify_document`` passes what ``_build`` returned for the bundle's
+    instance, after finding every certificate's instance equal to it, the
+    certificate's hash result from ``_encoded``, so that neither is computed
+    twice, and the certificate kind of the bundle's generation, the only
+    kind it accepts."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
     if data.get("kind") not in ((kind,) if kind else tuple(_SCHEMAS)):
@@ -390,4 +387,4 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     # that does not conform fails each certificate's schema check instead
     inst = data.get("instance")
     built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
-    return [(_label(cert), _verify(cert, built, ok, _BUNDLES[kind])) for cert, ok in zip(certs, hash_oks)]
+    return [(_label(cert), verify_certificate(cert, built, ok, _BUNDLES[kind])) for cert, ok in zip(certs, hash_oks)]

@@ -10,7 +10,7 @@ import pytest
 from cmhodge.catalog import catalog, cyclic_table, dihedral_table
 from cmhodge.cmtypes import conjugate_pairs, validate_cm_type
 from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
-from cmhodge.groups import EmbeddingSet, bits, build_group, coset_space, embedding_set, mask_of
+from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import BuiltInstance, InstanceSpec, parse_instance
 from conftest import induced_family, written_certificate
 
@@ -89,20 +89,20 @@ def test_non_associative_latin_square_rejected():
 
 def test_coset_space_z2_trivial():
     g = build_group(2, cyclic_table(2), 1)
-    space = coset_space(g, [0])
-    assert space.points == ((0,), (1,))
+    space = embedding_set(g, [[0]])
+    assert space.action == ((0, 1), (1, 0))
     assert space.conj == (1, 0)
 
 
 def test_coset_space_rejects_iota_in_subgroup():
     g = build_group(4, cyclic_table(4), 2)
     with pytest.raises(IotaInSubgroup):
-        coset_space(g, [0, 2])
+        embedding_set(g, [[0, 2]])
 
 
 def test_coset_space_z4_regular():
     g = build_group(4, cyclic_table(4), 2)
-    space = coset_space(g, [0])
+    space = embedding_set(g, [[0]])
     assert space.size == 4
     assert space.conj == (2, 3, 0, 1)
     assert space.action[1] == (1, 2, 3, 0)
@@ -111,7 +111,28 @@ def test_coset_space_z4_regular():
 def test_coset_space_rejects_non_subgroup():
     g = build_group(4, cyclic_table(4), 2)
     with pytest.raises(NotASubgroup):
-        coset_space(g, [0, 1])
+        embedding_set(g, [[0, 1]])
+
+
+@pytest.mark.parametrize(
+    "elements, error, message, witness",
+    [
+        ([0, 4, 1], NotASubgroup, "subgroup element out of range in [0, 1, 4]", None),
+        ([1, 3], NotASubgroup, "subgroup does not contain the identity", None),
+        ([0, 1], NotASubgroup, "not closed under inverse at 1", (1,)),
+        ([3, 0, 1], NotASubgroup, "not closed under multiplication at (1,1)", (1, 1)),
+        ([0, 2], IotaInSubgroup, "iota = 2 lies in the subgroup [0, 2]", None),
+    ],
+    ids=["range", "identity", "inverse", "multiplication", "iota"],
+)
+def test_subgroup_rejections(elements, error, message, witness):
+    # the checks run in this order, so each input fails only its own; a
+    # second, good factor first shows that a later factor is checked too
+    g = build_group(4, cyclic_table(4), 2)
+    with pytest.raises(error) as err:
+        embedding_set(g, [[0], elements])
+    assert type(err.value) is error and str(err.value) == message
+    assert getattr(err.value, "witness", None) == witness
 
 
 def test_embedding_set_disjoint_union():
@@ -154,6 +175,28 @@ def test_conj_is_fixed_point_free_involution(order8_instances):
         for x in range(s.size):
             assert s.conj[x] != x
             assert s.conj[s.conj[x]] == x
+
+
+@pytest.mark.parametrize("name", TABLE_CARRIERS)
+def test_action_matches_the_coset_definition(name):
+    # the points are the cosets gH of each factor H, factor by factor and
+    # in order of least element; t sends the point of gH to the coset of
+    # the same factor that holds t*g, the same one for every g in gH
+    spec = table_spec(name)
+    carrier = table_carrier(spec)
+    points = []  # (factor, coset)
+    for k, h in enumerate(spec.factors):
+        cosets = {frozenset(spec.mult[g][x] for x in h) for g in range(spec.order)}
+        points += [(k, coset) for coset in sorted(cosets, key=min)]
+    assert carrier.size == len(points)
+    for t, row in enumerate(spec.mult):
+        expected = []
+        for k, coset in points:
+            (image,) = {i for i, (j, other) in enumerate(points) if j == k for g in coset if row[g] in other}
+            expected.append(image)
+        assert carrier.action[t] == tuple(expected)
+    assert carrier.conj == carrier.action[spec.iota]
+    assert all(carrier.conj[s] != s and carrier.conj[carrier.conj[s]] == s for s in range(carrier.size))
 
 
 def table_spec(name) -> InstanceSpec:
