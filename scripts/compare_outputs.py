@@ -14,7 +14,10 @@ these four runs prints its exit code, wall time, peak memory and verdict
 lines; it is a mismatch if the new tree's verdicts on either bundle differ
 from the old tree's verdicts on its own bundle.  So a format change shows
 whether the new verifier still passes the old format, and records what the
-old verifier says of the new one.
+old verifier says of the new one.  Once per invocation, both trees'
+``verify`` also read every committed version-1 file in
+``tests/fixtures/v1/``, one row per file; a file is a mismatch if the
+trees' exit codes or verdict lines differ.
 
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
@@ -38,6 +41,7 @@ from pathlib import Path
 
 TREES = ("old", "new")
 COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",), ("oracle",))
+FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 DEFAULT_INSTANCES = (
     *(f"cyclic:{n}" for n in range(2, 17, 2)),
     *(f"elementary-abelian:{n}" for n in (2, 4, 8, 16)),
@@ -46,7 +50,7 @@ DEFAULT_INSTANCES = (
     "product:cyclic.4xcyclic.2",
     "product:cyclic.4xcyclic.4",
     # a carrier of non-normal factors, whose points are cosets
-    str(Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "d16-mixed.txt"),
+    str(FIXTURES / "d16-mixed.txt"),
 )
 
 
@@ -86,6 +90,23 @@ def cross_verify(trees: tuple[Path, Path], instance: str, bundles: tuple[Path, P
     return int(not verdicts[0, 1] == verdicts[1, 1] == verdicts[0, 0])
 
 
+def verify_v1(trees: tuple[Path, Path], scratch: Path) -> int:
+    """Run each tree's ``verify`` on every version-1 fixture and print one
+    row per file; returns the number of files the trees disagree on."""
+    mismatches = 0
+    for path in sorted((FIXTURES / "v1").glob("*.json")):
+        results = []
+        for tree in trees:
+            out = scratch / "verdicts.txt"
+            _, code, wall, rss = run(tree, ["verify", "--certify", str(path)], keep=out)
+            results.append((code, out.read_text(encoding="utf-8").splitlines(), wall, rss))
+        same = results[0][:2] == results[1][:2]
+        mismatches += not same
+        cells = " | ".join(f"{code} {wall:.2f} {rss:.0f}" for code, _, wall, rss in results)
+        print(f"verify-v1 {path.name} | {cells} | {'; '.join(results[1][1])} | {'yes' if same else 'NO'}", flush=True)
+    return mismatches
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source tree to compare against")
@@ -96,9 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     mismatches = 0
     print("command instance | old: sha256 exit wall_s rss_mb | new: sha256 exit wall_s rss_mb | same")
     print("verify instance | bundle by verifier | exit wall_s rss_mb | verdicts")
+    print("verify-v1 file | old: exit wall_s rss_mb | new: exit wall_s rss_mb | new verdicts | same")
     with tempfile.TemporaryDirectory() as scratch:
         for n, instance in enumerate(args.instances or DEFAULT_INSTANCES):
             mismatches += compare(trees, instance, n, Path(scratch))
+        mismatches += verify_v1(trees, Path(scratch))
     print(f"{mismatches} mismatch(es)")
     return 1 if mismatches else 0
 

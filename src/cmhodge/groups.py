@@ -2,7 +2,9 @@
 sets they act on.
 
 Element and point indices are 0-based everywhere.  Groups are small
-(order <= MAX_ORDER = 64, enforced by ``build_group``), so every
+(order <= MAX_ORDER = 64, enforced by ``build_group``), and so are
+embedding sets (at most MAX_POINTS = 1024 points, enforced by
+``embedding_set``; the Hodge-number table is quadratic in them), so every
 structural check is done by a direct exhaustive loop rather than anything
 clever.  All values are immutable after construction; everything here is
 a pure function.
@@ -23,9 +25,10 @@ from operator import lshift, or_
 from struct import Struct
 from typing import Callable, Iterable
 
-from .errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
+from .errors import BadInvolution, CapExceeded, IotaInSubgroup, NotAGroup, NotASubgroup
 
 MAX_ORDER = 64
+MAX_POINTS = 1024
 
 
 def bits(mask: int) -> list[int]:
@@ -233,19 +236,22 @@ class EmbeddingSet:
 def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> EmbeddingSet:
     """The disjoint union of the left coset spaces G/H of the given
     subgroups, its points numbered factor by factor and, within a factor,
-    coset by coset in order of least element."""
-    factors = [_cosets(group, h) for h in subgroups]
-    if not factors:
-        raise NotASubgroup("at least one factor is required")
+    coset by coset in order of least element.  Raises ``CapExceeded``,
+    before the action table is built, past ``MAX_POINTS`` points."""
     owner: list[list[int]] = []  # per point: its factor's map from element to point
     least: list[int] = []  # per point: the least element of its coset
-    for cosets in factors:
+    for h in subgroups:
+        cosets = _cosets(group, h)
+        if len(least) + len(cosets) > MAX_POINTS:
+            raise CapExceeded(f"the factors have more than {MAX_POINTS} points")
         point_of = [0] * group.order
         for coset in cosets:
             for g in coset:
                 point_of[g] = len(least)
             owner.append(point_of)
             least.append(coset[0])
+    if not least:
+        raise NotASubgroup("at least one factor is required")
     # t maps the coset gH to tgH, the point of t*g for any g in it
     action = tuple(tuple(point_of[row[g]] for point_of, g in zip(owner, least)) for row in group.mult)
     conj = action[group.iota]

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from typing import Iterable
 
@@ -123,27 +123,24 @@ _BUNDLES = {BUNDLE_KIND: CERTIFICATE_KIND, "cmhodge.certificate-bundle": "cmhodg
 
 
 def _conforms(value, shape) -> bool:
+    return _all_conform([value], shape)
+
+
+def _all_conform(values: list, shape) -> bool:
+    """Whether every value has the shape, checked one schema node at a time:
+    each field of a dict, and the items of every list, as one column."""
     if isinstance(shape, dict):
-        return isinstance(value, dict) and all(_conforms(value.get(k), s) for k, s in shape.items())
-    if shape == [{int}]:
-        # checked flat, by C-level scans: these fields hold every monomial
-        return (
-            isinstance(value, list)
-            and set(map(type, value)) <= {list}
-            and set(map(type, chain.from_iterable(value))) <= {int}
-            and min(chain.from_iterable(value), default=0) >= 0
-            and list(map(len, map(set, value))) == list(map(len, value))
+        return all(map(isinstance, values, repeat(dict))) and all(
+            _all_conform([v.get(k) for v in values], s) for k, s in shape.items()
         )
-    if shape in ([int], {int}):
+    if isinstance(shape, (list, set)):
+        # a set's items are ints once checked, so they can be hashed
         return (
-            isinstance(value, list)
-            and set(map(type, value)) <= {int}
-            and min(value, default=0) >= 0
-            and (shape == [int] or len(set(value)) == len(value))
+            all(map(isinstance, values, repeat(list)))
+            and _all_conform(list(chain.from_iterable(values)), *shape)
+            and (isinstance(shape, list) or list(map(len, map(set, values))) == list(map(len, values)))
         )
-    if isinstance(shape, list):
-        return isinstance(value, list) and all(_conforms(v, shape[0]) for v in value)
-    return type(value) is shape and (shape is not int or value >= 0)
+    return set(map(type, values)) <= {shape} and (shape is not int or min(values, default=0) >= 0)
 
 
 def _hash_ok(doc: dict, entries: dict[str, Iterable[str]]) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -167,6 +168,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("verify", "--certify", str(bad))[0] == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 7
+
+
+def test_points_past_the_bound_are_refused(tmp_path, capsys):
+    # 17 regular factors of cyclic:64 have 1,088 points: the Hodge-number
+    # table alone would take seconds and hundreds of megabytes
+    table = tuple(map(tuple, cyclic_table(64)))
+    phi = tuple(s for k in range(17) for s in range(64 * k, 64 * k + 32))
+    spec = InstanceSpec("", 64, table, 32, ((0,),) * 17, phi, None)
+    path = tmp_path / "m1088.txt"
+    path.write_text(serialize_instance(spec))
+    assert run_cli("analyze", "--input", str(path), "--degree", "0") == (2, "")
+    assert capsys.readouterr().err == "invalid instance: CapExceeded: the factors have more than 1024 points\n"
+    # 16 factors, 1,024 points, still build
+    built = build_instance(replace(spec, factors=spec.factors[1:], cm_type=phi[:-32]))
+    assert built.embeddings.size == 1024
 
 
 def test_listing_cap_exits_before_any_degree_is_listed(monkeypatch, capsys):

@@ -234,6 +234,16 @@ def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_certificate_past_the_points_bound_fails_factors(tmp_path, capsys, payload):
+    # 17 regular factors of cyclic:64 have 1,088 points, past MAX_POINTS
+    inst = instance_payload(catalog("cyclic", "64"))
+    inst["factors"] = [[0]] * 17
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(rehash({**payload, "instance": inst})))
+    assert main(["verify", "--certify", str(path)]) == 3
+    assert capsys.readouterr().out == "p=1: fail [factors] the factors have more than 1024 points\n"
+
+
 def test_wrong_weil_data(payload):
     doc = copy.deepcopy(payload)
     doc["witnesses"][0]["weil_data"]["dim_over_q"] = 99
@@ -408,7 +418,12 @@ _JUNK = (-1, "x", None, [], {}, True, 2.5)
 def _junk_doc(z4, data) -> dict:
     """A z4 certificate with one node replaced by junk, rehashed."""
     p = data.draw(st.sampled_from(z4.degrees))
-    doc = written_certificate(z4, p)
+    return _junked(written_certificate(z4, p), data)
+
+
+def _junked(doc: dict, data) -> dict:
+    """A copy of doc with one node replaced by junk, rehashed."""
+    doc = copy.deepcopy(doc)
     paths = [path for path in _node_paths(doc) if path not in _UNINTERPRETED]
     node, key = _at(doc, data.draw(st.sampled_from(paths)))
     junk = data.draw(st.sampled_from(_JUNK))
@@ -447,6 +462,17 @@ def _recursive_conforms(value, shape) -> bool:
 def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
     doc = _junk_doc(z4, data)
     for key, shape in verify._SCHEMA.items():
+        assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_schema_check_agrees_with_the_recursive_one_on_many_rows(d8_p2, d8_p2_v2, data):
+    # five witnesses make columns of many rows, and version 1 adds the
+    # coverage and the valid set
+    source = data.draw(st.sampled_from((d8_p2, d8_p2_v2)))
+    doc = _junked(source, data)
+    for key, shape in verify._SCHEMAS[source["kind"]].items():
         assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
 
 
