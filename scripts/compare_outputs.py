@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Compare the CLI outputs of two source trees byte for byte.
+"""Compare the CLI outputs of two source trees byte for byte, or analysis
+reports of two formats field by field.
 
 Runs ``analyze``, ``deltas``, ``deltas --orbits-only``, ``witness`` and
 ``oracle`` on each instance, once per tree, each in a child process of its own with the
 tree's ``src`` on ``PYTHONPATH``.  For every run it prints the SHA-256 of
 stdout (first 16 hex digits), the exit code, the wall time and the peak
 resident memory of the child (``ru_maxrss``), and it exits 1 if any
-command's stdout or exit code differs between the trees.
+command's stdout or exit code differs between the trees.  Where the two
+``analyze`` reports have different ``kind``s, a version-1 and a version-2
+report, they are compared field by field instead (see ``same_report``),
+and any difference is a mismatch.
 
 Every ``witness`` bundle is then checked by both trees' ``verify``, so
 each verifier reads its own tree's bundle and the other tree's.  Each of
@@ -32,11 +36,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from multiprocessing import get_context
 from pathlib import Path
 
 TREES = ("old", "new")
@@ -74,6 +80,41 @@ def run(tree: Path, argv: list[str], keep: Path | None = None) -> tuple[str, int
         child.returncode = os.waitstatus_to_exitcode(status)
     wall = time.perf_counter() - start
     return digest.hexdigest(), child.returncode, wall, usage.ru_maxrss / 1024
+
+
+def version_2(doc: dict) -> dict:
+    """An ``analyze`` report in the version-2 layout, without its content
+    hash.  A version-1 report (``cmhodge.report``) is rewritten: per
+    degree, ``valid`` becomes its ``orbits`` concatenated and
+    ``orbit_sizes`` their lengths, and ``orbits`` and ``decomposable`` are
+    dropped; the Hodge rows become the rows r = 2p of its degrees, and the
+    lattice drops ``rank_with_ones``.  Any other report is returned as it
+    is.  Raises ``KeyError`` on a missing field."""
+    del doc["content_hash"]
+    if doc["kind"] != "cmhodge.report":
+        return doc
+    for degree in doc["degrees"]:
+        orbits = degree.pop("orbits")
+        del degree["decomposable"]
+        degree["valid"] = [d for orbit in orbits for d in orbit]
+        degree["orbit_sizes"] = list(map(len, orbits))
+    rows = {row["r"]: row for row in doc["hodge_numbers"]}
+    doc["hodge_numbers"] = [rows[2 * degree["p"]] for degree in doc["degrees"]]
+    del doc["lattice"]["rank_with_ones"]
+    doc["kind"] = "cmhodge.report/2"
+    return doc
+
+
+def same_report(paths: tuple[Path, Path]) -> bool:
+    """Whether two ``analyze`` reports of different kinds state the same
+    facts: equal once both are in the version-2 layout."""
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
+    if docs[0]["kind"] == docs[1]["kind"]:
+        return False
+    try:
+        return version_2(docs[0]) == version_2(docs[1])
+    except KeyError:
+        return False
 
 
 def cross_verify(trees: tuple[Path, Path], instance: str, bundles: tuple[Path, Path], scratch: Path) -> int:
@@ -132,20 +173,27 @@ def compare(trees: tuple[Path, Path], instance: str, n: int, scratch: Path) -> i
     mismatches = 0
     path = Path(instance)
     source = ["--input", str(path.resolve())] if path.is_file() else ["--catalog", instance]
-    bundles = tuple(scratch / f"{tree}.json" for tree in TREES)
     for k, command in enumerate(COMMANDS):
         # alternate which tree runs first, so neither always runs on a warm cache
         order = (0, 1) if (n + k) % 2 == 0 else (1, 0)
-        keep = command == ("witness",)
-        results = {i: run(trees[i], [*command, *source], bundles[i] if keep else None) for i in order}
+        # the witness bundles are verified, and the reports read if they differ
+        kept = tuple(scratch / f"{tree}-{command[0]}.json" for tree in TREES)
+        keep = command in (("witness",), ("analyze",))
+        results = {i: run(trees[i], [*command, *source], kept[i] if keep else None) for i in order}
         old, new = results[0], results[1]
         same = old[:2] == new[:2]
+        verdict = "yes" if same else "NO"
+        if command == ("analyze",) and not same and old[1] == new[1] == 0:
+            # read the reports in a process of their own: a child started
+            # later inherits this process's peak memory as its own floor
+            with get_context("spawn").Pool(1) as pool:
+                if pool.apply(same_report, (kept,)):
+                    same, verdict = True, "yes, by field"
         mismatches += not same
         cells = [f"{sha[:16]} {code} {wall:.2f} {rss:.0f}" for sha, code, wall, rss in (old, new)]
-        verdict = "yes" if same else "NO"
         print(f"{' '.join(command)} {instance} | {cells[0]} | {cells[1]} | {verdict}", flush=True)
-        if keep and old[1] == new[1] == 0:
-            mismatches += cross_verify(trees, instance, bundles, scratch)
+        if command == ("witness",) and old[1] == new[1] == 0:
+            mismatches += cross_verify(trees, instance, kept, scratch)
     return mismatches
 
 

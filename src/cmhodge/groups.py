@@ -4,7 +4,7 @@ sets they act on.
 Element and point indices are 0-based everywhere.  Groups are small
 (order <= MAX_ORDER = 64, enforced by ``build_group``), and so are
 embedding sets (at most MAX_POINTS = 1024 points, enforced by
-``embedding_set``; the Hodge-number table is quadratic in them), so every
+``embedding_set``; the largest carrier the tests build), so every
 structural check is done by a direct exhaustive loop rather than anything
 clever.  All values are immutable after construction; everything here is
 a pure function.

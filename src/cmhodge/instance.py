@@ -21,6 +21,7 @@ Exactly one ``group``/``table``/``iota``/``cmtype`` each; at least one
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cmtypes import CMType, validate_cm_type
@@ -138,6 +139,10 @@ def parse_instance(text: str) -> InstanceSpec:
                 degrees = None
             else:
                 degrees = tuple(_ints(parts, line_no))
+                p, n = Counter(degrees).most_common(1)[0]
+                if n > 1:
+                    # a repeated degree would be computed and written twice
+                    raise ParseError(f"degree {p} is repeated", line_no)
         else:
             raise ParseError(f"unknown directive {key!r}", line_no)
 

@@ -6,9 +6,9 @@ each class of ``CMType.classes``.  Repeated columns add no rank, so this
 R x 2K matrix has the rank, and the row relations, of the R x m matrix of
 points.  A fraction-free elimination over the rows in ascending order keeps
 each row independent of those kept before it: the kept rows are the
-validity basis, and the rank is their number.  ``rank_with_ones`` is forced
-to be the rank: for every row r, iota*r is also a row, and r + iota*r = 1
-because r is a CM-type, so the all-ones vector lies in the row span.
+validity basis, and the rank is their number.  The all-ones vector adds no
+rank: for every row r, iota*r is also a row, and r + iota*r = 1 because r
+is a CM-type, so the all-ones vector lies in the row span.
 
 All arithmetic is exact integer arithmetic.  No floating point: validity is
 an integer statement and any epsilon would be a bug.

@@ -224,12 +224,6 @@ class DecompositionReport:
     exotic: tuple[int, ...]
 
     @property
-    def decomposable(self) -> tuple[int, ...]:
-        """The valid monomials that are not exotic, ascending."""
-        exotic = set(self.exotic)
-        return tuple(d for d in self.valid if d not in exotic)
-
-    @property
     def hodge_dim(self) -> int:
         return len(self.valid)
 

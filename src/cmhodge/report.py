@@ -10,8 +10,10 @@ Each output is encoded once, and each monomial in it is written once.
 ``_monomial_text`` writes a mask's point list as JSON text from tables of
 each byte's points already written out, and a degree, a certificate or a
 deltas listing maps each of its monomials to that text once; every list
-of monomials (and the orbits, a list of such lists) is then joined from
-those texts.  A certificate is written straight from its degree's Galois
+of monomials is then joined from those texts.  A degree of an analysis
+report lists its valid monomials orbit by orbit, and its ``orbit_sizes``
+cut that list into the Galois orbits, so no monomial is written twice for
+one role.  A certificate is written straight from its degree's Galois
 orbits and the CM-type's induced-type masks, and writes each induced type
 that a witness's family lists once.  ``_object`` assembles an object in
 key order from values it encodes with ``canonical_json`` and values given
@@ -38,7 +40,7 @@ from .instance import BuiltInstance, InstanceSpec
 from .lattice import orbit_matrix
 from .monomials import DecompositionReport
 
-REPORT_KIND = "cmhodge.report"
+REPORT_KIND = "cmhodge.report/2"
 # version 2: each orbit listed once; ``verify`` still reads version 1
 CERTIFICATE_KIND = "cmhodge.certificate/2"
 BUNDLE_KIND = "cmhodge.certificate-bundle/2"
@@ -138,10 +140,10 @@ def _instance_text(spec: InstanceSpec) -> str:
 
 
 def degree_payload(report: DecompositionReport) -> str:
-    """The canonical text of one degree of an analysis report."""
-    # every list holds valid monomials: write each one once
-    text = dict(zip(report.valid, map(_monomial_text, report.valid)))
-    valid = _list(text.values())
+    """One degree of an analysis report: ``valid`` lists each Galois orbit's
+    members together, and ``orbit_sizes`` cuts it into the orbits."""
+    # the exotic monomials are valid too: write each one once
+    text = {d: _monomial_text(d) for orbit in report.orbits for d in orbit}
     return _object(
         {
             "p": report.p,
@@ -149,13 +151,11 @@ def degree_payload(report: DecompositionReport) -> str:
             "lefschetz_dim": report.lefschetz_dim,
             "exotic_count": len(report.exotic),
             "orbit_count": len(report.orbits),
+            "orbit_sizes": list(map(len, report.orbits)),
             "valid_pair_count": report.valid_pair_count,
         },
-        valid=valid,
-        # both sorted: with no exotic monomial the lists are equal
-        decomposable=_list(map(text.__getitem__, report.decomposable)) if report.exotic else valid,
+        valid=_list(text.values()),
         exotic=_list(map(text.__getitem__, report.exotic)),
-        orbits=_list(_list(map(text.__getitem__, orbit)) for orbit in report.orbits),
     )
 
 
@@ -168,16 +168,15 @@ def lattice_payload(built: BuiltInstance) -> dict:
     return {
         "row_count": len(matrix.rows),
         "rank": rank,
-        # forced: the all-ones vector is a sum of two rows (see lattice.py)
-        "rank_with_ones": rank,
         "max_possible": top,
         "is_maximal": rank == top,
     }
 
 
-def hodge_numbers_payload(built: BuiltInstance) -> list[dict]:
+def hodge_numbers_payload(built: BuiltInstance, degrees: list[int]) -> list[dict]:
+    """One row r = 2p of the Hodge-number table for each degree p, in order."""
     out = []
-    for r in range(built.embeddings.size + 1):
+    for r in (2 * p for p in degrees):
         table = hodge_numbers(built.embeddings, r)
         counts = [
             {"p": p, "q": q, "count": c} for (p, q), c in sorted(table.items())
@@ -191,7 +190,7 @@ def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionRepo
         {
             "kind": REPORT_KIND,
             "version": __version__,
-            "hodge_numbers": hodge_numbers_payload(built),
+            "hodge_numbers": hodge_numbers_payload(built, [report.p for report in degree_reports]),
             "lattice": lattice_payload(built),
         },
         instance=_instance_text(built.spec),

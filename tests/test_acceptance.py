@@ -121,7 +121,7 @@ def test_criterion_5_frozen_small_instance_counts():
     )
     assert len(report.orbits) == 2
     assert report.exotic == ()
-    assert len(report.decomposable) == 4
+    assert len(set(report.valid) - set(report.exotic)) == 4
     assert len(orbit_matrix(ea4.cm_type).basis) == 2
     passed(5, "cyclic(4) and elementary-abelian(4) regression values")
 

@@ -3,7 +3,8 @@ of one certificate file that ``verify`` passes.
 
 Outputs are canonical and byte-identical across runs, so a digest may
 change only with a version or format bump recorded in CHANGES.md.  The
-witness digests were re-recorded with certificate format version 2.
+witness digests were re-recorded with certificate format version 2, and
+the analyze digests with report format version 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -22,9 +24,10 @@ import pytest
 from cmhodge import report
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cli import main
-from cmhodge.groups import bits
+from cmhodge.cmtypes import hodge_numbers
+from cmhodge.groups import bits, mask_of
 from cmhodge.instance import build_instance, parse_instance, serialize_instance
-from cmhodge.monomials import enumerate_valid, galois_orbits
+from cmhodge.monomials import classify, enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json
 from conftest import content_hash, written_bundle
 
@@ -43,7 +46,7 @@ COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",)
 
 GOLDEN = {
     "analyze cyclic:8":
-        "601ecb22ab70fc5b73335ce7f62dd9e513dfa8c27eecc0425ee52a6140756215",
+        "3077591b1a1a69122730590a175700f53c2c57c93a4b26dfaf4ea9ba5a83f558",
     "deltas cyclic:8":
         "f71e660124cb4d68c6554471d8e2b64113d84072ad7bdd4f914565cee26c40c9",
     "deltas --orbits-only cyclic:8":
@@ -51,7 +54,7 @@ GOLDEN = {
     "witness cyclic:8":
         "77920c0898deb5354ccb5077cd239f2b46f89dbb576911af5139c02302cb7d45",
     "analyze quaternion:8":
-        "77c1e80581c593a8fe2b958a648e6f86113b19bca71ffc7c327d19df4b17dff9",
+        "24ad2b63a7ebd9ea79fc58a73f16ec71276f77dbea0d3144947838cbcc2e4b09",
     "deltas quaternion:8":
         "3da0ef8872ec8060fc8a6ce4f08c624b4b70a7bdcd8962f62fa2c63f622694d2",
     "deltas --orbits-only quaternion:8":
@@ -59,7 +62,7 @@ GOLDEN = {
     "witness quaternion:8":
         "712316a812d8810b6085b9f7fd923d0a65c1b5909771cb022b332e6ee42235df",
     "analyze elementary-abelian:16":
-        "e6d0fc461d54386bd55e5fe4d95162b9ffa8edd25b6d889950fa4e55cefcec2c",
+        "dc51ba97d8873f1a104eeb6b2a4959d1b23bee31b22e8205f8d14b83bc25a375",
     "deltas elementary-abelian:16":
         "40c57510f96dad3fb7abd9be568e209e2a8125340baf024348bee87f1e5770f9",
     "deltas --orbits-only elementary-abelian:16":
@@ -67,7 +70,7 @@ GOLDEN = {
     "witness elementary-abelian:16":
         "37a9d5abc3b64eb8967cf47efc499d50232ce6d21b3b008ebe9d8b30a723a4e0",
     "analyze cyclic:20":
-        "1395f1f6c32493973cd185a4630e95fd1340c97771aaf98a8fb00ee681294361",
+        "3325c7d9ee117d9ca26b074e23a4a5aacef06a77d24469f45f2825decdf2d671",
     "deltas cyclic:20":
         "c5936d7749cd5664fc30e6afd9ca58604e4e08348d3b32990cc8dcc1b01a7777",
     "deltas --orbits-only cyclic:20":
@@ -75,7 +78,7 @@ GOLDEN = {
     "witness cyclic:20":
         "7574f1f05b393873ae9010de0270e96706d4784c842ba842eacf2f2c2510a5bd",
     f"analyze {PRODUCT}":
-        "5311f469cd4dfe0822e5f09d5f9889e66074489ad1f50ceee560dc3139d83784",
+        "78f6b79438760d979a42ba7df0c33df12abda06923ee9fe9316e604d3acd82ba",
     f"deltas {PRODUCT}":
         "5ff3329741e26556f2c2a63afca84dd267fe6b0373fb6fb1399ffa5c141b44cd",
     f"deltas --orbits-only {PRODUCT}":
@@ -83,7 +86,7 @@ GOLDEN = {
     f"witness {PRODUCT}":
         "e3938158862df13b3e5d5186d4bbf4a84e93827c6ba2638ec64b12ea76344416",
     f"analyze {M68}":
-        "9c60c171684547661888eaa39650b40255bb02e5d7898a42c39098f5287b4a22",
+        "f91014fc4e69589680bd6ef89720e1bb2d976bd92e5b63679a639812507fae26",
     f"deltas {M68}":
         "6d4f53351ea48daba64d9ed5ca13c8b7335cd75153d6a4e3972e58585e38ebca",
     f"deltas --orbits-only {M68}":
@@ -91,7 +94,7 @@ GOLDEN = {
     f"witness {M68}":
         "e6847ddae49bd46c4056c087e46b7f5f2c13b846f17e0eb5c4d6b4d3888df351",
     f"analyze {D16_MIXED}":
-        "86ee90c908c267312c19f298ae78a6591b90df455006576022a5762cf7a56af3",
+        "ccd17f6a1370fc5f36b5898f200bf96821074ff4a3507e3316ee2b87443bf3a7",
     f"deltas {D16_MIXED}":
         "c3caacb6a0ee998752ee249061f47ad6316462ea1fe9769e24d092fe97719b92",
     f"deltas --orbits-only {D16_MIXED}":
@@ -137,6 +140,42 @@ def test_stdout_digest(command, instance, product_input):
     assert canonical_json(doc) == out
     for part in (doc, *doc.get("certificates", ())):
         assert part["content_hash"] == content_hash(part)
+
+
+@pytest.mark.parametrize("instance", (PRODUCT, D16_MIXED))
+def test_report_lists_each_orbit_once(instance, product_input):
+    flag, path = source(instance, product_input)
+    built = build_instance(parse_instance(Path(path).read_text(encoding="utf-8")))
+    code, out = run_cli("analyze", flag, path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "cmhodge.report/2" and "rank_with_ones" not in doc["lattice"]
+    assert [d["p"] for d in doc["degrees"]] == built.degrees
+    for degree in doc["degrees"]:
+        assert not {"decomposable", "orbits"} & degree.keys()
+        valid = list(map(mask_of, degree["valid"]))
+        cuts = list(accumulate(degree["orbit_sizes"], initial=0))
+        assert cuts[-1] == len(valid)
+        orbits = tuple(tuple(valid[a:b]) for a, b in zip(cuts, cuts[1:]))
+        assert orbits == classify(built.cm_type, degree["p"]).orbits
+        exotic = list(map(mask_of, degree["exotic"]))
+        assert exotic == sorted(set(exotic)) and set(exotic) <= set(valid)
+        assert len(exotic) == degree["exotic_count"]
+    # the product type has exotic monomials, so the split is pinned too
+    assert [d["p"] for d in doc["degrees"] if d["exotic"]] == ([2, 3, 4, 5, 6] if instance == PRODUCT else [])
+    # one Hodge row r = 2p per degree asked for, in their order
+    def rows(doc):
+        return [
+            (row["r"], {(c["p"], c["q"]): c["count"] for c in row["counts"]}, row["total"])
+            for row in doc["hodge_numbers"]
+        ]
+
+    def expected(degrees):
+        tables = [hodge_numbers(built.embeddings, 2 * p) for p in degrees]
+        return [(2 * p, table, sum(table.values())) for p, table in zip(degrees, tables)]
+
+    assert rows(doc) == expected(built.degrees)
+    assert rows(json.loads(run_cli("analyze", flag, path, "--degree", "3")[1])) == expected([3])
 
 
 @pytest.fixture()
@@ -197,9 +236,10 @@ def test_family_text_of_each_point_matches_canonical_json():
 
 @pytest.mark.parametrize("command", ("analyze", "witness"))
 def test_each_monomial_is_written_once(command, monomial_texts):
-    # a monomial appears in three lists of its degree, or once in its
-    # certificate; a certificate also writes once the induced type at each
-    # point of an orbit representative, which the witness families list
+    # a monomial appears in one or two lists of its degree (valid, and exotic
+    # if it is), or once in its certificate; a certificate also writes once
+    # the induced type at each point of an orbit representative, which the
+    # witness families list
     built = build_instance(catalog("product", "cyclic.4xcyclic.4"))
     phi = built.cm_type
     valid = [enumerate_valid(phi, p) for p in built.degrees]

@@ -52,6 +52,9 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 4
     with pytest.raises(ParseError):
         parse_instance("table\n")  # table before group
+    # a repeated degree would be computed and written twice
+    with pytest.raises(ParseError, match="line 9: degree 0 is repeated"):
+        parse_instance(Z2_TEXT.replace("degrees all", "degrees 0 1 0"))
 
 
 def test_validation_wraps_module_errors():
@@ -81,10 +84,8 @@ def test_cli_analyze_dims():
     report = json.loads(out)
     dims = [(d["p"], d["hodge_dim"]) for d in report["degrees"]]
     assert dims == [(0, 1), (1, 2), (2, 1)]
-    # rank-maximal: m/2 + 1 = 3, and the rank with ones is forced to the rank
-    assert report["lattice"] == {
-        "row_count": 4, "rank": 3, "rank_with_ones": 3, "max_possible": 3, "is_maximal": True
-    }
+    # rank-maximal: m/2 + 1 = 3
+    assert report["lattice"] == {"row_count": 4, "rank": 3, "max_possible": 3, "is_maximal": True}
 
 
 def test_cli_witness_verify_cycle(tmp_path):
@@ -147,12 +148,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     too_big = InstanceSpec("", 66, table, 33, ((0,),), tuple(range(33)), None)
     bad.write_text(serialize_instance(too_big))
     assert run_cli("analyze", "--input", str(bad))[0] == 2  # groups stop at order 64
-    # an empty degrees line selects no degree, so every command would pass vacuously
-    capsys.readouterr()
-    bad.write_text(Z2_TEXT.replace("degrees all", "degrees"))
-    for command in ("analyze", "deltas", "witness", "oracle"):
-        assert run_cli(command, "--input", str(bad))[0] == 2, command
-    assert "line 9: degrees" in capsys.readouterr().err
+    # an empty degrees line selects no degree, so every command would pass
+    # vacuously, and a repeated degree would be written twice
+    for line, message in (("degrees", "line 9: degrees"), ("degrees 0 1 0", "line 9: degree 0 is repeated")):
+        capsys.readouterr()
+        bad.write_text(Z2_TEXT.replace("degrees all", line))
+        for command in ("analyze", "deltas", "witness", "oracle"):
+            assert run_cli(command, "--input", str(bad))[0] == 2, command
+        assert message in capsys.readouterr().err
     # unreadable paths and undecodable text are input errors, not tracebacks
     capsys.readouterr()
     assert run_cli("analyze", "--input", str(tmp_path))[0] == 2
@@ -171,8 +174,8 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_points_past_the_bound_are_refused(tmp_path, capsys):
-    # 17 regular factors of cyclic:64 have 1,088 points: the Hodge-number
-    # table alone would take seconds and hundreds of megabytes
+    # 17 regular factors of cyclic:64 have 1,088 points, one factor past the
+    # largest carrier the tests build
     table = tuple(map(tuple, cyclic_table(64)))
     phi = tuple(s for k in range(17) for s in range(64 * k, 64 * k + 32))
     spec = InstanceSpec("", 64, table, 32, ((0,),) * 17, phi, None)
@@ -180,9 +183,14 @@ def test_points_past_the_bound_are_refused(tmp_path, capsys):
     path.write_text(serialize_instance(spec))
     assert run_cli("analyze", "--input", str(path), "--degree", "0") == (2, "")
     assert capsys.readouterr().err == "invalid instance: CapExceeded: the factors have more than 1024 points\n"
-    # 16 factors, 1,024 points, still build
-    built = build_instance(replace(spec, factors=spec.factors[1:], cm_type=phi[:-32]))
-    assert built.embeddings.size == 1024
+    # 16 factors, 1,024 points, still build, and the report holds only the
+    # Hodge row of the degree asked for
+    spec = replace(spec, factors=spec.factors[1:], cm_type=phi[:-32])
+    assert build_instance(spec).embeddings.size == 1024
+    path.write_text(serialize_instance(spec))
+    code, out = run_cli("analyze", "--input", str(path), "--degree", "0")
+    assert code == 0 and len(out) < 100_000
+    assert [row["r"] for row in json.loads(out)["hodge_numbers"]] == [0]
 
 
 def test_listing_cap_exits_before_any_degree_is_listed(monkeypatch, capsys):

@@ -120,8 +120,8 @@ def test_elimination_matches_fraction_reference():
         rank, basis, rank_with_ones = reference_elimination(phi)
         got = orbit_matrix(phi).basis
         assert (len(got), got) == (rank, basis), bin(phi.members)
-        # forced, so the report writes the rank for it: the complement of
-        # every row, its translate by iota, is a row, and the two sum to 1
+        # forced: the complement of every row, its translate by iota, is a
+        # row, and the two sum to 1
         assert rank_with_ones == rank
         assert {phi.carrier.all_mask ^ r for r in phi.rows} == set(phi.rows)
 
