@@ -101,30 +101,26 @@ def _listable_degrees(args, built: BuiltInstance) -> list[int]:
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
     reports = [classify(built.cm_type, p) for p in _listable_degrees(args, built)]
-    out.write(analysis_report(built, reports))
+    out.writelines(analysis_report(built, reports))
     return EXIT_OK
+
+
+def _orbit_reps(built: BuiltInstance, p: int) -> list[int]:
+    # the orbits of one degree are dropped as soon as their least members are read
+    return [orbit[0] for orbit in galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))]
 
 
 def _cmd_deltas(args, out) -> int:
     built = _load_instance(args)
-
-    def one(p: int) -> tuple[int, list[int]]:
-        valid = enumerate_valid(built.cm_type, p)
-        if args.orbits_only:
-            valid = [orbit[0] for orbit in galois_orbits(built.embeddings, valid)]
-        return p, valid
-
-    per_degree = [one(p) for p in _listable_degrees(args, built)]
-    out.write(deltas_report(built, per_degree, args.orbits_only))
+    listing = _orbit_reps if args.orbits_only else lambda built, p: enumerate_valid(built.cm_type, p)
+    per_degree = [(p, listing(built, p)) for p in _listable_degrees(args, built)]
+    out.writelines(deltas_report(built, per_degree, args.orbits_only))
     return EXIT_OK
 
 
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
-    per_degree = [
-        (p, galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p)))
-        for p in _listable_degrees(args, built)
-    ]
+    per_degree = [(p, _orbit_reps(built, p)) for p in _listable_degrees(args, built)]
     text = certificate_bundle(built, per_degree)
     if args.certify:
         Path(args.certify).write_text(text, encoding="utf-8")

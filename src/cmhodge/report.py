@@ -13,17 +13,21 @@ deltas listing maps each of its monomials to that text once; every list
 of monomials is then joined from those texts.  A degree of an analysis
 report lists its valid monomials orbit by orbit, and its ``orbit_sizes``
 cut that list into the Galois orbits, so no monomial is written twice for
-one role.  A certificate is written straight from its degree's Galois
-orbits and the CM-type's induced-type masks, and writes each induced type
-that a witness's family lists once.  ``_object`` assembles an object in
-key order from values it encodes with ``canonical_json`` and values given
-as text, and ``_document`` does the same for a whole output: it hashes
-the joined text, which is the canonical serialization without
-``content_hash``, and inserts the hash at its sorted key position.  A
-bundle is joined from the finished text of each certificate, and the
-instance is encoded once per output.  The verifier checks the inserted
-hashes with an encoder of its own, which rebuilds the canonical text from
-the parsed document and never calls into this assembly.
+one role.  A certificate (format version 3) holds the least member of
+each Galois orbit of its degree and the table of the induced type at every
+point; all else a split-Weil witness states is derived by the verifier,
+so it is not written.  ``_object`` assembles an object in key order from
+values it encodes with ``canonical_json`` and values given as text, and
+``_document`` does the same for a whole output, in pieces: it hashes the
+pieces, which make up the canonical serialization without
+``content_hash``, and inserts the hash at its sorted key position.  The
+degrees of a report or a deltas listing stay separate pieces, so the
+command writes them one by one and its text is held once.  A bundle is
+joined from the finished text of each certificate, and the instance and
+the induced-type table are encoded once per bundle.  The verifier checks
+the inserted hashes with an encoder of its own, which rebuilds the
+canonical text from the parsed document and never calls into this
+assembly.
 """
 
 from __future__ import annotations
@@ -35,15 +39,15 @@ from typing import Iterable
 
 from . import __version__
 from .cmtypes import hodge_numbers
-from .groups import bits
 from .instance import BuiltInstance, InstanceSpec
 from .lattice import orbit_matrix
 from .monomials import DecompositionReport
 
 REPORT_KIND = "cmhodge.report/2"
-# version 2: each orbit listed once; ``verify`` still reads version 1
-CERTIFICATE_KIND = "cmhodge.certificate/2"
-BUNDLE_KIND = "cmhodge.certificate-bundle/2"
+# version 3: orbit representatives and one induced-type table; ``verify``
+# still reads versions 1 and 2
+CERTIFICATE_KIND = "cmhodge.certificate/3"
+BUNDLE_KIND = "cmhodge.certificate-bundle/3"
 DELTAS_KIND = "cmhodge.deltas"
 
 
@@ -80,6 +84,16 @@ def _list(texts: Iterable[str]) -> str:
     return "[" + ",".join(texts) + "]"
 
 
+def _list_pieces(texts: Iterable[str]) -> list[str]:
+    """The canonical text of a list in pieces, the texts of its items among
+    them, so that a list of large items is never joined."""
+    pieces = ["["]
+    for text in texts:
+        pieces += (",", text)
+    del pieces[1:2]  # the comma before the first item
+    return [*pieces, "]"]
+
+
 @cache
 def _key(name: str) -> str:
     # a few names recur in every witness object: encode each once
@@ -94,12 +108,13 @@ def _items(fields: dict, texts: dict[str, str]) -> list[tuple[str, str]]:
     return [(_key(k), texts[k]) for k in sorted(texts)]
 
 
-def _pieces(items: list[tuple[str, str]]):
+def _pieces(items: list[tuple[str, str | list[str]]]):
     """The canonical text of an object, in pieces, from its encoded keys
-    and values in key order."""
+    and values in key order; a value is a text or a list of its pieces."""
     sep = "{"
     for key, value in items:
-        yield from (sep, key, ":", value)
+        yield from (sep, key, ":")
+        yield from ((value,) if isinstance(value, str) else value)
         sep = ","
     yield "}"
 
@@ -109,9 +124,11 @@ def _object(fields: dict, **texts: str) -> str:
     return "".join(_pieces(_items(fields, texts)))
 
 
-def _document(fields: dict, **texts: str) -> str:
-    """The canonical text of a document with its content hash.  The hash is
-    taken piece by piece, so the text is joined only once."""
+def _document(fields: dict, **texts: str | list[str]) -> list[str]:
+    """The canonical text of a document with its content hash, in pieces.
+    The hash is taken piece by piece, and the pieces are returned as they
+    are, so a large value given in pieces is never joined: writing the
+    pieces one by one holds its text once."""
     items = _items(fields, texts)
     digest = hashlib.sha256()
     for piece in _pieces(items):
@@ -119,7 +136,7 @@ def _document(fields: dict, **texts: str) -> str:
     digest.update(b"\n")
     hash_item = (_key("content_hash"), canonical_json(digest.hexdigest())[:-1])
     items.insert(sum(k < "content_hash" for k in texts), hash_item)
-    return "".join([*_pieces(items), "\n"])
+    return [*_pieces(items), "\n"]
 
 
 def instance_payload(spec: InstanceSpec) -> dict:
@@ -185,7 +202,7 @@ def hodge_numbers_payload(built: BuiltInstance, degrees: list[int]) -> list[dict
     return out
 
 
-def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionReport]) -> str:
+def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionReport]) -> list[str]:
     return _document(
         {
             "kind": REPORT_KIND,
@@ -194,77 +211,51 @@ def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionRepo
             "lattice": lattice_payload(built),
         },
         instance=_instance_text(built.spec),
-        degrees=_list(map(degree_payload, degree_reports)),
+        degrees=_list_pieces(map(degree_payload, degree_reports)),
     )
 
 
-def _certificate(instance: str, order: int, types: tuple[int, ...], p: int, orbits: list[tuple[int, ...]]) -> str:
-    """The canonical text of one certificate, content hash included, with a
-    split-Weil witness for each Galois orbit as ``galois_orbits`` lists it.
+def _certificate(instance: str, types: str, p: int, reps: list[int]) -> str:
+    """The canonical text of one certificate, content hash included: the
+    least member of each Galois orbit, in the order ``galois_orbits`` lists
+    the orbits, and the table of induced types, given as text.
 
-    A witness is read from its orbit and the induced-type masks ``types``
-    of the CM-type: its ``delta`` is the orbit's least member, its
-    ``family`` the induced type at each point of ``delta``, and its
-    ``covered_translates`` the orbit, so each orbit is listed once.  For a
-    valid monomial the induced family is balanced, which is the criterion
-    for the associated product variety to be of split Weil type.
-
-    The rest is forced, and is written out for the verifier to recheck
-    from the raw tables.  The verdict, that the covered translates exhaust
-    the valid set, holds because the orbits partition it
-    (``galois_orbits`` raises ``NotClosed`` if a translate escapes it).
-    The balanced transcript is the validity count vector in another guise:
-    the number of family members containing t is the number of points of
-    t*delta in phi, so it is p at every group element.  The Weil
-    numerology is d = 2p, and the d-fold exterior power of a rank-d module
-    over the split field has rank 1, of dimension |G| over Q.
+    The verdict, that the orbits of the representatives exhaust the valid
+    set, holds because the orbits partition it (``galois_orbits`` raises
+    ``NotClosed`` if a translate escapes it).  Everything else a split-Weil
+    witness states is forced, so the verifier derives it rather than reads
+    it: the family of a representative is the induced type at each of its
+    points, and it is balanced, since the number of family members that
+    contain t is the number of points of t*delta in phi, which is p.
     """
-    covered = [list(map(_monomial_text, orbit)) for orbit in orbits]
-    points = [bits(orbit[0]) for orbit in orbits]
-    # a family member is the induced type at a point: write each one once
-    used = {types[s]: None for pts in points for s in pts}
-    family = dict(zip(used, map(_monomial_text, used)))
-    transcript = canonical_json([p] * order)[:-1]
-    weil_data = canonical_json({"d": 2 * p, "rank_over_f": 1, "dim_over_q": order})[:-1]
-    witnesses = _list(
-        _object(
-            {},
-            delta=texts[0],
-            family=_list(family[types[s]] for s in pts),
-            balanced_transcript=transcript,
-            covered_translates=_list(texts),
-            weil_data=weil_data,
+    return "".join(
+        _document(
+            {"kind": CERTIFICATE_KIND, "version": __version__, "p": p, "verdict": True},
+            instance=instance,
+            induced_types=types,
+            orbit_reps=_list(map(_monomial_text, reps)),
         )
-        for pts, texts in zip(points, covered)
-    )
-    return _document(
-        {"kind": CERTIFICATE_KIND, "version": __version__, "p": p, "verdict": True},
-        instance=instance,
-        orbit_reps=_list(texts[0] for texts in covered),
-        witnesses=witnesses,
     )
 
 
-def certificate_bundle(built: BuiltInstance, per_degree: list[tuple[int, list[tuple[int, ...]]]]) -> str:
-    """The canonical text of a bundle of one certificate per (p, Galois
-    orbits) pair, joined from the finished text of each certificate."""
+def certificate_bundle(built: BuiltInstance, per_degree: list[tuple[int, list[int]]]) -> str:
+    """The canonical text of a bundle of one certificate per (p, orbit
+    representatives) pair, joined from the finished text of each
+    certificate.  The instance and the induced-type table are encoded once
+    for all of them."""
     instance = _instance_text(built.spec)
-    types = built.cm_type.induced_types
-    certificates = _list(
-        _certificate(instance, built.group.order, types, p, orbits)[:-1] for p, orbits in per_degree
-    )
-    return _document(
-        {"kind": BUNDLE_KIND, "version": __version__},
-        instance=instance,
-        certificates=certificates,
+    types = _list(map(_monomial_text, built.cm_type.induced_types))
+    certificates = _list(_certificate(instance, types, p, reps)[:-1] for p, reps in per_degree)
+    return "".join(
+        _document({"kind": BUNDLE_KIND, "version": __version__}, instance=instance, certificates=certificates)
     )
 
 
-def deltas_report(built: BuiltInstance, per_degree: list[tuple[int, list[int]]], orbits_only: bool) -> str:
+def deltas_report(built: BuiltInstance, per_degree: list[tuple[int, list[int]]], orbits_only: bool) -> list[str]:
     return _document(
         {"kind": DELTAS_KIND, "version": __version__, "orbits_only": orbits_only},
         instance=_instance_text(built.spec),
-        degrees=_list(
+        degrees=_list_pieces(
             _object({"p": p}, deltas=_list(map(_monomial_text, deltas))) for p, deltas in per_degree
         ),
     )

@@ -116,10 +116,26 @@ _SCHEMA_V1 = {
 }
 # version 2 lists each orbit once, as its witness's covered translates
 _SCHEMA = {k: s for k, s in _SCHEMA_V1.items() if k not in ("coverage", "valid_set")}
+# version 3 lists each orbit by its least member, and the induced type at
+# each point once, as a list of group elements
+_SCHEMA_V3 = {
+    "instance": _SCHEMA["instance"],
+    "p": int,
+    "orbit_reps": [{int}],
+    "induced_types": [{int}],
+    "verdict": bool,
+}
+V2_KIND = "cmhodge.certificate/2"
 # the schema of each certificate kind, and the certificate kind of each
 # bundle kind; the format generation is read from the kind
-_SCHEMAS = {CERTIFICATE_KIND: _SCHEMA, "cmhodge.certificate": _SCHEMA_V1}
-_BUNDLES = {BUNDLE_KIND: CERTIFICATE_KIND, "cmhodge.certificate-bundle": "cmhodge.certificate"}
+_SCHEMAS = {CERTIFICATE_KIND: _SCHEMA_V3, V2_KIND: _SCHEMA, "cmhodge.certificate": _SCHEMA_V1}
+_BUNDLES = {
+    BUNDLE_KIND: CERTIFICATE_KIND,
+    "cmhodge.certificate-bundle/2": V2_KIND,
+    "cmhodge.certificate-bundle": "cmhodge.certificate",
+}
+# how many monomials the row scan of a version-3 certificate holds at once
+_SCAN_BATCH = 1 << 16
 
 
 def _conforms(value, shape) -> bool:
@@ -244,11 +260,11 @@ def verify_certificate(
         return _fail("schema", "certificate is not a JSON object")
     if data.get("kind") not in ((kind,) if kind else tuple(_SCHEMAS)):
         return _fail("schema", f"unexpected kind {data.get('kind')!r}")
-    v1 = data["kind"] != CERTIFICATE_KIND
+    v1, v3 = data["kind"] == "cmhodge.certificate", data["kind"] == CERTIFICATE_KIND
     bad = [key for key, shape in _SCHEMAS[data["kind"]].items() if not _conforms(data.get(key), shape)]
     if bad:
         return _fail("schema", f"field {bad[0]!r} is missing or malformed")
-    inst, p, witnesses, orbit_reps = data["instance"], data["p"], data["witnesses"], data["orbit_reps"]
+    inst, p, orbit_reps = data["instance"], data["p"], data["orbit_reps"]
 
     if hash_ok is None:
         try:
@@ -261,19 +277,33 @@ def verify_certificate(
     embeddings, phi, failure = built or _build(inst)
     if embeddings is None:
         return failure
-    group = embeddings.parent
-    # bound every point before it is shifted into a mask
+    # bound every point and group element before it is shifted into a mask
+    # or read as an index
     point_lists = [inst["cm_type"], *orbit_reps, *(data["coverage"] + data["valid_set"] if v1 else ())]
+    witnesses = () if v3 else data["witnesses"]
     point_lists += [pts for w in witnesses for pts in (w["delta"], *w["covered_translates"])]
     if max(map(max, filter(None, point_lists)), default=0) >= embeddings.size:
         return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
+    order = embeddings.parent.order
+    if v3 and max(map(max, filter(None, data["induced_types"])), default=0) >= order:
+        return _fail("schema", f"a group element lies outside 0..{order - 1}")
     if phi is None:
         return failure
-    # the points are bounded and distinct: a list's mask is the sum of its bits
-    bit = [1 << s for s in range(embeddings.size)].__getitem__
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
+    if v3:
+        return _verify_orbit_reps(data, embeddings, phi)
+    return _verify_witnesses(data, embeddings, phi, v1)
+
+
+def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, v1: bool) -> VerificationResult:
+    """The checks of a certificate of version 1 or 2 past the degree bound:
+    each witness, then the coverage and the valid set."""
+    p, witnesses, orbit_reps = data["p"], data["witnesses"], data["orbit_reps"]
+    group = embeddings.parent
+    # the points are bounded and distinct: a list's mask is the sum of its bits
+    bit = [1 << s for s in range(embeddings.size)].__getitem__
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
@@ -342,6 +372,76 @@ def verify_certificate(
         return _fail("coverage", "coverage verdict is wrong")
 
     return VerificationResult(True)
+
+
+def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType) -> VerificationResult:
+    """The checks of a version-3 certificate past the degree bound.
+
+    Each representative is checked for its size and validity, the stored
+    induced-type table against the recomputed one, and each
+    representative's family, the stored types at its points, for balance.
+    The representatives must ascend and each be the least of its orbit;
+    two distinct least members cannot share an orbit, so the orbits are
+    disjoint.  Every member of every orbit is then scanned against the
+    rows, and the orbit sizes must add up to the independent count: the
+    orbits are then the whole valid set.  One orbit is built at a time,
+    and the scan holds at most ``_SCAN_BATCH`` members.
+    """
+    p, reps, order = data["p"], data["orbit_reps"], embeddings.parent.order
+    # the points are bounded and distinct: a list's mask is the sum of its bits
+    bit = [1 << s for s in range(embeddings.size)].__getitem__
+    masks = [sum(map(bit, rep)) for rep in reps]
+    for i, (rep, delta) in enumerate(zip(reps, masks)):
+        if len(rep) != 2 * p:
+            return _fail("degree", f"representative {i} has {len(rep)} points, expected {2 * p}")
+        if not valid_delta(phi, delta, p):
+            return _fail("delta_valid", f"representative {i} fails the validity criterion")
+
+    types = data["induced_types"]
+    if types != [bits(t) for t in phi.induced_types]:
+        return _fail("induced_family", "stored induced types differ from the recomputed table")
+    # each point's type packed into one F-bit field per group element: a
+    # family of 2p types holds an element at most 2p < 2**F times, so the
+    # packed sum of a family holds its count of every element
+    f = (2 * p).bit_length()
+    packed = [sum(1 << f * t for t in members) for members in types]
+    balanced = sum(p << f * t for t in range(order))
+    for i, rep in enumerate(reps):
+        if sum(map(packed.__getitem__, rep)) != balanced:
+            return _fail("balanced", f"representative {i} family does not hold each element {p} times")
+
+    # one row of each complementary pair: a 2p-point monomial meets the
+    # other in 2p minus its count in this one
+    rows = [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
+    scanned, total, batch = True, 0, []
+    previous = -1
+    for i, delta in enumerate(masks):
+        orbit = set(embeddings.translates(delta))
+        if delta != min(orbit):
+            return _fail("orbit_reps", f"representative {i} is not the least member of its orbit")
+        if delta <= previous:
+            return _fail("orbit_reps", f"representative {i} does not follow the one before in ascending order")
+        previous = delta
+        total += len(orbit)
+        batch += orbit
+        if len(batch) >= _SCAN_BATCH or i == len(masks) - 1:
+            scanned = scanned and _all_valid(batch, rows, p)
+            batch.clear()
+
+    if not data["verdict"]:
+        return _fail("coverage", "coverage verdict is wrong")
+    if not scanned:
+        return _fail("valid_set", "an orbit member fails the validity criterion")
+    if total != _count_valid(phi, p):
+        return _fail("valid_set", "the orbits differ in size from the independent count")
+    return VerificationResult(True)
+
+
+def _all_valid(listed: list[int], rows: list[int], p: int) -> bool:
+    """Whether every listed mask has 2p points and meets each row in p."""
+    return set(map(int.bit_count, listed)) <= {2 * p} and all(
+        set(map(int.bit_count, map(r.__and__, listed))) <= {p} for r in rows
+    )
 
 
 def _label(cert) -> str:

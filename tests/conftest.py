@@ -30,7 +30,8 @@ def with_cm_type(built: BuiltInstance, phi: CMType) -> BuiltInstance:
 def written_bundle(built: BuiltInstance, degrees: list[int]) -> str:
     """The bundle ``witness`` writes for these degrees."""
     orbits = [galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p)) for p in degrees]
-    return certificate_bundle(built, list(zip(degrees, orbits)))
+    reps = [[orbit[0] for orbit in degree] for degree in orbits]
+    return certificate_bundle(built, list(zip(degrees, reps)))
 
 
 def written_certificate(built: BuiltInstance, p: int) -> dict:
@@ -40,11 +41,9 @@ def written_certificate(built: BuiltInstance, p: int) -> dict:
 
 
 def induced_family(built: BuiltInstance) -> list[list[int]]:
-    """The induced type at every point, as written: at the top degree the
-    one valid monomial is every point, so its witness lists them all."""
-    (witness,) = written_certificate(built, built.embeddings.size // 2)["witnesses"]
-    assert witness["delta"] == list(range(built.embeddings.size))
-    return witness["family"]
+    """The induced type at every point, as written: every certificate holds
+    the table, and the one of degree 0 is the smallest."""
+    return written_certificate(built, 0)["induced_types"]
 
 
 @pytest.fixture(scope="session")

@@ -61,15 +61,20 @@ def test_criterion_2_theorem1_coverage(order8_instances):
             with_phi = with_cm_type(built, phi)
             for p in range(half + 1):
                 payload = written_certificate(with_phi, p)
-                # each orbit is listed once: together they are the valid set
-                listed = [mask_of(d) for w in payload["witnesses"] for d in w["covered_translates"]]
+                # each orbit is listed once, by its least member: together
+                # the orbits are the valid set
+                reps = list(map(mask_of, payload["orbit_reps"]))
+                orbits = [set(built.embeddings.translates(d)) for d in reps]
+                assert reps == sorted(map(min, orbits))
+                listed = [d for orbit in orbits for d in orbit]
                 covered = sorted(set(listed))
                 assert covered == enumerate_valid(phi, p), (built.spec.name, bits(phi.members), p)
                 assert payload["verdict"] and sorted(listed) == covered
-                for w in payload["witnesses"]:
-                    # recount the transcript from the induced family
-                    recount = tuple(sum(t in f for f in w["family"]) for t in built.group.elements())
-                    assert tuple(w["balanced_transcript"]) == recount == (p,) * built.group.order
+                for rep in payload["orbit_reps"]:
+                    # count the transcript from the induced family
+                    family = [payload["induced_types"][s] for s in rep]
+                    recount = tuple(sum(t in f for f in family) for t in built.group.elements())
+                    assert recount == (p,) * built.group.order
                 assert verify_certificate(payload).ok, (built.spec.name, bits(phi.members), p)
                 certs += 1
     passed(2, f"coverage verdict true and transcripts balanced for {certs} certificates")
@@ -156,10 +161,9 @@ def test_criterion_8_certificate_integrity(z4, order8_instances):
     payload = written_certificate(z4, 1)
     mutations = []
     doc = copy.deepcopy(payload)
-    doc["witnesses"][0]["family"][0] = [0, 2]
+    doc["induced_types"][0] = [0, 2]
     mutations.append((doc, "induced_family"))
     doc = copy.deepcopy(payload)
-    doc["witnesses"][0]["delta"] = [0, 1]
     doc["orbit_reps"][0] = [0, 1]
     mutations.append((doc, "delta_valid"))
     doc = copy.deepcopy(payload)

@@ -3,7 +3,7 @@ of one certificate file that ``verify`` passes.
 
 Outputs are canonical and byte-identical across runs, so a digest may
 change only with a version or format bump recorded in CHANGES.md.  The
-witness digests were re-recorded with certificate format version 2, and
+witness digests were re-recorded with certificate format version 3, and
 the analyze digests with report format version 2.
 """
 
@@ -52,7 +52,7 @@ GOLDEN = {
     "deltas --orbits-only cyclic:8":
         "d4de22b745459522884e31a35b3195388ed07b8ddd47928b528ca8db2de818a7",
     "witness cyclic:8":
-        "77920c0898deb5354ccb5077cd239f2b46f89dbb576911af5139c02302cb7d45",
+        "827c8e509a8af00f5414d60af8a5bf685e8aa7cde831994104d951139243e2d6",
     "analyze quaternion:8":
         "24ad2b63a7ebd9ea79fc58a73f16ec71276f77dbea0d3144947838cbcc2e4b09",
     "deltas quaternion:8":
@@ -60,7 +60,7 @@ GOLDEN = {
     "deltas --orbits-only quaternion:8":
         "f76a9d5eb5c7a1e39eb4c7d7b558d7b37e7b084c821a65306f9b4c8b9e9a65c7",
     "witness quaternion:8":
-        "712316a812d8810b6085b9f7fd923d0a65c1b5909771cb022b332e6ee42235df",
+        "86400a3ac404c0ff18d8a61133301a31fc5806e5880b424aa8d005a8b52586b3",
     "analyze elementary-abelian:16":
         "dc51ba97d8873f1a104eeb6b2a4959d1b23bee31b22e8205f8d14b83bc25a375",
     "deltas elementary-abelian:16":
@@ -68,7 +68,7 @@ GOLDEN = {
     "deltas --orbits-only elementary-abelian:16":
         "8cedb64ebf311ed480fb8fda974ce1c9f2c5fd1563456f74a19d49639f350668",
     "witness elementary-abelian:16":
-        "37a9d5abc3b64eb8967cf47efc499d50232ce6d21b3b008ebe9d8b30a723a4e0",
+        "33f0f279f8a801263b2c799e1e66f9a9381296ec7ce5e2bf29c8b7e97b9e764e",
     "analyze cyclic:20":
         "3325c7d9ee117d9ca26b074e23a4a5aacef06a77d24469f45f2825decdf2d671",
     "deltas cyclic:20":
@@ -76,7 +76,7 @@ GOLDEN = {
     "deltas --orbits-only cyclic:20":
         "8320ba481893122083b83a368b3d4de095aee0800e7a7e0ebd3d4415ea495da8",
     "witness cyclic:20":
-        "7574f1f05b393873ae9010de0270e96706d4784c842ba842eacf2f2c2510a5bd",
+        "c87fe4c6362a34412358ccc722b7bd2d6bffcec42e22aaa6f744ef457041f22a",
     f"analyze {PRODUCT}":
         "78f6b79438760d979a42ba7df0c33df12abda06923ee9fe9316e604d3acd82ba",
     f"deltas {PRODUCT}":
@@ -84,7 +84,7 @@ GOLDEN = {
     f"deltas --orbits-only {PRODUCT}":
         "139366463dbf27ec4438e6d9d94468e653dabe62368b87910fe3573fc97daa83",
     f"witness {PRODUCT}":
-        "e3938158862df13b3e5d5186d4bbf4a84e93827c6ba2638ec64b12ea76344416",
+        "64bbdf55aee10f5f1fef0e8452fbc7f3191e2567b9fa2aac5464a1bafe8db2fd",
     f"analyze {M68}":
         "f91014fc4e69589680bd6ef89720e1bb2d976bd92e5b63679a639812507fae26",
     f"deltas {M68}":
@@ -92,7 +92,7 @@ GOLDEN = {
     f"deltas --orbits-only {M68}":
         "34e394468329dce4fb5f78be32e4c5df5d49b7d7fed4ea07116d56cd49dd836a",
     f"witness {M68}":
-        "e6847ddae49bd46c4056c087e46b7f5f2c13b846f17e0eb5c4d6b4d3888df351",
+        "70d075a4c58241629a91e5abc6ae528067b6154a0520e5507dc492f36a0bfdf3",
     f"analyze {D16_MIXED}":
         "ccd17f6a1370fc5f36b5898f200bf96821074ff4a3507e3316ee2b87443bf3a7",
     f"deltas {D16_MIXED}":
@@ -100,7 +100,7 @@ GOLDEN = {
     f"deltas --orbits-only {D16_MIXED}":
         "6fbe5e4047f0085dd589f541465a70c395892dd489a4290ef4e3b5a660c07a2c",
     f"witness {D16_MIXED}":
-        "e5489e8f0e20f8100d4c08be882ffb5df6191e40e6adfdfb0ab174fdc224f350",
+        "6e7e15d41c50f04bc18809bb0c3e105f7c12898ae47b6bf0058d331716c0f501",
 }
 
 
@@ -223,31 +223,27 @@ def test_monomial_text_matches_canonical_json():
 
 
 def test_family_text_of_each_point_matches_canonical_json():
-    # a witness's family lists the induced type at each point of its delta;
-    # the one witness of the top degree has every point
+    # a certificate lists the induced type at every point, from which the
+    # verifier reads each representative's family
     fixture = build_instance(parse_instance(M68_PATH.read_text(encoding="utf-8")))
     for built in (*map(build_instance, sweep_instances(16)), fixture):
-        text = written_bundle(built, [built.embeddings.size // 2])
+        text = written_bundle(built, [0])
         doc = json.loads(text)
         assert canonical_json(doc) == text
-        (witness,) = doc["certificates"][0]["witnesses"]
-        assert witness["family"] == [bits(t) for t in built.cm_type.induced_types]
+        assert doc["certificates"][0]["induced_types"] == [bits(t) for t in built.cm_type.induced_types]
 
 
 @pytest.mark.parametrize("command", ("analyze", "witness"))
 def test_each_monomial_is_written_once(command, monomial_texts):
     # a monomial appears in one or two lists of its degree (valid, and exotic
-    # if it is), or once in its certificate; a certificate also writes once
-    # the induced type at each point of an orbit representative, which the
-    # witness families list
+    # if it is); a certificate lists only the least member of each orbit,
+    # and a bundle writes the induced type at each point once
     built = build_instance(catalog("product", "cyclic.4xcyclic.4"))
-    phi = built.cm_type
-    valid = [enumerate_valid(phi, p) for p in built.degrees]
-    reps = [[orbit[0] for orbit in galois_orbits(built.embeddings, v)] for v in valid]
-    types = [len({phi.induced_types[s] for d in r for s in bits(d)}) for r in reps]
+    valid = [enumerate_valid(built.cm_type, p) for p in built.degrees]
+    reps = sum(len(galois_orbits(built.embeddings, v)) for v in valid)
     assert run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")[0] == 0
-    hodge_dims = sum(map(len, valid))
-    assert len(monomial_texts) == hodge_dims + (sum(types) if command == "witness" else 0) > 0
+    written = sum(map(len, valid)) if command == "analyze" else reps + built.embeddings.size
+    assert len(monomial_texts) == written > 0
 
 
 @pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
@@ -256,9 +252,10 @@ def test_each_output_byte_is_encoded_once(command, encoded, monomial_texts):
     assert code == 0 and encoded and monomial_texts
     assert sum(encoded) + sum(monomial_texts) <= len(out)
     if command == "witness":
-        # nothing is encoded per witness: each family is joined from texts
-        # written once per point, and the other values once per certificate
-        assert len(encoded) < sum(len(cert["witnesses"]) for cert in json.loads(out)["certificates"])
+        # nothing is encoded per representative: the table is joined from
+        # texts written once per point, and the other values once per
+        # certificate
+        assert len(encoded) < sum(len(cert["orbit_reps"]) for cert in json.loads(out)["certificates"])
 
 
 def test_verify_encodes_each_input_byte_once(product_input, tmp_path, encoded):
@@ -286,4 +283,14 @@ def test_v1_certificate_file_still_verifies():
     # the same bundle as written before the format's version 2
     cert = Path(__file__).parent / "fixtures" / "v1" / "product-6..13.bundle.json"
     assert json.loads(cert.read_text(encoding="utf-8"))["kind"] == "cmhodge.certificate-bundle"
+    assert run_cli("verify", "--certify", str(cert)) == (0, "".join(f"p={p}: pass\n" for p in range(9)))
+
+
+def test_v2_certificate_file_still_verifies():
+    # the same bundle as written before the format's version 3, with the
+    # digest its witness command had then
+    cert = Path(__file__).parent / "fixtures" / "v2" / "product-6..13.bundle.json"
+    text = cert.read_text(encoding="utf-8")
+    assert sha256(text) == "e3938158862df13b3e5d5186d4bbf4a84e93827c6ba2638ec64b12ea76344416"
+    assert json.loads(text)["kind"] == "cmhodge.certificate-bundle/2"
     assert run_cli("verify", "--certify", str(cert)) == (0, "".join(f"p={p}: pass\n" for p in range(9)))

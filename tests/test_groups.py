@@ -250,9 +250,8 @@ def test_induced_type_table(name):
         table = built.cm_type.induced_types
         assert len(table) == carrier.size
         assert [bits(t) for t in table] == induced_family(built)
-        # each witness lists the table's type at each point of its delta
-        for w in written_certificate(built, 1)["witnesses"]:
-            assert w["family"] == [bits(table[s]) for s in w["delta"]]
+        # every certificate holds the table
+        assert written_certificate(built, 1)["induced_types"] == [bits(t) for t in table]
 
 
 def test_bits_past_the_tables():

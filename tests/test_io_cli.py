@@ -97,7 +97,7 @@ def test_cli_witness_verify_cycle(tmp_path):
     assert "fail" not in out
 
     data = json.loads(cert.read_text())
-    data["certificates"][0]["witnesses"][0]["delta"] = [0, 1]
+    data["certificates"][0]["orbit_reps"][0] = [0, 1]
     cert.write_text(json.dumps(data))
     code, out = run_cli("verify", "--certify", str(cert))
     assert code == 3

@@ -26,7 +26,8 @@ from cmhodge.report import (
     instance_payload,
 )
 from cmhodge import verify
-from cmhodge.groups import build_group
+from cmhodge.groups import bits, build_group, mask_of
+from cmhodge.monomials import valid_delta
 from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
 from conftest import content_hash, written_bundle, written_certificate
 
@@ -40,6 +41,7 @@ V1_BUNDLE_KIND = "cmhodge.certificate-bundle"
 # outputs of format version 2, as written before version 3 dropped the
 # witnesses: the verifier still reads them
 V2 = Path(__file__).parent / "fixtures" / "v2"
+V2_KIND, V2_BUNDLE_KIND = "cmhodge.certificate/2", "cmhodge.certificate-bundle/2"
 
 
 def v1_fixture(name: str) -> dict:
@@ -61,6 +63,12 @@ def payload_v1():
     return v1_fixture("z4-p1.certificate.json")
 
 
+@pytest.fixture()
+def payload_v2():
+    """The z4 certificate at p = 1, version 2."""
+    return v2_fixture("z4-p1.certificate.json")
+
+
 def rehash(doc: dict) -> dict:
     # a forger who recomputes the hash still has to get the math right
     return {**doc, "content_hash": content_hash(doc)}
@@ -79,16 +87,16 @@ def test_tamper_without_rehash_is_caught(payload):
 
 def test_flipped_family_bit(payload):
     doc = copy.deepcopy(payload)
-    doc["witnesses"][0]["family"][0] = [0, 2]  # induced type is [0, 1]
+    doc["induced_types"][0] = [0, 2]  # induced type is [0, 1]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "induced_family"
 
 
 @pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
-def test_family_element_outside_the_group(tmp_path, capsys, payload, element):
-    # |G| = 4: the stored type is compared with the induced one as a list,
-    # so an element past the group fails the check and shifts nothing
-    doc = copy.deepcopy(payload)
+def test_family_element_outside_the_group(tmp_path, capsys, payload_v2, element):
+    # |G| = 4: a version-2 family member is compared with the induced type
+    # as a list, so an element past the group fails the check and shifts nothing
+    doc = copy.deepcopy(payload_v2)
     doc["witnesses"][0]["family"][0] = [0, element]
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(rehash(doc)))
@@ -96,9 +104,17 @@ def test_family_element_outside_the_group(tmp_path, capsys, payload, element):
     assert "fail [induced_family]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
+def test_induced_type_element_outside_the_group(payload, element):
+    # version 3 bounds every stored element before the table is read
+    doc = copy.deepcopy(payload)
+    doc["induced_types"][2] = [2, element]
+    result = verify_certificate(rehash(doc))
+    assert result == VerificationResult(False, "schema", "a group element lies outside 0..3")
+
+
 def test_invalid_delta(payload):
     doc = copy.deepcopy(payload)
-    doc["witnesses"][0]["delta"] = [0, 1]
     doc["orbit_reps"][0] = [0, 1]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "delta_valid"
@@ -120,13 +136,13 @@ def test_corrupted_group_table(payload):
 
 def test_degree_above_half(payload):
     # no monomial has 2p > m points, so an empty certificate would check nothing
-    doc = {**payload, "p": 3, "witnesses": [], "orbit_reps": []}
+    doc = {**payload, "p": 3, "orbit_reps": []}
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "degree"
 
 
-def test_wrong_transcript(payload):
-    doc = copy.deepcopy(payload)
+def test_wrong_transcript(payload_v2):
+    doc = copy.deepcopy(payload_v2)
     doc["witnesses"][0]["balanced_transcript"][0] = 0
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "balanced"
@@ -154,6 +170,11 @@ def d8_p2():
 @pytest.fixture(scope="module")
 def d8_p2_v2():
     return v2_fixture("dihedral8-p2.certificate.json")
+
+
+@pytest.fixture(scope="module")
+def d8_p2_v3():
+    return written_certificate(build_instance(catalog("dihedral", "8")), 2)
 
 
 def _drop_orbit(doc):
@@ -219,11 +240,89 @@ def _invalid_covered_translate(doc):
     ids=("drop", "repeat", "invalid"),
 )
 def test_v2_wrong_orbits_of_right_shape(d8_p2_v2, mutate, check, detail):
-    assert d8_p2_v2["kind"] == CERTIFICATE_KIND and "valid_set" not in d8_p2_v2
+    assert d8_p2_v2["kind"] == V2_KIND and "valid_set" not in d8_p2_v2
     assert [len(w["covered_translates"]) for w in d8_p2_v2["witnesses"]] == [2, 8, 4, 2, 2]
     doc = copy.deepcopy(d8_p2_v2)
     mutate(doc)
     assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
+
+
+def _drop_rep(doc, built):
+    # consistent but incomplete: only the count can tell
+    doc["orbit_reps"].pop()
+
+
+def _repeat_rep(doc, built):
+    # a least member listed twice: the list no longer ascends
+    doc["orbit_reps"][-1] = doc["orbit_reps"][0]
+
+
+def _non_least_rep(doc, built):
+    # the greatest member of the last orbit in place of its least one
+    orbit = built.embeddings.translates(mask_of(doc["orbit_reps"][-1]))
+    doc["orbit_reps"][-1] = bits(max(orbit))
+
+
+def _invalid_rep(doc, built):
+    # the first 2p-subset that fails the criterion, in place of the first
+    p, points = doc["p"], range(built.embeddings.size)
+    invalid = (c for c in combinations(points, 2 * p) if not valid_delta(built.cm_type, mask_of(c), p))
+    doc["orbit_reps"][0] = list(next(invalid))
+
+
+def _wrong_type(doc, built):
+    # the type at point 1 stored at point 0 as well
+    doc["induced_types"][0] = doc["induced_types"][1]
+
+
+def _element_past_the_group(doc, built):
+    doc["induced_types"][0][-1] = built.group.order
+
+
+# mutations of a version-3 certificate at p = 2, each of the right shape
+_V3_MUTATIONS = (_drop_rep, _repeat_rep, _non_least_rep, _invalid_rep, _wrong_type, _element_past_the_group)
+
+
+@pytest.mark.parametrize(
+    "mutate, check, detail",
+    [
+        (_drop_rep, "valid_set", "the orbits differ in size from the independent count"),
+        (_repeat_rep, "orbit_reps", "representative 4 does not follow the one before in ascending order"),
+        (_non_least_rep, "orbit_reps", "representative 4 is not the least member of its orbit"),
+        (_invalid_rep, "delta_valid", "representative 0 fails the validity criterion"),
+        (_wrong_type, "induced_family", "stored induced types differ from the recomputed table"),
+        (_element_past_the_group, "schema", "a group element lies outside 0..7"),
+    ],
+    ids=("drop", "repeat", "non-least", "invalid", "wrong-type", "element-past-the-group"),
+)
+def test_v3_wrong_orbits_of_right_shape(d8_p2_v3, mutate, check, detail):
+    assert d8_p2_v3["kind"] == CERTIFICATE_KIND and "witnesses" not in d8_p2_v3
+    assert len(d8_p2_v3["orbit_reps"]) == 5
+    doc = copy.deepcopy(d8_p2_v3)
+    mutate(doc, build_instance(catalog("dihedral", "8")))
+    assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
+
+
+def test_row_scan_refuses_what_the_count_would_miss(d8_p2_v3):
+    # the orbits are the verifier's own, so no certificate makes its scan
+    # fail; the scan is there to catch a fault in them
+    phi = build_instance(catalog("dihedral", "8")).cm_type
+    valid = [mask_of(c) for c in combinations(range(8), 4) if valid_delta(phi, mask_of(c), 2)]
+    rows = list(phi.rows)
+    assert verify._all_valid(valid, rows, 2)
+    invalid = next(mask_of(c) for c in combinations(range(8), 4) if mask_of(c) not in valid)
+    assert not verify._all_valid([*valid, invalid], rows, 2)
+    assert not verify._all_valid([*valid, 0b111], rows, 2)
+
+
+def _unlisted_m64(payload) -> dict:
+    """A cyclic:64 certificate at p = 16 that lists no orbit, with the true
+    induced types: every check before the count passes, and the count's
+    tables would hold 2**33 subsets."""
+    built = build_instance(catalog("cyclic", "64"))
+    types = [bits(t) for t in built.cm_type.induced_types]
+    fields = {"instance": instance_payload(built.spec), "induced_types": types, "orbit_reps": [], "p": 16}
+    return rehash({**payload, **fields, "verdict": True})
 
 
 def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
@@ -232,11 +331,8 @@ def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
     capsys.readouterr()
     assert main(["verify", "--certify", str(path)]) == 0
     assert capsys.readouterr().out == "p=4: pass\n"
-    # nothing listed, so every check before the count passes; the count's
-    # tables would hold 2**33 subsets, so it must refuse before building one
-    empty = {"witnesses": [], "orbit_reps": [], "verdict": True}
-    doc = {**payload, **empty, "instance": instance_payload(catalog("cyclic", "64")), "p": 16}
-    path.write_text(json.dumps(rehash(doc)))
+    # the count must refuse before building a table
+    path.write_text(json.dumps(_unlisted_m64(payload)))
     start = time.perf_counter()
     assert main(["verify", "--certify", str(path)]) == 4
     assert time.perf_counter() - start < 10
@@ -253,8 +349,8 @@ def test_certificate_past_the_points_bound_fails_factors(tmp_path, capsys, paylo
     assert capsys.readouterr().out == "p=1: fail [factors] the factors have more than 1024 points\n"
 
 
-def test_wrong_weil_data(payload):
-    doc = copy.deepcopy(payload)
+def test_wrong_weil_data(payload_v2):
+    doc = copy.deepcopy(payload_v2)
     doc["witnesses"][0]["weil_data"]["dim_over_q"] = 99
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "weil_data"
@@ -347,14 +443,33 @@ def _v1(make):
     return lambda built, payload: make(built, v1_fixture("z4-p1.certificate.json"))
 
 
+def _v2(make):
+    """A document maker that starts from the version-2 z4 certificate."""
+    return lambda built, payload: make(built, v2_fixture("z4-p1.certificate.json"))
+
+
 def _bundle_of_v1_certificate(built, payload):
-    # a version-2 bundle may hold only version-2 certificates
+    # a version-3 bundle may hold only version-3 certificates
     certs = [payload, v1_fixture("z4-p1.certificate.json")]
     return rehash({**json.loads(certificate_bundle(built, [])), "certificates": certs})
 
 
-def _v1_bundle_of_v2_certificate(built, payload):
+def _bundle_of_v2_certificate(built, payload):
+    certs = [payload, v2_fixture("z4-p1.certificate.json")]
+    return rehash({**json.loads(certificate_bundle(built, [])), "certificates": certs})
+
+
+def _v1_bundle_of(payload):
     bundle = v1_fixture("cyclic8.bundle.json")
+    return rehash({**bundle, "instance": payload["instance"], "certificates": [payload]})
+
+
+def _v1_bundle_of_v2_certificate(built, payload):
+    return _v1_bundle_of(v2_fixture("z4-p1.certificate.json"))
+
+
+def _v2_bundle_of_v3_certificate(built, payload):
+    bundle = v2_fixture("cyclic8.bundle.json")
     return rehash({**bundle, "instance": payload["instance"], "certificates": [payload]})
 
 
@@ -372,15 +487,15 @@ def _bundle_of_other_instance(built, payload):
         _bundle_of_non_object,
         _top_level_array,
         _boolean_p,
-        pytest.param(_set(("witnesses", 0, "delta", 0), -1), id="negative-point"),
+        pytest.param(_set(("orbit_reps", 0, 0), -1), id="negative-point"),
         pytest.param(_set(("orbit_reps", 0, 0), "0"), id="string-point"),
-        pytest.param(_set(("witnesses", 0, "delta", 0), False), id="boolean-point"),
+        pytest.param(_set(("orbit_reps", 0, 0), False), id="boolean-point"),
         pytest.param(_v1(_set(("valid_set", 0, 1), 0)), id="repeated-point"),
-        pytest.param(_set(("witnesses", 0, "covered_translates", 0, 0), 4), id="point-out-of-range"),
-        pytest.param(_without_weil_data, id="missing-weil-data"),
-        pytest.param(_set(("witnesses", 0), 1), id="non-object-witness"),
-        pytest.param(_set(("witnesses", 0, "family"), None), id="null-family"),
-        pytest.param(_set(("witnesses", 0, "covered_translates"), None), id="null-covered-translates"),
+        pytest.param(_set(("orbit_reps", 0, 0), 4), id="point-out-of-range"),
+        pytest.param(_v2(_without_weil_data), id="missing-weil-data"),
+        pytest.param(_v2(_set(("witnesses", 0), 1)), id="non-object-witness"),
+        pytest.param(_v2(_set(("witnesses", 0, "family"), None)), id="null-family"),
+        pytest.param(_v2(_set(("witnesses", 0, "covered_translates"), None)), id="null-covered-translates"),
         pytest.param(_v1(_set(("coverage",), None)), id="null-coverage"),
         pytest.param(_v1(_set(("valid_set",), None)), id="null-valid-set"),
         pytest.param(_set(("instance", "group", "iota"), "2"), id="string-iota"),
@@ -388,6 +503,12 @@ def _bundle_of_other_instance(built, payload):
         pytest.param(_bundle_of_other_instance, id="bundle-instance-mismatch"),
         pytest.param(_bundle_of_v1_certificate, id="bundle-of-v1-certificate"),
         pytest.param(_v1_bundle_of_v2_certificate, id="v1-bundle-of-v2-certificate"),
+        pytest.param(_set(("induced_types",), None), id="null-induced-types"),
+        pytest.param(_set(("induced_types", 0, 0), -1), id="negative-element"),
+        pytest.param(_set(("induced_types", 0, 1), 4), id="element-out-of-range"),
+        pytest.param(_bundle_of_v2_certificate, id="bundle-of-v2-certificate"),
+        pytest.param(_v2_bundle_of_v3_certificate, id="v2-bundle-of-v3-certificate"),
+        pytest.param(lambda built, payload: _v1_bundle_of(payload), id="v1-bundle-of-v3-certificate"),
     ],
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
@@ -470,16 +591,16 @@ def _recursive_conforms(value, shape) -> bool:
 @given(data=st.data())
 def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
     doc = _junk_doc(z4, data)
-    for key, shape in verify._SCHEMA.items():
+    for key, shape in verify._SCHEMA_V3.items():
         assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_column_schema_check_agrees_with_the_recursive_one_on_many_rows(d8_p2, d8_p2_v2, data):
+def test_column_schema_check_agrees_with_the_recursive_one_on_many_rows(d8_p2, d8_p2_v2, d8_p2_v3, data):
     # five witnesses make columns of many rows, and version 1 adds the
-    # coverage and the valid set
-    source = data.draw(st.sampled_from((d8_p2, d8_p2_v2)))
+    # coverage and the valid set; version 3 has eight induced types
+    source = data.draw(st.sampled_from((d8_p2, d8_p2_v2, d8_p2_v3)))
     doc = _junked(source, data)
     for key, shape in verify._SCHEMAS[source["kind"]].items():
         assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
@@ -492,6 +613,7 @@ _POINT_LIST_FIELDS = {
     "coverage": ("coverage", 0, 0),
     "valid_set": ("valid_set", 0, 0),
     "orbit_reps": ("orbit_reps", 0, 0),
+    "induced_types": ("induced_types", 0, 0),
 }
 
 
@@ -531,9 +653,14 @@ def _point_value(value):
         pytest.param(_nest_point, id="nested-list"),
     ],
 )
-def test_point_list_field_rejects(payload, payload_v1, field, mutate):
-    # coverage and the valid set are fields of version 1 only
-    doc = copy.deepcopy(payload_v1 if field in ("coverage", "valid_set") else payload)
+def test_point_list_field_rejects(payload, payload_v1, payload_v2, field, mutate):
+    # coverage and the valid set are fields of version 1 only, and the
+    # witnesses of versions 1 and 2 only
+    if field in ("coverage", "valid_set"):
+        payload = payload_v1
+    elif field in ("family", "covered_translates"):
+        payload = payload_v2
+    doc = copy.deepcopy(payload)
     path = _POINT_LIST_FIELDS[field]
     mutate(doc, path)
     result = verify_certificate(rehash(doc))
@@ -615,18 +742,48 @@ TAMPER_DIGEST_V2 = "12b980409a75b09c501270d03ce34a295474cc762bddb23cda76ddd352a7
 _BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
 
 
+# the same for the corpus of version-3 bundles, pinned when that version
+# was introduced: its verdicts are the version-2 ones but for the kind
+# names and the field that replaces the witnesses.  The corpus ends with
+# each of ``_V3_MUTATIONS`` applied to the certificate at p = 2 of each
+# bundle, with both hashes recomputed.
+TAMPER_DIGEST_V3 = "3f4041f4eb0424b6c996a6ef2f84344318762d9b7a7df441e5e5c5e8c43cd5bb"
+
+
+def _v3_bundle(instance: str) -> dict:
+    built = build_instance(catalog(*instance.split(":")))
+    return json.loads(written_bundle(built, built.degrees))
+
+
+def _tamper_corpus_v3():
+    yield from _tamper_corpus(_v3_bundle)
+    for instance in ("cyclic:8", "quaternion:8"):
+        built = build_instance(catalog(*instance.split(":")))
+        bundle = _v3_bundle(instance)
+        for mutate in _V3_MUTATIONS:
+            cert = copy.deepcopy(bundle["certificates"][2])
+            mutate(cert, built)
+            doc = {**bundle, "certificates": [*bundle["certificates"]]}
+            doc["certificates"][2] = rehash(cert)
+            yield f"{instance} p=2{mutate.__name__.replace('_', ' ')}", rehash(doc)
+
+
 def test_tamper_corpus_hash_results_and_verdicts():
-    assert _tamper_digest(_v1_bundle, V1_BUNDLE_KIND) == TAMPER_DIGEST
+    assert _tamper_digest(_tamper_corpus(_v1_bundle), V1_BUNDLE_KIND) == TAMPER_DIGEST
 
 
 def test_tamper_corpus_v2_hash_results_and_verdicts():
-    assert _tamper_digest(_v2_bundle, BUNDLE_KIND) == TAMPER_DIGEST_V2
+    assert _tamper_digest(_tamper_corpus(_v2_bundle), V2_BUNDLE_KIND) == TAMPER_DIGEST_V2
 
 
-def _tamper_digest(bundle_of, kind: str) -> str:
+def test_tamper_corpus_v3_hash_results_and_verdicts():
+    assert _tamper_digest(_tamper_corpus_v3(), BUNDLE_KIND) == TAMPER_DIGEST_V3
+
+
+def _tamper_digest(corpus, kind: str) -> str:
     """The digest of the verdict lines on one version's tamper corpus,
     with each hash result checked against one encoding of its document."""
-    corpus = list(_tamper_corpus(bundle_of))
+    corpus = list(corpus)
     assert len(corpus) >= 200
     lines = []
     for name, doc in corpus:
@@ -661,10 +818,8 @@ def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
 def test_bundle_hash_is_checked_before_a_count_that_raises(z4, payload):
     # a certificate whose count refuses: the bundle's stale hash is still
     # the verdict, and with a good hash the refusal gets through
-    empty = {"witnesses": [], "orbit_reps": [], "verdict": True}
-    inst = instance_payload(catalog("cyclic", "64"))
-    cert = rehash({**payload, **empty, "instance": inst, "p": 16})
-    bundle = {**json.loads(certificate_bundle(z4, [])), "instance": inst, "certificates": [cert]}
+    cert = _unlisted_m64(payload)
+    bundle = {**json.loads(certificate_bundle(z4, [])), "instance": cert["instance"], "certificates": [cert]}
     assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
     with pytest.raises(CapExceeded):
         verify_document(rehash(bundle))

@@ -14,36 +14,39 @@ def transcript(group, families: list[list[int]]) -> tuple[int, ...]:
     return tuple(sum(t in f for f in families) for t in group.elements())
 
 
-def coverage(cert: dict) -> tuple[int, ...]:
-    """The union of the translates the written witnesses cover, as masks."""
-    return tuple(sorted({mask_of(d) for w in cert["witnesses"] for d in w["covered_translates"]}))
+def family(cert: dict, rep: list[int]) -> list[list[int]]:
+    """The split-Weil family of a representative: the stored induced type
+    at each of its points."""
+    return [cert["induced_types"][s] for s in rep]
+
+
+def coverage(built, cert: dict) -> tuple[int, ...]:
+    """The union of the orbits of the written representatives, as masks."""
+    orbits = (built.embeddings.translates(mask_of(d)) for d in cert["orbit_reps"])
+    return tuple(sorted({t for orbit in orbits for t in orbit}))
 
 
 def test_witness_elliptic_curve(z2):
-    (w,) = written_certificate(z2, 1)["witnesses"]
-    assert w["delta"] == [0, 1]
-    assert w["family"] == [[0], [1]]  # {identity}, {iota}
-    assert transcript(z2.group, w["family"]) == (1, 1)
-    assert w["covered_translates"] == [[0, 1]]
-    assert w["balanced_transcript"] == [1, 1]
-    assert w["weil_data"] == {"d": 2, "rank_over_f": 1, "dim_over_q": 2}
+    cert = written_certificate(z2, 1)
+    assert cert["orbit_reps"] == [[0, 1]]
+    assert cert["induced_types"] == [[0], [1]]  # {identity}, {iota}
+    assert transcript(z2.group, family(cert, [0, 1])) == (1, 1)
+    assert coverage(z2, cert) == (mask_of([0, 1]),)
+    assert "witnesses" not in cert
 
 
 def test_witness_z4(z4):
-    (w,) = written_certificate(z4, 1)["witnesses"]
-    assert mask_of(w["delta"]) == mask_of([0, 2])
-    assert sorted(w["family"][0]) == [0, 1]
-    assert sorted(w["family"][1]) == [2, 3]
-    assert transcript(z4.group, w["family"]) == (1, 1, 1, 1)
-    assert w["balanced_transcript"] == [1, 1, 1, 1]
-    assert w["covered_translates"] == [[0, 2], [1, 3]]
+    cert = written_certificate(z4, 1)
+    assert cert["orbit_reps"] == [[0, 2]]
+    assert family(cert, [0, 2]) == [[0, 1], [2, 3]]
+    assert transcript(z4.group, family(cert, [0, 2])) == (1, 1, 1, 1)
+    assert coverage(z4, cert) == (mask_of([0, 2]), mask_of([1, 3]))
 
 
 def test_witness_empty_monomial(z4):
-    (w,) = written_certificate(z4, 0)["witnesses"]
-    assert w["delta"] == [] and w["family"] == []
-    assert transcript(z4.group, w["family"]) == (0, 0, 0, 0)
-    assert w["balanced_transcript"] == [0, 0, 0, 0]
+    cert = written_certificate(z4, 0)
+    assert cert["orbit_reps"] == [[]] and family(cert, []) == []
+    assert transcript(z4.group, family(cert, [])) == (0, 0, 0, 0)
 
 
 def test_balanced_family_examples(z2):
@@ -54,8 +57,9 @@ def test_balanced_family_examples(z2):
 
 
 def test_every_witness_family_is_balanced(order8_instances):
-    # the certificate states every transcript as (p,)*|G|; recount it from
-    # the stored family, and from the induced family of every valid monomial
+    # the certificate holds the induced types, not the transcripts: count
+    # each representative's family from them, and the induced family of
+    # every valid monomial
     for built in order8_instances:
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):
@@ -63,9 +67,10 @@ def test_every_witness_family_is_balanced(order8_instances):
             table = induced_family(with_phi)
             for p in range(half + 1):
                 balanced = (p,) * built.group.order
-                for stored in written_certificate(with_phi, p)["witnesses"]:
-                    recount = transcript(built.group, stored["family"])
-                    assert tuple(stored["balanced_transcript"]) == recount == balanced
+                cert = written_certificate(with_phi, p)
+                assert cert["induced_types"] == table
+                for rep in cert["orbit_reps"]:
+                    assert transcript(built.group, family(cert, rep)) == balanced
                 for delta in enumerate_valid(phi, p):
                     families = [table[s] for s in bits(delta)]
                     assert transcript(built.group, families) == balanced
@@ -88,27 +93,27 @@ def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
 
 def test_coverage_z4(z4):
     payload = written_certificate(z4, 1)
-    assert [mask_of(w["delta"]) for w in payload["witnesses"]] == [mask_of([0, 2])]
-    assert coverage(payload) == tuple(sorted([mask_of([0, 2]), mask_of([1, 3])]))
-    assert coverage(payload) == tuple(enumerate_valid(z4.cm_type, 1))
-    # the one orbit is listed once, and the valid set is not repeated
-    assert payload["verdict"] and payload["witnesses"][0]["covered_translates"] == [[0, 2], [1, 3]]
-    assert "coverage" not in payload and "valid_set" not in payload
+    assert [mask_of(d) for d in payload["orbit_reps"]] == [mask_of([0, 2])]
+    assert coverage(z4, payload) == tuple(sorted([mask_of([0, 2]), mask_of([1, 3])]))
+    assert coverage(z4, payload) == tuple(enumerate_valid(z4.cm_type, 1))
+    # the one orbit is listed by its least member, and nothing derived is stored
+    assert payload["verdict"] and payload["orbit_reps"] == [[0, 2]]
+    assert not {"coverage", "valid_set", "witnesses"} & payload.keys()
     assert verify_certificate(payload).ok
 
 
 def test_coverage_m2(z2):
     payload = written_certificate(z2, 1)
-    assert len(payload["witnesses"]) == 1
-    assert coverage(payload) == tuple(enumerate_valid(z2.cm_type, 1))
+    assert len(payload["orbit_reps"]) == 1
+    assert coverage(z2, payload) == tuple(enumerate_valid(z2.cm_type, 1))
     assert verify_certificate(payload).ok
 
 
 def test_coverage_ea4(ea4):
     payload = written_certificate(ea4, 1)
-    assert len(payload["witnesses"]) == 2
-    assert len(coverage(payload)) == 4
-    assert coverage(payload) == tuple(enumerate_valid(ea4.cm_type, 1))
+    assert len(payload["orbit_reps"]) == 2
+    assert len(coverage(ea4, payload)) == 4
+    assert coverage(ea4, payload) == tuple(enumerate_valid(ea4.cm_type, 1))
     assert verify_certificate(payload).ok
 
 
