@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Compare the CLI outputs of two source trees byte for byte, or analysis
-reports of two formats field by field.
+reports and certificate bundles of two formats field by field.
 
 Runs ``analyze``, ``deltas``, ``deltas --orbits-only``, ``witness`` and
 ``oracle`` on each instance, once per tree, each in a child process of its own with the
@@ -10,7 +10,8 @@ resident memory of the child (``ru_maxrss``), and it exits 1 if any
 command's stdout or exit code differs between the trees.  Where the two
 ``analyze`` reports have different ``kind``s, a version-1 and a version-2
 report, they are compared field by field instead (see ``same_report``),
-and any difference is a mismatch.
+and any difference is a mismatch.  So are a version-2 and a version-3
+``witness`` bundle (see ``same_bundle``).
 
 Every ``witness`` bundle is then checked by both trees' ``verify``, so
 each verifier reads its own tree's bundle and the other tree's.  Each of
@@ -19,9 +20,10 @@ lines; it is a mismatch if the new tree's verdicts on either bundle differ
 from the old tree's verdicts on its own bundle.  So a format change shows
 whether the new verifier still passes the old format, and records what the
 old verifier says of the new one.  Once per invocation, both trees'
-``verify`` also read every committed version-1 file in
-``tests/fixtures/v1/``, one row per file; a file is a mismatch if the
-trees' exit codes or verdict lines differ.
+``verify`` also read every committed certificate file of an older format
+version, in ``tests/fixtures/v1/`` and ``tests/fixtures/v2/``, one row per
+file; a file is a mismatch if the trees' exit codes or verdict lines
+differ.
 
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
@@ -117,6 +119,37 @@ def same_report(paths: tuple[Path, Path]) -> bool:
         return False
 
 
+def same_bundle(paths: tuple[Path, Path]) -> bool:
+    """Whether a version-2 and a version-3 ``witness`` bundle, in either
+    order, state the same facts: the same instance, and per certificate the
+    same ``p``, ``verdict`` and ``orbit_reps``, with each version-2
+    witness's ``family`` the version-3 ``induced_types`` at the points of
+    its ``delta``."""
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
+    docs.sort(key=lambda doc: doc["kind"])
+    if [doc["kind"] for doc in docs] != ["cmhodge.certificate-bundle/2", "cmhodge.certificate-bundle/3"]:
+        return False
+    old, new = docs
+    facts = ("p", "verdict", "orbit_reps")
+    try:
+        if old["instance"] != new["instance"] or len(old["certificates"]) != len(new["certificates"]):
+            return False
+        for a, b in zip(old["certificates"], new["certificates"]):
+            types = b["induced_types"]
+            if [a[k] for k in facts] != [b[k] for k in facts] or any(
+                w["family"] != [types[s] for s in w["delta"]] for w in a["witnesses"]
+            ):
+                return False
+    except (KeyError, IndexError, TypeError):
+        return False
+    return True
+
+
+# the field-by-field comparison of each command whose outputs may differ
+# in format between the trees
+SAME_FACTS = {("analyze",): same_report, ("witness",): same_bundle}
+
+
 def cross_verify(trees: tuple[Path, Path], instance: str, bundles: tuple[Path, Path], scratch: Path) -> int:
     """Run each tree's ``verify`` on both trees' bundles and print the
     verdicts; returns the number of mismatches (0 or 1)."""
@@ -131,11 +164,12 @@ def cross_verify(trees: tuple[Path, Path], instance: str, bundles: tuple[Path, P
     return int(not verdicts[0, 1] == verdicts[1, 1] == verdicts[0, 0])
 
 
-def verify_v1(trees: tuple[Path, Path], scratch: Path) -> int:
-    """Run each tree's ``verify`` on every version-1 fixture and print one
-    row per file; returns the number of files the trees disagree on."""
+def verify_fixtures(trees: tuple[Path, Path], scratch: Path) -> int:
+    """Run each tree's ``verify`` on every certificate fixture of an older
+    format version and print one row per file; returns the number of files
+    the trees disagree on."""
     mismatches = 0
-    for path in sorted((FIXTURES / "v1").glob("*.json")):
+    for path in sorted(FIXTURES.glob("v[0-9]*/*.json")):
         results = []
         for tree in trees:
             out = scratch / "verdicts.txt"
@@ -144,7 +178,8 @@ def verify_v1(trees: tuple[Path, Path], scratch: Path) -> int:
         same = results[0][:2] == results[1][:2]
         mismatches += not same
         cells = " | ".join(f"{code} {wall:.2f} {rss:.0f}" for code, _, wall, rss in results)
-        print(f"verify-v1 {path.name} | {cells} | {'; '.join(results[1][1])} | {'yes' if same else 'NO'}", flush=True)
+        name = path.relative_to(FIXTURES)
+        print(f"verify-fixture {name} | {cells} | {'; '.join(results[1][1])} | {'yes' if same else 'NO'}", flush=True)
     return mismatches
 
 
@@ -158,11 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     mismatches = 0
     print("command instance | old: sha256 exit wall_s rss_mb | new: sha256 exit wall_s rss_mb | same")
     print("verify instance | bundle by verifier | exit wall_s rss_mb | verdicts")
-    print("verify-v1 file | old: exit wall_s rss_mb | new: exit wall_s rss_mb | new verdicts | same")
+    print("verify-fixture file | old: exit wall_s rss_mb | new: exit wall_s rss_mb | new verdicts | same")
     with tempfile.TemporaryDirectory() as scratch:
         for n, instance in enumerate(args.instances or DEFAULT_INSTANCES):
             mismatches += compare(trees, instance, n, Path(scratch))
-        mismatches += verify_v1(trees, Path(scratch))
+        mismatches += verify_fixtures(trees, Path(scratch))
     print(f"{mismatches} mismatch(es)")
     return 1 if mismatches else 0
 
@@ -176,18 +211,18 @@ def compare(trees: tuple[Path, Path], instance: str, n: int, scratch: Path) -> i
     for k, command in enumerate(COMMANDS):
         # alternate which tree runs first, so neither always runs on a warm cache
         order = (0, 1) if (n + k) % 2 == 0 else (1, 0)
-        # the witness bundles are verified, and the reports read if they differ
+        # the witness bundles are verified, and the outputs read if they differ
         kept = tuple(scratch / f"{tree}-{command[0]}.json" for tree in TREES)
-        keep = command in (("witness",), ("analyze",))
+        keep = command in SAME_FACTS
         results = {i: run(trees[i], [*command, *source], kept[i] if keep else None) for i in order}
         old, new = results[0], results[1]
         same = old[:2] == new[:2]
         verdict = "yes" if same else "NO"
-        if command == ("analyze",) and not same and old[1] == new[1] == 0:
-            # read the reports in a process of their own: a child started
+        if command in SAME_FACTS and not same and old[1] == new[1] == 0:
+            # read the outputs in a process of their own: a child started
             # later inherits this process's peak memory as its own floor
             with get_context("spawn").Pool(1) as pool:
-                if pool.apply(same_report, (kept,)):
+                if pool.apply(SAME_FACTS[command], (kept,)):
                     same, verdict = True, "yes, by field"
         mismatches += not same
         cells = [f"{sha[:16]} {code} {wall:.2f} {rss:.0f}" for sha, code, wall, rss in (old, new)]

@@ -112,8 +112,10 @@ def _orbit_reps(built: BuiltInstance, p: int) -> list[int]:
 
 def _cmd_deltas(args, out) -> int:
     built = _load_instance(args)
-    listing = _orbit_reps if args.orbits_only else lambda built, p: enumerate_valid(built.cm_type, p)
-    per_degree = [(p, listing(built, p)) for p in _listable_degrees(args, built)]
+    per_degree = [
+        (p, _orbit_reps(built, p) if args.orbits_only else enumerate_valid(built.cm_type, p))
+        for p in _listable_degrees(args, built)
+    ]
     out.writelines(deltas_report(built, per_degree, args.orbits_only))
     return EXIT_OK
 

@@ -96,7 +96,7 @@ def _list_pieces(texts: Iterable[str]) -> list[str]:
 
 @cache
 def _key(name: str) -> str:
-    # a few names recur in every witness object: encode each once
+    # a few names recur in every degree and certificate: encode each once
     return canonical_json(name)[:-1]
 
 

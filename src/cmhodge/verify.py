@@ -1,13 +1,12 @@
 """Independent certificate verifier.
 
 Takes nothing in a certificate on trust: the group axioms, the CM-type
-partition, validity of every monomial, the induced families, the balanced
-transcripts, and the coverage claim are all recomputed from the raw tables
-in the file and compared against what the certificate asserts.  The
-producer writes each witness from its orbit and the CM-type's induced-type
-masks; the verifier recomputes those masks from the tables, turns them
-into point lists once per certificate, and compares each stored family
-member with them as a list, so no stored element is shifted into a mask.
+partition, validity of every monomial, the induced families, their
+balance, and the coverage claim are all recomputed from the raw tables in
+the file and compared against what the certificate asserts.  The
+verifier recomputes the CM-type's induced-type masks from the tables and
+turns them into point lists once per certificate, so no stored element is
+shifted into a mask.
 
 Each content hash is checked once, on text the verifier encodes itself
 and never takes from ``report``.  ``_encoded`` encodes every top-level
@@ -17,14 +16,22 @@ as that text is made, and keeps only whether the certificate's own hash
 matched.  So nothing is encoded twice, and no two certificate texts are
 held at once.
 
-A certificate of format version 2 (its ``kind`` ends in ``/2``) lists
-each Galois orbit once, as the covered translates of its witness.  Its
-coverage and valid set are derived: each witness's covered translates must
-be exactly the translates of its delta, and the valid set is the
-concatenation of those checked lists, so an orbit listed twice is a
-monomial listed twice.  A version-1 certificate stores ``coverage`` and
-``valid_set`` as well; they are read from the file and checked as before.
-A bundle accepts only certificates of its own version.
+A certificate of format version 3 (its ``kind`` ends in ``/3``) stores
+only the least member of each Galois orbit and the induced type at every
+point.  Every stored group element is bounded by |G| before the table is
+read, and the table must equal the recomputed one.  Each representative
+must be valid and its family, the stored types at its points, balanced;
+the representatives must ascend and each be the least of its translates,
+so no two share an orbit.  The orbits are then built one at a time, every
+member is scanned against the rows, and the orbit sizes must add up to
+the independent count.  A certificate of version 2 lists each Galois
+orbit once, as the covered translates of its witness.  Its coverage and
+valid set are derived: each witness's covered translates must be exactly
+the translates of its delta, and the valid set is the concatenation of
+those checked lists, so an orbit listed twice is a monomial listed twice.
+A version-1 certificate stores ``coverage`` and ``valid_set`` as well;
+they are read from the file and checked as before.  A bundle accepts only
+certificates of its own version.
 
 The valid set is checked by recount, not rebuilt.  Every listed monomial
 must pass the validity criterion and the listed masks must be distinct, so
@@ -360,9 +367,7 @@ def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, v1: boo
             return _fail("coverage", "stored coverage is not the union of witness translates")
 
     # valid, distinct and as many as there are: the listed set is the valid set
-    if not set(map(int.bit_count, listed)) <= {2 * p} or any(
-        not set(map(int.bit_count, map(r.__and__, listed))) <= {p} for r in phi.rows
-    ):
+    if not _all_valid(listed, phi.rows, p):
         return _fail("valid_set", "a listed monomial fails the validity criterion")
     if len(set(listed)) != len(listed):
         return _fail("valid_set", "a monomial is listed twice")
@@ -413,8 +418,7 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType) -> Ver
     # one row of each complementary pair: a 2p-point monomial meets the
     # other in 2p minus its count in this one
     rows = [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
-    scanned, total, batch = True, 0, []
-    previous = -1
+    scanned, total, batch, previous = True, 0, [], -1
     for i, delta in enumerate(masks):
         orbit = set(embeddings.translates(delta))
         if delta != min(orbit):
@@ -424,9 +428,10 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType) -> Ver
         previous = delta
         total += len(orbit)
         batch += orbit
-        if len(batch) >= _SCAN_BATCH or i == len(masks) - 1:
+        if len(batch) >= _SCAN_BATCH:
             scanned = scanned and _all_valid(batch, rows, p)
             batch.clear()
+    scanned = scanned and _all_valid(batch, rows, p)
 
     if not data["verdict"]:
         return _fail("coverage", "coverage verdict is wrong")
