@@ -132,13 +132,12 @@ _SCHEMA_V3 = {
     "induced_types": [{int}],
     "verdict": bool,
 }
-V2_KIND = "cmhodge.certificate/2"
 # the schema of each certificate kind, and the certificate kind of each
 # bundle kind; the format generation is read from the kind
-_SCHEMAS = {CERTIFICATE_KIND: _SCHEMA_V3, V2_KIND: _SCHEMA, "cmhodge.certificate": _SCHEMA_V1}
+_SCHEMAS = {CERTIFICATE_KIND: _SCHEMA_V3, "cmhodge.certificate/2": _SCHEMA, "cmhodge.certificate": _SCHEMA_V1}
 _BUNDLES = {
     BUNDLE_KIND: CERTIFICATE_KIND,
-    "cmhodge.certificate-bundle/2": V2_KIND,
+    "cmhodge.certificate-bundle/2": "cmhodge.certificate/2",
     "cmhodge.certificate-bundle": "cmhodge.certificate",
 }
 # how many monomials the row scan of a version-3 certificate holds at once

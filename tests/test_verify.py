@@ -303,7 +303,7 @@ def test_v3_wrong_orbits_of_right_shape(d8_p2_v3, mutate, check, detail):
     assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
 
 
-def test_row_scan_refuses_what_the_count_would_miss(d8_p2_v3):
+def test_row_scan_refuses_an_invalid_or_wrong_sized_mask():
     # the orbits are the verifier's own, so no certificate makes its scan
     # fail; the scan is there to catch a fault in them
     phi = build_instance(catalog("dihedral", "8")).cm_type
@@ -459,18 +459,21 @@ def _bundle_of_v2_certificate(built, payload):
     return rehash({**json.loads(certificate_bundle(built, [])), "certificates": certs})
 
 
-def _v1_bundle_of(payload):
-    bundle = v1_fixture("cyclic8.bundle.json")
-    return rehash({**bundle, "instance": payload["instance"], "certificates": [payload]})
+def _bundle_of(bundle: dict, cert: dict) -> dict:
+    """``bundle`` holding ``cert`` alone, rehashed."""
+    return rehash({**bundle, "instance": cert["instance"], "certificates": [cert]})
 
 
 def _v1_bundle_of_v2_certificate(built, payload):
-    return _v1_bundle_of(v2_fixture("z4-p1.certificate.json"))
+    return _bundle_of(v1_fixture("cyclic8.bundle.json"), v2_fixture("z4-p1.certificate.json"))
+
+
+def _v1_bundle_of_v3_certificate(built, payload):
+    return _bundle_of(v1_fixture("cyclic8.bundle.json"), payload)
 
 
 def _v2_bundle_of_v3_certificate(built, payload):
-    bundle = v2_fixture("cyclic8.bundle.json")
-    return rehash({**bundle, "instance": payload["instance"], "certificates": [payload]})
+    return _bundle_of(v2_fixture("cyclic8.bundle.json"), payload)
 
 
 def _bundle_of_other_instance(built, payload):
@@ -508,7 +511,7 @@ def _bundle_of_other_instance(built, payload):
         pytest.param(_set(("induced_types", 0, 1), 4), id="element-out-of-range"),
         pytest.param(_bundle_of_v2_certificate, id="bundle-of-v2-certificate"),
         pytest.param(_v2_bundle_of_v3_certificate, id="v2-bundle-of-v3-certificate"),
-        pytest.param(lambda built, payload: _v1_bundle_of(payload), id="v1-bundle-of-v3-certificate"),
+        pytest.param(_v1_bundle_of_v3_certificate, id="v1-bundle-of-v3-certificate"),
     ],
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
@@ -546,8 +549,13 @@ _JUNK = (-1, "x", None, [], {}, True, 2.5)
 
 
 def _junk_doc(z4, data) -> dict:
-    """A z4 certificate with one node replaced by junk, rehashed."""
-    p = data.draw(st.sampled_from(z4.degrees))
+    """A z4 certificate with one node replaced by junk, rehashed: one as
+    written at any degree, or the version-1 or version-2 one at p = 1."""
+    p = data.draw(st.sampled_from([*z4.degrees, "v1", "v2"]))
+    if p == "v1":
+        return _junked(v1_fixture("z4-p1.certificate.json"), data)
+    if p == "v2":
+        return _junked(v2_fixture("z4-p1.certificate.json"), data)
     return _junked(written_certificate(z4, p), data)
 
 
@@ -591,8 +599,9 @@ def _recursive_conforms(value, shape) -> bool:
 @given(data=st.data())
 def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
     doc = _junk_doc(z4, data)
-    for key, shape in verify._SCHEMA_V3.items():
-        assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
+    for schema in verify._SCHEMAS.values():
+        for key, shape in schema.items():
+            assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
 
 
 @settings(max_examples=300, deadline=None)
