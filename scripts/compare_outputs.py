@@ -3,15 +3,18 @@
 reports and certificate bundles of two formats field by field.
 
 Runs ``analyze``, ``deltas``, ``deltas --orbits-only``, ``witness`` and
-``oracle`` on each instance, once per tree, each in a child process of its own with the
-tree's ``src`` on ``PYTHONPATH``.  For every run it prints the SHA-256 of
-stdout (first 16 hex digits), the exit code, the wall time and the peak
-resident memory of the child (``ru_maxrss``), and it exits 1 if any
-command's stdout or exit code differs between the trees.  Where the two
-``analyze`` reports have different ``kind``s, a version-1 and a version-2
-report, they are compared field by field instead (see ``same_report``),
-and any difference is a mismatch.  So are a version-2 and a version-3
-``witness`` bundle (see ``same_bundle``).
+``oracle`` on each instance, once per tree, each in a child process of
+its own with the tree's ``src`` on ``PYTHONPATH``.  For every run it
+prints the SHA-256 of stdout (first 16 hex digits), the exit code, the
+wall time and the peak resident memory of the child, and it exits 1 if
+any command's stdout or exit code differs between the trees.  The child
+runs the CLI through a small wrapper that reports its own ``VmHWM`` at
+exit: ``ru_maxrss`` would carry this script's own peak into the child
+across fork and exec.  Where the two ``analyze`` reports have different
+``kind``s, a version-1 and a version-2 report, they are compared field by
+field instead (see ``same_report``), and any difference is a mismatch.
+So are a version-2 and a version-3 ``witness`` bundle (see
+``same_bundle``).
 
 Every ``witness`` bundle is then checked by both trees' ``verify``, so
 each verifier reads its own tree's bundle and the other tree's.  Each of
@@ -44,10 +47,19 @@ import subprocess
 import sys
 import tempfile
 import time
-from multiprocessing import get_context
 from pathlib import Path
 
 TREES = ("old", "new")
+# runs the CLI as ``python -m cmhodge.cli`` would, then writes the child's
+# own peak resident memory in kB (VmHWM) as the last word of its stderr
+CHILD = """
+import runpy, sys
+try:
+    runpy.run_module("cmhodge.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        print(" VmHWM", status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
+"""
 COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",), ("oracle",))
 FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 DEFAULT_INSTANCES = (
@@ -69,19 +81,19 @@ def run(tree: Path, argv: list[str], keep: Path | None = None) -> tuple[str, int
     digest = hashlib.sha256()
     start = time.perf_counter()
     with open(keep or os.devnull, "wb") as sink, subprocess.Popen(
-        [sys.executable, "-m", "cmhodge.cli", *argv],
+        [sys.executable, "-c", CHILD, *argv],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         env=env,
     ) as child:
         for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
             digest.update(chunk)
             sink.write(chunk)
-        # wait4 reports this child's own rusage, not a maximum over all children
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
+        # the CLI writes a few lines to stderr at most, so that pipe never fills
+        peak_kb = int(child.stderr.read().split()[-1])
+        code = child.wait()
     wall = time.perf_counter() - start
-    return digest.hexdigest(), child.returncode, wall, usage.ru_maxrss / 1024
+    return digest.hexdigest(), code, wall, peak_kb / 1024
 
 
 def version_2(doc: dict) -> dict:
@@ -218,12 +230,8 @@ def compare(trees: tuple[Path, Path], instance: str, n: int, scratch: Path) -> i
         old, new = results[0], results[1]
         same = old[:2] == new[:2]
         verdict = "yes" if same else "NO"
-        if command in SAME_FACTS and not same and old[1] == new[1] == 0:
-            # read the outputs in a process of their own: a child started
-            # later inherits this process's peak memory as its own floor
-            with get_context("spawn").Pool(1) as pool:
-                if pool.apply(SAME_FACTS[command], (kept,)):
-                    same, verdict = True, "yes, by field"
+        if command in SAME_FACTS and not same and old[1] == new[1] == 0 and SAME_FACTS[command](kept):
+            same, verdict = True, "yes, by field"
         mismatches += not same
         cells = [f"{sha[:16]} {code} {wall:.2f} {rss:.0f}" for sha, code, wall, rss in (old, new)]
         print(f"{' '.join(command)} {instance} | {cells[0]} | {cells[1]} | {verdict}", flush=True)

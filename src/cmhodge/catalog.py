@@ -6,7 +6,7 @@ whole splitting field) and a canonical default CM-type.
 from __future__ import annotations
 
 from .errors import NoCentralInvolution, UnknownCatalogEntry
-from .groups import build_group, check_order
+from .groups import check_order
 from .instance import InstanceSpec
 
 CATALOG_NAMES = ("cyclic", "elementary-abelian", "dihedral", "quaternion", "product")
@@ -132,15 +132,15 @@ def default_cm_type(table: list[list[int]], iota: int) -> list[int]:
 
 
 def catalog(name: str, params: str = "") -> InstanceSpec:
-    """Deterministic built-in instance for a catalog entry."""
+    """Deterministic built-in instance for a catalog entry.  Every table made
+    here has the identity at index 0; ``build_instance`` checks the group."""
     label, table, iota = _group_data(name, params)
-    group = build_group(len(table), table, iota)  # surfaces bad entries early
     return InstanceSpec(
         name=label,
-        order=group.order,
+        order=len(table),
         mult=tuple(tuple(row) for row in table),
         iota=iota,
-        factors=((group.identity,),),
+        factors=((0,),),
         cm_type=tuple(default_cm_type(table, iota)),
         degrees=None,
     )

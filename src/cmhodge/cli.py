@@ -17,7 +17,9 @@ from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
 from .groups import mask_of
 from .instance import BuiltInstance, build_instance, parse_instance, serialize_instance
 from .lattice import orbit_matrix
-from .monomials import check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
+from .monomials import (
+    BRUTEFORCE_CAP, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
+)
 from .report import analysis_report, certificate_bundle, deltas_report
 from .verify import verify_document
 
@@ -52,7 +54,7 @@ _ARGUMENTS = {
     "--degree": {"default": "all", "help": "a degree p, or 'all'"},
     "--orbits-only": {"action": "store_true"},
     "--certify": {"metavar": "PATH", "help": "certificate file to write or verify"},
-    "--cap": {"type": int, "default": 10**7, "help": "subset-count cap"},
+    "--cap": {"type": int, "default": BRUTEFORCE_CAP, "help": "subset-count cap"},
 }
 
 
@@ -215,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
-        print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
+        where = "" if exc.filename is None else f" {exc.filename}"
+        print(f"cannot access{where}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
     except CmhodgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,6 +15,9 @@ from typing import Iterable, Iterator
 from .errors import CapExceeded, NotACMType
 from .groups import EmbeddingSet, mask_of
 
+# most conjugate pairs ``enumerate_cm_types`` counts over: 2**20 CM-types
+CM_TYPE_CAP = 20
+
 
 @dataclass(frozen=True)
 class CMType:
@@ -99,16 +102,16 @@ def conjugate_pairs(carrier: EmbeddingSet) -> list[tuple[int, int]]:
     return [(s, c) for s, c in enumerate(carrier.conj) if s < c]
 
 
-def enumerate_cm_types(carrier: EmbeddingSet, cap: int = 20) -> Iterator[CMType]:
+def enumerate_cm_types(carrier: EmbeddingSet) -> Iterator[CMType]:
     """All 2^(m/2) CM-types, as a binary counter over the conjugate pairs
     (first pair most significant; bit 0 picks the smaller point).
 
-    Streams lazily; raises ``CapExceeded`` up front if m/2 exceeds ``cap``.
+    Streams lazily; raises ``CapExceeded`` up front if m/2 > ``CM_TYPE_CAP``.
     """
     pairs = conjugate_pairs(carrier)
     g = len(pairs)
-    if g > cap:
-        raise CapExceeded(f"{g} conjugate pairs exceeds the cap of {cap}")
+    if g > CM_TYPE_CAP:
+        raise CapExceeded(f"{g} conjugate pairs exceeds the cap of {CM_TYPE_CAP}")
     for code in range(1 << g):
         mask = 0
         for i, (lo, hi) in enumerate(pairs):

@@ -78,6 +78,14 @@ def _ints(parts: list[str], line_no: int) -> list[int]:
         raise ParseError(f"expected integers, got {parts!r}", line_no) from exc
 
 
+def _distinct(parts: list[str], what: str, line_no: int) -> tuple[int, ...]:
+    # a repeat would be computed or written twice, or dropped without a word
+    values = tuple(_ints(parts, line_no))
+    if len(set(values)) < len(values):
+        raise ParseError(f"{what} {Counter(values).most_common(1)[0][0]} is repeated", line_no)
+    return values
+
+
 def parse_instance(text: str) -> InstanceSpec:
     """Parse the documented line format; errors carry the line number."""
     name = ""
@@ -126,11 +134,11 @@ def parse_instance(text: str) -> InstanceSpec:
                 raise ParseError("iota wants exactly one integer", line_no)
             iota = _ints(parts, line_no)[0]
         elif key == "factor":
-            factors.append(tuple(_ints(parts, line_no)))
+            factors.append(_distinct(parts, "element", line_no))
         elif key == "cmtype":
             if cm_type is not None:
                 raise ParseError("duplicate cmtype line", line_no)
-            cm_type = tuple(_ints(parts, line_no))
+            cm_type = _distinct(parts, "point", line_no)
         elif key == "degrees":
             if not parts:
                 # zero degrees would make every command a vacuous success
@@ -138,11 +146,7 @@ def parse_instance(text: str) -> InstanceSpec:
             if parts == ["all"]:
                 degrees = None
             else:
-                degrees = tuple(_ints(parts, line_no))
-                p, n = Counter(degrees).most_common(1)[0]
-                if n > 1:
-                    # a repeated degree would be computed and written twice
-                    raise ParseError(f"degree {p} is repeated", line_no)
+                degrees = _distinct(parts, "degree", line_no)
         else:
             raise ParseError(f"unknown directive {key!r}", line_no)
 

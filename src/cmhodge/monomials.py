@@ -36,6 +36,8 @@ from .groups import mask_of
 HALF_TABLE_CAP = 10**7
 # largest number of masks ``enumerate_valid`` lists at one degree
 LISTING_CAP = 10**6
+# largest number of subsets ``enumerate_valid_bruteforce`` tests by default
+BRUTEFORCE_CAP = 10**7
 
 
 def valid_delta(phi: CMType, delta: int, p: int) -> bool:
@@ -44,7 +46,7 @@ def valid_delta(phi: CMType, delta: int, p: int) -> bool:
     return delta.bit_count() == 2 * p and all((delta & r).bit_count() == p for r in phi.rows)
 
 
-def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = 10**7) -> list[int]:
+def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = BRUTEFORCE_CAP) -> list[int]:
     """Reference oracle: test every size-2p subset directly.
 
     Returns masks in ascending order.  Raises ``CapExceeded`` when the

@@ -16,25 +16,23 @@ cut that list into the Galois orbits, so no monomial is written twice for
 one role.  A certificate (format version 3) holds the least member of
 each Galois orbit of its degree and the table of the induced type at every
 point; all else a split-Weil witness states is derived by the verifier,
-so it is not written.  ``_object`` assembles an object in key order from
-values it encodes with ``canonical_json`` and values given as text, and
-``_document`` does the same for a whole output, in pieces: it hashes the
-pieces, which make up the canonical serialization without
-``content_hash``, and inserts the hash at its sorted key position.  The
-degrees of a report or a deltas listing stay separate pieces, so the
-command writes them one by one and its text is held once.  A bundle is
-joined from the finished text of each certificate, and the instance and
-the induced-type table are encoded once per bundle.  The verifier checks
-the inserted hashes with an encoder of its own, which rebuilds the
-canonical text from the parsed document and never calls into this
-assembly.
+so it is not written.  ``_pieces`` writes an object in key order, in
+pieces, from values it encodes with ``canonical_json`` and values given
+as text.  ``_object`` joins the pieces; ``_document`` hashes the pieces of
+a whole output, its canonical serialization without ``content_hash``, and
+writes them again with the hash as one more field.  The degrees of a
+report or a deltas listing stay separate pieces, so the command writes
+them one by one and its text is held once.  A bundle is joined from the
+finished text of each certificate, and the instance and the induced-type
+table are encoded once per bundle.  The verifier checks the hashes with
+an encoder of its own, which rebuilds the canonical text from the parsed
+document and never calls into this assembly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from functools import cache
 from typing import Iterable
 
 from . import __version__
@@ -87,33 +85,19 @@ def _list(texts: Iterable[str]) -> str:
 def _list_pieces(texts: Iterable[str]) -> list[str]:
     """The canonical text of a list in pieces, the texts of its items among
     them, so that a list of large items is never joined."""
-    pieces = ["["]
-    for text in texts:
-        pieces += (",", text)
-    del pieces[1:2]  # the comma before the first item
-    return [*pieces, "]"]
+    pieces = [piece for text in texts for piece in (",", text)]
+    return ["[", *pieces[1:], "]"]  # no comma before the first item
 
 
-@cache
-def _key(name: str) -> str:
-    # a few names recur in every degree and certificate: encode each once
-    return canonical_json(name)[:-1]
-
-
-def _items(fields: dict, texts: dict[str, str]) -> list[tuple[str, str]]:
-    """The encoded (key, value) pairs of an object, in key order.  Each
-    value of ``fields`` is encoded once and added to ``texts``, which holds
-    values already encoded (without the newline)."""
+def _pieces(fields: dict, texts: dict[str, str | list[str]]):
+    """The canonical text of an object, in pieces.  Each value of ``fields``
+    is encoded with ``canonical_json`` and added to ``texts``, which holds
+    values given encoded, each a text or a list of its pieces.  Keys are
+    fixed names, so the text of a key is the name in quotes."""
     texts.update((k, canonical_json(v)[:-1]) for k, v in fields.items())
-    return [(_key(k), texts[k]) for k in sorted(texts)]
-
-
-def _pieces(items: list[tuple[str, str | list[str]]]):
-    """The canonical text of an object, in pieces, from its encoded keys
-    and values in key order; a value is a text or a list of its pieces."""
     sep = "{"
-    for key, value in items:
-        yield from (sep, key, ":")
+    for key, value in sorted(texts.items()):
+        yield from (sep, f'"{key}":')
         yield from ((value,) if isinstance(value, str) else value)
         sep = ","
     yield "}"
@@ -121,7 +105,7 @@ def _pieces(items: list[tuple[str, str | list[str]]]):
 
 def _object(fields: dict, **texts: str) -> str:
     """The canonical text of an object, without the newline."""
-    return "".join(_pieces(_items(fields, texts)))
+    return "".join(_pieces(fields, texts))
 
 
 def _document(fields: dict, **texts: str | list[str]) -> list[str]:
@@ -129,14 +113,11 @@ def _document(fields: dict, **texts: str | list[str]) -> list[str]:
     The hash is taken piece by piece, and the pieces are returned as they
     are, so a large value given in pieces is never joined: writing the
     pieces one by one holds its text once."""
-    items = _items(fields, texts)
     digest = hashlib.sha256()
-    for piece in _pieces(items):
+    for piece in _pieces(fields, texts):  # adds the encoded fields to texts
         digest.update(piece.encode("utf-8"))
     digest.update(b"\n")
-    hash_item = (_key("content_hash"), canonical_json(digest.hexdigest())[:-1])
-    items.insert(sum(k < "content_hash" for k in texts), hash_item)
-    return [*_pieces(items), "\n"]
+    return [*_pieces({"content_hash": digest.hexdigest()}, texts), "\n"]
 
 
 def instance_payload(spec: InstanceSpec) -> dict:

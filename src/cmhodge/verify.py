@@ -192,6 +192,11 @@ def _encoded(doc: dict) -> tuple[str, bool]:
     return text, _hash_ok(doc, {k: (e,) for k, e in entries.items() if k != "content_hash"})
 
 
+def _kept_rows(phi: CMType) -> list[int]:
+    """The smaller row of each complementary pair (see ``_count_valid``)."""
+    return [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
+
+
 def _count_valid(phi: CMType, p: int) -> int:
     """The number of valid monomials at degree p, counted without listing one.
 
@@ -207,11 +212,7 @@ def _count_valid(phi: CMType, p: int) -> int:
     Raises ``CapExceeded``, before tabulating anything, if the two halves
     hold more than ``HALF_TABLE_CAP`` subsets over the sizes used.
     """
-    m = phi.carrier.size
-    rows: list[int] = []
-    for r in phi.rows:
-        if phi.carrier.all_mask ^ r not in rows:
-            rows.append(r)
+    m, rows = phi.carrier.size, _kept_rows(phi)
     f = (2 * p).bit_length()
     weights = [sum((r >> s & 1) << f * j for j, r in enumerate(rows)) for s in range(m)]
     evens, odds = weights[0::2], weights[1::2]
@@ -298,18 +299,18 @@ def verify_certificate(
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
+    # the points are bounded and distinct: a list's mask is the sum of its bits
+    bit = [1 << s for s in range(embeddings.size)].__getitem__
     if v3:
-        return _verify_orbit_reps(data, embeddings, phi)
-    return _verify_witnesses(data, embeddings, phi, v1)
+        return _verify_orbit_reps(data, embeddings, phi, bit)
+    return _verify_witnesses(data, embeddings, phi, bit, v1)
 
 
-def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, v1: bool) -> VerificationResult:
+def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, bit, v1: bool) -> VerificationResult:
     """The checks of a certificate of version 1 or 2 past the degree bound:
     each witness, then the coverage and the valid set."""
     p, witnesses, orbit_reps = data["p"], data["witnesses"], data["orbit_reps"]
     group = embeddings.parent
-    # the points are bounded and distinct: a list's mask is the sum of its bits
-    bit = [1 << s for s in range(embeddings.size)].__getitem__
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
@@ -366,19 +367,19 @@ def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, v1: boo
             return _fail("coverage", "stored coverage is not the union of witness translates")
 
     # valid, distinct and as many as there are: the listed set is the valid set
-    if not _all_valid(listed, phi.rows, p):
+    if not _all_valid(listed, _kept_rows(phi), p):
         return _fail("valid_set", "a listed monomial fails the validity criterion")
     if len(set(listed)) != len(listed):
         return _fail("valid_set", "a monomial is listed twice")
     if len(listed) != _count_valid(phi, p):
         return _fail("valid_set", "stored valid set differs in size from the independent count")
-    if (stored_coverage == listed) != data["verdict"] or not data["verdict"]:
+    if not data["verdict"] or stored_coverage != listed:
         return _fail("coverage", "coverage verdict is wrong")
 
     return VerificationResult(True)
 
 
-def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType) -> VerificationResult:
+def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType, bit) -> VerificationResult:
     """The checks of a version-3 certificate past the degree bound.
 
     Each representative is checked for its size and validity, the stored
@@ -392,8 +393,6 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType) -> Ver
     and the scan holds at most ``_SCAN_BATCH`` members.
     """
     p, reps, order = data["p"], data["orbit_reps"], embeddings.parent.order
-    # the points are bounded and distinct: a list's mask is the sum of its bits
-    bit = [1 << s for s in range(embeddings.size)].__getitem__
     masks = [sum(map(bit, rep)) for rep in reps]
     for i, (rep, delta) in enumerate(zip(reps, masks)):
         if len(rep) != 2 * p:
@@ -414,9 +413,7 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType) -> Ver
         if sum(map(packed.__getitem__, rep)) != balanced:
             return _fail("balanced", f"representative {i} family does not hold each element {p} times")
 
-    # one row of each complementary pair: a 2p-point monomial meets the
-    # other in 2p minus its count in this one
-    rows = [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
+    rows = _kept_rows(phi)
     scanned, total, batch, previous = True, 0, [], -1
     for i, delta in enumerate(masks):
         orbit = set(embeddings.translates(delta))

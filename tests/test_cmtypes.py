@@ -43,13 +43,15 @@ def test_enumerate_z4_order(z4):
     assert got == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     import cmhodge.catalog as cat
+    from cmhodge import cmtypes
     from cmhodge.instance import build_instance
 
     built = build_instance(cat.catalog("cyclic", "8"))
+    monkeypatch.setattr(cmtypes, "CM_TYPE_CAP", 3)
     with pytest.raises(CapExceeded):
-        list(enumerate_cm_types(built.embeddings, cap=3))
+        list(enumerate_cm_types(built.embeddings))
 
 
 def test_enumerate_all_are_cm_types(order8_instances):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
 
 import pytest
 
-from cmhodge.catalog import catalog, cyclic_table, sweep_instances
+from cmhodge.catalog import _group_data, catalog, cyclic_table, sweep_instances
 from cmhodge import cli
 from cmhodge.cli import main
-from cmhodge.errors import NoCentralInvolution, ParseError, UnknownCatalogEntry, ValidationError
+from cmhodge.errors import CmhodgeError, NoCentralInvolution, ParseError, UnknownCatalogEntry, ValidationError
+from cmhodge.groups import build_group
 from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
 
 Z2_TEXT = """\
@@ -55,6 +58,12 @@ def test_parse_errors_carry_line_numbers():
     # a repeated degree would be computed and written twice
     with pytest.raises(ParseError, match="line 9: degree 0 is repeated"):
         parse_instance(Z2_TEXT.replace("degrees all", "degrees 0 1 0"))
+    # a repeated point or element would be copied into every certificate's
+    # instance, which the verifier's schema check then rejects
+    with pytest.raises(ParseError, match="line 8: point 0 is repeated"):
+        parse_instance(Z2_TEXT.replace("cmtype 0", "cmtype 0 0"))
+    with pytest.raises(ParseError, match="line 7: element 0 is repeated"):
+        parse_instance(Z2_TEXT.replace("factor 0", "factor 0 0"))
 
 
 def test_validation_wraps_module_errors():
@@ -76,6 +85,46 @@ def test_catalog_entries():
         catalog("cyclic", "3")
     with pytest.raises(UnknownCatalogEntry):
         catalog("nope", "1")
+
+
+def _accepted_catalog_groups() -> list[tuple[str, list[list[int]], int]]:
+    """What ``_group_data`` returns for every entry of order at most 64 that
+    it accepts: each family at each order, quaternion:8, and the products of
+    two of the accepted entries of order at most 16."""
+    def accepted(name, params):
+        try:
+            return [_group_data(name, params)]
+        except CmhodgeError:
+            return []
+
+    entries = [(name, str(n)) for name in ("cyclic", "elementary-abelian", "dihedral") for n in range(1, 65)]
+    singles = [g for entry in (*entries, ("quaternion", "8")) for g in accepted(*entry)]
+    small = [label.replace(":", ".") for label, table, _ in singles if len(table) <= 16]
+    return singles + [g for a in small for b in small for g in accepted("product", f"{a}x{b}")]
+
+
+def test_catalog_groups_are_groups_with_identity_0():
+    # catalog() does not check its own tables; build_instance does, once
+    groups = _accepted_catalog_groups()
+    assert len(groups) == 227
+    for label, table, iota in groups:
+        assert build_group(len(table), table, iota).identity == 0, label
+
+
+def test_catalog_command_builds_its_group_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_group(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("cmhodge")]:
+        if getattr(module, "build_group", None) is build_group:
+            monkeypatch.setattr(module, "build_group", counted)
+    for command in ("analyze", "deltas", "witness", "oracle"):
+        calls.clear()
+        assert run_cli(command, "--catalog", "dihedral:8")[0] == 0, command
+        assert len(calls) == 1, command
 
 
 def test_cli_analyze_dims():
@@ -149,10 +198,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text(serialize_instance(too_big))
     assert run_cli("analyze", "--input", str(bad))[0] == 2  # groups stop at order 64
     # an empty degrees line selects no degree, so every command would pass
-    # vacuously, and a repeated degree would be written twice
-    for line, message in (("degrees", "line 9: degrees"), ("degrees 0 1 0", "line 9: degree 0 is repeated")):
+    # vacuously, a repeated degree would be written twice, and a repeated
+    # point or element would be written into certificates that fail verify
+    for old, line, message in (
+        ("degrees all", "degrees", "line 9: degrees"),
+        ("degrees all", "degrees 0 1 0", "line 9: degree 0 is repeated"),
+        ("cmtype 0", "cmtype 0 0", "line 8: point 0 is repeated"),
+        ("factor 0", "factor 0 0", "line 7: element 0 is repeated"),
+    ):
         capsys.readouterr()
-        bad.write_text(Z2_TEXT.replace("degrees all", line))
+        bad.write_text(Z2_TEXT.replace(old, line))
         for command in ("analyze", "deltas", "witness", "oracle"):
             assert run_cli(command, "--input", str(bad))[0] == 2, command
         assert message in capsys.readouterr().err
@@ -171,6 +226,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("verify", "--certify", str(bad))[0] == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 7
+
+
+def test_closed_stdout_is_an_access_error(monkeypatch, capsys):
+    # as in `cmhodge analyze ... | head -c 300`: the error names no file
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        writelines = write
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    for command in ("analyze", "witness"):
+        assert main([command, "--catalog", "cyclic:4"]) == 2, command
+        assert capsys.readouterr().err == "cannot access: Broken pipe\n"
 
 
 def test_points_past_the_bound_are_refused(tmp_path, capsys):
