@@ -58,12 +58,13 @@ _ARGUMENTS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
     parser = _Parser(prog="cmhodge")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, options in _OPTIONS.items():
+    # a command named first needs only its own subparser; anything else gets all
+    for name in argv[:1] if argv[:1] and argv[0] in _OPTIONS else _OPTIONS:
         cmd = sub.add_parser(name)
-        for option in options:
+        for option in _OPTIONS[name]:
             cmd.add_argument(option, **_ARGUMENTS[option])
     return parser
 
@@ -160,6 +161,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    if args.cap < 0:
+        raise _UsageError(f"--cap wants a non-negative integer, got {args.cap}")
     built = _load_instance(args)
     phi = built.cm_type
     m = built.embeddings.size
@@ -203,9 +206,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         return _COMMANDS[args.command](args, sys.stdout)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

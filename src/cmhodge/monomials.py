@@ -17,7 +17,8 @@ table past that budget is built for its call and dropped.  The tables are
 not a cached property of ``CMType``: a sweep holds every type of a carrier
 at once, and each would keep its own.  ``check_listing_cap`` counts a
 degree's valid monomials from the same tables, so a command can refuse an
-input before listing any degree.
+input before listing any degree.  It counts only the degrees past the
+Hodge bound: degree p has at most dim H^{p,p} = C(m/2, p)**2 of them.
 """
 
 from __future__ import annotations
@@ -149,11 +150,15 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
     """Raise the ``CapExceeded`` that ``enumerate_valid`` would raise at the
     first of these degrees that has one, without listing a monomial.
 
-    Each degree is counted from the shared half tables: every scanned
-    subset adds the number of keyed masks that complete it.  The listing
-    that follows reads the same tables.
+    A valid monomial of degree p is p points of phi and p of its conjugate,
+    so a degree with C(m/2, p)**2 <= ``LISTING_CAP`` passes uncounted.  Any
+    other is counted from the shared half tables: every scanned subset adds
+    the number of keyed masks that complete it.  The listing that follows
+    reads the same tables.
     """
     for p in degrees:
+        if comb(phi.carrier.size // 2, p) ** 2 <= LISTING_CAP:
+            continue
         tables, sizes = _half_tables(phi, p)
         target = p * tables.unit
         count = 0

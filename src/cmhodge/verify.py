@@ -3,10 +3,10 @@
 Takes nothing in a certificate on trust: the group axioms, the CM-type
 partition, validity of every monomial, the induced families, their
 balance, and the coverage claim are all recomputed from the raw tables in
-the file and compared against what the certificate asserts.  The
-verifier recomputes the CM-type's induced-type masks from the tables and
-turns them into point lists once per certificate, so no stored element is
-shifted into a mask.
+the file and compared against what the certificate asserts.  What the
+instance fixes, the induced type at each point as a list of group
+elements, the kept rows and the count's tables, is recomputed once per
+document (``_Recount``), so no stored element is shifted into a mask.
 
 Each content hash is checked once, on text the verifier encodes itself
 and never takes from ``report``.  ``_encoded`` encodes every top-level
@@ -36,15 +36,15 @@ certificates of its own version.
 The valid set is checked by recount, not rebuilt.  Every listed monomial
 must pass the validity criterion and the listed masks must be distinct, so
 the list is a subset of the true valid set; its length must then equal the
-number of valid monomials, counted by ``_count_valid`` on a split of the
-points (evens against odds) that the producer's enumerator does not use.
-A subset of the right size is the whole set, so a certificate cannot pass
-by being self-consistent about a wrong answer.  The count packs, for each
-point, one F-bit field per row of each complementary pair into a single
-int weight, so a subset's summed weight holds its count in every row;
-since a field of an even sum plus an odd sum is at most 2p < 2**F, no
-field carries, and two halves match iff their sums add up to p in every
-field.
+number of valid monomials, counted by ``_Recount.count`` on a split of
+the points (evens against odds) that the producer's enumerator does not
+use.  A subset of the right size is the whole set, so a certificate cannot
+pass by being self-consistent about a wrong answer.  The count packs, for
+each point, one F-bit field per row of each complementary pair into a
+single int weight, so a subset's summed weight holds its count in every
+row; since a field of an even sum plus an odd sum is at most 2p <= m <
+2**F, no field carries, and two halves match iff their sums add up to p in
+every field.
 """
 
 from __future__ import annotations
@@ -192,49 +192,73 @@ def _encoded(doc: dict) -> tuple[str, bool]:
     return text, _hash_ok(doc, {k: (e,) for k, e in entries.items() if k != "content_hash"})
 
 
-def _kept_rows(phi: CMType) -> list[int]:
-    """The smaller row of each complementary pair (see ``_count_valid``)."""
-    return [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
+class _Recount:
+    """What ``_build`` derives from one instance for every degree: the kept
+    rows, the induced types, plain and packed with F = m.bit_length(), and
+    the count's tables, kept while they hold at most ``HALF_TABLE_CAP``
+    subsets in all; a table past that is built for its call and dropped."""
+
+    def __init__(self, phi: CMType):
+        m, f = phi.carrier.size, phi.carrier.size.bit_length()
+        self.phi, self.f = phi, f
+        # the points are bounded and distinct: a list's mask is the sum of its bits
+        self.bit = [1 << s for s in range(m)].__getitem__
+        # the smaller row of each complementary pair (see ``count``)
+        self.rows = [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
+        self.types = [bits(t) for t in phi.induced_types]
+        self.packed = [sum(1 << f * t for t in members) for members in self.types]
+        weights = [sum((r >> s & 1) << f * j for j, r in enumerate(self.rows)) for s in range(m)]
+        self.halves = weights[0::2], weights[1::2]
+        self.tables: dict[tuple[int, int], Counter] = {}
+        self.subsets = 0  # held in ``tables``
+
+    def table(self, side: int, k: int) -> Counter:
+        """How many size-k subsets of the evens (side 0) or odds have each weight."""
+        table = self.tables.get((side, k))
+        if table is None:
+            table = Counter(map(sum, combinations(self.halves[side], k)))
+            n = comb(len(self.halves[side]), k)
+            if self.subsets + n <= HALF_TABLE_CAP:
+                self.tables[side, k] = table
+                self.subsets += n
+        return table
+
+    def count(self, p: int) -> int:
+        """The number of valid monomials at degree p, counted without listing one.
+
+        A subset S of the points splits into its even points E and odd points
+        O, and |S & r| = |E & r| + |O & r| for every row r.  One row of each
+        complementary pair is enough, since |S & (all ^ r)| = |S| - |S & r|.
+        Each point gets a weight with one F-bit field per kept row, holding 1
+        where the row contains the point, so the sum of a subset's weights
+        holds |S & r| in the field of r.  No field carries into the next: a
+        field of an even sum plus an odd sum is |S & r| <= 2p <= m < 2**F.
+        So, size by size, each half's subsets are tabulated by summed weight,
+        and S is valid iff its even and odd sums add up to the weight with p
+        in every field.  Raises ``CapExceeded``, before tabulating anything,
+        if the two halves hold more than ``HALF_TABLE_CAP`` subsets over the
+        sizes used, whether or not their tables are held.
+        """
+        evens, odds = map(len, self.halves)
+        sizes = range(max(0, 2 * p - odds), min(evens, 2 * p) + 1)
+        subsets = sum(comb(evens, k) + comb(odds, 2 * p - k) for k in sizes)
+        if subsets > HALF_TABLE_CAP:
+            raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
+        target = sum(p << self.f * j for j in range(len(self.rows)))
+        count = 0
+        for k in sizes:
+            odd = self.table(1, 2 * p - k)
+            count += sum(n * odd[target - w] for w, n in self.table(0, k).items())
+        return count
 
 
-def _count_valid(phi: CMType, p: int) -> int:
-    """The number of valid monomials at degree p, counted without listing one.
-
-    A subset S of the points splits into its even points E and odd points O,
-    and |S & r| = |E & r| + |O & r| for every row r.  One row of each
-    complementary pair is enough, since |S & (all ^ r)| = |S| - |S & r|.
-    Each point gets a weight with one F-bit field per kept row, holding 1
-    where the row contains the point, so the sum of a subset's weights holds
-    |S & r| in the field of r.  No field carries into the next: a field of
-    an even sum plus an odd sum is |S & r| <= |S| = 2p < 2**F.  So, size by
-    size, each half's subsets are tabulated by summed weight, and S is valid
-    iff its even and odd sums add up to the weight with p in every field.
-    Raises ``CapExceeded``, before tabulating anything, if the two halves
-    hold more than ``HALF_TABLE_CAP`` subsets over the sizes used.
-    """
-    m, rows = phi.carrier.size, _kept_rows(phi)
-    f = (2 * p).bit_length()
-    weights = [sum((r >> s & 1) << f * j for j, r in enumerate(rows)) for s in range(m)]
-    evens, odds = weights[0::2], weights[1::2]
-    sizes = range(max(0, 2 * p - len(odds)), min(len(evens), 2 * p) + 1)
-    subsets = sum(comb(len(evens), k) + comb(len(odds), 2 * p - k) for k in sizes)
-    if subsets > HALF_TABLE_CAP:
-        raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
-    target = sum(p << f * j for j in range(len(rows)))
-    count = 0
-    for k in sizes:
-        odd = Counter(map(sum, combinations(odds, 2 * p - k)))
-        count += sum(n * odd[target - w] for w, n in Counter(map(sum, combinations(evens, k))).items())
-    return count
-
-
-def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, VerificationResult | None]:
+def _build(inst: dict) -> tuple[EmbeddingSet | None, _Recount | None, VerificationResult | None]:
     """Build the embedding set and CM-type of a schema-checked instance.
 
-    Returns (embeddings, phi, failure).  A failed ``group_axioms`` or
-    ``factors`` check leaves both objects None; a failed ``cm_type`` check
-    keeps the embedding set, because the points are bounded before the
-    CM-type is checked.
+    Returns (embeddings, recount, failure), recount a ``_Recount`` of the
+    CM-type.  A failed ``group_axioms`` or ``factors`` check leaves both
+    objects None; a failed ``cm_type`` check keeps the embedding set,
+    because the points are bounded before the CM-type is checked.
     """
     try:
         group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
@@ -245,7 +269,7 @@ def _build(inst: dict) -> tuple[EmbeddingSet | None, CMType | None, Verification
     except CmhodgeError as exc:
         return None, None, _fail("factors", str(exc))
     try:
-        return embeddings, validate_cm_type(embeddings, inst["cm_type"]), None
+        return embeddings, _Recount(validate_cm_type(embeddings, inst["cm_type"])), None
     except CmhodgeError as exc:
         return embeddings, None, _fail("cm_type", str(exc))
 
@@ -281,7 +305,7 @@ def verify_certificate(
     if not hash_ok:
         return _fail("content_hash", "stored hash does not match the content")
 
-    embeddings, phi, failure = built or _build(inst)
+    embeddings, recount, failure = built or _build(inst)
     if embeddings is None:
         return failure
     # bound every point and group element before it is shifted into a mask
@@ -294,27 +318,24 @@ def verify_certificate(
     order = embeddings.parent.order
     if v3 and max(map(max, filter(None, data["induced_types"])), default=0) >= order:
         return _fail("schema", f"a group element lies outside 0..{order - 1}")
-    if phi is None:
+    if recount is None:
         return failure
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
-    # the points are bounded and distinct: a list's mask is the sum of its bits
-    bit = [1 << s for s in range(embeddings.size)].__getitem__
     if v3:
-        return _verify_orbit_reps(data, embeddings, phi, bit)
-    return _verify_witnesses(data, embeddings, phi, bit, v1)
+        return _verify_orbit_reps(data, embeddings, recount)
+    return _verify_witnesses(data, embeddings, recount, v1)
 
 
-def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, bit, v1: bool) -> VerificationResult:
+def _verify_witnesses(data: dict, embeddings: EmbeddingSet, recount: _Recount, v1: bool) -> VerificationResult:
     """The checks of a certificate of version 1 or 2 past the degree bound:
     each witness, then the coverage and the valid set."""
     p, witnesses, orbit_reps = data["p"], data["witnesses"], data["orbit_reps"]
-    group = embeddings.parent
+    group, phi, bit = embeddings.parent, recount.phi, recount.bit
     if len(witnesses) != len(orbit_reps):
         return _fail("schema", "witness count differs from orbit representative count")
 
-    induced = [bits(t) for t in phi.induced_types]  # the induced type at each point
     found: list[int] = []  # the checked covered translates, witness by witness
     for i, w in enumerate(witnesses):
         delta = sum(map(bit, w["delta"]))
@@ -330,7 +351,7 @@ def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, bit, v1
         if len(family) != len(delta_points):
             return _fail("induced_family", f"witness {i} family size differs from |delta|")
         for s, stored in zip(delta_points, family):
-            if sorted(stored) != induced[s]:
+            if sorted(stored) != recount.types[s]:
                 return _fail(
                     "induced_family",
                     f"witness {i}: stored type at point {s} is not the induced type",
@@ -367,11 +388,11 @@ def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, bit, v1
             return _fail("coverage", "stored coverage is not the union of witness translates")
 
     # valid, distinct and as many as there are: the listed set is the valid set
-    if not _all_valid(listed, _kept_rows(phi), p):
+    if not _all_valid(listed, recount.rows, p):
         return _fail("valid_set", "a listed monomial fails the validity criterion")
     if len(set(listed)) != len(listed):
         return _fail("valid_set", "a monomial is listed twice")
-    if len(listed) != _count_valid(phi, p):
+    if len(listed) != recount.count(p):
         return _fail("valid_set", "stored valid set differs in size from the independent count")
     if not data["verdict"] or stored_coverage != listed:
         return _fail("coverage", "coverage verdict is wrong")
@@ -379,7 +400,7 @@ def _verify_witnesses(data: dict, embeddings: EmbeddingSet, phi: CMType, bit, v1
     return VerificationResult(True)
 
 
-def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType, bit) -> VerificationResult:
+def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) -> VerificationResult:
     """The checks of a version-3 certificate past the degree bound.
 
     Each representative is checked for its size and validity, the stored
@@ -392,28 +413,25 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType, bit) -
     orbits are then the whole valid set.  One orbit is built at a time,
     and the scan holds at most ``_SCAN_BATCH`` members.
     """
-    p, reps, order = data["p"], data["orbit_reps"], embeddings.parent.order
-    masks = [sum(map(bit, rep)) for rep in reps]
+    p, reps, phi = data["p"], data["orbit_reps"], recount.phi
+    masks = [sum(map(recount.bit, rep)) for rep in reps]
     for i, (rep, delta) in enumerate(zip(reps, masks)):
         if len(rep) != 2 * p:
             return _fail("degree", f"representative {i} has {len(rep)} points, expected {2 * p}")
         if not valid_delta(phi, delta, p):
             return _fail("delta_valid", f"representative {i} fails the validity criterion")
 
-    types = data["induced_types"]
-    if types != [bits(t) for t in phi.induced_types]:
+    if data["induced_types"] != recount.types:
         return _fail("induced_family", "stored induced types differ from the recomputed table")
     # each point's type packed into one F-bit field per group element: a
-    # family of 2p types holds an element at most 2p < 2**F times, so the
-    # packed sum of a family holds its count of every element
-    f = (2 * p).bit_length()
-    packed = [sum(1 << f * t for t in members) for members in types]
-    balanced = sum(p << f * t for t in range(order))
+    # family of 2p types holds an element at most 2p <= m < 2**F times, so
+    # the packed sum of a family holds its count of every element
+    balanced = sum(p << recount.f * t for t in embeddings.parent.elements())
     for i, rep in enumerate(reps):
-        if sum(map(packed.__getitem__, rep)) != balanced:
+        if sum(map(recount.packed.__getitem__, rep)) != balanced:
             return _fail("balanced", f"representative {i} family does not hold each element {p} times")
 
-    rows = _kept_rows(phi)
+    rows = recount.rows
     scanned, total, batch, previous = True, 0, [], -1
     for i, delta in enumerate(masks):
         orbit = set(embeddings.translates(delta))
@@ -433,7 +451,7 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, phi: CMType, bit) -
         return _fail("coverage", "coverage verdict is wrong")
     if not scanned:
         return _fail("valid_set", "an orbit member fails the validity criterion")
-    if total != _count_valid(phi, p):
+    if total != recount.count(p):
         return _fail("valid_set", "the orbits differ in size from the independent count")
     return VerificationResult(True)
 

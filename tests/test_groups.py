@@ -87,6 +87,40 @@ def test_non_associative_latin_square_rejected():
     assert err.value.witness is not None
 
 
+def intercalate_swaps(n: int):
+    """The cyclic table of order n with one intercalate swapped: rows a and
+    a + n/2 cross columns b and b + n/2 in a 2x2 square holding two values,
+    exchanged.  No changed cell holds 0, and rows and column 0 stay, so the
+    identity and the inverses stay too."""
+    half = n // 2
+    for a in range(1, half):
+        for b in range(1, half):
+            if (a + b) % half:
+                table = cyclic_table(n)
+                for row in (a, a + half):
+                    for col in (b, b + half):
+                        table[row][col] = (table[row][col] + half) % n
+                yield table
+
+
+def first_failing_triple(table):
+    n = len(table)
+    triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+    return next((t for t in triples if table[table[t[0]][t[1]]][t[2]] != table[t[0]][table[t[1]][t[2]]]), None)
+
+
+def test_associativity_witness_is_the_first_failing_triple():
+    # the row comparison finds the failing rows, and the witness is still
+    # the lexicographically first failing triple; every swap breaks
+    # associativity (240 tables)
+    for n in range(4, 21, 2):
+        for table in intercalate_swaps(n):
+            a, b, c = first_failing_triple(table)
+            with pytest.raises(NotAGroup) as err:
+                build_group(n, table, n // 2)
+            assert (str(err.value), err.value.witness) == (f"associativity fails at ({a},{b},{c})", (a, b, c))
+
+
 def test_coset_space_z2_trivial():
     g = build_group(2, cyclic_table(2), 1)
     space = embedding_set(g, [[0]])

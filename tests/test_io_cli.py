@@ -127,6 +127,25 @@ def test_catalog_command_builds_its_group_once(monkeypatch):
         assert len(calls) == 1, command
 
 
+def test_a_named_command_builds_only_its_own_parser(monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    for command in ("analyze", "deltas", "witness", "oracle", "catalog"):
+        built.clear()
+        assert run_cli(command, "--catalog", "dihedral:8")[0] == 0, command
+        assert built == ["cmhodge", f"cmhodge {command}"], command
+    # anything else gets every command's parser, for its message
+    built.clear()
+    assert run_cli("nosuch")[0] == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
 def test_cli_analyze_dims():
     code, out = run_cli("analyze", "--catalog", "cyclic:4", "--degree", "all")
     assert code == 0
@@ -167,6 +186,9 @@ def test_cli_deltas_orbits_only():
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("analyze")[0] == 1  # neither --input nor --catalog
+    assert run_cli()[0] == 1  # no command
+    assert run_cli("nosuch")[0] == 1
+    assert run_cli("oracle", "--catalog", "cyclic:4", "--cap", "-1")[0] == 1
     # each command takes only the options it reads
     assert run_cli("analyze", "--catalog", "cyclic:4", "--certify", str(tmp_path / "x"))[0] == 1
     assert not (tmp_path / "x").exists()

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmhodge.catalog import catalog, sweep_instances
-from cmhodge import monomials
+from cmhodge import monomials, verify
 from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
-from cmhodge.errors import CapExceeded, NotClosed
-from cmhodge.groups import bits, build_group, embedding_set, mask_of
+from cmhodge.errors import CapExceeded, CmhodgeError, NotClosed
+from cmhodge.groups import MAX_POINTS, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.monomials import (
     check_listing_cap,
@@ -25,7 +25,7 @@ from cmhodge.monomials import (
     galois_orbits,
     valid_delta,
 )
-from cmhodge.verify import _count_valid, verify_document
+from cmhodge.verify import _Recount, verify_document
 from conftest import written_bundle
 
 EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
@@ -106,7 +106,7 @@ def test_enumerator_matches_oracle_hypothesis(data):
     p = data.draw(st.integers(min_value=0, max_value=m // 2))
     oracle = enumerate_valid_bruteforce(phi, p)
     assert enumerate_valid(phi, p) == oracle
-    assert _count_valid(phi, p) == len(oracle)
+    assert _Recount(phi).count(p) == len(oracle)
 
 
 @pytest.mark.parametrize("entry, factors", MIXED_CARRIERS)
@@ -117,10 +117,11 @@ def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
     carrier = mixed_carrier(entry, factors)
     assert carrier.size == 16
     for phi in list(enumerate_cm_types(carrier))[::32]:
+        recount = _Recount(phi)
         for p in range(9):
             oracle = enumerate_valid_bruteforce(phi, p)
             assert enumerate_valid(phi, p) == oracle
-            assert _count_valid(phi, p) == len(oracle)
+            assert recount.count(p) == len(oracle)
 
 
 @cache
@@ -209,8 +210,95 @@ def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
     monkeypatch.setattr(monomials, "_slot", None)
     monkeypatch.setattr(monomials, "_HalfTables", refuse)
     assert all(result.ok for _, result in verify_document(bundle))
+    recount = _Recount(types[5])
     for p in range(carrier.size // 2 + 1):
-        assert _count_valid(types[5], p) == len(enumerate_valid_bruteforce(types[5], p))
+        assert recount.count(p) == len(enumerate_valid_bruteforce(types[5], p))
+
+
+def catalog_defaults(max_order):
+    """Every catalog entry of order at most max_order that builds, with its
+    default CM-type: the single groups and the products of two."""
+    singles = [(name, n) for name in ("cyclic", "elementary-abelian", "dihedral") for n in range(2, max_order + 1)]
+    singles.append(("quaternion", 8))
+    entries = [(name, str(n)) for name, n in singles]
+    entries += [("product", f"{a}.{n}x{b}.{k}") for a, n in singles for b, k in singles if n * k <= max_order]
+    built = []
+    for entry in entries:
+        try:
+            built.append(build_instance(catalog(*entry)))
+        except CmhodgeError:
+            pass
+    return built
+
+
+def test_degrees_within_the_hodge_bound_are_not_counted(monkeypatch):
+    # C(m/2, p)**2 <= C(12, 6)**2 = 853,776 <= LISTING_CAP: no degree of a
+    # carrier of at most 24 points is counted, so no table is built
+    def refuse(*args):
+        raise AssertionError("a degree within the Hodge bound was counted")
+
+    monkeypatch.setattr(monomials, "_slot", None)
+    monkeypatch.setattr(monomials, "_HalfTables", refuse)
+    instances = catalog_defaults(24)
+    assert len(instances) > 40
+    for built in instances:
+        check_listing_cap(built.cm_type, list(range(built.embeddings.size // 2 + 1)))
+
+
+def test_degrees_within_the_hodge_bound_fit_the_half_tables():
+    # a degree let through uncounted could not have raised the half-table
+    # CapExceeded of the count either, on any carrier up to MAX_POINTS: so
+    # exit 4 still comes before any degree is listed
+    for half in range(1, MAX_POINTS // 2 + 1):
+        for p in range(half + 1):
+            if comb(half, p) ** 2 <= monomials.LISTING_CAP:
+                sizes = range(max(0, 2 * p - half), min(half, 2 * p) + 1)
+                assert max(comb(half, k) for k in sizes) <= monomials.HALF_TABLE_CAP, (half, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_recount_counts_every_degree_in_any_order(data):
+    # a document's degrees share one _Recount and its tables
+    carrier, types = slot_carrier_types(data.draw(st.integers(0, len(SLOT_CARRIERS) - 1)))
+    phi = data.draw(st.sampled_from(types))
+    recount = _Recount(phi)
+    for p in data.draw(st.permutations(range(carrier.size // 2 + 1))):
+        assert recount.count(p) == len(enumerate_valid_bruteforce(phi, p))
+
+
+def test_count_tables_past_the_retention_budget_are_dropped(monkeypatch):
+    # m = 16: 8 even and 8 odd points.  With the budget at 100, degrees 0,
+    # 1, 7 and 8 can be counted; 1 reads 74 subsets, and then no table of
+    # 28 subsets fits
+    _, types = slot_carrier_types(0)
+    phi = types[100]
+    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 100)
+    recount = _Recount(phi)
+    for p in (1, 7, 0, 8, 1, 7):
+        assert recount.count(p) == len(enumerate_valid_bruteforce(phi, p))
+        assert recount.subsets == sum(comb(8, k) for _, k in recount.tables) <= 100
+    # a table that would not fit is not kept, however often it is asked for
+    assert not any(k == 6 for _, k in recount.tables)
+
+
+def test_count_refuses_before_tabulating_with_tables_held(monkeypatch):
+    _, types = slot_carrier_types(0)
+    recount = _Recount(types[100])
+    recount.count(1)
+    held = dict(recount.tables)
+
+    def refuse(*args):
+        raise AssertionError("a count past the cap tabulated")
+
+    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 73)
+    monkeypatch.setattr(verify, "combinations", refuse)
+    # every table of degree 1 is held, and it is still refused
+    with pytest.raises(CapExceeded, match="counting needs 74 subsets, above the cap of 73"):
+        recount.count(1)
+    with pytest.raises(CapExceeded, match="counting needs 326 subsets, above the cap of 73"):
+        recount.count(2)
+    assert recount.tables == held
 
 
 def test_orbits_z4(z4):
