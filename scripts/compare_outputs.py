@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CLI outputs of two source trees byte for byte, or analysis
-reports and certificate bundles of two formats field by field.
+"""Compare the CLI outputs of two source trees byte for byte.
 
 Runs ``analyze``, ``deltas``, ``deltas --orbits-only``, ``witness`` and
 ``oracle`` on each instance, once per tree, each in a child process of
@@ -10,11 +9,7 @@ wall time and the peak resident memory of the child, and it exits 1 if
 any command's stdout or exit code differs between the trees.  The child
 runs the CLI through a small wrapper that reports its own ``VmHWM`` at
 exit: ``ru_maxrss`` would carry this script's own peak into the child
-across fork and exec.  Where the two ``analyze`` reports have different
-``kind``s, a version-1 and a version-2 report, they are compared field by
-field instead (see ``same_report``), and any difference is a mismatch.
-So are a version-2 and a version-3 ``witness`` bundle (see
-``same_bundle``).
+across fork and exec.
 
 Every ``witness`` bundle is then checked by both trees' ``verify``, so
 each verifier reads its own tree's bundle and the other tree's.  Each of
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -94,72 +88,6 @@ def run(tree: Path, argv: list[str], keep: Path | None = None) -> tuple[str, int
         code = child.wait()
     wall = time.perf_counter() - start
     return digest.hexdigest(), code, wall, peak_kb / 1024
-
-
-def version_2(doc: dict) -> dict:
-    """An ``analyze`` report in the version-2 layout, without its content
-    hash.  A version-1 report (``cmhodge.report``) is rewritten: per
-    degree, ``valid`` becomes its ``orbits`` concatenated and
-    ``orbit_sizes`` their lengths, and ``orbits`` and ``decomposable`` are
-    dropped; the Hodge rows become the rows r = 2p of its degrees, and the
-    lattice drops ``rank_with_ones``.  Any other report is returned as it
-    is.  Raises ``KeyError`` on a missing field."""
-    del doc["content_hash"]
-    if doc["kind"] != "cmhodge.report":
-        return doc
-    for degree in doc["degrees"]:
-        orbits = degree.pop("orbits")
-        del degree["decomposable"]
-        degree["valid"] = [d for orbit in orbits for d in orbit]
-        degree["orbit_sizes"] = list(map(len, orbits))
-    rows = {row["r"]: row for row in doc["hodge_numbers"]}
-    doc["hodge_numbers"] = [rows[2 * degree["p"]] for degree in doc["degrees"]]
-    del doc["lattice"]["rank_with_ones"]
-    doc["kind"] = "cmhodge.report/2"
-    return doc
-
-
-def same_report(paths: tuple[Path, Path]) -> bool:
-    """Whether two ``analyze`` reports of different kinds state the same
-    facts: equal once both are in the version-2 layout."""
-    docs = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
-    if docs[0]["kind"] == docs[1]["kind"]:
-        return False
-    try:
-        return version_2(docs[0]) == version_2(docs[1])
-    except KeyError:
-        return False
-
-
-def same_bundle(paths: tuple[Path, Path]) -> bool:
-    """Whether a version-2 and a version-3 ``witness`` bundle, in either
-    order, state the same facts: the same instance, and per certificate the
-    same ``p``, ``verdict`` and ``orbit_reps``, with each version-2
-    witness's ``family`` the version-3 ``induced_types`` at the points of
-    its ``delta``."""
-    docs = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
-    docs.sort(key=lambda doc: doc["kind"])
-    if [doc["kind"] for doc in docs] != ["cmhodge.certificate-bundle/2", "cmhodge.certificate-bundle/3"]:
-        return False
-    old, new = docs
-    facts = ("p", "verdict", "orbit_reps")
-    try:
-        if old["instance"] != new["instance"] or len(old["certificates"]) != len(new["certificates"]):
-            return False
-        for a, b in zip(old["certificates"], new["certificates"]):
-            types = b["induced_types"]
-            if [a[k] for k in facts] != [b[k] for k in facts] or any(
-                w["family"] != [types[s] for s in w["delta"]] for w in a["witnesses"]
-            ):
-                return False
-    except (KeyError, IndexError, TypeError):
-        return False
-    return True
-
-
-# the field-by-field comparison of each command whose outputs may differ
-# in format between the trees
-SAME_FACTS = {("analyze",): same_report, ("witness",): same_bundle}
 
 
 def cross_verify(trees: tuple[Path, Path], instance: str, bundles: tuple[Path, Path], scratch: Path) -> int:
@@ -223,19 +151,16 @@ def compare(trees: tuple[Path, Path], instance: str, n: int, scratch: Path) -> i
     for k, command in enumerate(COMMANDS):
         # alternate which tree runs first, so neither always runs on a warm cache
         order = (0, 1) if (n + k) % 2 == 0 else (1, 0)
-        # the witness bundles are verified, and the outputs read if they differ
-        kept = tuple(scratch / f"{tree}-{command[0]}.json" for tree in TREES)
-        keep = command in SAME_FACTS
-        results = {i: run(trees[i], [*command, *source], kept[i] if keep else None) for i in order}
+        # the witness bundles are kept, for both trees' verifiers to read
+        witness = command == ("witness",)
+        kept = tuple(scratch / f"{tree}-witness.json" for tree in TREES)
+        results = {i: run(trees[i], [*command, *source], kept[i] if witness else None) for i in order}
         old, new = results[0], results[1]
         same = old[:2] == new[:2]
-        verdict = "yes" if same else "NO"
-        if command in SAME_FACTS and not same and old[1] == new[1] == 0 and SAME_FACTS[command](kept):
-            same, verdict = True, "yes, by field"
         mismatches += not same
         cells = [f"{sha[:16]} {code} {wall:.2f} {rss:.0f}" for sha, code, wall, rss in (old, new)]
-        print(f"{' '.join(command)} {instance} | {cells[0]} | {cells[1]} | {verdict}", flush=True)
-        if command == ("witness",) and old[1] == new[1] == 0:
+        print(f"{' '.join(command)} {instance} | {cells[0]} | {cells[1]} | {'yes' if same else 'NO'}", flush=True)
+        if witness and old[1] == new[1] == 0:
             mismatches += cross_verify(trees, instance, kept, scratch)
     return mismatches
 

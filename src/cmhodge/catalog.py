@@ -146,10 +146,6 @@ def catalog(name: str, params: str = "") -> InstanceSpec:
     )
 
 
-def catalog_entry_names() -> list[str]:
-    return list(CATALOG_NAMES)
-
-
 def sweep_instances(max_order: int = 8) -> list[InstanceSpec]:
     """The standard sweep list: every group of order <= max_order admitting
     a central involution, one instance each (trivial subgroup)."""

@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 from pathlib import Path
 
-from .catalog import catalog, catalog_entry_names, sweep_instances
+from .catalog import CATALOG_NAMES, catalog, sweep_instances
 from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
-from .groups import mask_of
 from .instance import BuiltInstance, build_instance, parse_instance, serialize_instance
 from .lattice import orbit_matrix
 from .monomials import (
@@ -165,18 +163,13 @@ def _cmd_oracle(args, out) -> int:
         raise _UsageError(f"--cap wants a non-negative integer, got {args.cap}")
     built = _load_instance(args)
     phi = built.cm_type
-    m = built.embeddings.size
     # the lattice basis does not depend on p: one elimination per CM-type
     basis = orbit_matrix(phi).basis
     agree = True
     for p in _degrees(args, built):
         brute = enumerate_valid_bruteforce(phi, p, cap=args.cap)
         fast = enumerate_valid(phi, p)
-        by_basis = sorted(
-            delta
-            for delta in map(mask_of, combinations(range(m), 2 * p))
-            if all((delta & row).bit_count() == p for row in basis)
-        )
+        by_basis = enumerate_valid_bruteforce(phi, p, cap=args.cap, rows=basis)
         ok = brute == fast == by_basis
         agree = agree and ok
         out.write(f"p={p}: {'agree' if ok else 'DISAGREE'} ({len(brute)} valid)\n")
@@ -188,7 +181,7 @@ def _cmd_catalog(args, out) -> int:
         name, _, params = args.catalog.partition(":")
         out.write(serialize_instance(catalog(name, params)))
         return EXIT_OK
-    out.write("entries: " + ", ".join(catalog_entry_names()) + "\n")
+    out.write("entries: " + ", ".join(CATALOG_NAMES) + "\n")
     out.write("standard sweep instances:\n")
     for spec in sweep_instances(12):
         out.write(f"  {spec.name} (order {spec.order})\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -103,21 +104,16 @@ def conjugate_pairs(carrier: EmbeddingSet) -> list[tuple[int, int]]:
 
 
 def enumerate_cm_types(carrier: EmbeddingSet) -> Iterator[CMType]:
-    """All 2^(m/2) CM-types, as a binary counter over the conjugate pairs
-    (first pair most significant; bit 0 picks the smaller point).
+    """All 2^(m/2) CM-types, one point of each conjugate pair, as a binary
+    counter over the pairs (first pair most significant; 0 picks the smaller).
 
     Streams lazily; raises ``CapExceeded`` up front if m/2 > ``CM_TYPE_CAP``.
     """
     pairs = conjugate_pairs(carrier)
-    g = len(pairs)
-    if g > CM_TYPE_CAP:
-        raise CapExceeded(f"{g} conjugate pairs exceeds the cap of {CM_TYPE_CAP}")
-    for code in range(1 << g):
-        mask = 0
-        for i, (lo, hi) in enumerate(pairs):
-            bit = (code >> (g - 1 - i)) & 1
-            mask |= 1 << (hi if bit else lo)
-        yield CMType(carrier, mask)
+    if len(pairs) > CM_TYPE_CAP:
+        raise CapExceeded(f"{len(pairs)} conjugate pairs exceeds the cap of {CM_TYPE_CAP}")
+    for choice in product(*pairs):
+        yield CMType(carrier, sum(1 << s for s in choice))
 
 
 def hodge_numbers(carrier: EmbeddingSet, r: int) -> dict[tuple[int, int], int]:

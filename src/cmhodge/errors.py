@@ -4,15 +4,16 @@ from __future__ import annotations
 
 
 class CmhodgeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``witness``, where
+    given, holds the elements or the point that show the failure."""
+
+    def __init__(self, message: str, witness=None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAGroup(CmhodgeError):
     """Multiplication table fails a group axiom; carries a witness tuple."""
-
-    def __init__(self, message: str, witness: tuple | None = None) -> None:
-        super().__init__(message)
-        self.witness = witness
 
 
 class BadInvolution(CmhodgeError):
@@ -20,9 +21,7 @@ class BadInvolution(CmhodgeError):
 
 
 class NotASubgroup(CmhodgeError):
-    def __init__(self, message: str, witness: tuple | None = None) -> None:
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class IotaInSubgroup(CmhodgeError):
@@ -30,9 +29,7 @@ class IotaInSubgroup(CmhodgeError):
 
 
 class NotACMType(CmhodgeError):
-    def __init__(self, message: str, witness: int | None = None) -> None:
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class CapExceeded(CmhodgeError):

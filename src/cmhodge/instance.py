@@ -97,14 +97,10 @@ def parse_instance(text: str) -> InstanceSpec:
     degrees: tuple[int, ...] | None = None
 
     lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line_no = i + 1
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        key, *parts = line.split()
+    # (line number, words) of each line that keeps a word once its comment is cut
+    cut = ((n, line.split("#", 1)[0].split()) for n, line in enumerate(lines, 1))
+    stream = ((n, words) for n, words in cut if words)
+    for line_no, (key, *parts) in stream:
         if key == "name":
             name = " ".join(parts)
         elif key == "group":
@@ -119,14 +115,13 @@ def parse_instance(text: str) -> InstanceSpec:
             if rows:
                 raise ParseError("duplicate table", line_no)
             for r in range(order):
-                if i >= len(lines):
-                    raise ParseError(f"table row {r} missing", len(lines))
-                row_line = lines[i].split("#", 1)[0].strip()
-                row = _ints(row_line.split(), i + 1)
+                row_no, words = next(stream, (len(lines), None))
+                if words is None:
+                    raise ParseError(f"table row {r} missing", row_no)
+                row = _ints(words, row_no)
                 if len(row) != order:
-                    raise ParseError(f"table row has {len(row)} entries, expected {order}", i + 1)
+                    raise ParseError(f"table row has {len(row)} entries, expected {order}", row_no)
                 rows.append(tuple(row))
-                i += 1
         elif key == "iota":
             if iota is not None:
                 raise ParseError("duplicate iota line", line_no)

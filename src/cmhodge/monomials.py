@@ -1,6 +1,7 @@
 """Valid Hodge monomials: the translation-invariant intersection criterion,
 two independent enumerators, Galois-orbit partitioning, and the
-divisor-generated / exotic split.
+divisor-generated / exotic split.  The brute force tests every subset of
+2p points against the rows it is given, by default the translate rows.
 
 A monomial is a subset of the embedding points, held as a bit mask.  It is
 valid at degree p when every group translate meets the CM-type in exactly
@@ -30,7 +31,6 @@ from math import comb
 
 from .cmtypes import CMType
 from .errors import CapExceeded, NotClosed
-from .groups import mask_of
 
 # largest number of subsets one half table of ``enumerate_valid`` may hold,
 # and the most its shared tables keep between calls
@@ -47,8 +47,11 @@ def valid_delta(phi: CMType, delta: int, p: int) -> bool:
     return delta.bit_count() == 2 * p and all((delta & r).bit_count() == p for r in phi.rows)
 
 
-def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = BRUTEFORCE_CAP) -> list[int]:
-    """Reference oracle: test every size-2p subset directly.
+def enumerate_valid_bruteforce(
+    phi: CMType, p: int, cap: int = BRUTEFORCE_CAP, rows: tuple[int, ...] | None = None
+) -> list[int]:
+    """Reference oracle: test every size-2p subset directly against
+    ``rows``, by default the translate rows of phi.
 
     Returns masks in ascending order.  Raises ``CapExceeded`` when the
     binomial count is above ``cap``.
@@ -58,10 +61,11 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = BRUTEFORCE_CAP) -
         return []
     if comb(m, 2 * p) > cap:
         raise CapExceeded(f"C({m},{2 * p}) exceeds the cap of {cap}")
-    rows = phi.rows
+    rows = phi.rows if rows is None else rows
+    # the bits are distinct, so their sum is the mask
     out = [
         delta
-        for delta in map(mask_of, combinations(range(m), 2 * p))
+        for delta in map(sum, combinations([1 << s for s in range(m)], 2 * p))
         if all((delta & r).bit_count() == p for r in rows)
     ]
     out.sort()
@@ -71,12 +75,13 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, cap: int = BRUTEFORCE_CAP) -
 class _HalfTables:
     """The tables of one set of translate rows; see the module docstring.
 
-    Point s weighs ``1 + sum_k [s in rows[k]] << F*(k+1)``, F = m.bit_length(),
+    Point s weighs ``sum_k [s in rows[k]] << F*k``, F = m.bit_length(),
     over one row of each complementary pair: a size-2p subset meets the
     other row of a pair in 2p minus its count in this one.  So a subset's
-    weight packs its size and its count in each kept row into F-bit fields,
-    and ``unit`` is the weight of a pair meeting each kept row once.  The
-    size-k subsets of a half are tabulated on first use, keyed (a dict from
+    weight packs its count in each kept row into F-bit fields, and ``unit``
+    holds 1 in each.  Each table holds subsets of one size, and ``matches``
+    pairs size k with 2p - k, so no field counts the size.  The size-k
+    subsets of a half are tabulated on first use, keyed (a dict from
     weight to masks) or scanned (a list of weights and one of their masks).
     """
 
@@ -86,8 +91,8 @@ class _HalfTables:
         f = m.bit_length()
         full = (1 << m) - 1
         rows = [r for r in rows if r < full ^ r]
-        self.weight = [1 + sum(1 << f * (k + 1) for k, r in enumerate(rows) if r >> s & 1) for s in range(m)]
-        self.unit = 2 + sum(1 << f * (k + 1) for k in range(len(rows)))
+        self.weight = [sum(1 << f * k for k, r in enumerate(rows) if r >> s & 1) for s in range(m)]
+        self.unit = sum(1 << f * k for k in range(len(rows)))
         self.bit = [1 << s for s in range(m)]
         self.kept: dict[tuple[int, int, bool], object] = {}
         self.subsets = 0  # held in ``kept``
@@ -171,9 +176,9 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
 def enumerate_valid(phi: CMType, p: int) -> list[int]:
     """Meet-in-the-middle enumerator; must agree with the brute-force oracle.
 
-    A subset's packed weight (see ``_HalfTables``) holds its size and its
-    count in each kept row in fields that never carry, since each counts
-    at most m < 2**F points; so delta is valid iff its weight is
+    A subset's packed weight (see ``_HalfTables``) holds its count in each
+    kept row in fields that never carry, since each counts at most
+    m < 2**F points; so a delta of 2p points is valid iff its weight is
     ``p * unit``.  For each split of the 2p points between the halves, each
     subset of the scanned side looks up the keyed masks of the completing
     weight (Horowitz-Sahni); the smaller side is keyed.  The tables are

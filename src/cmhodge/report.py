@@ -6,33 +6,34 @@ newline.  The content hash is the SHA-256 of the canonical serialization
 with the ``content_hash`` field removed, so two runs agree iff their
 outputs are byte-identical.
 
-Each output is encoded once, and each monomial in it is written once.
-``_monomial_text`` writes a mask's point list as JSON text from tables of
-each byte's points already written out, and a degree, a certificate or a
-deltas listing maps each of its monomials to that text once; every list
-of monomials is then joined from those texts.  A degree of an analysis
-report lists its valid monomials orbit by orbit, and its ``orbit_sizes``
-cut that list into the Galois orbits, so no monomial is written twice for
-one role.  A certificate (format version 3) holds the least member of
-each Galois orbit of its degree and the table of the induced type at every
-point; all else a split-Weil witness states is derived by the verifier,
-so it is not written.  ``_pieces`` writes an object in key order, in
-pieces, from values it encodes with ``canonical_json`` and values given
-as text.  ``_object`` joins the pieces; ``_document`` hashes the pieces of
-a whole output, its canonical serialization without ``content_hash``, and
-writes them again with the hash as one more field.  The degrees of a
-report or a deltas listing stay separate pieces, so the command writes
-them one by one and its text is held once.  A bundle is joined from the
-finished text of each certificate, and the instance and the induced-type
-table are encoded once per bundle.  The verifier checks the hashes with
-an encoder of its own, which rebuilds the canonical text from the parsed
-document and never calls into this assembly.
+Each output is encoded once.  ``_monomial_text`` writes a mask's point
+list as JSON text from tables of each byte's points already written out,
+and each list of monomials is joined from those texts; an exotic
+monomial, valid too, is written once in each of its two lists.  A degree
+of an analysis report lists its valid monomials orbit by orbit, and its
+``orbit_sizes`` cut that list into the Galois orbits, so no monomial is
+written twice for one role.  A certificate (format version 3) holds the
+least member of each Galois orbit of its degree and the table of the
+induced type at every point; all else a split-Weil witness states is
+derived by the verifier, so it is not written.  ``_pieces`` writes an
+object in key order, in pieces, from values it encodes with
+``canonical_json`` and values given as text.  ``_object`` joins the
+pieces; ``_document`` hashes the pieces of a whole output, its canonical
+serialization without ``content_hash``, and writes them again with the
+hash as one more field.  The degrees of a report or a deltas listing stay
+separate pieces, so the command writes them one by one and its text is
+held once.  A bundle is joined from the finished text of each
+certificate, and the instance and the induced-type table are encoded once
+per bundle.  The verifier checks the hashes with an encoder of its own,
+which rebuilds the canonical text from the parsed document and never
+calls into this assembly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from typing import Iterable
 
 from . import __version__
@@ -140,8 +141,6 @@ def _instance_text(spec: InstanceSpec) -> str:
 def degree_payload(report: DecompositionReport) -> str:
     """One degree of an analysis report: ``valid`` lists each Galois orbit's
     members together, and ``orbit_sizes`` cuts it into the orbits."""
-    # the exotic monomials are valid too: write each one once
-    text = {d: _monomial_text(d) for orbit in report.orbits for d in orbit}
     return _object(
         {
             "p": report.p,
@@ -152,8 +151,8 @@ def degree_payload(report: DecompositionReport) -> str:
             "orbit_sizes": list(map(len, report.orbits)),
             "valid_pair_count": report.valid_pair_count,
         },
-        valid=_list(text.values()),
-        exotic=_list(map(text.__getitem__, report.exotic)),
+        valid=_list(map(_monomial_text, chain.from_iterable(report.orbits))),
+        exotic=_list(map(_monomial_text, report.exotic)),
     )
 
 

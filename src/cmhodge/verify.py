@@ -380,10 +380,7 @@ def _verify_witnesses(data: dict, embeddings: EmbeddingSet, recount: _Recount, v
     listed = stored_coverage = found
     if v1:
         listed = sorted(sum(map(bit, d)) for d in data["valid_set"])
-        # the producer writes the two lists alike; convert coverage only if not
-        stored_coverage = listed
-        if data["coverage"] != data["valid_set"]:
-            stored_coverage = sorted(sum(map(bit, d)) for d in data["coverage"])
+        stored_coverage = sorted(sum(map(bit, d)) for d in data["coverage"])
         if stored_coverage != sorted(set(found)):
             return _fail("coverage", "stored coverage is not the union of witness translates")
 

@@ -322,3 +322,83 @@ def test_reports_byte_identical_across_runs():
     assert len(outputs) == 1
     certs = {run_cli("witness", "--catalog", "quaternion:8")[1] for _ in range(2)}
     assert len(certs) == 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("table\n", "table\n\n"),
+        ("table\n", "table\n# the rows follow\n"),
+        ("0 1\n", "0 1  # the identity's row\n"),
+        ("0 1\n", "0 1\n   \n# between rows\n"),
+    ],
+    ids=("blank", "comment", "trailing-comment", "blank-and-comment-between-rows"),
+)
+def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
+    assert parse_instance(Z2_TEXT.replace(old, new)) == parse_instance(Z2_TEXT)
+
+
+# inputs that reach a branch of the CLI or the parser that no other test
+# does: the command line, with IN standing for a file that holds the text,
+# and the exit code and the whole of stderr that each must give.  Z2_TEXT's
+# lines: 1 comment, 2 group, 3 table, 4-5 rows, 6 iota, 7 factor, 8 cmtype,
+# 9 degrees
+@pytest.mark.parametrize(
+    "text, argv, code, err",
+    [
+        (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "x"), 1,
+         "usage error: --degree wants an integer or 'all', got 'x'"),
+        # the degree bound is stated by the CLI for --degree and by
+        # build_instance for a degrees line, in the same words
+        (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "99"), 2, "invalid instance: degree 99 outside 0..1"),
+        (Z2_TEXT.replace("degrees all", "degrees 99"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: degree 99 outside 0..1"),
+        (Z2_TEXT, ("verify",), 1, "usage error: verify requires --certify PATH"),
+        ("{", ("verify", "--certify", "IN"), 2,
+         "invalid instance: certificate is not valid JSON: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (Z2_TEXT, ("analyze", "--catalog", "quaternion:16"), 2,
+         "error: UnknownCatalogEntry: quaternion only comes in order 8, got 16"),
+        (Z2_TEXT, ("analyze", "--catalog", "product:cyclic.4"), 2,
+         "error: UnknownCatalogEntry: product wants two factors, got 'cyclic.4'"),
+        (Z2_TEXT + "group 2\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate group line"),
+        (Z2_TEXT + "table\n0 1\n1 0\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate table"),
+        (Z2_TEXT + "iota 1\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate iota line"),
+        (Z2_TEXT + "cmtype 0\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate cmtype line"),
+        (Z2_TEXT.replace("group 2", "group 2 3"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 2: group wants exactly one integer (the order)"),
+        (Z2_TEXT.replace("iota 1", "iota"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 6: iota wants exactly one integer"),
+        (Z2_TEXT.replace("1 0\n", "1\n"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 5: table row has 1 entries, expected 2"),
+        (Z2_TEXT + "frobnicate 3\n", ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 10: unknown directive 'frobnicate'"),
+        # a table cut short is reported at the text's last line, past any
+        # blank or comment lines at its end
+        ("group 2\ntable\n0 1\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 3: table row 1 missing"),
+        ("group 2\ntable\n0 1\n\n# end\n", ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 5: table row 1 missing"),
+        ("iota 1\nfactor 0\ncmtype 0\n", ("analyze", "--input", "IN"), 2, "invalid instance: missing group line"),
+        (Z2_TEXT.replace("table\n0 1\n1 0\n", ""), ("analyze", "--input", "IN"), 2,
+         "invalid instance: missing or incomplete table"),
+        (Z2_TEXT.replace("iota 1\n", ""), ("analyze", "--input", "IN"), 2, "invalid instance: missing iota line"),
+        (Z2_TEXT.replace("factor 0\n", ""), ("analyze", "--input", "IN"), 2,
+         "invalid instance: at least one factor line is required"),
+        (Z2_TEXT.replace("cmtype 0\n", ""), ("analyze", "--input", "IN"), 2, "invalid instance: missing cmtype line"),
+        (Z2_TEXT.replace("cmtype 0", "cmtype 5"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: NotACMType: member index out of range"),
+    ],
+    ids=(
+        "degree-not-an-integer", "degree-past-half", "degrees-line-past-half", "verify-without-certify",
+        "certificate-not-json", "quaternion-16", "product-of-one", "duplicate-group", "duplicate-table",
+        "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "short-table-row",
+        "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines", "missing-group",
+        "missing-table", "missing-iota", "missing-factor", "missing-cmtype", "cmtype-point-past-the-carrier",
+    ),
+)
+def test_bad_input_exit_code_and_message(tmp_path, capsys, text, argv, code, err):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    argv = [str(path) if arg == "IN" else arg for arg in argv]
+    assert run_cli(*argv) == (code, "")
+    assert capsys.readouterr().err == err + "\n"

@@ -26,10 +26,11 @@ from cmhodge.report import (
     instance_payload,
 )
 from cmhodge import verify
-from cmhodge.groups import bits, build_group, mask_of
+from cmhodge.cmtypes import CMType
+from cmhodge.groups import EmbeddingSet, bits, build_group, mask_of
 from cmhodge.monomials import valid_delta
 from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
-from conftest import content_hash, written_bundle, written_certificate
+from conftest import content_hash, induced_family, written_bundle, written_certificate
 
 
 # outputs of format version 1, as written before version 2 dropped the
@@ -832,3 +833,107 @@ def test_bundle_hash_is_checked_before_a_count_that_raises(z4, payload):
     assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
     with pytest.raises(CapExceeded):
         verify_document(rehash(bundle))
+
+
+def _v2_delta_not_its_rep(doc):
+    # witness 0 states the delta of witness 1
+    doc["witnesses"][0]["delta"] = doc["witnesses"][1]["delta"]
+
+
+def _v2_two_points(doc):
+    # witness 0 and its representative hold 2 points, not 2p = 4
+    doc["witnesses"][0]["delta"], doc["orbit_reps"][0] = [0, 1], [0, 1]
+
+
+def _v2_invalid_delta(doc):
+    # an unlisted 4-subset is invalid: it is witness 0 and its representative
+    listed = [d for w in doc["witnesses"] for d in w["covered_translates"]]
+    invalid = next(list(c) for c in combinations(range(8), 4) if list(c) not in listed)
+    doc["witnesses"][0]["delta"], doc["orbit_reps"][0] = invalid, list(invalid)
+
+
+def _v2_short_family(doc):
+    doc["witnesses"][0]["family"].pop()
+
+
+def _v2_non_least_delta(doc):
+    # the greatest member of witness 0's orbit, with the induced types at its
+    # points: its family and covered translates are right, but it is not least
+    witness = doc["witnesses"][0]
+    delta = witness["covered_translates"][-1]
+    types = induced_family(build_instance(catalog("dihedral", "8")))
+    witness["delta"], doc["orbit_reps"][0] = delta, list(delta)
+    witness["family"] = [types[s] for s in sorted(delta)]
+
+
+def _v2_verdict_false(doc):
+    doc["verdict"] = False
+
+
+def _v2_witness_dropped(doc):
+    # its orbit representative is kept
+    doc["witnesses"].pop()
+
+
+@pytest.mark.parametrize(
+    "mutate, check, detail",
+    [
+        (_v2_delta_not_its_rep, "schema", "witness 0 delta differs from its orbit representative"),
+        (_v2_two_points, "degree", "witness 0 has 2 points, expected 4"),
+        (_v2_invalid_delta, "delta_valid", "witness 0 monomial fails the validity criterion"),
+        (_v2_short_family, "induced_family", "witness 0 family size differs from |delta|"),
+        (_v2_non_least_delta, "orbit_reps", "representative 0 is not minimal in its orbit"),
+        (_v2_verdict_false, "coverage", "coverage verdict is wrong"),
+        (_v2_witness_dropped, "schema", "witness count differs from orbit representative count"),
+    ],
+    ids=(
+        "delta-not-its-rep", "two-points", "invalid-delta", "short-family", "non-least-delta", "verdict-false",
+        "witness-dropped",
+    ),
+)
+def test_v2_witness_checks(d8_p2_v2, mutate, check, detail):
+    doc = copy.deepcopy(d8_p2_v2)
+    mutate(doc)
+    assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
+
+
+def test_cm_type_holding_a_conjugate_pair_fails_cm_type(payload):
+    doc = copy.deepcopy(payload)
+    doc["instance"]["cm_type"] = [0, 2]  # 2 is the conjugate of 0 on cyclic:4
+    result = verify_certificate(rehash(doc))
+    assert result == VerificationResult(False, "cm_type", "point 0 and its conjugate 2 are both in")
+
+
+def test_v3_verdict_false_fails_coverage(d8_p2_v3):
+    doc = rehash({**d8_p2_v3, "verdict": False})
+    assert verify_certificate(doc) == VerificationResult(False, "coverage", "coverage verdict is wrong")
+
+
+def test_v3_balance_catches_a_type_fault_shared_by_writer_and_verifier(monkeypatch):
+    # both sides read CMType.induced_types, so with a fault there the stored
+    # table equals the recomputed one, and only the balance of a family
+    # tells: here point 0 is given the type of point 1
+    induced = CMType.induced_types.func
+    monkeypatch.setattr(CMType, "induced_types", property(lambda phi: induced(phi)[1:2] + induced(phi)[1:]))
+    doc = written_certificate(build_instance(catalog("dihedral", "8")), 2)
+    result = verify_certificate(doc)
+    assert result == VerificationResult(False, "balanced", "representative 0 family does not hold each element 2 times")
+
+
+@pytest.mark.parametrize("batch", [None, 1], ids=("one-scan", "scan-per-orbit"))
+@pytest.mark.parametrize("faulted", [False, True], ids=("intact", "faulted"))
+def test_v3_row_scan_of_the_orbits(monkeypatch, d8_p2_v3, batch, faulted):
+    # the orbits are the verifier's own, so only a fault in the translates,
+    # here during verification alone, makes the scan fail: each orbit gains
+    # the mask of every point.  The rows are read before the fault.
+    built = verify._build(d8_p2_v3["instance"])
+    if batch:
+        monkeypatch.setattr(verify, "_SCAN_BATCH", batch)
+    if faulted:
+        translates = EmbeddingSet.translates
+        monkeypatch.setattr(EmbeddingSet, "translates", lambda self, mask: [*translates(self, mask), self.all_mask])
+    result = verify_certificate(d8_p2_v3, built)
+    if faulted:
+        assert result == VerificationResult(False, "valid_set", "an orbit member fails the validity criterion")
+    else:
+        assert result == VerificationResult(True)
