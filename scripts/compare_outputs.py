@@ -17,11 +17,7 @@ these four runs prints its exit code, wall time, peak memory and verdict
 lines; it is a mismatch if the new tree's verdicts on either bundle differ
 from the old tree's verdicts on its own bundle.  So a format change shows
 whether the new verifier still passes the old format, and records what the
-old verifier says of the new one.  Once per invocation, both trees'
-``verify`` also read every committed certificate file of an older format
-version, in ``tests/fixtures/v1/`` and ``tests/fixtures/v2/``, one row per
-file; a file is a mismatch if the trees' exit codes or verdict lines
-differ.
+old verifier says of the new one.
 
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
@@ -104,25 +100,6 @@ def cross_verify(trees: tuple[Path, Path], instance: str, bundles: tuple[Path, P
     return int(not verdicts[0, 1] == verdicts[1, 1] == verdicts[0, 0])
 
 
-def verify_fixtures(trees: tuple[Path, Path], scratch: Path) -> int:
-    """Run each tree's ``verify`` on every certificate fixture of an older
-    format version and print one row per file; returns the number of files
-    the trees disagree on."""
-    mismatches = 0
-    for path in sorted(FIXTURES.glob("v[0-9]*/*.json")):
-        results = []
-        for tree in trees:
-            out = scratch / "verdicts.txt"
-            _, code, wall, rss = run(tree, ["verify", "--certify", str(path)], keep=out)
-            results.append((code, out.read_text(encoding="utf-8").splitlines(), wall, rss))
-        same = results[0][:2] == results[1][:2]
-        mismatches += not same
-        cells = " | ".join(f"{code} {wall:.2f} {rss:.0f}" for code, _, wall, rss in results)
-        name = path.relative_to(FIXTURES)
-        print(f"verify-fixture {name} | {cells} | {'; '.join(results[1][1])} | {'yes' if same else 'NO'}", flush=True)
-    return mismatches
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source tree to compare against")
@@ -133,11 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     mismatches = 0
     print("command instance | old: sha256 exit wall_s rss_mb | new: sha256 exit wall_s rss_mb | same")
     print("verify instance | bundle by verifier | exit wall_s rss_mb | verdicts")
-    print("verify-fixture file | old: exit wall_s rss_mb | new: exit wall_s rss_mb | new verdicts | same")
     with tempfile.TemporaryDirectory() as scratch:
         for n, instance in enumerate(args.instances or DEFAULT_INSTANCES):
             mismatches += compare(trees, instance, n, Path(scratch))
-        mismatches += verify_fixtures(trees, Path(scratch))
     print(f"{mismatches} mismatch(es)")
     return 1 if mismatches else 0
 

@@ -16,26 +16,20 @@ as that text is made, and keeps only whether the certificate's own hash
 matched.  So nothing is encoded twice, and no two certificate texts are
 held at once.
 
-A certificate of format version 3 (its ``kind`` ends in ``/3``) stores
-only the least member of each Galois orbit and the induced type at every
-point.  Every stored group element is bounded by |G| before the table is
-read, and the table must equal the recomputed one.  Each representative
-must be valid and its family, the stored types at its points, balanced;
-the representatives must ascend and each be the least of its translates,
-so no two share an orbit.  The orbits are then built one at a time, every
-member is scanned against the rows, and the orbit sizes must add up to
-the independent count.  A certificate of version 2 lists each Galois
-orbit once, as the covered translates of its witness.  Its coverage and
-valid set are derived: each witness's covered translates must be exactly
-the translates of its delta, and the valid set is the concatenation of
-those checked lists, so an orbit listed twice is a monomial listed twice.
-A version-1 certificate stores ``coverage`` and ``valid_set`` as well;
-they are read from the file and checked as before.  A bundle accepts only
-certificates of its own version.
+A certificate (format version 3, the only one read) stores only the least
+member of each Galois orbit and the induced type at every point.  Every
+stored group element is bounded by |G| before the table is read, and the
+table must equal the recomputed one.  Each representative must be valid
+and its family, the stored types at its points, balanced; the
+representatives must ascend and each be the least of its translates, so no
+two share an orbit.  The orbits are then built one at a time, every member
+is scanned against the rows, and the orbit sizes must add up to the
+independent count.  Any other ``kind``, the older formats' included, fails
+the ``schema`` check.
 
-The valid set is checked by recount, not rebuilt.  Every listed monomial
-must pass the validity criterion and the listed masks must be distinct, so
-the list is a subset of the true valid set; its length must then equal the
+The valid set is checked by recount, not rebuilt.  Every orbit member
+must pass the validity criterion and the orbits are disjoint, so their
+union is a subset of the true valid set; its size must then equal the
 number of valid monomials, counted by ``_Recount.count`` on a split of
 the points (evens against odds) that the producer's enumerator does not
 use.  A subset of the right size is the whole set, so a certificate cannot
@@ -100,47 +94,20 @@ def _fail(check: str, detail: str) -> VerificationResult:
 # The JSON shape of a certificate: a dict lists its fields, [s] is a list
 # of s, {int} a list of distinct ints, and int means a non-negative int
 # that is not a bool (JSON true loads as one, and int() would take "2").
-_SCHEMA_V1 = {
+_SCHEMA = {
     "instance": {
         "group": {"order": int, "table": [[int]], "iota": int},
         "factors": [{int}],
         "cm_type": {int},
     },
     "p": int,
-    "witnesses": [
-        {
-            "delta": {int},
-            "family": [{int}],
-            "balanced_transcript": [int],
-            "covered_translates": [{int}],
-            "weil_data": {"d": int, "rank_over_f": int, "dim_over_q": int},
-        }
-    ],
-    "orbit_reps": [{int}],
-    "coverage": [{int}],
-    "valid_set": [{int}],
-    "verdict": bool,
-}
-# version 2 lists each orbit once, as its witness's covered translates
-_SCHEMA = {k: s for k, s in _SCHEMA_V1.items() if k not in ("coverage", "valid_set")}
-# version 3 lists each orbit by its least member, and the induced type at
-# each point once, as a list of group elements
-_SCHEMA_V3 = {
-    "instance": _SCHEMA["instance"],
-    "p": int,
+    # the least member of each orbit, and the induced type at each point
+    # as a list of group elements
     "orbit_reps": [{int}],
     "induced_types": [{int}],
     "verdict": bool,
 }
-# the schema of each certificate kind, and the certificate kind of each
-# bundle kind; the format generation is read from the kind
-_SCHEMAS = {CERTIFICATE_KIND: _SCHEMA_V3, "cmhodge.certificate/2": _SCHEMA, "cmhodge.certificate": _SCHEMA_V1}
-_BUNDLES = {
-    BUNDLE_KIND: CERTIFICATE_KIND,
-    "cmhodge.certificate-bundle/2": "cmhodge.certificate/2",
-    "cmhodge.certificate-bundle": "cmhodge.certificate",
-}
-# how many monomials the row scan of a version-3 certificate holds at once
+# how many monomials the row scan of a certificate holds at once
 _SCAN_BATCH = 1 << 16
 
 
@@ -274,28 +241,25 @@ def _build(inst: dict) -> tuple[EmbeddingSet | None, _Recount | None, Verificati
         return embeddings, None, _fail("cm_type", str(exc))
 
 
-def verify_certificate(
-    data, built: tuple | None = None, hash_ok: bool | None = None, kind: str | None = None
-) -> VerificationResult:
+def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = None) -> VerificationResult:
     """Re-check a single certificate from scratch.  Input of the wrong shape
-    fails the ``schema`` check before anything reads it.  The one exception
-    that gets through is ``CapExceeded``, raised before any table is built
-    when the valid set is too large to recount.
+    or of any kind but ``CERTIFICATE_KIND`` fails the ``schema`` check
+    before anything reads it.  The one exception that gets through is
+    ``CapExceeded``, raised before any table is built when the valid set is
+    too large to recount.
 
     ``verify_document`` passes what ``_build`` returned for the bundle's
-    instance, after finding every certificate's instance equal to it, the
-    certificate's hash result from ``_encoded``, so that neither is computed
-    twice, and the certificate kind of the bundle's generation, the only
-    kind it accepts."""
+    instance, after finding every certificate's instance equal to it, and
+    the certificate's hash result from ``_encoded``, so that neither is
+    computed twice."""
     if not isinstance(data, dict):
         return _fail("schema", "certificate is not a JSON object")
-    if data.get("kind") not in ((kind,) if kind else tuple(_SCHEMAS)):
+    if data.get("kind") != CERTIFICATE_KIND:
         return _fail("schema", f"unexpected kind {data.get('kind')!r}")
-    v1, v3 = data["kind"] == "cmhodge.certificate", data["kind"] == CERTIFICATE_KIND
-    bad = [key for key, shape in _SCHEMAS[data["kind"]].items() if not _conforms(data.get(key), shape)]
+    bad = [key for key, shape in _SCHEMA.items() if not _conforms(data.get(key), shape)]
     if bad:
         return _fail("schema", f"field {bad[0]!r} is missing or malformed")
-    inst, p, orbit_reps = data["instance"], data["p"], data["orbit_reps"]
+    inst, p = data["instance"], data["p"]
 
     if hash_ok is None:
         try:
@@ -310,95 +274,21 @@ def verify_certificate(
         return failure
     # bound every point and group element before it is shifted into a mask
     # or read as an index
-    point_lists = [inst["cm_type"], *orbit_reps, *(data["coverage"] + data["valid_set"] if v1 else ())]
-    witnesses = () if v3 else data["witnesses"]
-    point_lists += [pts for w in witnesses for pts in (w["delta"], *w["covered_translates"])]
-    if max(map(max, filter(None, point_lists)), default=0) >= embeddings.size:
+    if max(map(max, filter(None, [inst["cm_type"], *data["orbit_reps"]])), default=0) >= embeddings.size:
         return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
     order = embeddings.parent.order
-    if v3 and max(map(max, filter(None, data["induced_types"])), default=0) >= order:
+    if max(map(max, filter(None, data["induced_types"])), default=0) >= order:
         return _fail("schema", f"a group element lies outside 0..{order - 1}")
     if recount is None:
         return failure
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
-    if v3:
-        return _verify_orbit_reps(data, embeddings, recount)
-    return _verify_witnesses(data, embeddings, recount, v1)
-
-
-def _verify_witnesses(data: dict, embeddings: EmbeddingSet, recount: _Recount, v1: bool) -> VerificationResult:
-    """The checks of a certificate of version 1 or 2 past the degree bound:
-    each witness, then the coverage and the valid set."""
-    p, witnesses, orbit_reps = data["p"], data["witnesses"], data["orbit_reps"]
-    group, phi, bit = embeddings.parent, recount.phi, recount.bit
-    if len(witnesses) != len(orbit_reps):
-        return _fail("schema", "witness count differs from orbit representative count")
-
-    found: list[int] = []  # the checked covered translates, witness by witness
-    for i, w in enumerate(witnesses):
-        delta = sum(map(bit, w["delta"]))
-        if delta != sum(map(bit, orbit_reps[i])):
-            return _fail("schema", f"witness {i} delta differs from its orbit representative")
-        if len(w["delta"]) != 2 * p:
-            return _fail("degree", f"witness {i} has {len(w['delta'])} points, expected {2 * p}")
-        if not valid_delta(phi, delta, p):
-            return _fail("delta_valid", f"witness {i} monomial fails the validity criterion")
-
-        family = w["family"]
-        delta_points = sorted(w["delta"])
-        if len(family) != len(delta_points):
-            return _fail("induced_family", f"witness {i} family size differs from |delta|")
-        for s, stored in zip(delta_points, family):
-            if sorted(stored) != recount.types[s]:
-                return _fail(
-                    "induced_family",
-                    f"witness {i}: stored type at point {s} is not the induced type",
-                )
-
-        members = Counter(chain.from_iterable(family))
-        recomputed = [members[t] for t in group.elements()]
-        if w["balanced_transcript"] != recomputed:
-            return _fail("balanced", f"witness {i} transcript does not match the family")
-        if any(v != p for v in recomputed):
-            return _fail("balanced", f"witness {i} transcript is not identically {p}")
-
-        translates = sorted(set(embeddings.translates(delta)))
-        if [sum(map(bit, d)) for d in w["covered_translates"]] != translates:
-            return _fail("translates", f"witness {i} covered translates are wrong")
-        if delta != translates[0]:
-            return _fail("orbit_reps", f"representative {i} is not minimal in its orbit")
-        found += translates
-
-        wd = w["weil_data"]
-        if (wd["d"], wd["rank_over_f"], wd["dim_over_q"]) != (2 * p, 1, group.order):
-            return _fail("weil_data", f"witness {i} weil numerology is wrong")
-
-    # version 2 lists each orbit once: its coverage and valid set are what
-    # the witnesses cover, so a repeated or missing orbit fails valid_set
-    listed = stored_coverage = found
-    if v1:
-        listed = sorted(sum(map(bit, d)) for d in data["valid_set"])
-        stored_coverage = sorted(sum(map(bit, d)) for d in data["coverage"])
-        if stored_coverage != sorted(set(found)):
-            return _fail("coverage", "stored coverage is not the union of witness translates")
-
-    # valid, distinct and as many as there are: the listed set is the valid set
-    if not _all_valid(listed, recount.rows, p):
-        return _fail("valid_set", "a listed monomial fails the validity criterion")
-    if len(set(listed)) != len(listed):
-        return _fail("valid_set", "a monomial is listed twice")
-    if len(listed) != recount.count(p):
-        return _fail("valid_set", "stored valid set differs in size from the independent count")
-    if not data["verdict"] or stored_coverage != listed:
-        return _fail("coverage", "coverage verdict is wrong")
-
-    return VerificationResult(True)
+    return _verify_orbit_reps(data, embeddings, recount)
 
 
 def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) -> VerificationResult:
-    """The checks of a version-3 certificate past the degree bound.
+    """The checks of a certificate past the degree bound.
 
     Each representative is checked for its size and validity, the stored
     induced-type table against the recomputed one, and each
@@ -469,8 +359,7 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     at least one, so that no input passes by checking nothing."""
     if not isinstance(data, dict):
         return [("document", _fail("schema", "top level is not a JSON object"))]
-    kind = data.get("kind")
-    if kind not in tuple(_BUNDLES):
+    if data.get("kind") != BUNDLE_KIND:
         return [(_label(data), verify_certificate(data))]
     certs = data.get("certificates")
     if not isinstance(certs, list) or not certs:
@@ -500,4 +389,4 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     # that does not conform fails each certificate's schema check instead
     inst = data.get("instance")
     built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
-    return [(_label(cert), verify_certificate(cert, built, ok, _BUNDLES[kind])) for cert, ok in zip(certs, hash_oks)]
+    return [(_label(cert), verify_certificate(cert, built, ok)) for cert, ok in zip(certs, hash_oks)]

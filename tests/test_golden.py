@@ -277,20 +277,3 @@ def test_certificate_file_digest_and_verify(product_input, tmp_path):
     code, out = run_cli("verify", "--certify", str(cert))
     assert code == 0
     assert out == "".join(f"p={p}: pass\n" for p in range(9))
-
-
-def test_v1_certificate_file_still_verifies():
-    # the same bundle as written before the format's version 2
-    cert = Path(__file__).parent / "fixtures" / "v1" / "product-6..13.bundle.json"
-    assert json.loads(cert.read_text(encoding="utf-8"))["kind"] == "cmhodge.certificate-bundle"
-    assert run_cli("verify", "--certify", str(cert)) == (0, "".join(f"p={p}: pass\n" for p in range(9)))
-
-
-def test_v2_certificate_file_still_verifies():
-    # the same bundle as written before the format's version 3, with the
-    # digest its witness command had then
-    cert = Path(__file__).parent / "fixtures" / "v2" / "product-6..13.bundle.json"
-    text = cert.read_text(encoding="utf-8")
-    assert sha256(text) == "e3938158862df13b3e5d5186d4bbf4a84e93827c6ba2638ec64b12ea76344416"
-    assert json.loads(text)["kind"] == "cmhodge.certificate-bundle/2"
-    assert run_cli("verify", "--certify", str(cert)) == (0, "".join(f"p={p}: pass\n" for p in range(9)))

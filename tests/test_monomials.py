@@ -17,6 +17,7 @@ from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, CmhodgeError, NotClosed
 from cmhodge.groups import MAX_POINTS, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
+from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import (
     check_listing_cap,
     classify,
@@ -347,6 +348,50 @@ def test_complement_duality(order8_instances):
                 dual = set(enumerate_valid(phi, half - p))
                 for d in enumerate_valid(phi, p):
                     assert (s.all_mask ^ d) in dual
+
+
+# carriers whose every CM-type the closed-form tests run, at every degree
+CLOSED_FORM_CARRIERS = (
+    "cyclic:8", "cyclic:12", "cyclic:16", "dihedral:8", "dihedral:16", "quaternion:8", "elementary-abelian:8",
+    "product:cyclic.4xcyclic.4",
+)
+
+
+@pytest.fixture(scope="module")
+def classified_types():
+    """(all_mask, half, rank, per degree (hodge_dim, orbit count, exotic))
+    for every CM-type of ``CLOSED_FORM_CARRIERS``."""
+    out = []
+    for name in CLOSED_FORM_CARRIERS:
+        carrier = build_instance(catalog(*name.split(":", 1))).embeddings
+        half = carrier.size // 2
+        for phi in enumerate_cm_types(carrier):
+            reports = [classify(phi, p) for p in range(half + 1)]
+            degrees = [(r.hodge_dim, len(r.orbits), r.exotic) for r in reports]
+            out.append((carrier.all_mask, half, len(orbit_matrix(phi).basis), degrees))
+    assert len(out) == 4 * 2**4 + 2**6 + 3 * 2**8
+    return out
+
+
+def test_complement_maps_degree_p_onto_degree_half_minus_p(classified_types):
+    # |~d & r| = m/2 - |d & r| for every row r, and each class difference
+    # d_k changes sign: complement maps orbits onto orbits, exotic onto exotic
+    for all_mask, half, _, degrees in classified_types:
+        for p, (hodge_dim, orbit_count, exotic) in enumerate(degrees):
+            dual = degrees[half - p]
+            assert (hodge_dim, orbit_count) == dual[:2]
+            assert sorted(all_mask ^ d for d in exotic) == list(dual[2])
+
+
+def test_rank_maximal_type_has_binomial_hodge_dim_and_no_exotic(classified_types):
+    # the rank is at most K + 1 for K class pairs, so at m/2 + 1 every class
+    # is one point: the only relation is d = 0, and a valid monomial is a
+    # union of p of the m/2 conjugate pairs
+    maximal = [degrees for _, half, rank, degrees in classified_types if rank == half + 1]
+    assert maximal
+    for degrees in maximal:
+        for p, (hodge_dim, _, exotic) in enumerate(degrees):
+            assert (hodge_dim, exotic) == (comb(len(degrees) - 1, p), ())
 
 
 def test_conjugate_pair_unions_are_valid(order8_instances):

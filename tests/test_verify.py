@@ -8,7 +8,6 @@ import sys
 import time
 from contextlib import redirect_stdout
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,44 +29,12 @@ from cmhodge.cmtypes import CMType
 from cmhodge.groups import EmbeddingSet, bits, build_group, mask_of
 from cmhodge.monomials import valid_delta
 from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
-from conftest import content_hash, induced_family, written_bundle, written_certificate
-
-
-# outputs of format version 1, as written before version 2 dropped the
-# coverage and valid set: the verifier still reads them
-V1 = Path(__file__).parent / "fixtures" / "v1"
-V1_BUNDLE_KIND = "cmhodge.certificate-bundle"
-
-
-# outputs of format version 2, as written before version 3 dropped the
-# witnesses: the verifier still reads them
-V2 = Path(__file__).parent / "fixtures" / "v2"
-V2_KIND, V2_BUNDLE_KIND = "cmhodge.certificate/2", "cmhodge.certificate-bundle/2"
-
-
-def v1_fixture(name: str) -> dict:
-    return json.loads((V1 / name).read_text(encoding="utf-8"))
-
-
-def v2_fixture(name: str) -> dict:
-    return json.loads((V2 / name).read_text(encoding="utf-8"))
+from conftest import content_hash, written_bundle, written_certificate
 
 
 @pytest.fixture()
 def payload(z4):
     return written_certificate(z4, 1)
-
-
-@pytest.fixture()
-def payload_v1():
-    """The z4 certificate at p = 1, version 1."""
-    return v1_fixture("z4-p1.certificate.json")
-
-
-@pytest.fixture()
-def payload_v2():
-    """The z4 certificate at p = 1, version 2."""
-    return v2_fixture("z4-p1.certificate.json")
 
 
 def rehash(doc: dict) -> dict:
@@ -94,20 +61,8 @@ def test_flipped_family_bit(payload):
 
 
 @pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
-def test_family_element_outside_the_group(tmp_path, capsys, payload_v2, element):
-    # |G| = 4: a version-2 family member is compared with the induced type
-    # as a list, so an element past the group fails the check and shifts nothing
-    doc = copy.deepcopy(payload_v2)
-    doc["witnesses"][0]["family"][0] = [0, element]
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(rehash(doc)))
-    assert main(["verify", "--certify", str(path)]) == 3
-    assert "fail [induced_family]" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
 def test_induced_type_element_outside_the_group(payload, element):
-    # version 3 bounds every stored element before the table is read
+    # every stored element is bounded before the table is read
     doc = copy.deepcopy(payload)
     doc["induced_types"][2] = [2, element]
     result = verify_certificate(rehash(doc))
@@ -142,110 +97,9 @@ def test_degree_above_half(payload):
     assert result.failed_check == "degree"
 
 
-def test_wrong_transcript(payload_v2):
-    doc = copy.deepcopy(payload_v2)
-    doc["witnesses"][0]["balanced_transcript"][0] = 0
-    result = verify_certificate(rehash(doc))
-    assert result.failed_check == "balanced"
-
-
-def test_missing_coverage_entry(payload_v1):
-    doc = copy.deepcopy(payload_v1)
-    doc["coverage"] = doc["coverage"][:1]
-    result = verify_certificate(rehash(doc))
-    assert result.failed_check == "coverage"
-
-
-def test_padded_valid_set(payload_v1):
-    doc = copy.deepcopy(payload_v1)
-    doc["valid_set"] = doc["valid_set"] + [[0, 1]]
-    result = verify_certificate(rehash(doc))
-    assert result.failed_check == "valid_set"
-
-
-@pytest.fixture(scope="module")
-def d8_p2():
-    return v1_fixture("dihedral8-p2.certificate.json")
-
-
-@pytest.fixture(scope="module")
-def d8_p2_v2():
-    return v2_fixture("dihedral8-p2.certificate.json")
-
-
 @pytest.fixture(scope="module")
 def d8_p2_v3():
     return written_certificate(build_instance(catalog("dihedral", "8")), 2)
-
-
-def _drop_orbit(doc):
-    # consistent but incomplete: only the count can tell
-    orbit = doc["witnesses"].pop()["covered_translates"]
-    doc["orbit_reps"].pop()
-    doc["coverage"] = [d for d in doc["coverage"] if d not in orbit]
-    doc["valid_set"] = [d for d in doc["valid_set"] if d not in orbit]
-
-
-def _repeat_entry(doc):
-    # the count still matches, so only distinctness can tell
-    doc["valid_set"][1] = doc["valid_set"][0]
-
-
-def _invalid_entry(doc):
-    # the count still matches, so only the validity check can tell
-    doc["valid_set"][0] = next(
-        list(c) for c in combinations(range(8), 4) if list(c) not in doc["valid_set"]
-    )
-
-
-@pytest.mark.parametrize("mutate", [_drop_orbit, _repeat_entry, _invalid_entry])
-def test_wrong_valid_set_of_right_shape(d8_p2, mutate):
-    assert (len(d8_p2["orbit_reps"]), len(d8_p2["valid_set"])) == (5, 18)
-    doc = copy.deepcopy(d8_p2)
-    mutate(doc)
-    result = verify_certificate(rehash(doc))
-    assert result.failed_check == "valid_set"
-
-
-def _drop_witness(doc):
-    # each orbit is listed once, by its witness: only the count can tell
-    doc["witnesses"].pop()
-    doc["orbit_reps"].pop()
-
-
-def _repeat_witness(doc):
-    # another orbit of the same size in place of the last one, so the count
-    # still matches: only distinctness can tell
-    size = len(doc["witnesses"][-1]["covered_translates"])
-    i = next(i for i, w in enumerate(doc["witnesses"]) if len(w["covered_translates"]) == size)
-    doc["witnesses"][-1] = doc["witnesses"][i]
-    doc["orbit_reps"][-1] = doc["orbit_reps"][i]
-
-
-def _invalid_covered_translate(doc):
-    # an unlisted 4-subset is invalid; the listing is checked against the
-    # translates of the witness's delta first
-    listed = [d for w in doc["witnesses"] for d in w["covered_translates"]]
-    doc["witnesses"][0]["covered_translates"][-1] = next(
-        list(c) for c in combinations(range(8), 4) if list(c) not in listed
-    )
-
-
-@pytest.mark.parametrize(
-    "mutate, check, detail",
-    [
-        (_drop_witness, "valid_set", "stored valid set differs in size from the independent count"),
-        (_repeat_witness, "valid_set", "a monomial is listed twice"),
-        (_invalid_covered_translate, "translates", "witness 0 covered translates are wrong"),
-    ],
-    ids=("drop", "repeat", "invalid"),
-)
-def test_v2_wrong_orbits_of_right_shape(d8_p2_v2, mutate, check, detail):
-    assert d8_p2_v2["kind"] == V2_KIND and "valid_set" not in d8_p2_v2
-    assert [len(w["covered_translates"]) for w in d8_p2_v2["witnesses"]] == [2, 8, 4, 2, 2]
-    doc = copy.deepcopy(d8_p2_v2)
-    mutate(doc)
-    assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
 
 
 def _drop_rep(doc, built):
@@ -350,13 +204,6 @@ def test_certificate_past_the_points_bound_fails_factors(tmp_path, capsys, paylo
     assert capsys.readouterr().out == "p=1: fail [factors] the factors have more than 1024 points\n"
 
 
-def test_wrong_weil_data(payload_v2):
-    doc = copy.deepcopy(payload_v2)
-    doc["witnesses"][0]["weil_data"]["dim_over_q"] = 99
-    result = verify_certificate(rehash(doc))
-    assert result.failed_check == "weil_data"
-
-
 def test_wrong_kind(payload):
     doc = copy.deepcopy(payload)
     doc["kind"] = "something-else"
@@ -433,50 +280,6 @@ def _set(path, value):
     return make
 
 
-def _without_weil_data(built, payload):
-    doc = copy.deepcopy(payload)
-    del doc["witnesses"][0]["weil_data"]
-    return rehash(doc)
-
-
-def _v1(make):
-    """A document maker that starts from the version-1 z4 certificate."""
-    return lambda built, payload: make(built, v1_fixture("z4-p1.certificate.json"))
-
-
-def _v2(make):
-    """A document maker that starts from the version-2 z4 certificate."""
-    return lambda built, payload: make(built, v2_fixture("z4-p1.certificate.json"))
-
-
-def _bundle_of_v1_certificate(built, payload):
-    # a version-3 bundle may hold only version-3 certificates
-    certs = [payload, v1_fixture("z4-p1.certificate.json")]
-    return rehash({**json.loads(certificate_bundle(built, [])), "certificates": certs})
-
-
-def _bundle_of_v2_certificate(built, payload):
-    certs = [payload, v2_fixture("z4-p1.certificate.json")]
-    return rehash({**json.loads(certificate_bundle(built, [])), "certificates": certs})
-
-
-def _bundle_of(bundle: dict, cert: dict) -> dict:
-    """``bundle`` holding ``cert`` alone, rehashed."""
-    return rehash({**bundle, "instance": cert["instance"], "certificates": [cert]})
-
-
-def _v1_bundle_of_v2_certificate(built, payload):
-    return _bundle_of(v1_fixture("cyclic8.bundle.json"), v2_fixture("z4-p1.certificate.json"))
-
-
-def _v1_bundle_of_v3_certificate(built, payload):
-    return _bundle_of(v1_fixture("cyclic8.bundle.json"), payload)
-
-
-def _v2_bundle_of_v3_certificate(built, payload):
-    return _bundle_of(v2_fixture("cyclic8.bundle.json"), payload)
-
-
 def _bundle_of_other_instance(built, payload):
     # z4 certificates under a bundle that declares cyclic:8
     bundle = {**json.loads(certificate_bundle(built, [])), "certificates": [payload]}
@@ -494,25 +297,14 @@ def _bundle_of_other_instance(built, payload):
         pytest.param(_set(("orbit_reps", 0, 0), -1), id="negative-point"),
         pytest.param(_set(("orbit_reps", 0, 0), "0"), id="string-point"),
         pytest.param(_set(("orbit_reps", 0, 0), False), id="boolean-point"),
-        pytest.param(_v1(_set(("valid_set", 0, 1), 0)), id="repeated-point"),
+        pytest.param(_set(("orbit_reps", 0, 1), 0), id="repeated-point"),
         pytest.param(_set(("orbit_reps", 0, 0), 4), id="point-out-of-range"),
-        pytest.param(_v2(_without_weil_data), id="missing-weil-data"),
-        pytest.param(_v2(_set(("witnesses", 0), 1)), id="non-object-witness"),
-        pytest.param(_v2(_set(("witnesses", 0, "family"), None)), id="null-family"),
-        pytest.param(_v2(_set(("witnesses", 0, "covered_translates"), None)), id="null-covered-translates"),
-        pytest.param(_v1(_set(("coverage",), None)), id="null-coverage"),
-        pytest.param(_v1(_set(("valid_set",), None)), id="null-valid-set"),
         pytest.param(_set(("instance", "group", "iota"), "2"), id="string-iota"),
         pytest.param(_set(("instance", "group", "iota"), 2.5), id="float-iota"),
         pytest.param(_bundle_of_other_instance, id="bundle-instance-mismatch"),
-        pytest.param(_bundle_of_v1_certificate, id="bundle-of-v1-certificate"),
-        pytest.param(_v1_bundle_of_v2_certificate, id="v1-bundle-of-v2-certificate"),
         pytest.param(_set(("induced_types",), None), id="null-induced-types"),
         pytest.param(_set(("induced_types", 0, 0), -1), id="negative-element"),
         pytest.param(_set(("induced_types", 0, 1), 4), id="element-out-of-range"),
-        pytest.param(_bundle_of_v2_certificate, id="bundle-of-v2-certificate"),
-        pytest.param(_v2_bundle_of_v3_certificate, id="v2-bundle-of-v3-certificate"),
-        pytest.param(_v1_bundle_of_v3_certificate, id="v1-bundle-of-v3-certificate"),
     ],
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
@@ -523,6 +315,43 @@ def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make)
         code = main(["verify", "--certify", str(path)])
     assert code == 3
     assert "fail [schema]" in buf.getvalue()
+
+
+# the kinds of the retired formats 1 and 2, which fail like any unknown kind
+_OLD_CERTIFICATE_KINDS = ("cmhodge.certificate", "cmhodge.certificate/2")
+_OLD_BUNDLE_KINDS = ("cmhodge.certificate-bundle", "cmhodge.certificate-bundle/2")
+
+
+def _relabelled(doc: dict, kind: str) -> dict:
+    return rehash({**doc, "kind": kind})
+
+
+@pytest.mark.parametrize(
+    "kind, where",
+    [
+        *((kind, "alone") for kind in _OLD_CERTIFICATE_KINDS + _OLD_BUNDLE_KINDS),
+        *((kind, "in-current-bundle") for kind in _OLD_CERTIFICATE_KINDS),
+    ],
+)
+def test_old_kind_fails_schema(tmp_path, capsys, z4, payload, kind, where):
+    # each document is a written one relabelled and rehashed: an old
+    # certificate, an old bundle of old certificates, or a current bundle
+    # holding an old certificate at p = 1
+    failed = f"fail [schema] unexpected kind {kind!r}"
+    bundle = _z4_bundle(z4)
+    if where == "in-current-bundle":
+        certs = [*bundle["certificates"]]
+        certs[1] = _relabelled(certs[1], kind)
+        doc, expected = rehash({**bundle, "certificates": certs}), f"p=0: pass\np=1: {failed}\np=2: pass\n"
+    elif kind in _OLD_BUNDLE_KINDS:
+        certs = [_relabelled(cert, kind.replace("-bundle", "")) for cert in bundle["certificates"]]
+        doc, expected = _relabelled({**bundle, "certificates": certs}, kind), f"p=?: {failed}\n"
+    else:
+        doc, expected = _relabelled(payload, kind), f"p=1: {failed}\n"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--certify", str(path)]) == 3
+    assert capsys.readouterr().out == expected
 
 
 def test_non_finite_number_is_a_parse_error(tmp_path, payload):
@@ -550,14 +379,9 @@ _JUNK = (-1, "x", None, [], {}, True, 2.5)
 
 
 def _junk_doc(z4, data) -> dict:
-    """A z4 certificate with one node replaced by junk, rehashed: one as
-    written at any degree, or the version-1 or version-2 one at p = 1."""
-    p = data.draw(st.sampled_from([*z4.degrees, "v1", "v2"]))
-    if p == "v1":
-        return _junked(v1_fixture("z4-p1.certificate.json"), data)
-    if p == "v2":
-        return _junked(v2_fixture("z4-p1.certificate.json"), data)
-    return _junked(written_certificate(z4, p), data)
+    """A z4 certificate as written at any degree, with one node replaced by
+    junk, rehashed."""
+    return _junked(written_certificate(z4, data.draw(st.sampled_from(z4.degrees))), data)
 
 
 def _junked(doc: dict, data) -> dict:
@@ -600,28 +424,21 @@ def _recursive_conforms(value, shape) -> bool:
 @given(data=st.data())
 def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
     doc = _junk_doc(z4, data)
-    for schema in verify._SCHEMAS.values():
-        for key, shape in schema.items():
-            assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
+    for key, shape in verify._SCHEMA.items():
+        assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_column_schema_check_agrees_with_the_recursive_one_on_many_rows(d8_p2, d8_p2_v2, d8_p2_v3, data):
-    # five witnesses make columns of many rows, and version 1 adds the
-    # coverage and the valid set; version 3 has eight induced types
-    source = data.draw(st.sampled_from((d8_p2, d8_p2_v2, d8_p2_v3)))
-    doc = _junked(source, data)
-    for key, shape in verify._SCHEMAS[source["kind"]].items():
+def test_column_schema_check_agrees_with_the_recursive_one_on_many_rows(d8_p2_v3, data):
+    # five representatives and eight induced types make columns of many rows
+    doc = _junked(d8_p2_v3, data)
+    for key, shape in verify._SCHEMA.items():
         assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
 
 
 # every field that holds a list of point lists, by its path to one point
 _POINT_LIST_FIELDS = {
-    "family": ("witnesses", 0, "family", 0, 0),
-    "covered_translates": ("witnesses", 0, "covered_translates", 0, 0),
-    "coverage": ("coverage", 0, 0),
-    "valid_set": ("valid_set", 0, 0),
     "orbit_reps": ("orbit_reps", 0, 0),
     "induced_types": ("induced_types", 0, 0),
 }
@@ -663,22 +480,16 @@ def _point_value(value):
         pytest.param(_nest_point, id="nested-list"),
     ],
 )
-def test_point_list_field_rejects(payload, payload_v1, payload_v2, field, mutate):
-    # coverage and the valid set are fields of version 1 only, and the
-    # witnesses of versions 1 and 2 only
-    if field in ("coverage", "valid_set"):
-        payload = payload_v1
-    elif field in ("family", "covered_translates"):
-        payload = payload_v2
+def test_point_list_field_rejects(payload, field, mutate):
     doc = copy.deepcopy(payload)
     path = _POINT_LIST_FIELDS[field]
     mutate(doc, path)
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "schema"
     assert f"field {path[0]!r}" in result.detail
-    schema = verify._SCHEMAS[doc["kind"]]
-    assert not verify._conforms(doc[path[0]], schema[path[0]])
-    assert not _recursive_conforms(doc[path[0]], schema[path[0]])
+    shape = verify._SCHEMA[path[0]]
+    assert not verify._conforms(doc[path[0]], shape)
+    assert not _recursive_conforms(doc[path[0]], shape)
 
 
 def _changed(doc: dict, key: str, op: str) -> dict:
@@ -697,25 +508,19 @@ def _changed(doc: dict, key: str, op: str) -> dict:
     return out
 
 
-def _v1_bundle(instance: str) -> dict:
-    return v1_fixture(f"{instance.replace(':', '')}.bundle.json")
-
-
-def _v2_bundle(instance: str) -> dict:
-    return v2_fixture(f"{instance.replace(':', '')}.bundle.json")
-
-
-def _tamper_corpus(bundle_of):
+def _tamper_corpus():
     """(name, bundle) for mutations of the golden witness bundles: each
     top-level entry of the bundle and of each cyclic:8 certificate nulled,
     wrapped in a list or dropped, each stored hash flipped, an extra key
     added, and one certificate replaced by a non-object.  Each is kept
     with stale hashes and with hashes recomputed around the change: a
     changed certificate under a stale bundle hash is only checked with
-    its own hash recomputed.  ``bundle_of`` gives each bundle in one
-    format version."""
-    for instance in ("cyclic:8", "quaternion:8"):
-        bundle = bundle_of(instance)
+    its own hash recomputed.  The corpus ends with each of
+    ``_V3_MUTATIONS`` applied to the certificate at p = 2 of each bundle,
+    with both hashes recomputed."""
+    built = {instance: build_instance(catalog(*instance.split(":"))) for instance in ("cyclic:8", "quaternion:8")}
+    bundles = {instance: json.loads(written_bundle(b, b.degrees)) for instance, b in built.items()}
+    for instance, bundle in bundles.items():
         changes = [(key, op) for key in sorted(bundle) for op in ("null", "wrap", "drop")]
         for key, op in changes + [("content_hash", "flip"), ("extra", "add")]:
             doc = _changed(bundle, key, op)
@@ -739,68 +544,36 @@ def _tamper_corpus(bundle_of):
                 yield name + ", bundle rehashed", rehash(stale)
                 yield name + " rehashed", fresh
                 yield name + " rehashed, bundle rehashed", rehash(fresh)
-
-
-# the verdicts on the tamper corpus of version-1 bundles, pinned when each
-# hash was checked by encoding its whole document; a change to any verdict
-# or check order changes this digest
-TAMPER_DIGEST = "2cda4fecd3871cbcebd478efa036f2651a77758e238a088b01e0734bda4105f9"
-# the same for the corpus of version-2 bundles, pinned when that version
-# was introduced; its verdicts are the version-1 ones but for the kind
-# names and the mutations of the two fields version 2 drops
-TAMPER_DIGEST_V2 = "12b980409a75b09c501270d03ce34a295474cc762bddb23cda76ddd352a7ce22"
-_BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
-
-
-# the same for the corpus of version-3 bundles, pinned when that version
-# was introduced: its verdicts are the version-2 ones but for the kind
-# names and the field that replaces the witnesses.  The corpus ends with
-# each of ``_V3_MUTATIONS`` applied to the certificate at p = 2 of each
-# bundle, with both hashes recomputed.
-TAMPER_DIGEST_V3 = "3f4041f4eb0424b6c996a6ef2f84344318762d9b7a7df441e5e5c5e8c43cd5bb"
-
-
-def _v3_bundle(instance: str) -> dict:
-    built = build_instance(catalog(*instance.split(":")))
-    return json.loads(written_bundle(built, built.degrees))
-
-
-def _tamper_corpus_v3():
-    yield from _tamper_corpus(_v3_bundle)
-    for instance in ("cyclic:8", "quaternion:8"):
-        built = build_instance(catalog(*instance.split(":")))
-        bundle = _v3_bundle(instance)
+    for instance, bundle in bundles.items():
         for mutate in _V3_MUTATIONS:
             cert = copy.deepcopy(bundle["certificates"][2])
-            mutate(cert, built)
+            mutate(cert, built[instance])
             doc = {**bundle, "certificates": [*bundle["certificates"]]}
             doc["certificates"][2] = rehash(cert)
             yield f"{instance} p=2{mutate.__name__.replace('_', ' ')}", rehash(doc)
 
 
-def test_tamper_corpus_hash_results_and_verdicts():
-    assert _tamper_digest(_tamper_corpus(_v1_bundle), V1_BUNDLE_KIND) == TAMPER_DIGEST
-
-
-def test_tamper_corpus_v2_hash_results_and_verdicts():
-    assert _tamper_digest(_tamper_corpus(_v2_bundle), V2_BUNDLE_KIND) == TAMPER_DIGEST_V2
+# the verdicts on the tamper corpus, pinned when format version 3 was
+# introduced; a change to any verdict or check order changes this digest
+TAMPER_DIGEST_V3 = "3f4041f4eb0424b6c996a6ef2f84344318762d9b7a7df441e5e5c5e8c43cd5bb"
+_BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
 
 
 def test_tamper_corpus_v3_hash_results_and_verdicts():
-    assert _tamper_digest(_tamper_corpus_v3(), BUNDLE_KIND) == TAMPER_DIGEST_V3
+    assert _tamper_digest() == TAMPER_DIGEST_V3
 
 
-def _tamper_digest(corpus, kind: str) -> str:
-    """The digest of the verdict lines on one version's tamper corpus,
+def _tamper_digest() -> str:
+    """The digest of the verdict lines on the tamper corpus,
     with each hash result checked against one encoding of its document."""
-    corpus = list(corpus)
+    corpus = list(_tamper_corpus())
     assert len(corpus) >= 200
     lines = []
     for name, doc in corpus:
         results = verify_document(doc)
         lines += [f"{name}: {label}: {res.describe()}" for label, res in results]
         certs = doc.get("certificates")
-        if doc.get("kind") != kind or not isinstance(certs, list) or not certs:
+        if doc.get("kind") != BUNDLE_KIND or not isinstance(certs, list) or not certs:
             continue
         # each hash result against one encoding of the whole document
         bundle_failed = results == [("bundle", _BUNDLE_HASH_MISMATCH)]
@@ -833,68 +606,6 @@ def test_bundle_hash_is_checked_before_a_count_that_raises(z4, payload):
     assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
     with pytest.raises(CapExceeded):
         verify_document(rehash(bundle))
-
-
-def _v2_delta_not_its_rep(doc):
-    # witness 0 states the delta of witness 1
-    doc["witnesses"][0]["delta"] = doc["witnesses"][1]["delta"]
-
-
-def _v2_two_points(doc):
-    # witness 0 and its representative hold 2 points, not 2p = 4
-    doc["witnesses"][0]["delta"], doc["orbit_reps"][0] = [0, 1], [0, 1]
-
-
-def _v2_invalid_delta(doc):
-    # an unlisted 4-subset is invalid: it is witness 0 and its representative
-    listed = [d for w in doc["witnesses"] for d in w["covered_translates"]]
-    invalid = next(list(c) for c in combinations(range(8), 4) if list(c) not in listed)
-    doc["witnesses"][0]["delta"], doc["orbit_reps"][0] = invalid, list(invalid)
-
-
-def _v2_short_family(doc):
-    doc["witnesses"][0]["family"].pop()
-
-
-def _v2_non_least_delta(doc):
-    # the greatest member of witness 0's orbit, with the induced types at its
-    # points: its family and covered translates are right, but it is not least
-    witness = doc["witnesses"][0]
-    delta = witness["covered_translates"][-1]
-    types = induced_family(build_instance(catalog("dihedral", "8")))
-    witness["delta"], doc["orbit_reps"][0] = delta, list(delta)
-    witness["family"] = [types[s] for s in sorted(delta)]
-
-
-def _v2_verdict_false(doc):
-    doc["verdict"] = False
-
-
-def _v2_witness_dropped(doc):
-    # its orbit representative is kept
-    doc["witnesses"].pop()
-
-
-@pytest.mark.parametrize(
-    "mutate, check, detail",
-    [
-        (_v2_delta_not_its_rep, "schema", "witness 0 delta differs from its orbit representative"),
-        (_v2_two_points, "degree", "witness 0 has 2 points, expected 4"),
-        (_v2_invalid_delta, "delta_valid", "witness 0 monomial fails the validity criterion"),
-        (_v2_short_family, "induced_family", "witness 0 family size differs from |delta|"),
-        (_v2_non_least_delta, "orbit_reps", "representative 0 is not minimal in its orbit"),
-        (_v2_verdict_false, "coverage", "coverage verdict is wrong"),
-        (_v2_witness_dropped, "schema", "witness count differs from orbit representative count"),
-    ],
-    ids=(
-        "delta-not-its-rep", "two-points", "invalid-delta", "short-family", "non-least-delta", "verdict-false",
-        "witness-dropped",
-    ),
-)
-def test_v2_witness_checks(d8_p2_v2, mutate, check, detail):
-    doc = copy.deepcopy(d8_p2_v2)
-    mutate(doc)
-    assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
 
 
 def test_cm_type_holding_a_conjugate_pair_fails_cm_type(payload):
