@@ -42,6 +42,15 @@ def rehash(doc: dict) -> dict:
     return {**doc, "content_hash": content_hash(doc)}
 
 
+# the kinds of the retired formats 1 and 2, which fail like any unknown kind
+_OLD_CERTIFICATE_KINDS = ("cmhodge.certificate", "cmhodge.certificate/2")
+_OLD_BUNDLE_KINDS = ("cmhodge.certificate-bundle", "cmhodge.certificate-bundle/2")
+
+
+def _relabelled(doc: dict, kind: str) -> dict:
+    return rehash({**doc, "kind": kind})
+
+
 def test_intact_certificate_passes(payload):
     assert verify_certificate(payload).ok
 
@@ -58,6 +67,19 @@ def test_flipped_family_bit(payload):
     doc["induced_types"][0] = [0, 2]  # induced type is [0, 1]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "induced_family"
+
+
+@pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
+def test_family_element_outside_the_group(tmp_path, capsys, payload, element):
+    # |G| = 4: point 0 lies in the one representative, [0, 2], so its type
+    # is in that family; an element past the group fails through the
+    # command line and shifts nothing
+    doc = copy.deepcopy(payload)
+    doc["induced_types"][0] = [0, element]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(rehash(doc)))
+    assert main(["verify", "--certify", str(path)]) == 3
+    assert capsys.readouterr().out == "p=1: fail [schema] a group element lies outside 0..3\n"
 
 
 @pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
@@ -95,6 +117,23 @@ def test_degree_above_half(payload):
     doc = {**payload, "p": 3, "orbit_reps": []}
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "degree"
+
+
+def test_missing_coverage_entry(payload):
+    # the coverage claim is the verdict
+    doc = copy.deepcopy(payload)
+    del doc["verdict"]
+    result = verify_certificate(rehash(doc))
+    assert result == VerificationResult(False, "schema", "field 'verdict' is missing or malformed")
+
+
+def test_padded_valid_set(payload):
+    # [1, 3] is a translate of the one representative, [0, 2]: appended,
+    # its orbit would be counted twice
+    doc = copy.deepcopy(payload)
+    doc["orbit_reps"] = doc["orbit_reps"] + [[1, 3]]
+    result = verify_certificate(rehash(doc))
+    assert result == VerificationResult(False, "orbit_reps", "representative 1 is not the least member of its orbit")
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +195,44 @@ def test_v3_wrong_orbits_of_right_shape(d8_p2_v3, mutate, check, detail):
     doc = copy.deepcopy(d8_p2_v3)
     mutate(doc, build_instance(catalog("dihedral", "8")))
     assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
+
+
+@pytest.mark.parametrize(
+    "mutate, check, detail",
+    [
+        pytest.param(_drop_rep, "valid_set", "the orbits differ in size from the independent count", id="_drop_orbit"),
+        pytest.param(
+            _repeat_rep, "orbit_reps", "representative 2 does not follow the one before in ascending order",
+            id="_repeat_entry",
+        ),
+        pytest.param(_invalid_rep, "delta_valid", "representative 0 fails the validity criterion", id="_invalid_entry"),
+    ],
+)
+def test_wrong_valid_set_of_right_shape(mutate, check, detail):
+    # the quaternion:8 certificate at p = 2 changed inside its bundle and
+    # both hashes recomputed: only that certificate fails, on the instance
+    # the bundle builds once
+    built = build_instance(catalog("quaternion", "8"))
+    bundle = json.loads(written_bundle(built, built.degrees))
+    cert = copy.deepcopy(bundle["certificates"][2])
+    assert len(cert["orbit_reps"]) == 3
+    mutate(cert, built)
+    certs = [*bundle["certificates"]]
+    certs[2] = rehash(cert)
+    results = verify_document(rehash({**bundle, "certificates": certs}))
+    expected = [VerificationResult(True)] * 5
+    expected[2] = VerificationResult(False, check, detail)
+    assert results == list(zip([f"p={p}" for p in built.degrees], expected))
+
+
+@pytest.mark.parametrize("mutate", [_drop_rep, _repeat_rep, _invalid_rep], ids=("drop", "repeat", "invalid"))
+def test_v2_wrong_orbits_of_right_shape(d8_p2_v3, mutate):
+    # relabelled version 2 and rehashed: refused at its kind, before any
+    # orbit is read
+    doc = copy.deepcopy(d8_p2_v3)
+    mutate(doc, build_instance(catalog("dihedral", "8")))
+    result = verify_certificate(_relabelled(doc, "cmhodge.certificate/2"))
+    assert result == VerificationResult(False, "schema", "unexpected kind 'cmhodge.certificate/2'")
 
 
 def test_row_scan_refuses_an_invalid_or_wrong_sized_mask():
@@ -280,6 +357,17 @@ def _set(path, value):
     return make
 
 
+def _bundle_of(bundle_kind: str, kind: str):
+    """A document maker: a bundle labelled ``bundle_kind`` that holds the
+    z4 certificate at p = 1 labelled ``kind``, both rehashed."""
+
+    def make(built, payload):
+        bundle = {**json.loads(certificate_bundle(built, [])), "certificates": [_relabelled(payload, kind)]}
+        return _relabelled(bundle, bundle_kind)
+
+    return make
+
+
 def _bundle_of_other_instance(built, payload):
     # z4 certificates under a bundle that declares cyclic:8
     bundle = {**json.loads(certificate_bundle(built, [])), "certificates": [payload]}
@@ -305,6 +393,19 @@ def _bundle_of_other_instance(built, payload):
         pytest.param(_set(("induced_types",), None), id="null-induced-types"),
         pytest.param(_set(("induced_types", 0, 0), -1), id="negative-element"),
         pytest.param(_set(("induced_types", 0, 1), 4), id="element-out-of-range"),
+        # the orbit representatives stand for the valid set, one per orbit
+        # of covered translates, and the verdict is the coverage claim
+        pytest.param(_set(("orbit_reps",), None), id="null-valid-set"),
+        pytest.param(_set(("orbit_reps", 0), None), id="null-covered-translates"),
+        pytest.param(_set(("induced_types", 0), None), id="null-family"),
+        pytest.param(_set(("verdict",), None), id="null-coverage"),
+        pytest.param(_bundle_of(BUNDLE_KIND, "cmhodge.certificate"), id="bundle-of-v1-certificate"),
+        pytest.param(_bundle_of(BUNDLE_KIND, "cmhodge.certificate/2"), id="bundle-of-v2-certificate"),
+        pytest.param(
+            _bundle_of("cmhodge.certificate-bundle", "cmhodge.certificate/2"), id="v1-bundle-of-v2-certificate"
+        ),
+        pytest.param(_bundle_of("cmhodge.certificate-bundle", CERTIFICATE_KIND), id="v1-bundle-of-v3-certificate"),
+        pytest.param(_bundle_of("cmhodge.certificate-bundle/2", CERTIFICATE_KIND), id="v2-bundle-of-v3-certificate"),
     ],
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
@@ -315,15 +416,6 @@ def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make)
         code = main(["verify", "--certify", str(path)])
     assert code == 3
     assert "fail [schema]" in buf.getvalue()
-
-
-# the kinds of the retired formats 1 and 2, which fail like any unknown kind
-_OLD_CERTIFICATE_KINDS = ("cmhodge.certificate", "cmhodge.certificate/2")
-_OLD_BUNDLE_KINDS = ("cmhodge.certificate-bundle", "cmhodge.certificate-bundle/2")
-
-
-def _relabelled(doc: dict, kind: str) -> dict:
-    return rehash({**doc, "kind": kind})
 
 
 @pytest.mark.parametrize(
@@ -561,6 +653,31 @@ _BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash m
 
 def test_tamper_corpus_v3_hash_results_and_verdicts():
     assert _tamper_digest() == TAMPER_DIGEST_V3
+
+
+def _refused_at_kind(monkeypatch, kind: str) -> None:
+    """Each bundle of the tamper corpus that keeps the current kind,
+    relabelled ``kind``, fails ``schema`` at its kind alone: no hash is
+    encoded and no instance is built."""
+
+    def unreached(*args):
+        raise AssertionError("an old-kind document was read past its kind")
+
+    for name in ("_encoded", "_hash_ok", "_build"):
+        monkeypatch.setattr(verify, name, unreached)
+    corpus = [(name, doc) for name, doc in _tamper_corpus() if doc.get("kind") == BUNDLE_KIND]
+    assert len(corpus) >= 200
+    for name, doc in corpus:
+        refused = [("p=?", VerificationResult(False, "schema", f"unexpected kind {kind!r}"))]
+        assert verify_document({**doc, "kind": kind}) == refused, name
+
+
+def test_tamper_corpus_hash_results_and_verdicts(monkeypatch):
+    _refused_at_kind(monkeypatch, "cmhodge.certificate-bundle")
+
+
+def test_tamper_corpus_v2_hash_results_and_verdicts(monkeypatch):
+    _refused_at_kind(monkeypatch, "cmhodge.certificate-bundle/2")
 
 
 def _tamper_digest() -> str:
