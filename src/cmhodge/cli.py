@@ -16,7 +16,8 @@ from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
 from .instance import BuiltInstance, build_instance, parse_instance, serialize_instance
 from .lattice import orbit_matrix
 from .monomials import (
-    BRUTEFORCE_CAP, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits
+    BRUTEFORCE_CAP, DecompositionReport, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce,
+    galois_orbits,
 )
 from .report import analysis_report, certificate_bundle, deltas_report
 from .verify import verify_document
@@ -91,40 +92,82 @@ def _degrees(args, built: BuiltInstance) -> list[int]:
     return [p]
 
 
-def _listable_degrees(args, built: BuiltInstance) -> list[int]:
+def _by_degree(args, built: BuiltInstance, direct, mirror) -> list[tuple[int, object]]:
+    """(p, answer) for each requested degree.  ``direct(p)`` returns the
+    answer at p and what ``mirror`` reads to build the answer at m/2 - p.
+
+    Complement maps the valid monomials of degree q onto those of m/2 - q,
+    orbits onto orbits and exotic onto exotic, so a degree past m/4 is built
+    from its complement degree.  What ``mirror`` reads is kept only for a
+    requested partner, until that partner is built.
+    """
+    degrees = _degrees(args, built)
     # count every degree before listing any, so a listing past the cap
     # exits 4 before the lower degrees are worked out
-    degrees = _degrees(args, built)
     check_listing_cap(built.cm_type, degrees)
-    return degrees
+    full = built.embeddings.all_mask
+    half = built.embeddings.size // 2
+    kept = {}
+    out = []
+    for p in degrees:
+        q = half - p
+        if q < p:
+            out.append((p, mirror(full, kept.pop(q) if q in kept else direct(q)[1])))
+            continue
+        answer, seed = direct(p)
+        if q > p and q in degrees:
+            kept[p] = seed
+        out.append((p, answer))
+    return out
+
+
+def _mirrored_report(full: int, report: DecompositionReport) -> DecompositionReport:
+    # the complement of an ascending tuple, reversed, ascends
+    return DecompositionReport(
+        p=full.bit_count() // 2 - report.p,
+        valid=tuple(map(full.__xor__, reversed(report.valid))),
+        orbits=tuple(sorted(tuple(map(full.__xor__, reversed(orbit))) for orbit in report.orbits)),
+        valid_pair_count=report.valid_pair_count,
+        exotic=tuple(map(full.__xor__, reversed(report.exotic))),
+    )
 
 
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
-    reports = [classify(built.cm_type, p) for p in _listable_degrees(args, built)]
-    out.writelines(analysis_report(built, reports))
+    per_degree = _by_degree(args, built, lambda p: (classify(built.cm_type, p),) * 2, _mirrored_report)
+    out.writelines(analysis_report(built, [report for _, report in per_degree]))
     return EXIT_OK
 
 
-def _orbit_reps(built: BuiltInstance, p: int) -> list[int]:
-    # the orbits of one degree are dropped as soon as their least members are read
-    return [orbit[0] for orbit in galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))]
+def _orbit_reps(args, built: BuiltInstance) -> list[tuple[int, list[int]]]:
+    def direct(p):
+        # the orbits of one degree are dropped as soon as their least and
+        # greatest members are read
+        orbits = galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))
+        return [orbit[0] for orbit in orbits], [orbit[-1] for orbit in orbits]
+
+    # the least member of the complement of an orbit is the complement of its greatest
+    return _by_degree(args, built, direct, lambda full, greatest: sorted(map(full.__xor__, greatest)))
 
 
 def _cmd_deltas(args, out) -> int:
     built = _load_instance(args)
-    per_degree = [
-        (p, _orbit_reps(built, p) if args.orbits_only else enumerate_valid(built.cm_type, p))
-        for p in _listable_degrees(args, built)
-    ]
+    if args.orbits_only:
+        per_degree = _orbit_reps(args, built)
+    else:
+        per_degree = _by_degree(
+            args,
+            built,
+            lambda p: (enumerate_valid(built.cm_type, p),) * 2,
+            lambda full, listing: list(map(full.__xor__, reversed(listing))),
+        )
     out.writelines(deltas_report(built, per_degree, args.orbits_only))
     return EXIT_OK
 
 
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
-    per_degree = [(p, _orbit_reps(built, p)) for p in _listable_degrees(args, built)]
-    text = certificate_bundle(built, per_degree)
+    text = certificate_bundle(built, _orbit_reps(args, built))
     if args.certify:
         Path(args.certify).write_text(text, encoding="utf-8")
     else:

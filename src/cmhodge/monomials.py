@@ -20,6 +20,12 @@ at once, and each would keep its own.  ``check_listing_cap`` counts a
 degree's valid monomials from the same tables, so a command can refuse an
 input before listing any degree.  It counts only the degrees past the
 Hodge bound: degree p has at most dim H^{p,p} = C(m/2, p)**2 of them.
+
+Complement, delta -> delta ^ all, maps the valid monomials of degree p onto
+those of m/2 - p, Galois orbits onto orbits and exotic onto exotic.  So
+``analyze``, ``deltas`` and ``witness`` work out each degree past m/4 from
+its complement degree.  Every function here works out the degree it is
+given, and ``oracle`` and ``verify`` do not use the map.
 """
 
 from __future__ import annotations
@@ -158,16 +164,21 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
     A valid monomial of degree p is p points of phi and p of its conjugate,
     so a degree with C(m/2, p)**2 <= ``LISTING_CAP`` passes uncounted.  Any
     other is counted from the shared half tables: every scanned subset adds
-    the number of keyed masks that complete it.  The listing that follows
-    reads the same tables.
+    the number of keyed masks that complete it.  Complement maps degree p
+    onto m/2 - p, so each pair of such degrees is counted once, at the
+    lower one, whose tables the commands' listing reads.
     """
+    half = phi.carrier.size // 2
+    counted = set()
     for p in degrees:
-        if comb(phi.carrier.size // 2, p) ** 2 <= LISTING_CAP:
+        q = min(p, half - p)
+        if q in counted or comb(half, q) ** 2 <= LISTING_CAP:
             continue
-        tables, sizes = _half_tables(phi, p)
-        target = p * tables.unit
+        counted.add(q)
+        tables, sizes = _half_tables(phi, q)
+        target = q * tables.unit
         count = 0
-        for keyed, (weights, _) in tables.matches(p, sizes):
+        for keyed, (weights, _) in tables.matches(q, sizes):
             count += sum(map(len, map(keyed.get, map(target.__sub__, weights), repeat(()))))
             if count > LISTING_CAP:
                 raise _listing_cap(p)

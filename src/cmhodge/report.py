@@ -44,7 +44,7 @@ from .monomials import DecompositionReport
 
 REPORT_KIND = "cmhodge.report/2"
 # version 3: orbit representatives and one induced-type table; ``verify``
-# still reads versions 1 and 2
+# reads this version only
 CERTIFICATE_KIND = "cmhodge.certificate/3"
 BUNDLE_KIND = "cmhodge.certificate-bundle/3"
 DELTAS_KIND = "cmhodge.deltas"

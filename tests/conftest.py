@@ -8,6 +8,7 @@ import pytest
 
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cmtypes import CMType
+from cmhodge.errors import CmhodgeError
 from cmhodge.groups import bits
 from cmhodge.instance import BuiltInstance, build_instance
 from cmhodge.monomials import enumerate_valid, galois_orbits
@@ -44,6 +45,22 @@ def induced_family(built: BuiltInstance) -> list[list[int]]:
     """The induced type at every point, as written: every certificate holds
     the table, and the one of degree 0 is the smallest."""
     return written_certificate(built, 0)["induced_types"]
+
+
+def catalog_defaults(max_order):
+    """Every catalog entry of order at most max_order that builds, with its
+    default CM-type: the single groups and the products of two."""
+    singles = [(name, n) for name in ("cyclic", "elementary-abelian", "dihedral") for n in range(2, max_order + 1)]
+    singles.append(("quaternion", 8))
+    entries = [(name, str(n)) for name, n in singles]
+    entries += [("product", f"{a}.{n}x{b}.{k}") for a, n in singles for b, k in singles if n * k <= max_order]
+    built = []
+    for entry in entries:
+        try:
+            built.append(build_instance(catalog(*entry)))
+        except CmhodgeError:
+            pass
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,13 @@ from dataclasses import replace
 import pytest
 
 from cmhodge.catalog import _group_data, catalog, cyclic_table, sweep_instances
-from cmhodge import cli
+from cmhodge import cli, monomials
 from cmhodge.cli import main
 from cmhodge.errors import CmhodgeError, NoCentralInvolution, ParseError, UnknownCatalogEntry, ValidationError
 from cmhodge.groups import build_group
 from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
+from cmhodge.monomials import classify, enumerate_valid, galois_orbits
+from conftest import catalog_defaults
 
 Z2_TEXT = """\
 # minimal elliptic-curve instance
@@ -298,6 +300,83 @@ def test_listing_cap_exits_before_any_degree_is_listed(monkeypatch, capsys):
         assert capsys.readouterr().err == (
             "cap exceeded: degree 6 has more than 1000000 valid monomials, the listing cap\n"
         )
+
+
+@pytest.fixture(scope="module")
+def mirror_inputs(tmp_path_factory) -> list[tuple[object, str]]:
+    """(built, instance file) for every catalog default with m <= 16, and
+    product:cyclic.4xcyclic.4 with the CM-type 6..13, whose exotic orbits
+    at p = 5, 6 are the complements of those at p = 3, 2."""
+    specs = [built.spec for built in catalog_defaults(16)]
+    specs.append(replace(catalog("product", "cyclic.4xcyclic.4"), cm_type=tuple(range(6, 14))))
+    folder = tmp_path_factory.mktemp("mirror")
+    out = []
+    for n, spec in enumerate(specs):
+        path = folder / f"{n}.txt"
+        path.write_text(serialize_instance(spec), encoding="utf-8")
+        out.append((build_instance(spec), str(path)))
+    assert len(out) == 63
+    return out
+
+
+def _upper_degrees(built) -> list[int]:
+    # the degrees the commands build from their complement degree
+    half = built.embeddings.size // 2
+    return [p for p in built.degrees if p > half - p]
+
+
+def test_upper_degrees_match_the_direct_routes(monkeypatch, mirror_inputs):
+    # every per-degree object the commands hand to the writers, with all
+    # degrees and with one upper degree alone, equals the one worked out
+    # at that degree by enumerate_valid, galois_orbits and classify; and an
+    # upper degree alone is written as it is among all degrees
+    handed = {}
+    for name in ("analysis_report", "deltas_report", "certificate_bundle"):
+        def capture(built, per_degree, *rest, _name=name, _write=getattr(cli, name)):
+            handed[_name] = per_degree
+            return _write(built, per_degree, *rest)
+
+        monkeypatch.setattr(cli, name, capture)
+    exotic_upper = 0
+    for built, path in mirror_inputs:
+        phi = built.cm_type
+        listings = {p: enumerate_valid(phi, p) for p in built.degrees}
+        reps = {p: [orbit[0] for orbit in galois_orbits(built.embeddings, listings[p])] for p in built.degrees}
+        reports = {p: classify(phi, p) for p in built.degrees}
+        for command, writer, expected in (
+            (("analyze",), "analysis_report", lambda p: reports[p]),
+            (("deltas",), "deltas_report", lambda p: (p, listings[p])),
+            (("deltas", "--orbits-only"), "deltas_report", lambda p: (p, reps[p])),
+            (("witness",), "certificate_bundle", lambda p: (p, reps[p])),
+        ):
+            code, out = run_cli(*command, "--input", path)
+            assert code == 0 and handed[writer] == list(map(expected, built.degrees)), (built.spec.name, command)
+            key = "certificates" if command == ("witness",) else "degrees"
+            every = json.loads(out)[key]
+            for p in _upper_degrees(built):
+                code, out = run_cli(*command, "--input", path, "--degree", str(p))
+                assert code == 0 and handed[writer] == [expected(p)], (built.spec.name, command, p)
+                assert json.loads(out)[key] == [every[built.degrees.index(p)]], (built.spec.name, command, p)
+        exotic_upper += sum(bool(reports[p].exotic) for p in _upper_degrees(built))
+    assert exotic_upper == 2  # p = 5, 6 of the product type
+
+
+def test_an_upper_degree_past_the_cap_exits_4_naming_it(monkeypatch, capsys, mirror_inputs):
+    # the count is taken at the complement degree, and the message names
+    # the degree asked for
+    for built, path in mirror_inputs:
+        for p in _upper_degrees(built):
+            n = len(enumerate_valid(built.cm_type, p))
+            monkeypatch.setattr(monomials, "LISTING_CAP", n - 1)
+            for command in (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",)):
+                capsys.readouterr()
+                assert run_cli(*command, "--input", path, "--degree", str(p)) == (4, ""), (built.spec.name, p)
+                assert capsys.readouterr().err == (
+                    f"cap exceeded: degree {p} has more than {n - 1} valid monomials, the listing cap\n"
+                )
+            monkeypatch.setattr(monomials, "LISTING_CAP", n)
+            assert run_cli("deltas", "--input", path, "--degree", str(p))[0] == 0
+            monkeypatch.undo()
 
 
 def test_cli_input_file(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge import monomials, verify
 from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
-from cmhodge.errors import CapExceeded, CmhodgeError, NotClosed
+from cmhodge.errors import CapExceeded, NotClosed
 from cmhodge.groups import MAX_POINTS, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
@@ -27,7 +27,7 @@ from cmhodge.monomials import (
     valid_delta,
 )
 from cmhodge.verify import _Recount, verify_document
-from conftest import written_bundle
+from conftest import catalog_defaults, written_bundle
 
 EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
 MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
@@ -216,20 +216,27 @@ def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
         assert recount.count(p) == len(enumerate_valid_bruteforce(types[5], p))
 
 
-def catalog_defaults(max_order):
-    """Every catalog entry of order at most max_order that builds, with its
-    default CM-type: the single groups and the products of two."""
-    singles = [(name, n) for name in ("cyclic", "elementary-abelian", "dihedral") for n in range(2, max_order + 1)]
-    singles.append(("quaternion", 8))
-    entries = [(name, str(n)) for name, n in singles]
-    entries += [("product", f"{a}.{n}x{b}.{k}") for a, n in singles for b, k in singles if n * k <= max_order]
-    built = []
-    for entry in entries:
-        try:
-            built.append(build_instance(catalog(*entry)))
-        except CmhodgeError:
-            pass
-    return built
+def test_each_complement_pair_of_degrees_is_counted_once(monkeypatch):
+    # degrees p and m/2 - p have equally many valid monomials, so the count
+    # is taken once per pair, at the lower degree; C(8, p)**2 > 400 at p = 2..6
+    _, types = slot_carrier_types(0)
+    phi = types[100]
+    counted = []
+    half_tables = monomials._half_tables
+
+    def spy(phi, p):
+        counted.append(p)
+        return half_tables(phi, p)
+
+    monkeypatch.setattr(monomials, "_half_tables", spy)
+    monkeypatch.setattr(monomials, "LISTING_CAP", 400)
+    check_listing_cap(phi, [0, 6, 2, 3, 5, 4, 8])
+    assert counted == [2, 3, 4]
+    # 28 valid monomials at p = 2 and 6: the first degree asked for is named
+    monkeypatch.setattr(monomials, "LISTING_CAP", 27)
+    with pytest.raises(CapExceeded, match="degree 6 has more than 27"):
+        check_listing_cap(phi, [6, 2])
+    assert counted[3:] == [2]
 
 
 def test_degrees_within_the_hodge_bound_are_not_counted(monkeypatch):

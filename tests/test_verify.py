@@ -437,7 +437,7 @@ def test_old_kind_fails_schema(tmp_path, capsys, z4, payload, kind, where):
         doc, expected = rehash({**bundle, "certificates": certs}), f"p=0: pass\np=1: {failed}\np=2: pass\n"
     elif kind in _OLD_BUNDLE_KINDS:
         certs = [_relabelled(cert, kind.replace("-bundle", "")) for cert in bundle["certificates"]]
-        doc, expected = _relabelled({**bundle, "certificates": certs}, kind), f"p=?: {failed}\n"
+        doc, expected = _relabelled({**bundle, "certificates": certs}, kind), f"bundle: {failed}\n"
     else:
         doc, expected = _relabelled(payload, kind), f"p=1: {failed}\n"
     path = tmp_path / "doc.json"
@@ -657,7 +657,8 @@ def test_tamper_corpus_v3_hash_results_and_verdicts():
 
 def _refused_at_kind(monkeypatch, kind: str) -> None:
     """Each bundle of the tamper corpus that keeps the current kind,
-    relabelled ``kind``, fails ``schema`` at its kind alone: no hash is
+    relabelled ``kind``, fails ``schema`` at its kind alone, labelled as a
+    bundle: no hash is
     encoded and no instance is built."""
 
     def unreached(*args):
@@ -668,7 +669,7 @@ def _refused_at_kind(monkeypatch, kind: str) -> None:
     corpus = [(name, doc) for name, doc in _tamper_corpus() if doc.get("kind") == BUNDLE_KIND]
     assert len(corpus) >= 200
     for name, doc in corpus:
-        refused = [("p=?", VerificationResult(False, "schema", f"unexpected kind {kind!r}"))]
+        refused = [("bundle", VerificationResult(False, "schema", f"unexpected kind {kind!r}"))]
         assert verify_document({**doc, "kind": kind}) == refused, name
 
 
