@@ -21,8 +21,9 @@ old verifier says of the new one.
 
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
-to group order 16 is run, and ``tests/fixtures/d16-mixed.txt``.  Example, a parent checkout against the working
-tree:
+to group order 16 is run, and ``tests/fixtures/d16-mixed.txt`` and
+``tests/fixtures/product-6..13.txt``.  Example, a parent checkout against
+the working tree:
 
     git archive HEAD | tar -x -C /tmp/parent
     python scripts/compare_outputs.py /tmp/parent . dihedral:32 tests/fixtures/m68.txt
@@ -61,6 +62,8 @@ DEFAULT_INSTANCES = (
     "product:cyclic.4xcyclic.4",
     # a carrier of non-normal factors, whose points are cosets
     str(FIXTURES / "d16-mixed.txt"),
+    # a type with exotic monomials past m/4, built from their complements
+    str(FIXTURES / "product-6..13.txt"),
 )
 
 

@@ -19,7 +19,7 @@ from .monomials import (
     BRUTEFORCE_CAP, DecompositionReport, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce,
     galois_orbits,
 )
-from .report import analysis_report, certificate_bundle, deltas_report
+from .report import analysis_report, certificate_bundle, degree_payload, deltas_report
 from .verify import verify_document
 
 EXIT_OK = 0
@@ -92,14 +92,15 @@ def _degrees(args, built: BuiltInstance) -> list[int]:
     return [p]
 
 
-def _by_degree(args, built: BuiltInstance, direct, mirror) -> list[tuple[int, object]]:
-    """(p, answer) for each requested degree.  ``direct(p)`` returns the
-    answer at p and what ``mirror`` reads to build the answer at m/2 - p.
+def _by_degree(args, built: BuiltInstance, work, answer, mirror) -> list[tuple[int, object]]:
+    """(p, answer) for each requested degree, in request order.  ``work(q)``
+    works out degree q, ``answer`` reads the answer at q from it, and
+    ``mirror(full, work(q))`` builds the answer at m/2 - q.
 
     Complement maps the valid monomials of degree q onto those of m/2 - q,
-    orbits onto orbits and exotic onto exotic, so a degree past m/4 is built
-    from its complement degree.  What ``mirror`` reads is kept only for a
-    requested partner, until that partner is built.
+    orbits onto orbits and exotic onto exotic.  So each pair {q, m/2 - q}
+    is worked out once, at q <= m/4, and each requested degree of it is
+    answered at once; the work is dropped before the next pair is begun.
     """
     degrees = _degrees(args, built)
     # count every degree before listing any, so a listing past the cap
@@ -107,25 +108,21 @@ def _by_degree(args, built: BuiltInstance, direct, mirror) -> list[tuple[int, ob
     check_listing_cap(built.cm_type, degrees)
     full = built.embeddings.all_mask
     half = built.embeddings.size // 2
-    kept = {}
-    out = []
-    for p in degrees:
-        q = half - p
-        if q < p:
-            out.append((p, mirror(full, kept.pop(q) if q in kept else direct(q)[1])))
-            continue
-        answer, seed = direct(p)
-        if q > p and q in degrees:
-            kept[p] = seed
-        out.append((p, answer))
-    return out
+    answers = {}
+    for q in dict.fromkeys(min(p, half - p) for p in degrees):
+        done = work(q)
+        if q in degrees:
+            answers[q] = answer(done)
+        if half - q > q and half - q in degrees:
+            answers[half - q] = mirror(full, done)
+        del done  # nothing of one pair is held while the next is worked out
+    return [(p, answers[p]) for p in degrees]
 
 
 def _mirrored_report(full: int, report: DecompositionReport) -> DecompositionReport:
     # the complement of an ascending tuple, reversed, ascends
     return DecompositionReport(
         p=full.bit_count() // 2 - report.p,
-        valid=tuple(map(full.__xor__, reversed(report.valid))),
         orbits=tuple(sorted(tuple(map(full.__xor__, reversed(orbit))) for orbit in report.orbits)),
         valid_pair_count=report.valid_pair_count,
         exotic=tuple(map(full.__xor__, reversed(report.exotic))),
@@ -134,20 +131,22 @@ def _mirrored_report(full: int, report: DecompositionReport) -> DecompositionRep
 
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
-    per_degree = _by_degree(args, built, lambda p: (classify(built.cm_type, p),) * 2, _mirrored_report)
-    out.writelines(analysis_report(built, [report for _, report in per_degree]))
+    per_degree = _by_degree(
+        args, built, lambda p: classify(built.cm_type, p), degree_payload,
+        lambda full, report: degree_payload(_mirrored_report(full, report)),
+    )
+    out.writelines(analysis_report(built, per_degree))
     return EXIT_OK
 
 
 def _orbit_reps(args, built: BuiltInstance) -> list[tuple[int, list[int]]]:
-    def direct(p):
-        # the orbits of one degree are dropped as soon as their least and
-        # greatest members are read
+    def work(p):
+        # a degree's orbits are dropped once their least and greatest members are read
         orbits = galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))
         return [orbit[0] for orbit in orbits], [orbit[-1] for orbit in orbits]
 
     # the least member of the complement of an orbit is the complement of its greatest
-    return _by_degree(args, built, direct, lambda full, greatest: sorted(map(full.__xor__, greatest)))
+    return _by_degree(args, built, work, lambda ends: ends[0], lambda full, ends: sorted(map(full.__xor__, ends[1])))
 
 
 def _cmd_deltas(args, out) -> int:
@@ -156,9 +155,7 @@ def _cmd_deltas(args, out) -> int:
         per_degree = _orbit_reps(args, built)
     else:
         per_degree = _by_degree(
-            args,
-            built,
-            lambda p: (enumerate_valid(built.cm_type, p),) * 2,
+            args, built, lambda p: enumerate_valid(built.cm_type, p), lambda listing: listing,
             lambda full, listing: list(map(full.__xor__, reversed(listing))),
         )
     out.writelines(deltas_report(built, per_degree, args.orbits_only))
@@ -177,7 +174,7 @@ def _cmd_witness(args, out) -> int:
 
 def _no_constant(name: str):
     # Python's json reads NaN and Infinity, which canonical JSON cannot hash
-    raise ParseError(f"certificate contains {name}, which JSON does not allow")
+    raise ParseError(f"contains {name}, which JSON does not allow")
 
 
 def _read_certificate(path: str):
@@ -185,10 +182,10 @@ def _read_certificate(path: str):
     try:
         return json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"certificate is not valid JSON: {exc}")
+        raise ParseError(f"not valid JSON: {exc}")
     except (RecursionError, ValueError) as exc:
         # nesting or an integer past the decoder's limits
-        raise ParseError(f"certificate cannot be decoded: {exc}")
+        raise ParseError(f"cannot be decoded: {exc}")
 
 
 def _cmd_verify(args, out) -> int:
@@ -253,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ParseError, ValidationError, UnicodeDecodeError) as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
+        # the one file ``verify`` reads is a certificate
+        print(f"invalid {'certificate' if args.command == 'verify' else 'instance'}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         where = "" if exc.filename is None else f" {exc.filename}"

@@ -23,16 +23,17 @@ Hodge bound: degree p has at most dim H^{p,p} = C(m/2, p)**2 of them.
 
 Complement, delta -> delta ^ all, maps the valid monomials of degree p onto
 those of m/2 - p, Galois orbits onto orbits and exotic onto exotic.  So
-``analyze``, ``deltas`` and ``witness`` work out each degree past m/4 from
-its complement degree.  Every function here works out the degree it is
-given, and ``oracle`` and ``verify`` do not use the map.
+``analyze``, ``deltas`` and ``witness`` work out each pair {q, m/2 - q} once,
+at q <= m/4, and map it onto the partner before the next pair.  A classified
+degree holds its monomials once, as Galois orbits.  Every function here
+works out the degree it is given; ``oracle`` and ``verify`` skip the map.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 
 from .cmtypes import CMType
@@ -236,19 +237,22 @@ def galois_orbits(carrier, deltas: list[int]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Full per-degree classification: the valid monomials, their orbits,
-    and the exotic ones, all canonically sorted; the rest of the valid
-    monomials are divisor-generated."""
+    """Full per-degree classification: the Galois orbits of the valid
+    monomials, their only stored listing, and the exotic ones, all sorted
+    canonically; the rest of the valid monomials are divisor-generated."""
 
     p: int
-    valid: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
     valid_pair_count: int
     exotic: tuple[int, ...]
 
     @property
+    def valid(self) -> tuple[int, ...]:
+        return tuple(sorted(chain.from_iterable(self.orbits)))
+
+    @property
     def hodge_dim(self) -> int:
-        return len(self.valid)
+        return sum(map(len, self.orbits))
 
     @property
     def lefschetz_dim(self) -> int:
@@ -265,8 +269,7 @@ def classify(phi: CMType, p: int) -> DecompositionReport:
     pairs.  Translates permute the class pairs, so the balance is tested
     once per Galois orbit, on its least member, and the orbit filed with it.
     """
-    valid = enumerate_valid(phi, p)
-    orbits = galois_orbits(phi.carrier, valid)
+    orbits = galois_orbits(phi.carrier, enumerate_valid(phi, p))
     pairs = phi.class_pairs
     exotic = []
     for orbit in orbits:
@@ -275,7 +278,6 @@ def classify(phi: CMType, p: int) -> DecompositionReport:
             exotic.extend(orbit)
     return DecompositionReport(
         p=p,
-        valid=tuple(valid),
         orbits=tuple(orbits),
         valid_pair_count=sum(u.bit_count() ** 2 for u, _ in pairs),
         exotic=tuple(sorted(exotic)),

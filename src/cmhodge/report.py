@@ -182,16 +182,16 @@ def hodge_numbers_payload(built: BuiltInstance, degrees: list[int]) -> list[dict
     return out
 
 
-def analysis_report(built: BuiltInstance, degree_reports: list[DecompositionReport]) -> list[str]:
+def analysis_report(built: BuiltInstance, per_degree: list[tuple[int, str]]) -> list[str]:
     return _document(
         {
             "kind": REPORT_KIND,
             "version": __version__,
-            "hodge_numbers": hodge_numbers_payload(built, [report.p for report in degree_reports]),
+            "hodge_numbers": hodge_numbers_payload(built, [p for p, _ in per_degree]),
             "lattice": lattice_payload(built),
         },
         instance=_instance_text(built.spec),
-        degrees=_list_pieces(map(degree_payload, degree_reports)),
+        degrees=_list_pieces(text for _, text in per_degree),
     )
 
 

@@ -15,7 +15,6 @@ import json
 import random
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -26,21 +25,23 @@ from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cli import main
 from cmhodge.cmtypes import hodge_numbers
 from cmhodge.groups import bits, mask_of
-from cmhodge.instance import build_instance, parse_instance, serialize_instance
+from cmhodge.instance import build_instance, parse_instance
 from cmhodge.monomials import classify, enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json
 from conftest import content_hash, written_bundle
 
-# product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input
+FIXTURES = Path(__file__).parent / "fixtures"
+# product:cyclic.4xcyclic.4 with the CM-type 6..13, read through --input:
+# its exotic orbits at p = 5, 6 are the complements of those at p = 3, 2
 PRODUCT = "product-6..13"
 # 17 regular cyclic:4 factors: m = 68 points, past 64 bits and not a
 # multiple of 8, read through --input
 M68 = "m68"
-M68_PATH = Path(__file__).parent / "fixtures" / "m68.txt"
+M68_PATH = FIXTURES / "m68.txt"
 # dihedral:16 with the non-normal factors {1, s} and {1, rs}: a carrier that
 # is not regular, so its points are cosets whose order the digests pin
 D16_MIXED = "d16-mixed"
-INPUTS = {M68: M68_PATH, D16_MIXED: Path(__file__).parent / "fixtures" / "d16-mixed.txt"}
+INPUTS = {PRODUCT: FIXTURES / "product-6..13.txt", M68: M68_PATH, D16_MIXED: FIXTURES / "d16-mixed.txt"}
 INSTANCES = ("cyclic:8", "quaternion:8", "elementary-abelian:16", "cyclic:20", PRODUCT, M68, D16_MIXED)
 COMMANDS = (("analyze",), ("deltas",), ("deltas", "--orbits-only"), ("witness",))
 
@@ -115,24 +116,14 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def product_input(tmp_path_factory) -> str:
-    spec = replace(catalog("product", "cyclic.4xcyclic.4"), cm_type=tuple(range(6, 14)))
-    path = tmp_path_factory.mktemp("golden") / "product.txt"
-    path.write_text(serialize_instance(spec), encoding="utf-8")
-    return str(path)
-
-
-def source(instance: str, product_input: str) -> tuple[str, str]:
-    if instance in INPUTS:
-        return ("--input", str(INPUTS[instance]))
-    return ("--input", product_input) if instance == PRODUCT else ("--catalog", instance)
+def source(instance: str) -> tuple[str, str]:
+    return ("--input", str(INPUTS[instance])) if instance in INPUTS else ("--catalog", instance)
 
 
 @pytest.mark.parametrize("instance", INSTANCES)
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
-def test_stdout_digest(command, instance, product_input):
-    code, out = run_cli(*command, *source(instance, product_input))
+def test_stdout_digest(command, instance):
+    code, out = run_cli(*command, *source(instance))
     assert code == 0
     assert sha256(out) == GOLDEN[" ".join((*command, instance))]
     # the inserted hashes against the verifier's independent encoder
@@ -143,8 +134,8 @@ def test_stdout_digest(command, instance, product_input):
 
 
 @pytest.mark.parametrize("instance", (PRODUCT, D16_MIXED))
-def test_report_lists_each_orbit_once(instance, product_input):
-    flag, path = source(instance, product_input)
+def test_report_lists_each_orbit_once(instance):
+    flag, path = source(instance)
     built = build_instance(parse_instance(Path(path).read_text(encoding="utf-8")))
     code, out = run_cli("analyze", flag, path)
     assert code == 0
@@ -258,19 +249,19 @@ def test_each_output_byte_is_encoded_once(command, encoded, monomial_texts):
         assert len(encoded) < sum(len(cert["orbit_reps"]) for cert in json.loads(out)["certificates"])
 
 
-def test_verify_encodes_each_input_byte_once(product_input, tmp_path, encoded):
+def test_verify_encodes_each_input_byte_once(tmp_path, encoded):
     # the bundle's hash is taken over the certificates' own texts
     cert = tmp_path / "cert.json"
-    assert run_cli("witness", "--input", product_input, "--certify", str(cert)) == (0, "")
+    assert run_cli("witness", "--input", str(INPUTS[PRODUCT]), "--certify", str(cert)) == (0, "")
     encoded.clear()
     code, out = run_cli("verify", "--certify", str(cert))
     assert code == 0 and out.count("pass") == 9 and encoded
     assert sum(encoded) <= len(cert.read_text(encoding="utf-8"))
 
 
-def test_certificate_file_digest_and_verify(product_input, tmp_path):
+def test_certificate_file_digest_and_verify(tmp_path):
     cert = tmp_path / "cert.json"
-    code, out = run_cli("witness", "--input", product_input, "--certify", str(cert))
+    code, out = run_cli("witness", "--input", str(INPUTS[PRODUCT]), "--certify", str(cert))
     assert (code, out) == (0, "")
     # the file holds the bytes `witness` prints
     assert sha256(cert.read_text(encoding="utf-8")) == GOLDEN[f"witness {PRODUCT}"]

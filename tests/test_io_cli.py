@@ -6,6 +6,7 @@ import json
 import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,10 @@ from cmhodge.errors import CmhodgeError, NoCentralInvolution, ParseError, Unknow
 from cmhodge.groups import build_group
 from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
 from cmhodge.monomials import classify, enumerate_valid, galois_orbits
+from cmhodge.report import degree_payload
 from conftest import catalog_defaults
+
+PRODUCT_PATH = Path(__file__).parent / "fixtures" / "product-6..13.txt"
 
 Z2_TEXT = """\
 # minimal elliptic-curve instance
@@ -308,7 +312,7 @@ def mirror_inputs(tmp_path_factory) -> list[tuple[object, str]]:
     product:cyclic.4xcyclic.4 with the CM-type 6..13, whose exotic orbits
     at p = 5, 6 are the complements of those at p = 3, 2."""
     specs = [built.spec for built in catalog_defaults(16)]
-    specs.append(replace(catalog("product", "cyclic.4xcyclic.4"), cm_type=tuple(range(6, 14))))
+    specs.append(parse_instance(PRODUCT_PATH.read_text(encoding="utf-8")))
     folder = tmp_path_factory.mktemp("mirror")
     out = []
     for n, spec in enumerate(specs):
@@ -325,11 +329,8 @@ def _upper_degrees(built) -> list[int]:
     return [p for p in built.degrees if p > half - p]
 
 
-def test_upper_degrees_match_the_direct_routes(monkeypatch, mirror_inputs):
-    # every per-degree object the commands hand to the writers, with all
-    # degrees and with one upper degree alone, equals the one worked out
-    # at that degree by enumerate_valid, galois_orbits and classify; and an
-    # upper degree alone is written as it is among all degrees
+def _capture_writers(monkeypatch) -> dict:
+    """Writer name -> the (p, answer) pairs a command last handed it."""
     handed = {}
     for name in ("analysis_report", "deltas_report", "certificate_bundle"):
         def capture(built, per_degree, *rest, _name=name, _write=getattr(cli, name)):
@@ -337,28 +338,83 @@ def test_upper_degrees_match_the_direct_routes(monkeypatch, mirror_inputs):
             return _write(built, per_degree, *rest)
 
         monkeypatch.setattr(cli, name, capture)
+    return handed
+
+
+def _direct_routes(built) -> list:
+    """(command, writer, the pair it should hand over at p, output key) for
+    each per-degree command, each pair worked out at p itself by
+    enumerate_valid, galois_orbits and classify."""
+    phi = built.cm_type
+    listings = {p: enumerate_valid(phi, p) for p in built.degrees}
+    reps = {p: [orbit[0] for orbit in galois_orbits(built.embeddings, listings[p])] for p in built.degrees}
+    payloads = {p: degree_payload(classify(phi, p)) for p in built.degrees}
+    return [
+        (("analyze",), "analysis_report", lambda p: (p, payloads[p]), "degrees"),
+        (("deltas",), "deltas_report", lambda p: (p, listings[p]), "degrees"),
+        (("deltas", "--orbits-only"), "deltas_report", lambda p: (p, reps[p]), "degrees"),
+        (("witness",), "certificate_bundle", lambda p: (p, reps[p]), "certificates"),
+    ]
+
+
+def test_upper_degrees_match_the_direct_routes(monkeypatch, mirror_inputs):
+    # every per-degree object the commands hand to the writers, with all
+    # degrees and with one upper degree alone, equals the one worked out
+    # at that degree by enumerate_valid, galois_orbits and classify; and an
+    # upper degree alone is written as it is among all degrees
+    handed = _capture_writers(monkeypatch)
     exotic_upper = 0
     for built, path in mirror_inputs:
-        phi = built.cm_type
-        listings = {p: enumerate_valid(phi, p) for p in built.degrees}
-        reps = {p: [orbit[0] for orbit in galois_orbits(built.embeddings, listings[p])] for p in built.degrees}
-        reports = {p: classify(phi, p) for p in built.degrees}
-        for command, writer, expected in (
-            (("analyze",), "analysis_report", lambda p: reports[p]),
-            (("deltas",), "deltas_report", lambda p: (p, listings[p])),
-            (("deltas", "--orbits-only"), "deltas_report", lambda p: (p, reps[p])),
-            (("witness",), "certificate_bundle", lambda p: (p, reps[p])),
-        ):
+        for command, writer, expected, key in _direct_routes(built):
             code, out = run_cli(*command, "--input", path)
             assert code == 0 and handed[writer] == list(map(expected, built.degrees)), (built.spec.name, command)
-            key = "certificates" if command == ("witness",) else "degrees"
             every = json.loads(out)[key]
             for p in _upper_degrees(built):
                 code, out = run_cli(*command, "--input", path, "--degree", str(p))
                 assert code == 0 and handed[writer] == [expected(p)], (built.spec.name, command, p)
                 assert json.loads(out)[key] == [every[built.degrees.index(p)]], (built.spec.name, command, p)
-        exotic_upper += sum(bool(reports[p].exotic) for p in _upper_degrees(built))
+        exotic_upper += sum(bool(classify(built.cm_type, p).exotic) for p in _upper_degrees(built))
     assert exotic_upper == 2  # p = 5, 6 of the product type
+
+
+# the calls through which each command works out a degree, in call order
+_WORKERS = {
+    ("analyze",): ("classify",),
+    ("deltas",): ("enumerate_valid",),
+    ("deltas", "--orbits-only"): ("enumerate_valid", "galois_orbits"),
+    ("witness",): ("enumerate_valid", "galois_orbits"),
+}
+
+
+def test_each_complement_pair_is_worked_out_once(monkeypatch, tmp_path):
+    # m = 16: the nine degrees are the pairs {q, 8 - q} for q = 0..4, and a
+    # command works each pair out once, at q, whatever order the degrees
+    # are asked in; the degrees are written in the order asked, each as
+    # its direct route gives it
+    calls = []
+    for name in ("classify", "enumerate_valid", "galois_orbits"):
+        def spy(*args, _name=name, _work=getattr(cli, name)):
+            # galois_orbits is handed a listing, not a degree
+            calls.append((_name, args[1] if _name != "galois_orbits" else None))
+            return _work(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    handed = _capture_writers(monkeypatch)
+    text = PRODUCT_PATH.read_text(encoding="utf-8")
+    assert "degrees all\n" in text
+    for line, pairs in (("degrees all", [0, 1, 2, 3, 4]), ("degrees 6 1 7 0", [2, 1, 0])):
+        path = tmp_path / "in.txt"
+        path.write_text(text.replace("degrees all", line), encoding="utf-8")
+        built = build_instance(parse_instance(path.read_text(encoding="utf-8")))
+        assert built.embeddings.size == 16
+        for command, writer, expected, key in _direct_routes(built):
+            calls.clear()
+            code, out = run_cli(*command, "--input", str(path))
+            assert code == 0
+            worked = [(name, None if name == "galois_orbits" else q) for q in pairs for name in _WORKERS[command]]
+            assert calls == worked, (line, command)
+            assert handed[writer] == list(map(expected, built.degrees)), (line, command)
+            assert [d["p"] for d in json.loads(out)[key]] == built.degrees, (line, command)
 
 
 def test_an_upper_degree_past_the_cap_exits_4_naming_it(monkeypatch, capsys, mirror_inputs):
@@ -433,9 +489,12 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         (Z2_TEXT.replace("degrees all", "degrees 99"), ("analyze", "--input", "IN"), 2,
          "invalid instance: degree 99 outside 0..1"),
         (Z2_TEXT, ("verify",), 1, "usage error: verify requires --certify PATH"),
+        # a file that verify cannot read is named a certificate, not an instance
         ("{", ("verify", "--certify", "IN"), 2,
-         "invalid instance: certificate is not valid JSON: "
+         "invalid certificate: not valid JSON: "
          "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"\xff{}", ("verify", "--certify", "IN"), 2,
+         "invalid certificate: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (Z2_TEXT, ("analyze", "--catalog", "quaternion:16"), 2,
          "error: UnknownCatalogEntry: quaternion only comes in order 8, got 16"),
         (Z2_TEXT, ("analyze", "--catalog", "product:cyclic.4"), 2,
@@ -469,15 +528,15 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
     ],
     ids=(
         "degree-not-an-integer", "degree-past-half", "degrees-line-past-half", "verify-without-certify",
-        "certificate-not-json", "quaternion-16", "product-of-one", "duplicate-group", "duplicate-table",
-        "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "short-table-row",
+        "certificate-not-json", "certificate-not-utf-8", "quaternion-16", "product-of-one", "duplicate-group",
+        "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "short-table-row",
         "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines", "missing-group",
         "missing-table", "missing-iota", "missing-factor", "missing-cmtype", "cmtype-point-past-the-carrier",
     ),
 )
 def test_bad_input_exit_code_and_message(tmp_path, capsys, text, argv, code, err):
     path = tmp_path / "in.txt"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     argv = [str(path) if arg == "IN" else arg for arg in argv]
     assert run_cli(*argv) == (code, "")
     assert capsys.readouterr().err == err + "\n"

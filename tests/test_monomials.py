@@ -433,10 +433,13 @@ def test_classify_partition_invariants(order8_instances):
         half = built.embeddings.size // 2
         for p in range(half + 1):
             report = classify(built.cm_type, p)
+            valid = enumerate_valid(built.cm_type, p)
             # the rest of the valid monomials are divisor-generated
             assert len(set(report.exotic)) == len(report.exotic)
-            assert set(report.exotic) <= set(report.valid)
-            assert sorted(d for orbit in report.orbits for d in orbit) == list(report.valid)
+            assert set(report.exotic) <= set(valid)
+            # the orbits partition the listing
+            assert sorted(d for orbit in report.orbits for d in orbit) == valid
+            assert report.hodge_dim == len(valid)
 
 
 def test_classify_agrees_with_per_monomial_matching_c4xc4():
