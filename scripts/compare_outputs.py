@@ -21,12 +21,12 @@ old verifier says of the new one.
 
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
-to group order 16 is run, and ``tests/fixtures/d16-mixed.txt`` and
-``tests/fixtures/product-6..13.txt``.  Example, a parent checkout against
-the working tree:
+to group order 16 is run, and ``tests/fixtures/d16-mixed.txt``,
+``tests/fixtures/product-6..13.txt`` and ``tests/fixtures/m68.txt``.
+Example, a parent checkout against the working tree:
 
     git archive HEAD | tar -x -C /tmp/parent
-    python scripts/compare_outputs.py /tmp/parent . dihedral:32 tests/fixtures/m68.txt
+    python scripts/compare_outputs.py /tmp/parent . dihedral:32
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ DEFAULT_INSTANCES = (
     str(FIXTURES / "d16-mixed.txt"),
     # a type with exotic monomials past m/4, built from their complements
     str(FIXTURES / "product-6..13.txt"),
+    # 68 points: masks past 64 bits, of a width that is not a multiple of 8
+    str(FIXTURES / "m68.txt"),
 )
 
 

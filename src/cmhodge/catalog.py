@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import NoCentralInvolution, UnknownCatalogEntry
 from .groups import check_order
-from .instance import InstanceSpec
+from .instance import InstanceSpec, decimal
 
 CATALOG_NAMES = ("cyclic", "elementary-abelian", "dihedral", "quaternion", "product")
 
@@ -70,7 +70,7 @@ def _product_table(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
 
 def _order(name: str, params: str) -> int:
     try:
-        n = int(params)
+        n = decimal(params)
     except ValueError:
         raise UnknownCatalogEntry(f"{name} wants an integer order, got {params!r}") from None
     return check_order(n)
@@ -120,14 +120,12 @@ def _group_data(name: str, params: str) -> tuple[str, list[list[int]], int]:
 def default_cm_type(table: list[list[int]], iota: int) -> list[int]:
     """Greedy canonical CM-type on the regular point set: scan elements in
     order, keeping each one whose conjugate has not been kept yet."""
-    n = len(table)
     members: list[int] = []
     excluded: set[int] = set()
-    for s in range(n):
-        if s in excluded or s in members:
-            continue
-        members.append(s)
-        excluded.add(table[iota][s])
+    for s in range(len(table)):
+        if s not in excluded:  # every kept element is below s
+            members.append(s)
+            excluded.add(table[iota][s])
     return members
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .catalog import CATALOG_NAMES, catalog, sweep_instances
 from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
-from .instance import BuiltInstance, build_instance, parse_instance, serialize_instance
+from .instance import BuiltInstance, build_instance, decimal, parse_instance, serialize_instance
 from .lattice import orbit_matrix
 from .monomials import (
     BRUTEFORCE_CAP, DecompositionReport, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce,
@@ -53,7 +53,7 @@ _ARGUMENTS = {
     "--degree": {"default": "all", "help": "a degree p, or 'all'"},
     "--orbits-only": {"action": "store_true"},
     "--certify": {"metavar": "PATH", "help": "certificate file to write or verify"},
-    "--cap": {"type": int, "default": BRUTEFORCE_CAP, "help": "subset-count cap"},
+    "--cap": {"type": decimal, "default": BRUTEFORCE_CAP, "help": "subset-count cap"},
 }
 
 
@@ -83,7 +83,7 @@ def _degrees(args, built: BuiltInstance) -> list[int]:
     if args.degree == "all":
         return built.degrees
     try:
-        p = int(args.degree)
+        p = decimal(args.degree)
     except ValueError:
         raise _UsageError(f"--degree wants an integer or 'all', got {args.degree!r}")
     half = built.embeddings.size // 2

@@ -71,9 +71,23 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     return BuiltInstance(spec, group, embeddings, phi)
 
 
+def decimals(words: list[str]) -> list[int]:
+    """The integers that plain decimal tokens ``-?[0-9]+`` name: of all that
+    ``int`` takes ("1_0", "+3", " 3", non-ASCII digits), only those hold ASCII digits and "-" alone."""
+    values = list(map(int, words))
+    digits = "".join(words).replace("-", "")
+    if words and not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not decimal integers: {words!r}")
+    return values
+
+
+def decimal(text: str) -> int:
+    return decimals([text])[0]
+
+
 def _ints(parts: list[str], line_no: int) -> list[int]:
     try:
-        return [int(x) for x in parts]
+        return decimals(parts)
     except ValueError as exc:
         raise ParseError(f"expected integers, got {parts!r}", line_no) from exc
 
@@ -178,8 +192,5 @@ def serialize_instance(spec: InstanceSpec) -> str:
     for factor in spec.factors:
         out.append("factor " + " ".join(str(x) for x in factor))
     out.append("cmtype " + " ".join(str(x) for x in spec.cm_type))
-    if spec.degrees is None:
-        out.append("degrees all")
-    else:
-        out.append("degrees " + " ".join(str(p) for p in spec.degrees))
+    out.append("degrees " + ("all" if spec.degrees is None else " ".join(map(str, spec.degrees))))
     return "\n".join(out) + "\n"

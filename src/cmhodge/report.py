@@ -6,35 +6,33 @@ newline.  The content hash is the SHA-256 of the canonical serialization
 with the ``content_hash`` field removed, so two runs agree iff their
 outputs are byte-identical.
 
-Each output is encoded once.  ``_monomial_text`` writes a mask's point
-list as JSON text from tables of each byte's points already written out,
-and each list of monomials is joined from those texts; an exotic
-monomial, valid too, is written once in each of its two lists.  A degree
-of an analysis report lists its valid monomials orbit by orbit, and its
-``orbit_sizes`` cut that list into the Galois orbits, so no monomial is
-written twice for one role.  A certificate (format version 3) holds the
-least member of each Galois orbit of its degree and the table of the
-induced type at every point; all else a split-Weil witness states is
-derived by the verifier, so it is not written.  ``_pieces`` writes an
-object in key order, in pieces, from values it encodes with
-``canonical_json`` and values given as text.  ``_object`` joins the
-pieces; ``_document`` hashes the pieces of a whole output, its canonical
-serialization without ``content_hash``, and writes them again with the
-hash as one more field.  The degrees of a report or a deltas listing stay
-separate pieces, so the command writes them one by one and its text is
-held once.  A bundle is joined from the finished text of each
-certificate, and the instance and the induced-type table are encoded once
-per bundle.  The verifier checks the hashes with an encoder of its own,
-which rebuilds the canonical text from the parsed document and never
-calls into this assembly.
+Each output is encoded once.  ``_monomials`` writes a whole list of
+masks in one pass: it lays the masks out as one run of bytes, each at the
+width of the largest, and reads each byte's points, already written out,
+from the table of its offset.  An exotic monomial, valid too, is written
+once in each of its two lists.  A degree of an analysis report lists its
+valid monomials orbit by orbit, cut into the Galois orbits by its
+``orbit_sizes``.  A certificate (format version 3) holds the least member
+of each Galois orbit of its degree and the table of the induced type at
+every point; the verifier derives all else a split-Weil witness states.
+``_pieces`` writes an object in key order, in pieces, from values it
+encodes with ``canonical_json`` and values given as text; ``_object``
+joins them, and ``_document`` hashes the pieces of a whole output and
+writes them again with the hash as one more field.  The degrees of a
+report or a deltas listing stay separate pieces, so the command writes
+them one by one and its text is held once.  A bundle is joined from the
+finished text of each certificate, with the instance and the induced-type
+table encoded once.  The verifier checks the hashes with an encoder of its
+own, which never calls into this assembly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
-from typing import Iterable
+from functools import cache
+from itertools import chain, cycle, repeat
+from typing import Iterable, Sequence
 
 from . import __version__
 from .cmtypes import hodge_numbers
@@ -54,33 +52,30 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _byte_texts(offset: int) -> tuple[str, ...]:
-    """Entry b lists ``offset + s`` for each set bit s of the byte b,
-    ascending, as JSON text without brackets ("8,10,13")."""
-    table = [""]
-    for s in map(str, range(offset, offset + 8)):
-        table += [f"{t},{s}" if t else s for t in table]
-    return tuple(table)
+@cache
+def _points(offset: int, start: str = "", end: str = "") -> tuple[str, ...]:
+    """Entry b is ``start``, then a comma and ``offset + s`` for each set
+    bit s of the byte b, ascending, then ``end`` (",8,10,13")."""
+    table = [start]
+    for s in range(offset, offset + 8):
+        table += [f"{t},{s}" for t in table]
+    return tuple(t + end for t in table)
 
 
-# _BYTE_TEXTS[i][b]: the points of a mask whose byte i is b, as text; grown
-# on first use to the widest mask written, as masks have no fixed width
-_BYTE_TEXTS: list[tuple[str, ...]] = []
-
-
-def _monomial_text(mask: int) -> str:
-    """The canonical text of a mask's points, ``canonical_json(bits(mask))``
-    without the newline, read a byte at a time from ``_BYTE_TEXTS``."""
-    width = (mask.bit_length() + 7) // 8
-    if width > len(_BYTE_TEXTS):
-        _BYTE_TEXTS.extend(map(_byte_texts, range(8 * len(_BYTE_TEXTS), 8 * width, 8)))
-    data = mask.to_bytes(width, "little")
-    return "[" + ",".join(filter(None, map(tuple.__getitem__, _BYTE_TEXTS, data))) + "]"
-
-
-def _list(texts: Iterable[str]) -> str:
-    """The canonical text of a list from the texts of its items."""
-    return "[" + ",".join(texts) + "]"
+def _monomials(masks: Sequence[int]) -> str:
+    """The canonical text of a list of masks' point lists,
+    ``canonical_json([bits(d) for d in masks])`` without the newline."""
+    if not masks:
+        return "[]"
+    # every mask at the width of the largest (one byte for the empty
+    # monomial), each byte read from the table of its offset: the low
+    # byte's entries open the mask's list (",[,0,2"), the top byte's close it
+    width = (max(masks).bit_length() + 7) // 8 or 1
+    top = 8 * width - 8
+    tables = [_points(o, "" if o else ",[", "]" if o == top else "") for o in range(0, top + 8, 8)]
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    # "[,[,8,10],[,1]]": each "[," loses its comma in one pass over the text
+    return "".join(chain("[", map(tuple.__getitem__, cycle(tables), data), "]")).replace("[,", "[")
 
 
 def _list_pieces(texts: Iterable[str]) -> list[str]:
@@ -151,8 +146,8 @@ def degree_payload(report: DecompositionReport) -> str:
             "orbit_sizes": list(map(len, report.orbits)),
             "valid_pair_count": report.valid_pair_count,
         },
-        valid=_list(map(_monomial_text, chain.from_iterable(report.orbits))),
-        exotic=_list(map(_monomial_text, report.exotic)),
+        valid=_monomials([*chain.from_iterable(report.orbits)]),
+        exotic=_monomials(report.exotic),
     )
 
 
@@ -175,9 +170,7 @@ def hodge_numbers_payload(built: BuiltInstance, degrees: list[int]) -> list[dict
     out = []
     for r in (2 * p for p in degrees):
         table = hodge_numbers(built.embeddings, r)
-        counts = [
-            {"p": p, "q": q, "count": c} for (p, q), c in sorted(table.items())
-        ]
+        counts = [{"p": p, "q": q, "count": c} for (p, q), c in sorted(table.items())]
         out.append({"r": r, "counts": counts, "total": sum(table.values())})
     return out
 
@@ -213,7 +206,7 @@ def _certificate(instance: str, types: str, p: int, reps: list[int]) -> str:
             {"kind": CERTIFICATE_KIND, "version": __version__, "p": p, "verdict": True},
             instance=instance,
             induced_types=types,
-            orbit_reps=_list(map(_monomial_text, reps)),
+            orbit_reps=_monomials(reps),
         )
     )
 
@@ -224,8 +217,8 @@ def certificate_bundle(built: BuiltInstance, per_degree: list[tuple[int, list[in
     certificate.  The instance and the induced-type table are encoded once
     for all of them."""
     instance = _instance_text(built.spec)
-    types = _list(map(_monomial_text, built.cm_type.induced_types))
-    certificates = _list(_certificate(instance, types, p, reps)[:-1] for p, reps in per_degree)
+    types = _monomials(built.cm_type.induced_types)
+    certificates = "[" + ",".join(_certificate(instance, types, p, reps)[:-1] for p, reps in per_degree) + "]"
     return "".join(
         _document({"kind": BUNDLE_KIND, "version": __version__}, instance=instance, certificates=certificates)
     )
@@ -235,7 +228,5 @@ def deltas_report(built: BuiltInstance, per_degree: list[tuple[int, list[int]]],
     return _document(
         {"kind": DELTAS_KIND, "version": __version__, "orbits_only": orbits_only},
         instance=_instance_text(built.spec),
-        degrees=_list_pieces(
-            _object({"p": p}, deltas=_list(map(_monomial_text, deltas))) for p, deltas in per_degree
-        ),
+        degrees=_list_pieces(_object({"p": p}, deltas=_monomials(deltas)) for p, deltas in per_degree),
     )

@@ -187,30 +187,39 @@ def encoded(monkeypatch) -> list[int]:
 
 
 @pytest.fixture()
-def monomial_texts(monkeypatch) -> list[int]:
-    """The length of every text that ``report._monomial_text`` returns from
-    here on."""
-    original = report._monomial_text
-    lengths = []
+def monomial_texts(monkeypatch) -> list[tuple[list[int], int]]:
+    """The masks of every list that ``report._monomials`` writes from here
+    on, each with the length of its text."""
+    original = report._monomials
+    calls = []
 
-    def tally(mask):
-        text = original(mask)
-        lengths.append(len(text))
+    def tally(masks):
+        text = original(masks)
+        calls.append((list(masks), len(text)))
         return text
 
-    monkeypatch.setattr(report, "_monomial_text", tally)
-    return lengths
+    monkeypatch.setattr(report, "_monomials", tally)
+    return calls
 
 
 def test_monomial_text_matches_canonical_json():
     masks = [b << 8 * i for i in range(8) for b in range(256)]  # mask 0 among them
     fixture = build_instance(parse_instance(M68_PATH.read_text(encoding="utf-8")))
-    masks += [d for p in fixture.degrees for d in enumerate_valid(fixture.cm_type, p)]
+    listings = [enumerate_valid(fixture.cm_type, p) for p in fixture.degrees]
+    masks += [d for listing in listings for d in listing]
     rng = random.Random(0)
     for m in (64, 128, 320, 1024):  # 1 to 16 regular factors of order 64
         masks += [rng.getrandbits(m) for _ in range(50)] + [(1 << m) - 1, 1 << (m - 1)]
     for mask in masks:
-        assert report._monomial_text(mask) == canonical_json(bits(mask))[:-1]
+        assert report._monomials([mask]) == canonical_json([bits(mask)])[:-1]
+    # whole lists, each written at the width of its largest mask: widths
+    # from 1 to 1024 bits in one list, as in a table of induced types, and
+    # largest masks just past and just under a byte boundary
+    mixed = [rng.getrandbits(n) | 1 << (n - 1) for n in range(1, 1025)] + [0, 0]
+    rng.shuffle(mixed)
+    edges = [[0, 1, rng.getrandbits(8 * k), top] for k in range(1, 17) for top in (1 << 8 * k, (1 << 8 * k) - 1)]
+    for masks in ([], [0], [0, 0], *listings, mixed, *edges):
+        assert report._monomials(masks) == canonical_json([bits(d) for d in masks])[:-1]
 
 
 def test_family_text_of_each_point_matches_canonical_json():
@@ -234,14 +243,14 @@ def test_each_monomial_is_written_once(command, monomial_texts):
     reps = sum(len(galois_orbits(built.embeddings, v)) for v in valid)
     assert run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")[0] == 0
     written = sum(map(len, valid)) if command == "analyze" else reps + built.embeddings.size
-    assert len(monomial_texts) == written > 0
+    assert sum(len(masks) for masks, _ in monomial_texts) == written > 0
 
 
 @pytest.mark.parametrize("command", ("analyze", "deltas", "witness"))
 def test_each_output_byte_is_encoded_once(command, encoded, monomial_texts):
     code, out = run_cli(command, "--catalog", "product:cyclic.4xcyclic.4")
     assert code == 0 and encoded and monomial_texts
-    assert sum(encoded) + sum(monomial_texts) <= len(out)
+    assert sum(encoded) + sum(length for _, length in monomial_texts) <= len(out)
     if command == "witness":
         # nothing is encoded per representative: the table is joined from
         # texts written once per point, and the other values once per

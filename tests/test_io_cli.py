@@ -525,6 +525,18 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         (Z2_TEXT.replace("cmtype 0\n", ""), ("analyze", "--input", "IN"), 2, "invalid instance: missing cmtype line"),
         (Z2_TEXT.replace("cmtype 0", "cmtype 5"), ("analyze", "--input", "IN"), 2,
          "invalid instance: NotACMType: member index out of range"),
+        # an integer is a plain decimal token: int() alone would read these
+        # as 10, 16, 1, 1 and 10
+        (Z2_TEXT.replace("degrees all", "degrees 1_0"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 9: expected integers, got ['1_0']"),
+        (Z2_TEXT, ("analyze", "--catalog", "cyclic:1_6"), 2,
+         "error: UnknownCatalogEntry: cyclic wants an integer order, got '1_6'"),
+        (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "\u0661"), 1,
+         "usage error: --degree wants an integer or 'all', got '\u0661'"),
+        (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "+1"), 1,
+         "usage error: --degree wants an integer or 'all', got '+1'"),
+        (Z2_TEXT, ("oracle", "--input", "IN", "--cap", "1_0"), 1,
+         "usage error: argument --cap: invalid decimal value: '1_0'"),
     ],
     ids=(
         "degree-not-an-integer", "degree-past-half", "degrees-line-past-half", "verify-without-certify",
@@ -532,6 +544,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "short-table-row",
         "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines", "missing-group",
         "missing-table", "missing-iota", "missing-factor", "missing-cmtype", "cmtype-point-past-the-carrier",
+        "degrees-line-underscore", "catalog-order-underscore", "degree-arabic-indic-digit", "degree-plus-sign",
+        "cap-underscore",
     ),
 )
 def test_bad_input_exit_code_and_message(tmp_path, capsys, text, argv, code, err):
