@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .catalog import CATALOG_NAMES, catalog, sweep_instances
@@ -16,8 +17,7 @@ from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
 from .instance import BuiltInstance, build_instance, decimal, parse_instance, serialize_instance
 from .lattice import orbit_matrix
 from .monomials import (
-    BRUTEFORCE_CAP, DecompositionReport, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce,
-    galois_orbits,
+    DecompositionReport, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits,
 )
 from .report import analysis_report, certificate_bundle, degree_payload, deltas_report
 from .verify import verify_document
@@ -44,25 +44,25 @@ _OPTIONS = {
     "deltas": ("--input", "--catalog", "--degree", "--orbits-only"),
     "witness": ("--input", "--catalog", "--degree", "--certify"),
     "verify": ("--certify",),
-    "oracle": ("--input", "--catalog", "--degree", "--cap"),
+    "oracle": ("--input", "--catalog", "--degree"),
     "catalog": ("--catalog",),
 }
 _ARGUMENTS = {
     "--input": {"metavar": "PATH", "help": "instance file"},
     "--catalog": {"metavar": "NAME:PARAMS", "help": "built-in instance"},
-    "--degree": {"default": "all", "help": "a degree p, or 'all'"},
+    "--degree": {"metavar": "N|all", "help": "degree N, or 'all' for every degree; replaces the instance's degrees line"},
     "--orbits-only": {"action": "store_true"},
     "--certify": {"metavar": "PATH", "help": "certificate file to write or verify"},
-    "--cap": {"type": decimal, "default": BRUTEFORCE_CAP, "help": "subset-count cap"},
 }
 
 
 def _build_parser(argv: list[str]) -> _Parser:
-    parser = _Parser(prog="cmhodge")
+    # no abbreviations, so an option given twice is one token given twice
+    parser = _Parser(prog="cmhodge", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     # a command named first needs only its own subparser; anything else gets all
     for name in argv[:1] if argv[:1] and argv[0] in _OPTIONS else _OPTIONS:
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, allow_abbrev=False)
         for option in _OPTIONS[name]:
             cmd.add_argument(option, **_ARGUMENTS[option])
     return parser
@@ -71,28 +71,23 @@ def _build_parser(argv: list[str]) -> _Parser:
 def _load_instance(args) -> BuiltInstance:
     if bool(args.input) == bool(args.catalog):
         raise _UsageError("exactly one of --input and --catalog is required")
+    # --degree, if given, replaces the degrees line (None is every degree),
+    # and build_instance checks either; a malformed one is refused unread
+    try:
+        degrees = None if args.degree in (None, "all") else (decimal(args.degree),)
+    except ValueError:
+        raise _UsageError(f"--degree wants an integer or 'all', got {args.degree!r}")
     if args.input:
         spec = parse_instance(Path(args.input).read_text(encoding="utf-8"))
     else:
         name, _, params = args.catalog.partition(":")
         spec = catalog(name, params)
+    if args.degree is not None:
+        spec = replace(spec, degrees=degrees)
     return build_instance(spec)
 
 
-def _degrees(args, built: BuiltInstance) -> list[int]:
-    if args.degree == "all":
-        return built.degrees
-    try:
-        p = decimal(args.degree)
-    except ValueError:
-        raise _UsageError(f"--degree wants an integer or 'all', got {args.degree!r}")
-    half = built.embeddings.size // 2
-    if not 0 <= p <= half:
-        raise ValidationError(f"degree {p} outside 0..{half}")
-    return [p]
-
-
-def _by_degree(args, built: BuiltInstance, work, answer, mirror) -> list[tuple[int, object]]:
+def _by_degree(built: BuiltInstance, work, answer, mirror) -> list[tuple[int, object]]:
     """(p, answer) for each requested degree, in request order.  ``work(q)``
     works out degree q, ``answer`` reads the answer at q from it, and
     ``mirror(full, work(q))`` builds the answer at m/2 - q.
@@ -102,7 +97,7 @@ def _by_degree(args, built: BuiltInstance, work, answer, mirror) -> list[tuple[i
     is worked out once, at q <= m/4, and each requested degree of it is
     answered at once; the work is dropped before the next pair is begun.
     """
-    degrees = _degrees(args, built)
+    degrees = built.degrees
     # count every degree before listing any, so a listing past the cap
     # exits 4 before the lower degrees are worked out
     check_listing_cap(built.cm_type, degrees)
@@ -132,30 +127,30 @@ def _mirrored_report(full: int, report: DecompositionReport) -> DecompositionRep
 def _cmd_analyze(args, out) -> int:
     built = _load_instance(args)
     per_degree = _by_degree(
-        args, built, lambda p: classify(built.cm_type, p), degree_payload,
+        built, lambda p: classify(built.cm_type, p), degree_payload,
         lambda full, report: degree_payload(_mirrored_report(full, report)),
     )
     out.writelines(analysis_report(built, per_degree))
     return EXIT_OK
 
 
-def _orbit_reps(args, built: BuiltInstance) -> list[tuple[int, list[int]]]:
+def _orbit_reps(built: BuiltInstance) -> list[tuple[int, list[int]]]:
     def work(p):
         # a degree's orbits are dropped once their least and greatest members are read
         orbits = galois_orbits(built.embeddings, enumerate_valid(built.cm_type, p))
         return [orbit[0] for orbit in orbits], [orbit[-1] for orbit in orbits]
 
     # the least member of the complement of an orbit is the complement of its greatest
-    return _by_degree(args, built, work, lambda ends: ends[0], lambda full, ends: sorted(map(full.__xor__, ends[1])))
+    return _by_degree(built, work, lambda ends: ends[0], lambda full, ends: sorted(map(full.__xor__, ends[1])))
 
 
 def _cmd_deltas(args, out) -> int:
     built = _load_instance(args)
     if args.orbits_only:
-        per_degree = _orbit_reps(args, built)
+        per_degree = _orbit_reps(built)
     else:
         per_degree = _by_degree(
-            args, built, lambda p: enumerate_valid(built.cm_type, p), lambda listing: listing,
+            built, lambda p: enumerate_valid(built.cm_type, p), lambda listing: listing,
             lambda full, listing: list(map(full.__xor__, reversed(listing))),
         )
     out.writelines(deltas_report(built, per_degree, args.orbits_only))
@@ -164,7 +159,7 @@ def _cmd_deltas(args, out) -> int:
 
 def _cmd_witness(args, out) -> int:
     built = _load_instance(args)
-    text = certificate_bundle(built, _orbit_reps(args, built))
+    text = certificate_bundle(built, _orbit_reps(built))
     if args.certify:
         Path(args.certify).write_text(text, encoding="utf-8")
     else:
@@ -199,17 +194,15 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    if args.cap < 0:
-        raise _UsageError(f"--cap wants a non-negative integer, got {args.cap}")
     built = _load_instance(args)
     phi = built.cm_type
     # the lattice basis does not depend on p: one elimination per CM-type
     basis = orbit_matrix(phi).basis
     agree = True
-    for p in _degrees(args, built):
-        brute = enumerate_valid_bruteforce(phi, p, cap=args.cap)
+    for p in built.degrees:
+        brute = enumerate_valid_bruteforce(phi, p)
         fast = enumerate_valid(phi, p)
-        by_basis = enumerate_valid_bruteforce(phi, p, cap=args.cap, rows=basis)
+        by_basis = enumerate_valid_bruteforce(phi, p, rows=basis)
         ok = brute == fast == by_basis
         agree = agree and ok
         out.write(f"p={p}: {'agree' if ok else 'DISAGREE'} ({len(brute)} valid)\n")
@@ -242,6 +235,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _build_parser(argv).parse_args(argv)
+        # argparse would keep the last of a repeated option
+        options = [token.partition("=")[0] for token in argv if token.startswith("--")]
+        for option in options:
+            if options.count(option) > 1:
+                raise _UsageError(f"duplicate {option} option")
         return _COMMANDS[args.command](args, sys.stdout)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from .errors import CapExceeded, NotClosed
 HALF_TABLE_CAP = 10**7
 # largest number of masks ``enumerate_valid`` lists at one degree
 LISTING_CAP = 10**6
-# largest number of subsets ``enumerate_valid_bruteforce`` tests by default
+# largest number of subsets ``enumerate_valid_bruteforce`` tests
 BRUTEFORCE_CAP = 10**7
 
 
@@ -54,20 +54,18 @@ def valid_delta(phi: CMType, delta: int, p: int) -> bool:
     return delta.bit_count() == 2 * p and all((delta & r).bit_count() == p for r in phi.rows)
 
 
-def enumerate_valid_bruteforce(
-    phi: CMType, p: int, cap: int = BRUTEFORCE_CAP, rows: tuple[int, ...] | None = None
-) -> list[int]:
+def enumerate_valid_bruteforce(phi: CMType, p: int, rows: tuple[int, ...] | None = None) -> list[int]:
     """Reference oracle: test every size-2p subset directly against
     ``rows``, by default the translate rows of phi.
 
     Returns masks in ascending order.  Raises ``CapExceeded`` when the
-    binomial count is above ``cap``.
+    binomial count is above ``BRUTEFORCE_CAP``.
     """
     m = phi.carrier.size
     if 2 * p > m:
         return []
-    if comb(m, 2 * p) > cap:
-        raise CapExceeded(f"C({m},{2 * p}) exceeds the cap of {cap}")
+    if comb(m, 2 * p) > BRUTEFORCE_CAP:
+        raise CapExceeded(f"C({m},{2 * p}) exceeds the cap of {BRUTEFORCE_CAP}")
     rows = phi.rows if rows is None else rows
     # the bits are distinct, so their sum is the mask
     out = [

@@ -194,7 +194,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("analyze")[0] == 1  # neither --input nor --catalog
     assert run_cli()[0] == 1  # no command
     assert run_cli("nosuch")[0] == 1
-    assert run_cli("oracle", "--catalog", "cyclic:4", "--cap", "-1")[0] == 1
     # each command takes only the options it reads
     assert run_cli("analyze", "--catalog", "cyclic:4", "--certify", str(tmp_path / "x"))[0] == 1
     assert not (tmp_path / "x").exists()
@@ -210,7 +209,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("analyze", "--catalog", "cyclic:-4")[0] == 2
     assert "-4" in capsys.readouterr().err
-    assert run_cli("oracle", "--catalog", "cyclic:12", "--cap", "10")[0] == 4
+    # the brute force stops at C(64, 32) subsets, past BRUTEFORCE_CAP, before any is tested
+    assert run_cli("oracle", "--catalog", "cyclic:64", "--degree", "16")[0] == 4
     # the enumerator's bound is on its half tables, C(32, 16) here, not on m
     assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "16")[0] == 4
     assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "1")[0] == 0
@@ -254,6 +254,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("verify", "--certify", str(bad))[0] == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 7
+
+
+def test_degree_option_replaces_the_degrees_line(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(serialize_instance(replace(catalog("cyclic", "4"), degrees=(1,))))
+    for flags, degrees in (((), [1]), (("--degree", "all"), [0, 1, 2]), (("--degree", "2"), [2])):
+        for command in ("analyze", "deltas", "witness"):
+            code, out = run_cli(command, "--input", str(path), *flags)
+            key = "certificates" if command == "witness" else "degrees"
+            assert code == 0 and [d["p"] for d in json.loads(out)[key]] == degrees, (command, flags)
+        code, out = run_cli("oracle", "--input", str(path), *flags)
+        assert code == 0 and [line.split(":")[0] for line in out.splitlines()] == [f"p={p}" for p in degrees]
+    # m = 16: the line's degree 10 is out of range, but --degree replaces it
+    # before build_instance checks the range
+    path.write_text(serialize_instance(replace(catalog("cyclic", "16"), degrees=(10,))))
+    assert run_cli("deltas", "--input", str(path), "--degree", "9") == (2, "")
+    assert capsys.readouterr().err == "invalid instance: degree 9 outside 0..8\n"
+    code, out = run_cli("deltas", "--input", str(path), "--degree", "1", "--orbits-only")
+    assert code == 0 and [d["p"] for d in json.loads(out)["degrees"]] == [1]
 
 
 def test_closed_stdout_is_an_access_error(monkeypatch, capsys):
@@ -483,8 +502,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
     [
         (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "x"), 1,
          "usage error: --degree wants an integer or 'all', got 'x'"),
-        # the degree bound is stated by the CLI for --degree and by
-        # build_instance for a degrees line, in the same words
+        # build_instance checks the degree bound for --degree and for a
+        # degrees line alike
         (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "99"), 2, "invalid instance: degree 99 outside 0..1"),
         (Z2_TEXT.replace("degrees all", "degrees 99"), ("analyze", "--input", "IN"), 2,
          "invalid instance: degree 99 outside 0..1"),
@@ -535,8 +554,21 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
          "usage error: --degree wants an integer or 'all', got '\u0661'"),
         (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "+1"), 1,
          "usage error: --degree wants an integer or 'all', got '+1'"),
-        (Z2_TEXT, ("oracle", "--input", "IN", "--cap", "1_0"), 1,
-         "usage error: argument --cap: invalid decimal value: '1_0'"),
+        # the brute-force cap is a constant, not an option
+        (Z2_TEXT, ("oracle", "--input", "IN", "--cap", "1_0"), 1, "usage error: unrecognized arguments: --cap 1_0"),
+        # a malformed --degree is refused before the instance file is read
+        (Z2_TEXT, ("analyze", "--input", "NO-SUCH-FILE", "--degree", "x"), 1,
+         "usage error: --degree wants an integer or 'all', got 'x'"),
+        # an option given twice is refused, not overridden by the later one
+        (Z2_TEXT, ("analyze", "--input", "IN", "--degree", "0", "--degree", "1"), 1,
+         "usage error: duplicate --degree option"),
+        (Z2_TEXT, ("analyze", "--input", "IN", "--degree=0", "--degree", "1"), 1,
+         "usage error: duplicate --degree option"),
+        (Z2_TEXT, ("catalog", "--catalog", "cyclic:4", "--catalog", "cyclic:6"), 1,
+         "usage error: duplicate --catalog option"),
+        (Z2_TEXT, ("verify", "--certify", "IN", "--certify", "IN"), 1, "usage error: duplicate --certify option"),
+        # no option is abbreviated, so a repeat cannot hide behind a prefix
+        (Z2_TEXT, ("analyze", "--input", "IN", "--deg", "1"), 1, "usage error: unrecognized arguments: --deg 1"),
     ],
     ids=(
         "degree-not-an-integer", "degree-past-half", "degrees-line-past-half", "verify-without-certify",
@@ -545,7 +577,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines", "missing-group",
         "missing-table", "missing-iota", "missing-factor", "missing-cmtype", "cmtype-point-past-the-carrier",
         "degrees-line-underscore", "catalog-order-underscore", "degree-arabic-indic-digit", "degree-plus-sign",
-        "cap-underscore",
+        "cap-underscore", "degree-malformed-before-read", "degree-twice",
+        "degree-twice-with-equals", "catalog-twice", "certify-twice", "degree-abbreviated",
     ),
 )
 def test_bad_input_exit_code_and_message(tmp_path, capsys, text, argv, code, err):

@@ -76,9 +76,11 @@ def test_bruteforce_small_cases(z2, z4, ea4):
     )
 
 
-def test_bruteforce_cap(z4):
-    with pytest.raises(CapExceeded):
-        enumerate_valid_bruteforce(z4.cm_type, 1, cap=2)
+def test_bruteforce_cap(z4, monkeypatch):
+    monkeypatch.setattr(monomials, "BRUTEFORCE_CAP", 5)
+    assert enumerate_valid_bruteforce(z4.cm_type, 0) == [0]  # C(4, 0) = 1
+    with pytest.raises(CapExceeded, match=r"C\(4,2\) exceeds the cap of 5"):
+        enumerate_valid_bruteforce(z4.cm_type, 1)
 
 
 def test_enumerate_valid_degenerate_cases(z4):
