@@ -17,7 +17,8 @@ from .errors import CapExceeded, CmhodgeError, ParseError, ValidationError
 from .instance import BuiltInstance, build_instance, decimal, parse_instance, serialize_instance
 from .lattice import orbit_matrix
 from .monomials import (
-    DecompositionReport, check_listing_cap, classify, enumerate_valid, enumerate_valid_bruteforce, galois_orbits,
+    DecompositionReport, check_bruteforce_cap, check_listing_cap, classify, enumerate_valid,
+    enumerate_valid_bruteforce, galois_orbits,
 )
 from .report import analysis_report, certificate_bundle, degree_payload, deltas_report
 from .verify import verify_document
@@ -196,6 +197,8 @@ def _cmd_verify(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     built = _load_instance(args)
     phi = built.cm_type
+    # check every degree before the first, so a run past the cap prints nothing
+    check_bruteforce_cap(phi, built.degrees)
     # the lattice basis does not depend on p: one elimination per CM-type
     basis = orbit_matrix(phi).basis
     agree = True

@@ -8,18 +8,20 @@ valid at degree p when every group translate meets the CM-type in exactly
 p points; the valid monomials index lines of Hodge classes after scalar
 extension, so their count is the Hodge-class dimension.
 
-The meet-in-the-middle enumerator matches tables of subsets of the two
-halves of the points by packed row weight.  The tables depend on m and
-the translate rows, not on the degree, so one module-level slot holds the
-tables of the rows last enumerated, and every degree of those rows reads
-them, in any order; a call on other rows replaces them.  The slot keeps at
-most ``HALF_TABLE_CAP`` subsets, as many as one half table may hold, and a
-table past that budget is built for its call and dropped.  The tables are
-not a cached property of ``CMType``: a sweep holds every type of a carrier
-at once, and each would keep its own.  ``check_listing_cap`` counts a
-degree's valid monomials from the same tables, so a command can refuse an
-input before listing any degree.  It counts only the degrees past the
-Hodge bound: degree p has at most dim H^{p,p} = C(m/2, p)**2 of them.
+The enumerator lists a degree from one table of the p-subsets of phi.  phi
+is a row, so a valid delta is p points A of phi and p points iota*A' of its
+conjugate.  Every row r is a CM-type, so iota*r is the complement of r, and
+|delta & r| = |A & r| + p - |A' & r|: delta is valid iff A and A' meet
+every row equally often, that is, have the same row profile.  The table
+groups the p-subsets of phi by profile and holds, for each, the masks of A
+and of iota*A; the valid monomials are A | iota*A' for A, A' in one group
+W, sum |W|**2 of them.  A | iota*A is always valid, so degree p has at
+least C(m/2, p) valid monomials, and a degree with more than
+``LISTING_CAP`` subsets of phi is refused before its table is built.  The
+table is built per call and dropped with it.  ``check_listing_cap`` counts
+a degree from its group sizes, so a command can refuse an input before
+listing any degree.  It counts only the degrees past the Hodge bound:
+degree p has at most C(m/2, p)**2 valid monomials.
 
 Complement, delta -> delta ^ all, maps the valid monomials of degree p onto
 those of m/2 - p, Galois orbits onto orbits and exotic onto exotic.  So
@@ -31,17 +33,15 @@ works out the degree it is given; ``oracle`` and ``verify`` skip the map.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import comb
+from typing import Iterable, Iterator
 
 from .cmtypes import CMType
 from .errors import CapExceeded, NotClosed
 
-# largest number of subsets one half table of ``enumerate_valid`` may hold,
-# and the most its shared tables keep between calls
-HALF_TABLE_CAP = 10**7
 # largest number of masks ``enumerate_valid`` lists at one degree
 LISTING_CAP = 10**6
 # largest number of subsets ``enumerate_valid_bruteforce`` tests
@@ -54,6 +54,15 @@ def valid_delta(phi: CMType, delta: int, p: int) -> bool:
     return delta.bit_count() == 2 * p and all((delta & r).bit_count() == p for r in phi.rows)
 
 
+def check_bruteforce_cap(phi: CMType, degrees: Iterable[int]) -> None:
+    """Raise the ``CapExceeded`` that ``enumerate_valid_bruteforce`` would
+    raise at the first of these degrees that has one, testing no subset."""
+    m = phi.carrier.size
+    for p in degrees:
+        if comb(m, 2 * p) > BRUTEFORCE_CAP:
+            raise CapExceeded(f"C({m},{2 * p}) exceeds the cap of {BRUTEFORCE_CAP}")
+
+
 def enumerate_valid_bruteforce(phi: CMType, p: int, rows: tuple[int, ...] | None = None) -> list[int]:
     """Reference oracle: test every size-2p subset directly against
     ``rows``, by default the translate rows of phi.
@@ -64,8 +73,7 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, rows: tuple[int, ...] | None
     m = phi.carrier.size
     if 2 * p > m:
         return []
-    if comb(m, 2 * p) > BRUTEFORCE_CAP:
-        raise CapExceeded(f"C({m},{2 * p}) exceeds the cap of {BRUTEFORCE_CAP}")
+    check_bruteforce_cap(phi, [p])
     rows = phi.rows if rows is None else rows
     # the bits are distinct, so their sum is the mask
     out = [
@@ -77,79 +85,36 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, rows: tuple[int, ...] | None
     return out
 
 
-class _HalfTables:
-    """The tables of one set of translate rows; see the module docstring.
+def _profile_table(phi: CMType, p: int) -> tuple[list[int], Counter, Iterator[int], Iterator[int]]:
+    """The table of degree p: the packed profile of each p-subset A of phi,
+    the number of subsets with each profile, and the masks of A and of
+    iota*A, in the order of the profiles.
 
-    Point s weighs ``sum_k [s in rows[k]] << F*k``, F = m.bit_length(),
-    over one row of each complementary pair: a size-2p subset meets the
-    other row of a pair in 2p minus its count in this one.  So a subset's
-    weight packs its count in each kept row into F-bit fields, and ``unit``
-    holds 1 in each.  Each table holds subsets of one size, and ``matches``
-    pairs size k with 2p - k, so no field counts the size.  The size-k
-    subsets of a half are tabulated on first use, keyed (a dict from
-    weight to masks) or scanned (a list of weights and one of their masks).
+    Point s of phi weighs ``sum_k [s in rows[k]] << F*k``, F =
+    p.bit_length(), over one row of each complementary pair: A meets the
+    other row of a pair in p minus its count in this one.  So a subset's
+    summed weight packs its count in each kept row into an F-bit field,
+    which never carries, since the count is at most p < 2**F.
     """
-
-    def __init__(self, m: int, rows: tuple[int, ...]):
-        self.key = (m, rows)
-        self.half = m // 2
-        f = m.bit_length()
-        full = (1 << m) - 1
-        rows = [r for r in rows if r < full ^ r]
-        self.weight = [sum(1 << f * k for k, r in enumerate(rows) if r >> s & 1) for s in range(m)]
-        self.unit = sum(1 << f * k for k in range(len(rows)))
-        self.bit = [1 << s for s in range(m)]
-        self.kept: dict[tuple[int, int, bool], object] = {}
-        self.subsets = 0  # held in ``kept``
-
-    def table(self, side: int, k: int, keyed: bool):
-        """The size-k subsets of the low (side 0) or high (side 1) half."""
-        table = self.kept.get((side, k, keyed))
-        if table is None:
-            part = slice(self.half, None) if side else slice(self.half)
-            weights = map(sum, combinations(self.weight[part], k))
-            masks = map(sum, combinations(self.bit[part], k))
-            if keyed:
-                table = defaultdict(list)
-                for w, b in zip(weights, masks):
-                    table[w].append(b)
-            else:
-                table = list(weights), list(masks)
-            n = comb(self.half, k)
-            if self.subsets + n <= HALF_TABLE_CAP:
-                self.kept[side, k, keyed] = table
-                self.subsets += n
-        return table
-
-    def matches(self, p: int, sizes: range):
-        """For each split of 2p points into k low and 2p-k high: the keyed
-        table of the smaller side and the scanned lists of the other."""
-        for k in sizes:
-            j = 2 * p - k
-            if comb(self.half, k) <= comb(self.half, j):
-                yield self.table(0, k, keyed=True), self.table(1, j, keyed=False)
-            else:
-                yield self.table(1, j, keyed=True), self.table(0, k, keyed=False)
+    carrier, members, f = phi.carrier, phi.members, p.bit_length()
+    full = carrier.all_mask
+    rows = [r for r in phi.rows if r < full ^ r]
+    units = [1 << f * k for k in range(len(rows))]
+    points = [s for s in range(carrier.size) if members >> s & 1]
+    weight = [sum(u for u, r in zip(units, rows) if r >> s & 1) for s in points]
+    weights = list(map(sum, combinations(weight, p)))
+    # the bits are distinct, so their sum is the mask
+    return (
+        weights,
+        Counter(weights),
+        map(sum, combinations([1 << s for s in points], p)),
+        map(sum, combinations([1 << carrier.conj[s] for s in points], p)),
+    )
 
 
-# the tables of the rows last enumerated; other rows replace them
-_slot: _HalfTables | None = None
-
-
-def _half_tables(phi: CMType, p: int) -> tuple[_HalfTables, range]:
-    """The shared tables for phi and the low-half subset sizes degree p
-    reads.  Raises ``CapExceeded``, before building anything, if one half
-    table of those sizes would hold more than ``HALF_TABLE_CAP`` subsets."""
-    global _slot
-    m = phi.carrier.size
-    half = m // 2
-    sizes = range(max(0, 2 * p - half), min(half, 2 * p) + 1)  # empty if 2p > m
-    largest = max((comb(half, k) for k in sizes), default=0)
-    if largest > HALF_TABLE_CAP:
-        raise CapExceeded(f"a half table of {largest} subsets exceeds the cap of {HALF_TABLE_CAP}")
-    if _slot is None or _slot.key != (m, phi.rows):
-        _slot = _HalfTables(m, phi.rows)
-    return _slot, sizes
+def _valid_count(sizes: Counter) -> int:
+    # a group of n subsets gives n * n valid monomials
+    return sum(n * n for n in sizes.values())
 
 
 def _listing_cap(p: int) -> CapExceeded:
@@ -160,12 +125,10 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
     """Raise the ``CapExceeded`` that ``enumerate_valid`` would raise at the
     first of these degrees that has one, without listing a monomial.
 
-    A valid monomial of degree p is p points of phi and p of its conjugate,
-    so a degree with C(m/2, p)**2 <= ``LISTING_CAP`` passes uncounted.  Any
-    other is counted from the shared half tables: every scanned subset adds
-    the number of keyed masks that complete it.  Complement maps degree p
-    onto m/2 - p, so each pair of such degrees is counted once, at the
-    lower one, whose tables the commands' listing reads.
+    A degree with C(m/2, p)**2 <= ``LISTING_CAP`` passes uncounted, and
+    one with C(m/2, p) > ``LISTING_CAP`` is refused uncounted.  Any other
+    is counted from its table's group sizes.  Complement maps degree p onto
+    m/2 - p, so each pair of such degrees is counted once, at the lower one.
     """
     half = phi.carrier.size // 2
     counted = set()
@@ -174,38 +137,39 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
         if q in counted or comb(half, q) ** 2 <= LISTING_CAP:
             continue
         counted.add(q)
-        tables, sizes = _half_tables(phi, q)
-        target = q * tables.unit
-        count = 0
-        for keyed, (weights, _) in tables.matches(q, sizes):
-            count += sum(map(len, map(keyed.get, map(target.__sub__, weights), repeat(()))))
-            if count > LISTING_CAP:
-                raise _listing_cap(p)
+        if comb(half, q) > LISTING_CAP or _valid_count(_profile_table(phi, q)[1]) > LISTING_CAP:
+            raise _listing_cap(p)
 
 
 def enumerate_valid(phi: CMType, p: int) -> list[int]:
-    """Meet-in-the-middle enumerator; must agree with the brute-force oracle.
+    """Profile-table enumerator; must agree with the brute-force oracle.
 
-    A subset's packed weight (see ``_HalfTables``) holds its count in each
-    kept row in fields that never carry, since each counts at most
-    m < 2**F points; so a delta of 2p points is valid iff its weight is
-    ``p * unit``.  For each split of the 2p points between the halves, each
-    subset of the scanned side looks up the keyed masks of the completing
-    weight (Horowitz-Sahni); the smaller side is keyed.  The tables are
-    shared with every other degree of the same rows.  Masks come back
-    ascending.  Raises ``CapExceeded``, before building anything, if a half
-    table would hold more than ``HALF_TABLE_CAP`` subsets, and as soon as
-    the list would hold more than ``LISTING_CAP`` masks.
+    Each group of the table (see the module docstring) gives A | iota*A'
+    for each A and A' in it: a singleton its one monomial, and a larger
+    group one ascending run per A, its iota*A' masks sorted.  The runs are
+    then sorted once, so masks come back ascending.  Raises
+    ``CapExceeded`` if the degree has more than ``LISTING_CAP`` valid
+    monomials: before building anything if phi has more p-subsets than
+    that, and otherwise once the group sizes are counted, before listing.
     """
-    tables, sizes = _half_tables(phi, p)
-    target = p * tables.unit
+    if comb(phi.carrier.size // 2, p) > LISTING_CAP:
+        raise _listing_cap(p)
+    weights, sizes, masks, conjugates = _profile_table(phi, p)
+    if _valid_count(sizes) > LISTING_CAP:
+        raise _listing_cap(p)
     out: list[int] = []
-    for keyed, (weights, masks) in tables.matches(p, sizes):
-        for b, found in zip(masks, map(keyed.get, map(target.__sub__, weights))):
-            if found:
-                out.extend(map(b.__or__, found))
-                if len(out) > LISTING_CAP:
-                    raise _listing_cap(p)
+    groups = defaultdict(lambda: ([], []))
+    for w, a, b in zip(weights, masks, conjugates):
+        if sizes[w] == 1:
+            out.append(a | b)
+        else:
+            group = groups[w]
+            group[0].append(a)
+            group[1].append(b)
+    for ours, theirs in groups.values():
+        theirs.sort()
+        for a in ours:
+            out.extend(map(a.__or__, theirs))
     out.sort()
     return out
 

@@ -53,9 +53,12 @@ from typing import Iterable
 from .cmtypes import CMType, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
 from .groups import EmbeddingSet, bits, build_group, embedding_set
-from .monomials import HALF_TABLE_CAP, valid_delta
+from .monomials import valid_delta
 from .report import BUNDLE_KIND, CERTIFICATE_KIND, canonical_json
 
+# largest number of subsets ``_Recount.count`` tabulates for one degree,
+# and the most its tables keep between degrees
+HALF_TABLE_CAP = 10**7
 # checks, in the order they run; the verdict names the first one to fail
 CHECKS = (
     "schema",

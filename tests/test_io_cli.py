@@ -6,6 +6,8 @@ import json
 import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from cmhodge.catalog import _group_data, catalog, cyclic_table, sweep_instances
 from cmhodge import cli, monomials
 from cmhodge.cli import main
 from cmhodge.errors import CmhodgeError, NoCentralInvolution, ParseError, UnknownCatalogEntry, ValidationError
-from cmhodge.groups import build_group
+from cmhodge.groups import build_group, mask_of
 from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
 from cmhodge.monomials import classify, enumerate_valid, galois_orbits
 from cmhodge.report import degree_payload
@@ -211,7 +213,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "-4" in capsys.readouterr().err
     # the brute force stops at C(64, 32) subsets, past BRUTEFORCE_CAP, before any is tested
     assert run_cli("oracle", "--catalog", "cyclic:64", "--degree", "16")[0] == 4
-    # the enumerator's bound is on its half tables, C(32, 16) here, not on m
+    # phi has C(32, 16) subsets of 16 points, past LISTING_CAP, and each is
+    # half of a valid monomial: refused before the enumerator's table is built
     assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "16")[0] == 4
     assert run_cli("deltas", "--catalog", "cyclic:64", "--degree", "1")[0] == 0
     # 2,665,648 valid monomials at p = 6: the listing cap stops the output
@@ -254,6 +257,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("verify", "--certify", str(bad))[0] == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 7
+
+
+def test_oracle_checks_every_degree_before_the_first(monkeypatch, capsys):
+    # dihedral:32 is past BRUTEFORCE_CAP from p = 4 on, C(32, 8) subsets:
+    # the run exits 4 before p = 0 is brute-forced, and prints no line
+    def refuse(*args, **kwargs):
+        raise AssertionError("a degree was brute-forced before the cap check")
+
+    monkeypatch.setattr(cli, "enumerate_valid_bruteforce", refuse)
+    assert run_cli("oracle", "--catalog", "dihedral:32") == (4, "")
+    assert capsys.readouterr().err == "cap exceeded: C(32,8) exceeds the cap of 10000000\n"
+
+
+def test_m64_degree_lists_and_its_bundle_meets_the_count_cap(tmp_path, capsys):
+    # the default type of cyclic:64 is rank-maximal at degree 4, so its
+    # valid monomials are the C(32, 4) unions of 4 conjugate pairs
+    built = build_instance(catalog("cyclic", "64"))
+    conj = built.embeddings.conj
+    pairs = [1 << s | 1 << conj[s] for s in range(64) if s < conj[s]]
+    code, out = run_cli("deltas", "--catalog", "cyclic:64", "--degree", "4")
+    assert code == 0
+    [degree] = json.loads(out)["degrees"]
+    assert sorted(map(mask_of, degree["deltas"])) == sorted(map(sum, combinations(pairs, 4)))
+    assert len(degree["deltas"]) == comb(32, 4) == 35_960
+    bundle = tmp_path / "bundle.json"
+    assert run_cli("witness", "--catalog", "cyclic:64", "--degree", "4", "--certify", str(bundle)) == (0, "")
+    # the verifier's own count refuses C(32, 8) even subsets, with no traceback
+    capsys.readouterr()
+    assert run_cli("verify", "--certify", str(bundle)) == (4, "")
+    assert capsys.readouterr().err.startswith("cap exceeded: counting needs ")
 
 
 def test_degree_option_replaces_the_degrees_line(tmp_path, capsys):

@@ -15,7 +15,7 @@ from cmhodge.catalog import catalog, sweep_instances
 from cmhodge import monomials, verify
 from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, NotClosed
-from cmhodge.groups import MAX_POINTS, bits, build_group, embedding_set, mask_of
+from cmhodge.groups import bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import (
@@ -31,8 +31,8 @@ from conftest import catalog_defaults, written_bundle
 
 EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
 MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
-# carriers for the shared-table tests: two catalog defaults and the mixed ones
-SLOT_CARRIERS = [("product:cyclic.4xcyclic.4", None), ("dihedral:16", None), *MIXED_CARRIERS]
+# carriers for the table tests: two catalog defaults and the mixed ones
+TABLE_CARRIERS = [("product:cyclic.4xcyclic.4", None), ("dihedral:16", None), *MIXED_CARRIERS]
 
 
 def masks(point_lists):
@@ -128,8 +128,8 @@ def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
 
 
 @cache
-def slot_carrier_types(index):
-    entry, factors = SLOT_CARRIERS[index]
+def table_carrier_types(index):
+    entry, factors = TABLE_CARRIERS[index]
     if factors is None:
         carrier = build_instance(catalog(*entry.split(":"))).embeddings
     else:
@@ -139,11 +139,11 @@ def slot_carrier_types(index):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_shared_tables_match_the_oracle_in_any_order(data):
+def test_enumerator_matches_the_oracle_in_any_order(data):
     # degrees in shuffled order, calls alternating between two types of one
     # carrier with different rows, and a translate of the first type, which
-    # has its rows and so reads its tables
-    carrier, types = slot_carrier_types(data.draw(st.integers(0, len(SLOT_CARRIERS) - 1)))
+    # has its rows and so its valid monomials
+    carrier, types = table_carrier_types(data.draw(st.integers(0, len(TABLE_CARRIERS) - 1)))
     phi = data.draw(st.sampled_from(types))
     other = data.draw(st.sampled_from([psi for psi in types if psi.rows != phi.rows]))
     t = data.draw(st.integers(0, carrier.parent.order - 1))
@@ -152,17 +152,30 @@ def test_shared_tables_match_the_oracle_in_any_order(data):
     for p in data.draw(st.permutations(range(carrier.size // 2 + 1))):
         oracle = enumerate_valid_bruteforce(phi, p)
         assert enumerate_valid(phi, p) == oracle
-        slot = monomials._slot
         assert enumerate_valid(moved, p) == oracle
-        assert monomials._slot is slot
         assert enumerate_valid(other, p) == enumerate_valid_bruteforce(other, p)
-        assert monomials._slot is not slot
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conjugate_unions_bound_each_degree_below(data):
+    # A | iota*A meets every row r in |A & r| + p - |A & r| = p points, so
+    # degree p has at least C(m/2, p) valid monomials: the enumerator
+    # refuses a degree with more p-subsets of phi than LISTING_CAP unbuilt
+    carrier, types = table_carrier_types(data.draw(st.integers(0, len(TABLE_CARRIERS) - 1)))
+    phi = data.draw(st.sampled_from(types))
+    p = data.draw(st.integers(0, carrier.size // 2))
+    points = [s for s in range(carrier.size) if phi.members >> s & 1]
+    for chosen in data.draw(st.lists(st.permutations(points), min_size=1, max_size=5)):
+        delta = mask_of(chosen[:p]) | mask_of(carrier.conj[s] for s in chosen[:p])
+        assert valid_delta(phi, delta, p)
+    assert len(enumerate_valid(phi, p)) >= comb(carrier.size // 2, p)
 
 
 def test_count_is_exact_at_the_listing_cap(monkeypatch):
     # check_listing_cap lets a degree through iff it has at most
     # LISTING_CAP valid monomials, so it counts each degree exactly
-    carrier, types = slot_carrier_types(0)
+    carrier, types = table_carrier_types(0)
     for phi in types[::37]:
         for p in range(carrier.size // 2 + 1):
             n = len(enumerate_valid_bruteforce(phi, p))
@@ -173,45 +186,44 @@ def test_count_is_exact_at_the_listing_cap(monkeypatch):
                 check_listing_cap(phi, [p])
 
 
-def test_tables_past_the_retention_budget_are_dropped(monkeypatch):
-    # m = 16: one half table holds at most C(8, 4) = 70 subsets, and one
-    # degree reads 2 * 2**8 = 512 table entries in all at p = 4
-    _, types = slot_carrier_types(0)
+def refuse_table(*args):
+    raise AssertionError("the enumerator's table was built")
+
+
+def test_degree_past_the_cap_is_refused_before_its_table(monkeypatch):
+    # m = 16: phi has C(8, 4) = 70 subsets of 4 points, so with the cap at
+    # 69 degree 4 is refused, by both routes, before its table is built
+    _, types = table_carrier_types(0)
     phi = types[100]
-    monkeypatch.setattr(monomials, "_slot", None)
-    monkeypatch.setattr(monomials, "HALF_TABLE_CAP", 100)
-    for p in (4, 2, 8, 0, 5, 3, 7, 1, 6):
-        assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
-        slot = monomials._slot
-        assert slot.subsets == sum(comb(8, k) for _, k, _ in slot.kept) <= 100
-    # a table that would not fit is not kept, however often it is asked for
-    assert not any(k == 4 for _, k, _ in slot.kept)
+    monkeypatch.setattr(monomials, "LISTING_CAP", 69)
+    monkeypatch.setattr(monomials, "_profile_table", refuse_table)
+    with pytest.raises(CapExceeded, match="degree 4 has more than 69 valid monomials, the listing cap"):
+        enumerate_valid(phi, 4)
+    with pytest.raises(CapExceeded, match="degree 4 has more than 69 valid monomials, the listing cap"):
+        check_listing_cap(phi, [4])
 
 
 def test_listing_cap_leaves_the_tables_usable(monkeypatch):
-    _, types = slot_carrier_types(1)
+    # refused before the table is built (C(8, 4) = 70 subsets) and after it
+    # is counted: either way the next call lists the degree
+    _, types = table_carrier_types(1)
     phi = types[77]
     oracle = enumerate_valid_bruteforce(phi, 4)
-    monkeypatch.setattr(monomials, "LISTING_CAP", 10)
-    with pytest.raises(CapExceeded, match="degree 4 has more than 10 valid monomials, the listing cap"):
-        enumerate_valid(phi, 4)
-    slot = monomials._slot
-    monkeypatch.undo()
-    assert enumerate_valid(phi, 4) == oracle
-    assert monomials._slot is slot
+    assert len(oracle) - 1 >= comb(8, 4)
+    for cap in (10, len(oracle) - 1):
+        monkeypatch.setattr(monomials, "LISTING_CAP", cap)
+        with pytest.raises(CapExceeded, match=f"degree 4 has more than {cap} valid monomials, the listing cap"):
+            enumerate_valid(phi, 4)
+        monkeypatch.undo()
+        assert enumerate_valid(phi, 4) == oracle
 
 
 def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
     # the verifier's count, the brute force and the verifier itself must
-    # agree with the enumerator without sharing its tables
+    # agree with the enumerator without building its table
     bundle = json.loads(written_bundle(z4, z4.degrees))
-    carrier, types = slot_carrier_types(3)
-
-    def refuse(*args):
-        raise AssertionError("an independent route built the enumerator's tables")
-
-    monkeypatch.setattr(monomials, "_slot", None)
-    monkeypatch.setattr(monomials, "_HalfTables", refuse)
+    carrier, types = table_carrier_types(3)
+    monkeypatch.setattr(monomials, "_profile_table", refuse_table)
     assert all(result.ok for _, result in verify_document(bundle))
     recount = _Recount(types[5])
     for p in range(carrier.size // 2 + 1):
@@ -221,56 +233,60 @@ def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
 def test_each_complement_pair_of_degrees_is_counted_once(monkeypatch):
     # degrees p and m/2 - p have equally many valid monomials, so the count
     # is taken once per pair, at the lower degree; C(8, p)**2 > 400 at p = 2..6
-    _, types = slot_carrier_types(0)
+    _, types = table_carrier_types(0)
     phi = types[100]
     counted = []
-    half_tables = monomials._half_tables
+    profile_table = monomials._profile_table
 
     def spy(phi, p):
         counted.append(p)
-        return half_tables(phi, p)
+        return profile_table(phi, p)
 
-    monkeypatch.setattr(monomials, "_half_tables", spy)
+    monkeypatch.setattr(monomials, "_profile_table", spy)
     monkeypatch.setattr(monomials, "LISTING_CAP", 400)
     check_listing_cap(phi, [0, 6, 2, 3, 5, 4, 8])
     assert counted == [2, 3, 4]
-    # 28 valid monomials at p = 2 and 6: the first degree asked for is named
+    # the first degree asked for is named, whether it is refused unbuilt
+    # (28 = C(8, 2) subsets of phi at p = 2 and 6) or once counted (types[3]
+    # has 32 valid monomials there)
     monkeypatch.setattr(monomials, "LISTING_CAP", 27)
     with pytest.raises(CapExceeded, match="degree 6 has more than 27"):
         check_listing_cap(phi, [6, 2])
+    assert counted[3:] == []
+    monkeypatch.setattr(monomials, "LISTING_CAP", 31)
+    with pytest.raises(CapExceeded, match="degree 6 has more than 31"):
+        check_listing_cap(types[3], [6, 2])
     assert counted[3:] == [2]
 
 
 def test_degrees_within_the_hodge_bound_are_not_counted(monkeypatch):
     # C(m/2, p)**2 <= C(12, 6)**2 = 853,776 <= LISTING_CAP: no degree of a
     # carrier of at most 24 points is counted, so no table is built
-    def refuse(*args):
-        raise AssertionError("a degree within the Hodge bound was counted")
-
-    monkeypatch.setattr(monomials, "_slot", None)
-    monkeypatch.setattr(monomials, "_HalfTables", refuse)
+    monkeypatch.setattr(monomials, "_profile_table", refuse_table)
     instances = catalog_defaults(24)
     assert len(instances) > 40
     for built in instances:
         check_listing_cap(built.cm_type, list(range(built.embeddings.size // 2 + 1)))
 
 
-def test_degrees_within_the_hodge_bound_fit_the_half_tables():
-    # a degree let through uncounted could not have raised the half-table
-    # CapExceeded of the count either, on any carrier up to MAX_POINTS: so
+def test_degrees_within_the_hodge_bound_fit_the_listing_cap(monkeypatch):
+    # a degree let through uncounted lists sum |W|**2 <= (sum |W|)**2 =
+    # C(m/2, p)**2 monomials, so it cannot pass the cap once listed either:
     # exit 4 still comes before any degree is listed
-    for half in range(1, MAX_POINTS // 2 + 1):
-        for p in range(half + 1):
-            if comb(half, p) ** 2 <= monomials.LISTING_CAP:
-                sizes = range(max(0, 2 * p - half), min(half, 2 * p) + 1)
-                assert max(comb(half, k) for k in sizes) <= monomials.HALF_TABLE_CAP, (half, p)
+    for index in range(len(TABLE_CARRIERS)):
+        carrier, types = table_carrier_types(index)
+        half = carrier.size // 2
+        for phi in types[::29]:
+            for p in range(half + 1):
+                monkeypatch.setattr(monomials, "LISTING_CAP", comb(half, p) ** 2)
+                assert enumerate_valid(phi, p) == enumerate_valid_bruteforce(phi, p)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_one_recount_counts_every_degree_in_any_order(data):
     # a document's degrees share one _Recount and its tables
-    carrier, types = slot_carrier_types(data.draw(st.integers(0, len(SLOT_CARRIERS) - 1)))
+    carrier, types = table_carrier_types(data.draw(st.integers(0, len(TABLE_CARRIERS) - 1)))
     phi = data.draw(st.sampled_from(types))
     recount = _Recount(phi)
     for p in data.draw(st.permutations(range(carrier.size // 2 + 1))):
@@ -281,7 +297,7 @@ def test_count_tables_past_the_retention_budget_are_dropped(monkeypatch):
     # m = 16: 8 even and 8 odd points.  With the budget at 100, degrees 0,
     # 1, 7 and 8 can be counted; 1 reads 74 subsets, and then no table of
     # 28 subsets fits
-    _, types = slot_carrier_types(0)
+    _, types = table_carrier_types(0)
     phi = types[100]
     monkeypatch.setattr(verify, "HALF_TABLE_CAP", 100)
     recount = _Recount(phi)
@@ -293,7 +309,7 @@ def test_count_tables_past_the_retention_budget_are_dropped(monkeypatch):
 
 
 def test_count_refuses_before_tabulating_with_tables_held(monkeypatch):
-    _, types = slot_carrier_types(0)
+    _, types = table_carrier_types(0)
     recount = _Recount(types[100])
     recount.count(1)
     held = dict(recount.tables)
