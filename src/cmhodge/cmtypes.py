@@ -66,6 +66,24 @@ class CMType:
         return tuple((u, classes[c ^ full]) for c, u in classes.items() if u < classes[c ^ full])
 
     @cached_property
+    def points(self) -> tuple[int, ...]:
+        """Each point s of phi, ascending, packed as bits s and iota*s below
+        bit m and, above it, one F-bit field per kept row (the smaller of
+        each complementary pair), F = (m/2).bit_length(), set to 1 iff s is
+        in the row.  A p-subset A sums to A | iota*A below bit m and |A & r|
+        in the field of each kept row r, never carrying, since |A & r| <=
+        m/2 < 2**F.  The enumerator sums these; the independent routes must
+        not read them."""
+        carrier, m = self.carrier, self.carrier.size
+        f = (m // 2).bit_length()
+        kept = [r for r in self.rows if r < carrier.all_mask ^ r]
+        return tuple(
+            sum(1 << m + f * k for k, r in enumerate(kept) if r >> s & 1) | 1 << s | 1 << carrier.conj[s]
+            for s in range(m)
+            if self.members >> s & 1
+        )
+
+    @cached_property
     def induced_types(self) -> tuple[int, ...]:
         """The CM-type on the group induced at each point, indexed by point,
         as a mask over group elements: t is a member of the type at s iff

@@ -12,16 +12,17 @@ The enumerator lists a degree from one table of the p-subsets of phi.  phi
 is a row, so a valid delta is p points A of phi and p points iota*A' of its
 conjugate.  Every row r is a CM-type, so iota*r is the complement of r, and
 |delta & r| = |A & r| + p - |A' & r|: delta is valid iff A and A' meet
-every row equally often, that is, have the same row profile.  The table
-groups the p-subsets of phi by profile and holds, for each, the masks of A
-and of iota*A; the valid monomials are A | iota*A' for A, A' in one group
-W, sum |W|**2 of them.  A | iota*A is always valid, so degree p has at
-least C(m/2, p) valid monomials, and a degree with more than
-``LISTING_CAP`` subsets of phi is refused before its table is built.  The
-table is built per call and dropped with it.  ``check_listing_cap`` counts
-a degree from its group sizes, so a command can refuse an input before
-listing any degree.  It counts only the degrees past the Hodge bound:
-degree p has at most C(m/2, p)**2 valid monomials.
+every row equally often, that is, have the same row profile.  Each point
+of phi is packed once per CM-type, in ``CMType.points``, and the table
+holds the sum of the points of each p-subset A of phi: the profile of A
+above bit m and A | iota*A below.  The valid monomials are A | iota*A' for
+A, A' in one profile group W, sum |W|**2 of them.  A | iota*A is always
+valid, so degree p has at least C(m/2, p) valid monomials, and a degree
+with more than ``LISTING_CAP`` subsets of phi is refused unsummed.  The
+table is summed lazily, once to count and once to list, and never held.
+``check_listing_cap`` counts a degree from its group sizes, so a command
+can refuse an input before listing any degree.  It counts only the degrees
+past the Hodge bound: degree p has at most C(m/2, p)**2 valid monomials.
 
 Complement, delta -> delta ^ all, maps the valid monomials of degree p onto
 those of m/2 - p, Galois orbits onto orbits and exotic onto exotic.  So
@@ -85,31 +86,15 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, rows: tuple[int, ...] | None
     return out
 
 
-def _profile_table(phi: CMType, p: int) -> tuple[list[int], Counter, Iterator[int], Iterator[int]]:
-    """The table of degree p: the packed profile of each p-subset A of phi,
-    the number of subsets with each profile, and the masks of A and of
-    iota*A, in the order of the profiles.
+def _profile_table(phi: CMType, p: int) -> Iterator[int]:
+    """The table of degree p, lazily: the sum of ``CMType.points`` over
+    each p-subset A of phi, A's row profile above bit m, A | iota*A below."""
+    return map(sum, combinations(phi.points, p))
 
-    Point s of phi weighs ``sum_k [s in rows[k]] << F*k``, F =
-    p.bit_length(), over one row of each complementary pair: A meets the
-    other row of a pair in p minus its count in this one.  So a subset's
-    summed weight packs its count in each kept row into an F-bit field,
-    which never carries, since the count is at most p < 2**F.
-    """
-    carrier, members, f = phi.carrier, phi.members, p.bit_length()
-    full = carrier.all_mask
-    rows = [r for r in phi.rows if r < full ^ r]
-    units = [1 << f * k for k in range(len(rows))]
-    points = [s for s in range(carrier.size) if members >> s & 1]
-    weight = [sum(u for u, r in zip(units, rows) if r >> s & 1) for s in points]
-    weights = list(map(sum, combinations(weight, p)))
-    # the bits are distinct, so their sum is the mask
-    return (
-        weights,
-        Counter(weights),
-        map(sum, combinations([1 << s for s in points], p)),
-        map(sum, combinations([1 << carrier.conj[s] for s in points], p)),
-    )
+
+def _group_sizes(phi: CMType, p: int) -> Counter:
+    # the number of p-subsets of phi with each row profile
+    return Counter(map(phi.carrier.size.__rrshift__, _profile_table(phi, p)))
 
 
 def _valid_count(sizes: Counter) -> int:
@@ -137,7 +122,7 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
         if q in counted or comb(half, q) ** 2 <= LISTING_CAP:
             continue
         counted.add(q)
-        if comb(half, q) > LISTING_CAP or _valid_count(_profile_table(phi, q)[1]) > LISTING_CAP:
+        if comb(half, q) > LISTING_CAP or _valid_count(_group_sizes(phi, q)) > LISTING_CAP:
             raise _listing_cap(p)
 
 
@@ -145,27 +130,34 @@ def enumerate_valid(phi: CMType, p: int) -> list[int]:
     """Profile-table enumerator; must agree with the brute-force oracle.
 
     Each group of the table (see the module docstring) gives A | iota*A'
-    for each A and A' in it: a singleton its one monomial, and a larger
-    group one ascending run per A, its iota*A' masks sorted.  The runs are
+    for each A and A' in it.  A sum's bits in phi are A, its bits in the
+    conjugate iota*A, and its low m bits A | iota*A, the one monomial of a
+    singleton.  A larger group, the only profiles kept past the count,
+    gives one ascending run per A, its iota*A' masks sorted; the runs are
     then sorted once, so masks come back ascending.  Raises
     ``CapExceeded`` if the degree has more than ``LISTING_CAP`` valid
-    monomials: before building anything if phi has more p-subsets than
+    monomials: before summing anything if phi has more p-subsets than
     that, and otherwise once the group sizes are counted, before listing.
     """
     if comb(phi.carrier.size // 2, p) > LISTING_CAP:
         raise _listing_cap(p)
-    weights, sizes, masks, conjugates = _profile_table(phi, p)
+    sizes = _group_sizes(phi, p)
     if _valid_count(sizes) > LISTING_CAP:
         raise _listing_cap(p)
+    shared = {w for w, n in sizes.items() if n > 1}
+    del sizes
+    m, full, members = phi.carrier.size, phi.carrier.all_mask, phi.members
+    conjugate = full ^ members
     out: list[int] = []
     groups = defaultdict(lambda: ([], []))
-    for w, a, b in zip(weights, masks, conjugates):
-        if sizes[w] == 1:
-            out.append(a | b)
+    for d in _profile_table(phi, p):
+        w = d >> m
+        if w not in shared:
+            out.append(d & full)
         else:
             group = groups[w]
-            group[0].append(a)
-            group[1].append(b)
+            group[0].append(d & members)
+            group[1].append(d & conjugate)
     for ours, theirs in groups.values():
         theirs.sort()
         for a in ours:

@@ -172,6 +172,37 @@ def test_conjugate_unions_bound_each_degree_below(data):
     assert len(enumerate_valid(phi, p)) >= comb(carrier.size // 2, p)
 
 
+def assert_packed(phi, chosen):
+    # the sum of the packed points of A holds |A & r| in the F-bit field
+    # of each kept row r, in order, A | iota*A below bit m, nothing above
+    carrier, m = phi.carrier, phi.carrier.size
+    f = (m // 2).bit_length()
+    kept = [r for r in phi.rows if r < carrier.all_mask ^ r]
+    points = [s for s in range(m) if phi.members >> s & 1]
+    total = sum(phi.points[points.index(s)] for s in chosen)
+    a = mask_of(chosen)
+    assert total & carrier.all_mask == a | mask_of(carrier.conj[s] for s in chosen)
+    for k, r in enumerate(kept):
+        assert total >> m + f * k & (1 << f) - 1 == (a & r).bit_count()
+    assert total >> m + f * len(kept) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_points_sum_to_row_profiles(data):
+    carrier, types = table_carrier_types(data.draw(st.integers(0, len(TABLE_CARRIERS) - 1)))
+    phi = data.draw(st.sampled_from(types))
+    points = [s for s in range(carrier.size) if phi.members >> s & 1]
+    assert len(phi.points) == len(points)
+    for p in range(len(points) + 1):
+        assert_packed(phi, data.draw(st.permutations(points))[:p])
+    # types[0] takes the lesser point of each pair, so phi < iota*phi: phi
+    # is a kept row, and at p = m/2 its own field reaches m/2
+    first = types[0]
+    assert first.members < carrier.all_mask ^ first.members
+    assert_packed(first, [s for s in range(carrier.size) if first.members >> s & 1])
+
+
 def test_count_is_exact_at_the_listing_cap(monkeypatch):
     # check_listing_cap lets a degree through iff it has at most
     # LISTING_CAP valid monomials, so it counts each degree exactly
@@ -220,10 +251,15 @@ def test_listing_cap_leaves_the_tables_usable(monkeypatch):
 
 def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
     # the verifier's count, the brute force and the verifier itself must
-    # agree with the enumerator without building its table
+    # agree with the enumerator without building its table or reading the
+    # packed points it sums; a property overrides a cached value
     bundle = json.loads(written_bundle(z4, z4.degrees))
     carrier, types = table_carrier_types(3)
+    enumerate_valid(types[5], 1)
     monkeypatch.setattr(monomials, "_profile_table", refuse_table)
+    monkeypatch.setattr(CMType, "points", property(refuse_table))
+    with pytest.raises(AssertionError, match="table was built"):
+        types[5].points
     assert all(result.ok for _, result in verify_document(bundle))
     recount = _Recount(types[5])
     for p in range(carrier.size // 2 + 1):
