@@ -5,8 +5,8 @@ partition, validity of every monomial, the induced families, their
 balance, and the coverage claim are all recomputed from the raw tables in
 the file and compared against what the certificate asserts.  What the
 instance fixes, the induced type at each point as a list of group
-elements, the kept rows and the count's tables, is recomputed once per
-document (``_Recount``), so no stored element is shifted into a mask.
+elements, the kept rows and the points' row weights, is recomputed once
+per document (``_Recount``), so no stored element is shifted into a mask.
 
 Each content hash is checked once, on text the verifier encodes itself
 and never takes from ``report``.  ``_encoded`` encodes every top-level
@@ -27,18 +27,16 @@ is scanned against the rows, and the orbit sizes must add up to the
 independent count.  Any other ``kind``, the older formats' included, fails
 the ``schema`` check.
 
-The valid set is checked by recount, not rebuilt.  Every orbit member
-must pass the validity criterion and the orbits are disjoint, so their
-union is a subset of the true valid set; its size must then equal the
-number of valid monomials, counted by ``_Recount.count`` on a split of
-the points (evens against odds) that the producer's enumerator does not
-use.  A subset of the right size is the whole set, so a certificate cannot
-pass by being self-consistent about a wrong answer.  The count packs, for
-each point, one F-bit field per row of each complementary pair into a
-single int weight, so a subset's summed weight holds its count in every
-row; since a field of an even sum plus an odd sum is at most 2p <= m <
-2**F, no field carries, and two halves match iff their sums add up to p in
-every field.
+The valid set is checked by recount, not rebuilt.  Every orbit member must
+pass the validity criterion and the orbits are disjoint, so their union is
+a subset of the true valid set; its size must then equal the number of
+valid monomials, counted by ``_Recount.count`` from the definition: p
+points of phi and p of its conjugate, matched by their own packed row
+weights.  The producer's enumerator groups the p-subsets of phi by row
+profile and pairs equal profiles; the count does not use that lemma, and
+reads neither ``CMType.points`` nor the enumerator's table.  A subset of
+the right size is the whole set, so a certificate cannot pass by being
+self-consistent about a wrong answer.
 """
 
 from __future__ import annotations
@@ -53,11 +51,10 @@ from typing import Iterable
 from .cmtypes import CMType, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
 from .groups import EmbeddingSet, bits, build_group, embedding_set
-from .monomials import valid_delta
 from .report import BUNDLE_KIND, CERTIFICATE_KIND, canonical_json
 
-# largest number of subsets ``_Recount.count`` tabulates for one degree,
-# and the most its tables keep between degrees
+# largest number of subsets, 2 * C(m/2, p), that ``_Recount.count`` sums
+# for one degree
 HALF_TABLE_CAP = 10**7
 # checks, in the order they run; the verdict names the first one to fail
 CHECKS = (
@@ -163,12 +160,11 @@ def _encoded(doc: dict) -> tuple[str, bool]:
 class _Recount:
     """What ``_build`` derives from one instance for every degree: the kept
     rows, the induced types, plain and packed with F = m.bit_length(), and
-    the count's tables, kept while they hold at most ``HALF_TABLE_CAP``
-    subsets in all; a table past that is built for its call and dropped."""
+    the row weights of the points of phi and of iota*phi (see ``count``)."""
 
     def __init__(self, phi: CMType):
-        m, f = phi.carrier.size, phi.carrier.size.bit_length()
-        self.phi, self.f = phi, f
+        m = phi.carrier.size
+        self.f = f = m.bit_length()
         # the points are bounded and distinct: a list's mask is the sum of its bits
         self.bit = [1 << s for s in range(m)].__getitem__
         # the smaller row of each complementary pair (see ``count``)
@@ -176,48 +172,29 @@ class _Recount:
         self.types = [bits(t) for t in phi.induced_types]
         self.packed = [sum(1 << f * t for t in members) for members in self.types]
         weights = [sum((r >> s & 1) << f * j for j, r in enumerate(self.rows)) for s in range(m)]
-        self.halves = weights[0::2], weights[1::2]
-        self.tables: dict[tuple[int, int], Counter] = {}
-        self.subsets = 0  # held in ``tables``
-
-    def table(self, side: int, k: int) -> Counter:
-        """How many size-k subsets of the evens (side 0) or odds have each weight."""
-        table = self.tables.get((side, k))
-        if table is None:
-            table = Counter(map(sum, combinations(self.halves[side], k)))
-            n = comb(len(self.halves[side]), k)
-            if self.subsets + n <= HALF_TABLE_CAP:
-                self.tables[side, k] = table
-                self.subsets += n
-        return table
+        self.sides = [[weights[s] for s in bits(side)] for side in (phi.members, phi.carrier.all_mask ^ phi.members)]
 
     def count(self, p: int) -> int:
         """The number of valid monomials at degree p, counted without listing one.
 
-        A subset S of the points splits into its even points E and odd points
-        O, and |S & r| = |E & r| + |O & r| for every row r.  One row of each
-        complementary pair is enough, since |S & (all ^ r)| = |S| - |S & r|.
-        Each point gets a weight with one F-bit field per kept row, holding 1
-        where the row contains the point, so the sum of a subset's weights
-        holds |S & r| in the field of r.  No field carries into the next: a
-        field of an even sum plus an odd sum is |S & r| <= 2p <= m < 2**F.
-        So, size by size, each half's subsets are tabulated by summed weight,
-        and S is valid iff its even and odd sums add up to the weight with p
-        in every field.  Raises ``CapExceeded``, before tabulating anything,
-        if the two halves hold more than ``HALF_TABLE_CAP`` subsets over the
-        sizes used, whether or not their tables are held.
+        phi is a row, so a valid S is a p-subset E of phi and a p-subset O of
+        iota*phi, and |S & r| = |E & r| + |O & r| for every row r.  One row
+        of each complementary pair is enough, since |S & (all ^ r)| = 2p -
+        |S & r|.  A point's weight has one F-bit field per kept row, set to 1
+        iff the row holds the point, so a subset's summed weight holds its
+        count in every row, and no field of E's sum plus O's carries, since
+        |S & r| <= 2p <= m < 2**F.  So O's sums are tabulated, and each E
+        looks up the sum that adds up with its own to p in every field.
+        Nothing is kept between calls.  Raises ``CapExceeded``, before summing anything,
+        if the two sides hold more than ``HALF_TABLE_CAP`` p-subsets in all.
         """
-        evens, odds = map(len, self.halves)
-        sizes = range(max(0, 2 * p - odds), min(evens, 2 * p) + 1)
-        subsets = sum(comb(evens, k) + comb(odds, 2 * p - k) for k in sizes)
+        ours, conj = self.sides
+        subsets = 2 * comb(len(ours), p)
         if subsets > HALF_TABLE_CAP:
             raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
         target = sum(p << self.f * j for j in range(len(self.rows)))
-        count = 0
-        for k in sizes:
-            odd = self.table(1, 2 * p - k)
-            count += sum(n * odd[target - w] for w, n in self.table(0, k).items())
-        return count
+        theirs = Counter(map(sum, combinations(conj, p)))
+        return sum(map(theirs.__getitem__, map(target.__sub__, map(sum, combinations(ours, p)))))
 
 
 def _build(inst: dict) -> tuple[EmbeddingSet | None, _Recount | None, VerificationResult | None]:
@@ -301,12 +278,12 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) 
     orbits are then the whole valid set.  One orbit is built at a time,
     and the scan holds at most ``_SCAN_BATCH`` members.
     """
-    p, reps, phi = data["p"], data["orbit_reps"], recount.phi
+    p, reps = data["p"], data["orbit_reps"]
     masks = [sum(map(recount.bit, rep)) for rep in reps]
     for i, (rep, delta) in enumerate(zip(reps, masks)):
         if len(rep) != 2 * p:
             return _fail("degree", f"representative {i} has {len(rep)} points, expected {2 * p}")
-        if not valid_delta(phi, delta, p):
+        if not all((delta & r).bit_count() == p for r in recount.rows):
             return _fail("delta_valid", f"representative {i} fails the validity criterion")
 
     if data["induced_types"] != recount.types:

@@ -115,8 +115,7 @@ def test_enumerator_matches_oracle_hypothesis(data):
 @pytest.mark.parametrize("entry, factors", MIXED_CARRIERS)
 def test_enumerator_matches_oracle_on_mixed_embedding_sets(entry, factors):
     # m = 16 from two factors, at least one a coset space of a non-trivial
-    # subgroup; the halves of the split are the two factors in the first
-    # set and cut through the larger factor in the second
+    # subgroup
     carrier = mixed_carrier(entry, factors)
     assert carrier.size == 16
     for phi in list(enumerate_cm_types(carrier))[::32]:
@@ -252,14 +251,18 @@ def test_listing_cap_leaves_the_tables_usable(monkeypatch):
 def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
     # the verifier's count, the brute force and the verifier itself must
     # agree with the enumerator without building its table or reading the
-    # packed points it sums; a property overrides a cached value
+    # packed points it sums, and the verifier states validity itself; a
+    # property overrides a cached value
     bundle = json.loads(written_bundle(z4, z4.degrees))
     carrier, types = table_carrier_types(3)
     enumerate_valid(types[5], 1)
     monkeypatch.setattr(monomials, "_profile_table", refuse_table)
     monkeypatch.setattr(CMType, "points", property(refuse_table))
+    monkeypatch.setattr(monomials, "valid_delta", refuse_table)
     with pytest.raises(AssertionError, match="table was built"):
         types[5].points
+    # and the verifier holds no name from ``monomials`` that the patches miss
+    assert not [name for name, value in vars(verify).items() if getattr(value, "__module__", "") == monomials.__name__]
     assert all(result.ok for _, result in verify_document(bundle))
     recount = _Recount(types[5])
     for p in range(carrier.size // 2 + 1):
@@ -321,7 +324,7 @@ def test_degrees_within_the_hodge_bound_fit_the_listing_cap(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_one_recount_counts_every_degree_in_any_order(data):
-    # a document's degrees share one _Recount and its tables
+    # a document's degrees share one _Recount, which keeps no count table
     carrier, types = table_carrier_types(data.draw(st.integers(0, len(TABLE_CARRIERS) - 1)))
     phi = data.draw(st.sampled_from(types))
     recount = _Recount(phi)
@@ -329,38 +332,46 @@ def test_one_recount_counts_every_degree_in_any_order(data):
         assert recount.count(p) == len(enumerate_valid_bruteforce(phi, p))
 
 
-def test_count_tables_past_the_retention_budget_are_dropped(monkeypatch):
-    # m = 16: 8 even and 8 odd points.  With the budget at 100, degrees 0,
-    # 1, 7 and 8 can be counted; 1 reads 74 subsets, and then no table of
-    # 28 subsets fits
+def test_count_refuses_before_summing_a_subset(monkeypatch):
+    # m = 16: degree p sums 2 * C(8, p) subsets, 16 at p = 1 and 56 at p = 2
     _, types = table_carrier_types(0)
     phi = types[100]
-    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 100)
     recount = _Recount(phi)
-    for p in (1, 7, 0, 8, 1, 7):
-        assert recount.count(p) == len(enumerate_valid_bruteforce(phi, p))
-        assert recount.subsets == sum(comb(8, k) for _, k in recount.tables) <= 100
-    # a table that would not fit is not kept, however often it is asked for
-    assert not any(k == 6 for _, k in recount.tables)
-
-
-def test_count_refuses_before_tabulating_with_tables_held(monkeypatch):
-    _, types = table_carrier_types(0)
-    recount = _Recount(types[100])
-    recount.count(1)
-    held = dict(recount.tables)
 
     def refuse(*args):
-        raise AssertionError("a count past the cap tabulated")
+        raise AssertionError("a count past the cap summed a subset")
 
-    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 73)
+    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 15)
     monkeypatch.setattr(verify, "combinations", refuse)
-    # every table of degree 1 is held, and it is still refused
-    with pytest.raises(CapExceeded, match="counting needs 74 subsets, above the cap of 73"):
+    with pytest.raises(CapExceeded, match="counting needs 16 subsets, above the cap of 15"):
         recount.count(1)
-    with pytest.raises(CapExceeded, match="counting needs 326 subsets, above the cap of 73"):
+    with pytest.raises(CapExceeded, match="counting needs 56 subsets, above the cap of 15"):
         recount.count(2)
-    assert recount.tables == held
+    # a count of exactly the cap's subsets goes ahead
+    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 16)
+    monkeypatch.setattr(verify, "combinations", combinations)
+    assert recount.count(1) == len(enumerate_valid_bruteforce(phi, 1))
+
+
+def test_every_listed_degree_is_counted_within_the_count_cap(monkeypatch):
+    # a listed degree has at most LISTING_CAP p-subsets of phi, and the count
+    # sums 2 * C(m/2, p) subsets, so the verifier counts every degree that
+    # ``witness`` can certify; at m = 16 degree 2 has 28 subsets of phi
+    monkeypatch.setattr(monomials, "LISTING_CAP", 40)
+    monkeypatch.setattr(verify, "HALF_TABLE_CAP", 80)
+    listed = set()
+    for index in range(len(TABLE_CARRIERS)):
+        carrier, types = table_carrier_types(index)
+        for phi in types[::5]:
+            recount = _Recount(phi)
+            for p in range(carrier.size // 2 + 1):
+                try:
+                    valid = enumerate_valid(phi, p)
+                except CapExceeded:
+                    continue
+                assert recount.count(p) == len(valid), (index, phi.members, p)
+                listed.add(p)
+    assert listed == {0, 1, 2, 6, 7, 8}
 
 
 def test_orbits_z4(z4):

@@ -249,8 +249,8 @@ def test_row_scan_refuses_an_invalid_or_wrong_sized_mask():
 
 def _unlisted_m64(payload) -> dict:
     """A cyclic:64 certificate at p = 16 that lists no orbit, with the true
-    induced types: every check before the count passes, and the count's
-    tables would hold 2**33 subsets."""
+    induced types: every check before the count passes, and the count would
+    sum 2 * C(32, 16) subsets."""
     built = build_instance(catalog("cyclic", "64"))
     types = [bits(t) for t in built.cm_type.induced_types]
     fields = {"instance": instance_payload(built.spec), "induced_types": types, "orbit_reps": [], "p": 16}
