@@ -197,8 +197,9 @@ def _cmd_verify(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     built = _load_instance(args)
     phi = built.cm_type
-    # check every degree before the first, so a run past the cap prints nothing
+    # check every degree before the first, so a run past either cap prints nothing
     check_bruteforce_cap(phi, built.degrees)
+    check_listing_cap(phi, built.degrees)
     # the lattice basis does not depend on p: one elimination per CM-type
     basis = orbit_matrix(phi).basis
     agree = True

@@ -29,10 +29,10 @@ class CMType:
     def rows(self) -> tuple[int, ...]:
         """The distinct translates t*phi as point masks, ascending.
 
-        This is the one statement of validity that every route shares: a
-        monomial delta is valid at degree p iff |delta| = 2p and
-        |delta & r| = p for every row r.  (|t*delta & phi| equals
-        |delta & t^-1*phi|, so translating delta is never needed.)
+        The producer's statement of validity (the verifier reads its own
+        rows off the action table): delta is valid at degree p iff
+        |delta| = 2p and |delta & r| = p for every row r.  (|t*delta & phi|
+        is |delta & t^-1*phi|, so translating delta is never needed.)
         """
         return tuple(sorted(set(self.carrier.translates(self.members))))
 
@@ -87,8 +87,8 @@ class CMType:
     def induced_types(self) -> tuple[int, ...]:
         """The CM-type on the group induced at each point, indexed by point,
         as a mask over group elements: t is a member of the type at s iff
-        the translate of s by t lies in phi.  Certificates and the verifier
-        read this one table."""
+        the translate of s by t lies in phi.  Certificates are written from
+        this table; the verifier recomputes it from the action table."""
         action = self.carrier.action
         return tuple(
             sum(1 << t for t, row in enumerate(action) if self.members >> row[s] & 1)

@@ -92,14 +92,14 @@ def _profile_table(phi: CMType, p: int) -> Iterator[int]:
     return map(sum, combinations(phi.points, p))
 
 
-def _group_sizes(phi: CMType, p: int) -> Counter:
-    # the number of p-subsets of phi with each row profile
-    return Counter(map(phi.carrier.size.__rrshift__, _profile_table(phi, p)))
-
-
-def _valid_count(sizes: Counter) -> int:
-    # a group of n subsets gives n * n valid monomials
-    return sum(n * n for n in sizes.values())
+def _group_sizes(phi: CMType, p: int) -> Counter | None:
+    """The number of p-subsets of phi with each row profile, or None past
+    ``LISTING_CAP`` valid monomials (a group of n subsets gives n * n),
+    before any sum if phi alone has more p-subsets than the cap."""
+    if comb(phi.carrier.size // 2, p) > LISTING_CAP:
+        return None
+    sizes = Counter(map(phi.carrier.size.__rrshift__, _profile_table(phi, p)))
+    return sizes if sum(n * n for n in sizes.values()) <= LISTING_CAP else None
 
 
 def _listing_cap(p: int) -> CapExceeded:
@@ -122,7 +122,7 @@ def check_listing_cap(phi: CMType, degrees: list[int]) -> None:
         if q in counted or comb(half, q) ** 2 <= LISTING_CAP:
             continue
         counted.add(q)
-        if comb(half, q) > LISTING_CAP or _valid_count(_group_sizes(phi, q)) > LISTING_CAP:
+        if _group_sizes(phi, q) is None:
             raise _listing_cap(p)
 
 
@@ -139,10 +139,8 @@ def enumerate_valid(phi: CMType, p: int) -> list[int]:
     monomials: before summing anything if phi has more p-subsets than
     that, and otherwise once the group sizes are counted, before listing.
     """
-    if comb(phi.carrier.size // 2, p) > LISTING_CAP:
-        raise _listing_cap(p)
     sizes = _group_sizes(phi, p)
-    if _valid_count(sizes) > LISTING_CAP:
+    if sizes is None:
         raise _listing_cap(p)
     shared = {w for w, n in sizes.items() if n > 1}
     del sizes

@@ -199,7 +199,7 @@ def _certificate(instance: str, types: str, p: int, reps: list[int]) -> str:
     witness states is forced, so the verifier derives it rather than reads
     it: the family of a representative is the induced type at each of its
     points, and it is balanced, since the number of family members that
-    contain t is the number of points of t*delta in phi, which is p.
+    contain t is |t*delta & phi| = p: the verifier's row test.
     """
     return "".join(
         _document(

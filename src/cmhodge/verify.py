@@ -1,12 +1,13 @@
 """Independent certificate verifier.
 
 Takes nothing in a certificate on trust: the group axioms, the CM-type
-partition, validity of every monomial, the induced families, their
-balance, and the coverage claim are all recomputed from the raw tables in
-the file and compared against what the certificate asserts.  What the
-instance fixes, the induced type at each point as a list of group
-elements, the kept rows and the points' row weights, is recomputed once
-per document (``_Recount``), so no stored element is shifted into a mask.
+partition, validity of every monomial, the induced families and the
+coverage claim are all recomputed from the raw tables in the file and
+compared against what the certificate asserts.  What the instance fixes is
+read off its checked action table once per document (``_Recount``), in one
+table: t is in the induced type at s iff t*s lies in phi, so the points
+whose type holds t form the row t^-1*phi.  The verifier reads none of the
+producer's ``CMType`` tables, and no stored element is shifted into a mask.
 
 Each content hash is checked once, on text the verifier encodes itself
 and never takes from ``report``.  ``_encoded`` encodes every top-level
@@ -19,13 +20,14 @@ held at once.
 A certificate (format version 3, the only one read) stores only the least
 member of each Galois orbit and the induced type at every point.  Every
 stored group element is bounded by |G| before the table is read, and the
-table must equal the recomputed one.  Each representative must be valid
-and its family, the stored types at its points, balanced; the
-representatives must ascend and each be the least of its translates, so no
-two share an orbit.  The orbits are then built one at a time, every member
-is scanned against the rows, and the orbit sizes must add up to the
-independent count.  Any other ``kind``, the older formats' included, fails
-the ``schema`` check.
+table must equal the recomputed one.  Each representative must be valid:
+it meets each row t^-1*phi in p points, which is to say its family, the
+types at its points, holds each group element p times, so the row test is
+the balance test.  The representatives must ascend and each be the least
+of its translates, so no two share an orbit.  The orbits are then built
+one at a time, every member is scanned against the rows, and the orbit
+sizes must add up to the independent count.  Any other ``kind``, the older
+formats' included, fails the ``schema`` check.
 
 The valid set is checked by recount, not rebuilt.  Every orbit member must
 pass the validity criterion and the orbits are disjoint, so their union is
@@ -66,7 +68,6 @@ CHECKS = (
     "degree",
     "delta_valid",
     "induced_family",
-    "balanced",
     "orbit_reps",
     "coverage",
     "valid_set",
@@ -158,21 +159,24 @@ def _encoded(doc: dict) -> tuple[str, bool]:
 
 
 class _Recount:
-    """What ``_build`` derives from one instance for every degree: the kept
-    rows, the induced types, plain and packed with F = m.bit_length(), and
-    the row weights of the points of phi and of iota*phi (see ``count``)."""
+    """What ``_build`` derives from one instance for every degree, read off
+    its checked action table: the induced types, the kept rows, and the row
+    weights of the points of phi and of iota*phi (see ``count``)."""
 
     def __init__(self, phi: CMType):
-        m = phi.carrier.size
-        self.f = f = m.bit_length()
+        carrier, m = phi.carrier, phi.carrier.size
+        self.f = m.bit_length()
         # the points are bounded and distinct: a list's mask is the sum of its bits
         self.bit = [1 << s for s in range(m)].__getitem__
-        # the smaller row of each complementary pair (see ``count``)
-        self.rows = [r for r in phi.rows if r < phi.carrier.all_mask ^ r]
-        self.types = [bits(t) for t in phi.induced_types]
-        self.packed = [sum(1 << f * t for t in members) for members in self.types]
-        weights = [sum((r >> s & 1) << f * j for j, r in enumerate(self.rows)) for s in range(m)]
-        self.sides = [[weights[s] for s in bits(side)] for side in (phi.members, phi.carrier.all_mask ^ phi.members)]
+        # the one table: held[t][s] is 1 iff t*s lies in phi.  Column s is the
+        # induced type at s, and row t, its transpose, is the mask of t^-1*phi
+        held = [[phi.members >> x & 1 for x in row] for row in carrier.action]
+        self.types = [[t for t, h in enumerate(column) if h] for column in zip(*held)]
+        rows = {sum(h << s for s, h in enumerate(row)) for row in held}
+        # the smaller row of each complementary pair, ascending (see ``count``)
+        self.rows = sorted(r for r in rows if r < carrier.all_mask ^ r)
+        weights = [sum((r >> s & 1) << self.f * j for j, r in enumerate(self.rows)) for s in range(m)]
+        self.sides = [[weights[s] for s in bits(side)] for side in (phi.members, carrier.all_mask ^ phi.members)]
 
     def count(self, p: int) -> int:
         """The number of valid monomials at degree p, counted without listing one.
@@ -268,15 +272,15 @@ def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = 
 def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) -> VerificationResult:
     """The checks of a certificate past the degree bound.
 
-    Each representative is checked for its size and validity, the stored
-    induced-type table against the recomputed one, and each
-    representative's family, the stored types at its points, for balance.
-    The representatives must ascend and each be the least of its orbit;
-    two distinct least members cannot share an orbit, so the orbits are
-    disjoint.  Every member of every orbit is then scanned against the
-    rows, and the orbit sizes must add up to the independent count: the
-    orbits are then the whole valid set.  One orbit is built at a time,
-    and the scan holds at most ``_SCAN_BATCH`` members.
+    Each representative is checked for its size and validity (the balance
+    of its family), and the stored induced-type table against the
+    recomputed one.  The representatives must ascend and each be the least
+    of its orbit; two distinct least members cannot share an orbit, so the
+    orbits are disjoint.  Every member of every orbit, built by
+    ``EmbeddingSet.translates``, is then scanned against the rows read off
+    the action table, and the orbit sizes must add up to the independent
+    count: the orbits are then the whole valid set.  One orbit is built at
+    a time, and the scan holds at most ``_SCAN_BATCH`` members.
     """
     p, reps = data["p"], data["orbit_reps"]
     masks = [sum(map(recount.bit, rep)) for rep in reps]
@@ -288,13 +292,6 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) 
 
     if data["induced_types"] != recount.types:
         return _fail("induced_family", "stored induced types differ from the recomputed table")
-    # each point's type packed into one F-bit field per group element: a
-    # family of 2p types holds an element at most 2p <= m < 2**F times, so
-    # the packed sum of a family holds its count of every element
-    balanced = sum(p << recount.f * t for t in embeddings.parent.elements())
-    for i, rep in enumerate(reps):
-        if sum(map(recount.packed.__getitem__, rep)) != balanced:
-            return _fail("balanced", f"representative {i} family does not hold each element {p} times")
 
     rows = recount.rows
     scanned, total, batch, previous = True, 0, [], -1

@@ -259,15 +259,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 7
 
 
+def refuse_bruteforce(*args, **kwargs):
+    raise AssertionError("a degree was brute-forced before the cap check")
+
+
 def test_oracle_checks_every_degree_before_the_first(monkeypatch, capsys):
     # dihedral:32 is past BRUTEFORCE_CAP from p = 4 on, C(32, 8) subsets:
     # the run exits 4 before p = 0 is brute-forced, and prints no line
-    def refuse(*args, **kwargs):
-        raise AssertionError("a degree was brute-forced before the cap check")
-
-    monkeypatch.setattr(cli, "enumerate_valid_bruteforce", refuse)
+    monkeypatch.setattr(cli, "enumerate_valid_bruteforce", refuse_bruteforce)
     assert run_cli("oracle", "--catalog", "dihedral:32") == (4, "")
     assert capsys.readouterr().err == "cap exceeded: C(32,8) exceeds the cap of 10000000\n"
+
+
+def test_oracle_counts_every_degree_before_the_first(monkeypatch, capsys):
+    # the default type of elementary-abelian:16 has one translate row, so
+    # all C(8, 3)**2 = 3,136 monomials of degree 3 are valid: past a listing
+    # cap of 1000 the run exits 4 before p = 0 is brute-forced
+    monkeypatch.setattr(cli, "enumerate_valid_bruteforce", refuse_bruteforce)
+    monkeypatch.setattr(monomials, "LISTING_CAP", 1000)
+    assert run_cli("oracle", "--catalog", "elementary-abelian:16") == (4, "")
+    assert capsys.readouterr().err == "cap exceeded: degree 3 has more than 1000 valid monomials, the listing cap\n"
 
 
 def test_m64_degree_lists_and_its_bundle_verifies(tmp_path):

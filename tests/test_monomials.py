@@ -27,7 +27,7 @@ from cmhodge.monomials import (
     valid_delta,
 )
 from cmhodge.verify import _Recount, verify_document
-from conftest import catalog_defaults, written_bundle
+from conftest import catalog_defaults, with_cm_type, written_bundle
 
 EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
 MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
@@ -267,6 +267,29 @@ def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
     recount = _Recount(types[5])
     for p in range(carrier.size // 2 + 1):
         assert recount.count(p) == len(enumerate_valid_bruteforce(types[5], p))
+
+
+def test_verifier_reads_none_of_the_cm_type_tables(monkeypatch):
+    # the verifier reads its rows and types off the action table, so a fault
+    # in a table of CMType cannot agree with itself there.  The bundles and
+    # the brute-force counts read those tables, so they are made first
+    built = build_instance(catalog("dihedral", "16"))
+    phi = table_carrier_types(1)[1][100]
+    degrees = list(range(built.embeddings.size // 2 + 1))
+    bundles = [json.loads(written_bundle(b, degrees)) for b in (built, with_cm_type(built, phi))]
+    expected = [len(enumerate_valid_bruteforce(phi, p)) for p in degrees]
+
+    def refuse(phi):
+        raise AssertionError("a CMType table was read")
+
+    for name in ("rows", "points", "classes", "class_pairs", "induced_types"):
+        monkeypatch.setattr(CMType, name, property(refuse))
+    with pytest.raises(AssertionError, match="a CMType table was read"):
+        phi.rows
+    for bundle in bundles:
+        assert all(result.ok for _, result in verify_document(bundle))
+    recount = _Recount(phi)
+    assert list(map(recount.count, degrees)) == expected
 
 
 def test_each_complement_pair_of_degrees_is_counted_once(monkeypatch):

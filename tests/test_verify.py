@@ -738,15 +738,17 @@ def test_v3_verdict_false_fails_coverage(d8_p2_v3):
     assert verify_certificate(doc) == VerificationResult(False, "coverage", "coverage verdict is wrong")
 
 
-def test_v3_balance_catches_a_type_fault_shared_by_writer_and_verifier(monkeypatch):
-    # both sides read CMType.induced_types, so with a fault there the stored
-    # table equals the recomputed one, and only the balance of a family
-    # tells: here point 0 is given the type of point 1
+def test_v3_induced_family_catches_a_type_fault_in_the_writer(monkeypatch):
+    # the writer reads CMType.induced_types and the verifier reads the action
+    # table, so a fault in the writer's table differs from the recomputed
+    # one at every degree, p = 0 included: here point 0 is given the type
+    # of point 1
     induced = CMType.induced_types.func
     monkeypatch.setattr(CMType, "induced_types", property(lambda phi: induced(phi)[1:2] + induced(phi)[1:]))
-    doc = written_certificate(build_instance(catalog("dihedral", "8")), 2)
-    result = verify_certificate(doc)
-    assert result == VerificationResult(False, "balanced", "representative 0 family does not hold each element 2 times")
+    built = build_instance(catalog("dihedral", "8"))
+    for p in (0, 2):
+        result = verify_certificate(written_certificate(built, p))
+        assert result == VerificationResult(False, "induced_family", "stored induced types differ from the recomputed table")
 
 
 @pytest.mark.parametrize("batch", [None, 1], ids=("one-scan", "scan-per-orbit"))
