@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -168,15 +169,19 @@ def _cmd_witness(args, out) -> int:
     return EXIT_OK
 
 
-def _no_constant(name: str):
-    # Python's json reads NaN and Infinity, which canonical JSON cannot hash
-    raise ParseError(f"contains {name}, which JSON does not allow")
+def _finite(text: str) -> float:
+    # Python's json reads NaN, Infinity and, as inf, a number past the float
+    # range, none of which canonical JSON can hash
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"contains {text}, which canonical JSON cannot encode")
+    return value
 
 
 def _read_certificate(path: str):
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text, parse_constant=_no_constant)
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}")
     except (RecursionError, ValueError) as exc:

@@ -54,15 +54,6 @@ class GroupTable:
     inverse: tuple[int, ...]
     iota: int
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
 
 def check_order(order: int) -> int:
     """Return ``order`` if it lies in 1..MAX_ORDER; raise ``NotAGroup``
@@ -150,15 +141,15 @@ def _cosets(group: GroupTable, elements: Iterable[int]) -> list[tuple[int, ...]]
         raise NotASubgroup("subgroup does not contain the identity")
     in_h = set(elems)
     for a in elems:
-        if group.inv(a) not in in_h:
+        if group.inverse[a] not in in_h:
             raise NotASubgroup(f"not closed under inverse at {a}", (a,))
         for b in elems:
-            if group.mul(a, b) not in in_h:
+            if group.mult[a][b] not in in_h:
                 raise NotASubgroup(f"not closed under multiplication at ({a},{b})", (a, b))
     if group.iota in in_h:
         raise IotaInSubgroup(f"iota = {group.iota} lies in the subgroup {elems}")
     # disjoint sorted tuples sort by their least elements
-    return sorted({tuple(sorted(group.mul(g, h) for h in elems)) for g in range(n)})
+    return sorted({tuple(sorted(group.mult[g][h] for h in elems)) for g in range(n)})
 
 
 @dataclass(frozen=True)
@@ -218,9 +209,10 @@ class EmbeddingSet:
         order: per factor, the table entries of its nibbles OR-ed into one
         packed int, unpacked and shifted up to the factor's offset.
 
-        Every translation goes through these tables (the conjugate of a
-        set is its image under iota), so CM-types and monomials cannot be
-        translated differently.
+        Every translation the producer makes goes through these tables (the
+        conjugate of a set is its image under iota), so CM-types and
+        monomials cannot be translated differently; the verifier reads its
+        orbits off the action table, so a fault here cannot agree with it.
         """
         unpack, factors = self._translate_tables
         images = [0] * self.parent.order

@@ -6,8 +6,9 @@ coverage claim are all recomputed from the raw tables in the file and
 compared against what the certificate asserts.  What the instance fixes is
 read off its checked action table once per document (``_Recount``), in one
 table: t is in the induced type at s iff t*s lies in phi, so the points
-whose type holds t form the row t^-1*phi.  The verifier reads none of the
-producer's ``CMType`` tables, and no stored element is shifted into a mask.
+whose type holds t form the row t^-1*phi.  The orbits are read off the
+action table too: the verifier reads neither ``EmbeddingSet.translates``
+nor the ``CMType`` tables, and no stored element is shifted into a mask.
 
 Each content hash is checked once, on text the verifier encodes itself
 and never takes from ``report``.  ``_encoded`` encodes every top-level
@@ -25,20 +26,22 @@ it meets each row t^-1*phi in p points, which is to say its family, the
 types at its points, holds each group element p times, so the row test is
 the balance test.  The representatives must ascend and each be the least
 of its translates, so no two share an orbit.  The orbits are then built
-one at a time, every member is scanned against the rows, and the orbit
-sizes must add up to the independent count.  Any other ``kind``, the older
-formats' included, fails the ``schema`` check.
+one at a time, and their sizes must add up to the independent count.  Any
+other ``kind``, the older formats' included, fails the ``schema`` check.
 
-The valid set is checked by recount, not rebuilt.  Every orbit member must
-pass the validity criterion and the orbits are disjoint, so their union is
-a subset of the true valid set; its size must then equal the number of
-valid monomials, counted by ``_Recount.count`` from the definition: p
-points of phi and p of its conjugate, matched by their own packed row
-weights.  The producer's enumerator groups the p-subsets of phi by row
-profile and pairs equal profiles; the count does not use that lemma, and
-reads neither ``CMType.points`` nor the enumerator's table.  A subset of
-the right size is the whole set, so a certificate cannot pass by being
-self-consistent about a wrong answer.
+The valid set is checked by recount, not rebuilt.  Validity is
+translate-invariant: if delta meets every row t^-1*phi in p points,
+u*delta meets t^-1*phi as delta meets (tu)^-1*phi.  So every member of an
+orbit built from the action table is valid once its representative is, and
+the orbits are disjoint, so their union is a subset of the true valid set;
+its size must then equal the number of valid monomials, counted by
+``_Recount.count`` from the definition: p points of phi and p of its
+conjugate, matched by their own packed row weights.  The producer's
+enumerator groups the p-subsets of phi by row profile and pairs equal
+profiles; the count does not use that lemma, and reads neither
+``CMType.points`` nor the enumerator's table.  A subset of the right size
+is the whole set, so a certificate cannot pass by being self-consistent
+about a wrong answer.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import comb
+from struct import Struct
 from typing import Iterable
 
 from .cmtypes import CMType, validate_cm_type
@@ -106,8 +110,6 @@ _SCHEMA = {
     "induced_types": [{int}],
     "verdict": bool,
 }
-# how many monomials the row scan of a certificate holds at once
-_SCAN_BATCH = 1 << 16
 
 
 def _conforms(value, shape) -> bool:
@@ -160,8 +162,9 @@ def _encoded(doc: dict) -> tuple[str, bool]:
 
 class _Recount:
     """What ``_build`` derives from one instance for every degree, read off
-    its checked action table: the induced types, the kept rows, and the row
-    weights of the points of phi and of iota*phi (see ``count``)."""
+    its checked action table: the induced types, the kept rows, the row
+    weights of the points of phi and of iota*phi (see ``count``), and the
+    images of each point under every group element (see ``orbit``)."""
 
     def __init__(self, phi: CMType):
         carrier, m = phi.carrier, phi.carrier.size
@@ -177,6 +180,20 @@ class _Recount:
         self.rows = sorted(r for r in rows if r < carrier.all_mask ^ r)
         weights = [sum((r >> s & 1) << self.f * j for j, r in enumerate(self.rows)) for s in range(m)]
         self.sides = [[weights[s] for s in bits(side)] for side in (phi.members, carrier.all_mask ^ phi.members)]
+        # images[s] holds the bit of t*s in field t, ceil(m/8) bytes wide (see ``orbit``)
+        field = [(1 << s).to_bytes(-(-m // 8), "little") for s in range(m)]
+        self.fields = Struct(f"{len(field[0])}s" * len(carrier.action))
+        self.images = [
+            int.from_bytes(b"".join(map(field.__getitem__, column)), "little") for column in zip(*carrier.action)
+        ]
+
+    def orbit(self, points: list[int]) -> set[int]:
+        """The translates of a set of distinct points, as masks: field t of
+        the sum of the points' images is the mask of t*points.  A
+        translation is a bijection, so distinct points set distinct bits in
+        each field, and the sum never carries."""
+        packed = sum(map(self.images.__getitem__, points)).to_bytes(self.fields.size, "little")
+        return set(map(int.from_bytes, self.fields.unpack(packed), repeat("little")))
 
     def count(self, p: int) -> int:
         """The number of valid monomials at degree p, counted without listing one.
@@ -246,7 +263,7 @@ def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = 
     if hash_ok is None:
         try:
             hash_ok = _encoded(data)[1]
-        except RecursionError:  # nested past what the encoder takes
+        except (RecursionError, ValueError):  # nested past what the encoder takes, or a non-finite float
             hash_ok = False
     if not hash_ok:
         return _fail("content_hash", "stored hash does not match the content")
@@ -266,21 +283,20 @@ def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = 
 
     if 2 * p > embeddings.size:
         return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
-    return _verify_orbit_reps(data, embeddings, recount)
+    return _verify_orbit_reps(data, recount)
 
 
-def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) -> VerificationResult:
+def _verify_orbit_reps(data: dict, recount: _Recount) -> VerificationResult:
     """The checks of a certificate past the degree bound.
 
     Each representative is checked for its size and validity (the balance
     of its family), and the stored induced-type table against the
     recomputed one.  The representatives must ascend and each be the least
     of its orbit; two distinct least members cannot share an orbit, so the
-    orbits are disjoint.  Every member of every orbit, built by
-    ``EmbeddingSet.translates``, is then scanned against the rows read off
-    the action table, and the orbit sizes must add up to the independent
-    count: the orbits are then the whole valid set.  One orbit is built at
-    a time, and the scan holds at most ``_SCAN_BATCH`` members.
+    orbits are disjoint.  Each orbit is built by ``_Recount.orbit``, one at
+    a time, and holds only translates of a valid representative, so only
+    valid monomials; the orbit sizes must add up to the independent count,
+    and the orbits are then the whole valid set.
     """
     p, reps = data["p"], data["orbit_reps"]
     masks = [sum(map(recount.bit, rep)) for rep in reps]
@@ -293,36 +309,21 @@ def _verify_orbit_reps(data: dict, embeddings: EmbeddingSet, recount: _Recount) 
     if data["induced_types"] != recount.types:
         return _fail("induced_family", "stored induced types differ from the recomputed table")
 
-    rows = recount.rows
-    scanned, total, batch, previous = True, 0, [], -1
-    for i, delta in enumerate(masks):
-        orbit = set(embeddings.translates(delta))
+    total, previous = 0, -1
+    for i, (rep, delta) in enumerate(zip(reps, masks)):
+        orbit = recount.orbit(rep)
         if delta != min(orbit):
             return _fail("orbit_reps", f"representative {i} is not the least member of its orbit")
         if delta <= previous:
             return _fail("orbit_reps", f"representative {i} does not follow the one before in ascending order")
         previous = delta
         total += len(orbit)
-        batch += orbit
-        if len(batch) >= _SCAN_BATCH:
-            scanned = scanned and _all_valid(batch, rows, p)
-            batch.clear()
-    scanned = scanned and _all_valid(batch, rows, p)
 
     if not data["verdict"]:
         return _fail("coverage", "coverage verdict is wrong")
-    if not scanned:
-        return _fail("valid_set", "an orbit member fails the validity criterion")
     if total != recount.count(p):
         return _fail("valid_set", "the orbits differ in size from the independent count")
     return VerificationResult(True)
-
-
-def _all_valid(listed: list[int], rows: list[int], p: int) -> bool:
-    """Whether every listed mask has 2p points and meets each row in p."""
-    return set(map(int.bit_count, listed)) <= {2 * p} and all(
-        set(map(int.bit_count, map(r.__and__, listed))) <= {p} for r in rows
-    )
 
 
 def _label(cert) -> str:
@@ -357,7 +358,7 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
     try:
         others = {k: (_entry(k, v),) for k, v in data.items() if k not in ("certificates", "content_hash")}
         hash_ok = _hash_ok(data, {**others, "certificates": certificates()})
-    except RecursionError:  # nested past what the encoder takes
+    except (RecursionError, ValueError):  # nested past what the encoder takes, or a non-finite float
         hash_ok = False
     if not hash_ok:
         return [("bundle", _fail("content_hash", "bundle hash mismatch"))]

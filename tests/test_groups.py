@@ -12,6 +12,7 @@ from cmhodge.cmtypes import conjugate_pairs, validate_cm_type
 from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgroup
 from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import BuiltInstance, InstanceSpec, parse_instance
+from cmhodge.verify import _Recount
 from conftest import induced_family, written_certificate
 
 # every catalog carrier up to order 32, two carriers of several factors,
@@ -186,9 +187,9 @@ def test_embedding_set_propagates_factor_errors():
 def test_action_respects_multiplication(order8_instances):
     for built in order8_instances:
         g, s = built.group, built.embeddings
-        for t in g.elements():
-            for u in g.elements():
-                tu = g.mul(t, u)
+        for t in range(g.order):
+            for u in range(g.order):
+                tu = g.mult[t][u]
                 for x in range(s.size):
                     assert s.action[tu][x] == s.action[t][s.action[u][x]]
         assert s.action[g.identity] == tuple(range(s.size))
@@ -198,7 +199,7 @@ def test_conj_commutes_with_action(order8_instances):
     # iota is central, so translation by iota commutes with every translation
     for built in order8_instances:
         g, s = built.group, built.embeddings
-        for t in g.elements():
+        for t in range(g.order):
             for x in range(s.size):
                 assert s.action[t][s.conj[x]] == s.conj[s.action[t][x]]
 
@@ -268,12 +269,17 @@ def test_byte_tables_match_plain_loops(name):
         images = [mask_of(row[s] for s in points) for row in carrier.action]
         assert carrier.translates(mask) == images
         assert carrier.translates(mask)[carrier.parent.iota] == mask_of(carrier.conj[s] for s in points)
-    for built in random_cm_types(spec, carrier, rng, 3):
+    types = list(random_cm_types(spec, carrier, rng, 3))
+    for built in types:
         family = induced_family(built)
         for s in range(m):
             # t is in the induced type iff the translate of s by t lies in phi
             members = [t for t, row in enumerate(carrier.action) if built.cm_type.members >> row[s] & 1]
             assert family[s] == members
+    # the verifier's orbits, read off the action table apart from these tables
+    recount = _Recount(types[0].cm_type)
+    for mask in masks:
+        assert recount.orbit(bits(mask)) == set(carrier.translates(mask))
 
 
 @pytest.mark.parametrize("name", [n for n in TABLE_CARRIERS if "64" not in n])
@@ -311,3 +317,5 @@ def test_translate_tables_grow_linearly_in_the_points():
     mask = sum(1 << s for s in (3, 64, 700, 1023))
     images = [mask_of(row[s] for s in (3, 64, 700, 1023)) for row in carrier.action]
     assert carrier.translates(mask) == images
+    phi = validate_cm_type(carrier, [pair[0] for pair in conjugate_pairs(carrier)])
+    assert _Recount(phi).orbit([3, 64, 700, 1023]) == set(images)

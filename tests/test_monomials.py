@@ -15,7 +15,7 @@ from cmhodge.catalog import catalog, sweep_instances
 from cmhodge import monomials, verify
 from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, NotClosed
-from cmhodge.groups import bits, build_group, embedding_set, mask_of
+from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import (
@@ -270,22 +270,26 @@ def test_independent_routes_do_not_read_the_tables(monkeypatch, z4):
 
 
 def test_verifier_reads_none_of_the_cm_type_tables(monkeypatch):
-    # the verifier reads its rows and types off the action table, so a fault
-    # in a table of CMType cannot agree with itself there.  The bundles and
-    # the brute-force counts read those tables, so they are made first
+    # the verifier reads its rows, types and orbits off the action table, so
+    # a fault in a table of CMType or in EmbeddingSet.translates cannot agree
+    # with itself there.  The bundles and the brute-force counts read those
+    # tables, so they are made first
     built = build_instance(catalog("dihedral", "16"))
     phi = table_carrier_types(1)[1][100]
     degrees = list(range(built.embeddings.size // 2 + 1))
     bundles = [json.loads(written_bundle(b, degrees)) for b in (built, with_cm_type(built, phi))]
     expected = [len(enumerate_valid_bruteforce(phi, p)) for p in degrees]
 
-    def refuse(phi):
-        raise AssertionError("a CMType table was read")
+    def refuse(*args):
+        raise AssertionError("a CMType table or the translates were read")
 
     for name in ("rows", "points", "classes", "class_pairs", "induced_types"):
         monkeypatch.setattr(CMType, name, property(refuse))
-    with pytest.raises(AssertionError, match="a CMType table was read"):
+    monkeypatch.setattr(EmbeddingSet, "translates", refuse)
+    with pytest.raises(AssertionError, match="a CMType table or the translates were read"):
         phi.rows
+    with pytest.raises(AssertionError, match="a CMType table or the translates were read"):
+        phi.carrier.translates(phi.members)
     for bundle in bundles:
         assert all(result.ok for _, result in verify_document(bundle))
     recount = _Recount(phi)
@@ -430,7 +434,7 @@ def test_translation_and_conjugation_closure(order8_instances):
                 valid = set(enumerate_valid(phi, p))
                 for d in valid:
                     assert s.translates(d)[s.parent.iota] in valid
-                    for t in built.group.elements():
+                    for t in range(built.group.order):
                         assert s.translates(d)[t] in valid
 
 

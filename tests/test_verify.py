@@ -235,18 +235,6 @@ def test_v2_wrong_orbits_of_right_shape(d8_p2_v3, mutate):
     assert result == VerificationResult(False, "schema", "unexpected kind 'cmhodge.certificate/2'")
 
 
-def test_row_scan_refuses_an_invalid_or_wrong_sized_mask():
-    # the orbits are the verifier's own, so no certificate makes its scan
-    # fail; the scan is there to catch a fault in them
-    phi = build_instance(catalog("dihedral", "8")).cm_type
-    valid = [mask_of(c) for c in combinations(range(8), 4) if valid_delta(phi, mask_of(c), 2)]
-    rows = list(phi.rows)
-    assert verify._all_valid(valid, rows, 2)
-    invalid = next(mask_of(c) for c in combinations(range(8), 4) if mask_of(c) not in valid)
-    assert not verify._all_valid([*valid, invalid], rows, 2)
-    assert not verify._all_valid([*valid, 0b111], rows, 2)
-
-
 def _unlisted_m64(payload) -> dict:
     """A cyclic:64 certificate at p = 16 that lists no orbit, with the true
     induced types: every check before the count passes, and the count would
@@ -447,9 +435,19 @@ def test_old_kind_fails_schema(tmp_path, capsys, z4, payload, kind, where):
 
 
 def test_non_finite_number_is_a_parse_error(tmp_path, payload):
+    # NaN, and a number past the float range, which Python's json reads as inf
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**payload, "version": float("nan")}))
-    assert main(["verify", "--certify", str(path)]) == 2
+    for number in ("NaN", "1e400"):
+        path.write_text(json.dumps(payload)[:-1] + f', "x": {number}}}')
+        assert main(["verify", "--certify", str(path)]) == 2
+
+
+def test_non_finite_float_fails_the_hash(z4, payload):
+    # canonical JSON cannot encode it, so no hash can match
+    failed = VerificationResult(False, "content_hash", "stored hash does not match the content")
+    assert verify_document({**payload, "x": float("inf")}) == [("p=1", failed)]
+    bundle = {**_z4_bundle(z4), "x": float("inf")}
+    assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
 
 
 def _node_paths(obj, path=()):
@@ -751,20 +749,14 @@ def test_v3_induced_family_catches_a_type_fault_in_the_writer(monkeypatch):
         assert result == VerificationResult(False, "induced_family", "stored induced types differ from the recomputed table")
 
 
-@pytest.mark.parametrize("batch", [None, 1], ids=("one-scan", "scan-per-orbit"))
-@pytest.mark.parametrize("faulted", [False, True], ids=("intact", "faulted"))
-def test_v3_row_scan_of_the_orbits(monkeypatch, d8_p2_v3, batch, faulted):
-    # the orbits are the verifier's own, so only a fault in the translates,
-    # here during verification alone, makes the scan fail: each orbit gains
-    # the mask of every point.  The rows are read before the fault.
-    built = verify._build(d8_p2_v3["instance"])
-    if batch:
-        monkeypatch.setattr(verify, "_SCAN_BATCH", batch)
-    if faulted:
-        translates = EmbeddingSet.translates
-        monkeypatch.setattr(EmbeddingSet, "translates", lambda self, mask: [*translates(self, mask), self.all_mask])
-    result = verify_certificate(d8_p2_v3, built)
-    if faulted:
-        assert result == VerificationResult(False, "valid_set", "an orbit member fails the validity criterion")
-    else:
-        assert result == VerificationResult(True)
+@pytest.mark.parametrize("p, rep", [(1, 1), (2, 2)], ids=("p1", "p2"))
+def test_v3_orbits_catch_a_translates_fault_shared_by_writer_and_verifier(monkeypatch, p, rep):
+    # the verifier reads its orbits off the action table, so a fault in
+    # EmbeddingSet.translates cannot agree with itself there: here every set
+    # is its own only translate, and the writer lists each valid monomial as
+    # an orbit of its own.  The rows are read before the fault
+    built = build_instance(catalog("dihedral", "8"))
+    built.cm_type.rows
+    monkeypatch.setattr(EmbeddingSet, "translates", lambda self, mask: [mask] * self.parent.order)
+    result = verify_certificate(written_certificate(built, p))
+    assert result == VerificationResult(False, "orbit_reps", f"representative {rep} is not the least member of its orbit")

@@ -11,7 +11,7 @@ from conftest import induced_family, with_cm_type, written_bundle, written_certi
 
 def transcript(group, families: list[list[int]]) -> tuple[int, ...]:
     """How many of the families contain each group element."""
-    return tuple(sum(t in f for f in families) for t in group.elements())
+    return tuple(sum(t in f for f in families) for t in range(group.order))
 
 
 def family(cert: dict, rep: list[int]) -> list[list[int]]:
