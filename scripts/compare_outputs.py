@@ -22,6 +22,7 @@ old verifier says of the new one.
 An instance is a catalog entry (``dihedral:32``) or the path of an
 instance file.  With no instances given, every default catalog entry up
 to group order 16 is run, and ``tests/fixtures/d16-mixed.txt``,
+``tests/fixtures/d16-mixed-relabelled.txt``,
 ``tests/fixtures/product-6..13.txt`` and ``tests/fixtures/m68.txt``.
 Example, a parent checkout against the working tree:
 
@@ -62,6 +63,8 @@ DEFAULT_INSTANCES = (
     "product:cyclic.4xcyclic.4",
     # a carrier of non-normal factors, whose points are cosets
     str(FIXTURES / "d16-mixed.txt"),
+    # the same carrier on a table whose identity is not element 0
+    str(FIXTURES / "d16-mixed-relabelled.txt"),
     # a type with exotic monomials past m/4, built from their complements
     str(FIXTURES / "product-6..13.txt"),
     # 68 points: masks past 64 bits, of a width that is not a multiple of 8

@@ -96,13 +96,14 @@ class CMType:
         )
 
 
-def validate_cm_type(carrier: EmbeddingSet, members: int | Iterable[int]) -> CMType:
-    """Check the defining partition condition: each conjugate pair
+def validate_cm_type(carrier: EmbeddingSet, members: Iterable[int]) -> CMType:
+    """Check that the listed points are a CM-type: each conjugate pair
     contributes exactly one member.  Raises ``NotACMType`` with the first
     offending point as witness."""
-    mask = members if isinstance(members, int) else mask_of(members)
-    if mask >> carrier.size:
+    points = list(members)
+    if not all(0 <= s < carrier.size for s in points):
         raise NotACMType("member index out of range")
+    mask = mask_of(points)
     conj = carrier.conj
     for s in range(carrier.size):
         inside = (mask >> s) & 1

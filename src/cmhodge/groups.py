@@ -1,18 +1,22 @@
-"""Finite groups as explicit multiplication tables, and the embedding
-sets they act on.
+"""Embedding sets: finite groups acting on points, each given by its
+action table and the central involution iota.
 
-Element and point indices are 0-based everywhere.  Groups are small
-(order <= MAX_ORDER = 64, enforced by ``build_group``), and so are
-embedding sets (at most MAX_POINTS = 1024 points, enforced by
-``embedding_set``; the largest carrier the tests build), so every
-structural check is exhaustive, associativity one row at a time.  All
-values are immutable after construction; everything here is a pure function.
+A group itself is given by a multiplication table.  ``build_group`` checks
+it and keeps it as the carrier of the group's left-regular action, which
+is the action table of G/{e}; nothing else of the group is kept.  Element
+and point indices are 0-based everywhere.  Groups are small (order <=
+MAX_ORDER = 64, enforced by ``build_group``), and so are embedding sets
+(at most MAX_POINTS = 1024 points, enforced by ``embedding_set``; the
+largest carrier the tests build), so every structural check is
+exhaustive, associativity one row at a time.  All values are immutable
+after construction; everything here is a pure function.
 
 The embedding set of a product of CM-fields E = E_1 x ... x E_k is the
 disjoint union of the left coset spaces G/H_i, one per factor; G acts on
 it by left translation, and complex conjugation is translation by the
 central iota.  Only left cosets and left actions are used anywhere.  The
-image of point s under t is ``action[t][s]``.
+image of point s under t is ``action[t][s]``; the group order is the
+number of rows.
 """
 
 from __future__ import annotations
@@ -42,19 +46,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """A finite group given by its full multiplication table, together with
-    a distinguished central involution ``iota`` playing the role of complex
-    conjugation."""
-
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    iota: int
-
-
 def check_order(order: int) -> int:
     """Return ``order`` if it lies in 1..MAX_ORDER; raise ``NotAGroup``
     otherwise, before any table of that size is built."""
@@ -63,11 +54,13 @@ def check_order(order: int) -> int:
     return order
 
 
-def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int) -> GroupTable:
-    """Validate a multiplication table and wrap it as a ``GroupTable``.
+def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int) -> EmbeddingSet:
+    """Validate a multiplication table and return it as the carrier of the
+    group's left-regular action: ``action[t][g]`` is t*g, the coset space
+    G/{e} that ``embedding_set`` builds from it with the one factor {e}.
 
-    The identity and inverse tables are derived, not supplied.  Raises
-    ``NotAGroup`` (with a witness) if the table is not a group, and
+    The identity and the inverses are found, not supplied, and not kept.
+    Raises ``NotAGroup`` (with a witness) if the table is not a group, and
     ``BadInvolution`` if ``iota_index`` is not a central involution
     distinct from the identity.
     """
@@ -88,13 +81,8 @@ def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int
     if identity is None:
         raise NotAGroup("no two-sided identity element")
 
-    inverse = [-1] * n
     for g in range(n):
-        for h in range(n):
-            if mult[g][h] == identity and mult[h][g] == identity:
-                inverse[g] = h
-                break
-        else:
+        if not any(mult[g][h] == identity and mult[h][g] == identity for h in range(n)):
             raise NotAGroup(f"element {g} has no inverse", (g,))
 
     # (ab)c = a(bc) for all c iff row ab is row b read through row a; a row
@@ -122,49 +110,53 @@ def build_group(order: int, mult_table: Iterable[Iterable[int]], iota_index: int
         if mult[iota][g] != mult[g][iota]:
             raise BadInvolution(f"iota is not central: fails to commute with {g}")
 
-    return GroupTable(n, mult, identity, tuple(inverse), iota)
+    return EmbeddingSet(iota, n, mult)
 
 
-def _cosets(group: GroupTable, elements: Iterable[int]) -> list[tuple[int, ...]]:
+def _cosets(group: EmbeddingSet, elements: Iterable[int]) -> list[tuple[int, ...]]:
     """The left cosets gH of the subgroup H with the given elements, each
-    as its sorted element tuple, in order of least element.
+    as its sorted element tuple, in order of least element.  ``group`` is
+    a checked regular carrier (see ``build_group``): its identity is
+    iota*iota, and the inverse of a is the element that a sends to it.
 
     Raises ``NotASubgroup`` if the elements do not form a subgroup and
     ``IotaInSubgroup`` if iota lies in it (conjugation would then fix a
     point, which no CM-algebra allows).
     """
-    n = group.order
+    mult = group.action
+    identity = mult[group.iota][group.iota]
     elems = sorted({int(x) for x in elements})
-    if any(not 0 <= x < n for x in elems):
+    if any(not 0 <= x < len(mult) for x in elems):
         raise NotASubgroup(f"subgroup element out of range in {elems}")
-    if group.identity not in elems:
+    if identity not in elems:
         raise NotASubgroup("subgroup does not contain the identity")
     in_h = set(elems)
     for a in elems:
-        if group.inverse[a] not in in_h:
+        if mult[a].index(identity) not in in_h:
             raise NotASubgroup(f"not closed under inverse at {a}", (a,))
         for b in elems:
-            if group.mult[a][b] not in in_h:
+            if mult[a][b] not in in_h:
                 raise NotASubgroup(f"not closed under multiplication at ({a},{b})", (a, b))
     if group.iota in in_h:
         raise IotaInSubgroup(f"iota = {group.iota} lies in the subgroup {elems}")
     # disjoint sorted tuples sort by their least elements
-    return sorted({tuple(sorted(group.mult[g][h] for h in elems)) for g in range(n)})
+    return sorted({tuple(sorted(row[h] for h in elems)) for row in mult})
 
 
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Disjoint union of coset spaces: the set of embeddings of a product
-    of CM-fields, with the group's action by left translation."""
+    of CM-fields, with the group's action by left translation.  The action
+    table and iota are all of the group that is kept."""
 
-    parent: GroupTable
+    iota: int
     size: int
     action: tuple[tuple[int, ...], ...]  # n x m
 
     @property
     def conj(self) -> tuple[int, ...]:
         """Complex conjugation: translation by the central iota."""
-        return self.action[self.parent.iota]
+        return self.action[self.iota]
 
     @property
     def all_mask(self) -> int:
@@ -202,7 +194,7 @@ class EmbeddingSet:
                 nibbles.append(tuple(table))
             factors.append((offset, size, tuple(zip(nibbles[::2], nibbles[1::2]))))
             offset += size
-        return Struct(f"<{self.parent.order}Q").unpack, tuple(factors)
+        return Struct(f"<{len(self.action)}Q").unpack, tuple(factors)
 
     def translates(self, mask: int) -> list[int]:
         """The images of a point set under every group element, in element
@@ -215,7 +207,7 @@ class EmbeddingSet:
         orbits off the action table, so a fault here cannot agree with it.
         """
         unpack, factors = self._translate_tables
-        images = [0] * self.parent.order
+        images = [0] * len(self.action)
         for offset, size, tables in factors:
             local = mask >> offset & ((1 << size) - 1)
             if not local:
@@ -229,10 +221,11 @@ class EmbeddingSet:
         return images
 
 
-def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> EmbeddingSet:
+def embedding_set(group: EmbeddingSet, subgroups: Iterable[Iterable[int]]) -> EmbeddingSet:
     """The disjoint union of the left coset spaces G/H of the given
-    subgroups, its points numbered factor by factor and, within a factor,
-    coset by coset in order of least element.  Raises ``CapExceeded``,
+    subgroups of the group whose regular carrier ``build_group`` returned,
+    its points numbered factor by factor and, within a factor, coset by
+    coset in order of least element.  Raises ``CapExceeded``,
     before the action table is built, past ``MAX_POINTS`` points."""
     owner: list[list[int]] = []  # per point: its factor's map from element to point
     least: list[int] = []  # per point: the least element of its coset
@@ -240,7 +233,7 @@ def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> Embe
         cosets = _cosets(group, h)
         if len(least) + len(cosets) > MAX_POINTS:
             raise CapExceeded(f"the factors have more than {MAX_POINTS} points")
-        point_of = [0] * group.order
+        point_of = [0] * len(group.action)
         for coset in cosets:
             for g in coset:
                 point_of[g] = len(least)
@@ -249,7 +242,7 @@ def embedding_set(group: GroupTable, subgroups: Iterable[Iterable[int]]) -> Embe
     if not least:
         raise NotASubgroup("at least one factor is required")
     # t maps the coset gH to tgH, the point of t*g for any g in it
-    action = tuple(tuple(point_of[row[g]] for point_of, g in zip(owner, least)) for row in group.mult)
+    action = tuple(tuple(point_of[row[g]] for point_of, g in zip(owner, least)) for row in group.action)
     conj = action[group.iota]
     assert all(conj[s] != s and conj[conj[s]] == s for s in range(len(conj)))
-    return EmbeddingSet(group, len(least), action)
+    return EmbeddingSet(group.iota, len(least), action)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CmhodgeError, ParseError, ValidationError
-from .groups import EmbeddingSet, GroupTable, build_group, embedding_set
+from .groups import EmbeddingSet, build_group, embedding_set
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class InstanceSpec:
 @dataclass(frozen=True)
 class BuiltInstance:
     spec: InstanceSpec
-    group: GroupTable
     embeddings: EmbeddingSet
     cm_type: CMType
 
@@ -58,8 +57,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Construct and validate the group, embedding set and CM-type; wraps
     any structural failure in ``ValidationError`` naming the cause."""
     try:
-        group = build_group(spec.order, spec.mult, spec.iota)
-        embeddings = embedding_set(group, spec.factors)
+        embeddings = embedding_set(build_group(spec.order, spec.mult, spec.iota), spec.factors)
         phi = validate_cm_type(embeddings, spec.cm_type)
     except CmhodgeError as exc:
         raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
@@ -68,7 +66,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         for p in spec.degrees:
             if not 0 <= p <= half:
                 raise ValidationError(f"degree {p} outside 0..{half}")
-    return BuiltInstance(spec, group, embeddings, phi)
+    return BuiltInstance(spec, embeddings, phi)
 
 
 def decimals(words: list[str]) -> list[int]:

@@ -275,7 +275,7 @@ def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = 
     # or read as an index
     if max(map(max, filter(None, [inst["cm_type"], *data["orbit_reps"]])), default=0) >= embeddings.size:
         return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
-    order = embeddings.parent.order
+    order = len(embeddings.action)
     if max(map(max, filter(None, data["induced_types"])), default=0) >= order:
         return _fail("schema", f"a group element lies outside 0..{order - 1}")
     if recount is None:

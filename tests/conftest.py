@@ -9,8 +9,8 @@ import pytest
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cmtypes import CMType
 from cmhodge.errors import CmhodgeError
-from cmhodge.groups import bits
-from cmhodge.instance import BuiltInstance, build_instance
+from cmhodge.groups import EmbeddingSet, bits, build_group
+from cmhodge.instance import BuiltInstance, InstanceSpec, build_instance
 from cmhodge.monomials import enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json, certificate_bundle
 
@@ -21,6 +21,37 @@ def content_hash(doc: dict) -> str:
     its output and of how the verifier re-encodes it."""
     stripped = {k: v for k, v in doc.items() if k != "content_hash"}
     return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
+
+
+def group_of(spec: InstanceSpec) -> EmbeddingSet:
+    """The group of an instance as ``build_group`` keeps it: the carrier of
+    its left-regular action, ``action[t][g]`` = t*g."""
+    return build_group(spec.order, spec.mult, spec.iota)
+
+
+def relabelled(spec: InstanceSpec, sigma: list[int]) -> InstanceSpec:
+    """``spec`` with every group element g renamed sigma[g]: the table,
+    iota and the factors are carried across sigma, and the CM-type across
+    the bijection of points gH -> sigma(g)sigma(H).  The points on both
+    sides are numbered as ``embedding_set`` numbers them, factor by factor
+    and cosets in order of least element, here from the tables alone."""
+    n = spec.order
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mult[sigma[a]][sigma[b]] = sigma[spec.mult[a][b]]
+    factors = tuple(tuple(sorted(sigma[h] for h in factor)) for factor in spec.factors)
+
+    def points(table, factors) -> list[tuple[int, frozenset]]:
+        cosets = [{frozenset(table[g][h] for h in factor) for g in range(n)} for factor in factors]
+        return [(k, coset) for k, space in enumerate(cosets) for coset in sorted(space, key=min)]
+
+    old_points = points(spec.mult, spec.factors)
+    new_point = {point: s for s, point in enumerate(points(mult, factors))}
+    cm_type = sorted(
+        new_point[k, frozenset(sigma[g] for g in coset)] for k, coset in (old_points[s] for s in spec.cm_type)
+    )
+    return replace(spec, mult=tuple(map(tuple, mult)), iota=sigma[spec.iota], factors=factors, cm_type=tuple(cm_type))
 
 
 def with_cm_type(built: BuiltInstance, phi: CMType) -> BuiltInstance:

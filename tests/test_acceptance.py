@@ -73,8 +73,9 @@ def test_criterion_2_theorem1_coverage(order8_instances):
                 for rep in payload["orbit_reps"]:
                     # count the transcript from the induced family
                     family = [payload["induced_types"][s] for s in rep]
-                    recount = tuple(sum(t in f for f in family) for t in range(built.group.order))
-                    assert recount == (p,) * built.group.order
+                    order = len(built.embeddings.action)
+                    recount = tuple(sum(t in f for f in family) for t in range(order))
+                    assert recount == (p,) * order
                 assert verify_certificate(payload).ok, (built.spec.name, bits(phi.members), p)
                 certs += 1
     passed(2, f"coverage verdict true and transcripts balanced for {certs} certificates")
@@ -89,9 +90,9 @@ def test_criterion_3_closure_invariants(order8_instances):
             for p, valid in valid_by_p.items():
                 dual = valid_by_p[half - p]
                 for d in valid:
-                    assert s.translates(d)[s.parent.iota] in valid
+                    assert s.translates(d)[s.iota] in valid
                     assert (s.all_mask ^ d) in dual
-                    for t in range(built.group.order):
+                    for t in range(len(s.action)):
                         assert s.translates(d)[t] in valid
     passed(3, "translation, conjugation and complement closure hold on the full sweep")
 
@@ -134,7 +135,7 @@ def test_criterion_5_frozen_small_instance_counts():
 def test_criterion_6_no_exotic_below_order_8(order8_instances):
     swept = 0
     for built in order8_instances:
-        if built.group.order > 6:
+        if len(built.embeddings.action) > 6:
             continue
         half = built.embeddings.size // 2
         for phi in enumerate_cm_types(built.embeddings):

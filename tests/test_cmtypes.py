@@ -12,7 +12,7 @@ from cmhodge.cmtypes import (
 )
 from cmhodge.errors import CapExceeded, NotACMType
 from cmhodge.groups import bits, mask_of
-from conftest import induced_family
+from conftest import group_of, induced_family
 
 
 def test_validate_accepts_one_per_pair(z2):
@@ -58,14 +58,15 @@ def test_enumerate_all_are_cm_types(order8_instances):
     for built in order8_instances:
         seen = set()
         for phi in enumerate_cm_types(built.embeddings):
-            validate_cm_type(built.embeddings, phi.members)
+            validate_cm_type(built.embeddings, bits(phi.members))
             seen.add(phi.members)
         assert len(seen) == 2 ** (built.embeddings.size // 2)
 
 
 def test_induced_at_identity_is_phi(z4):
     phi = z4.cm_type  # regular set: points are group elements
-    reg = induced_family(z4)[z4.group.identity]
+    g = group_of(z4.spec)
+    reg = induced_family(z4)[g.action.index(tuple(range(4)))]  # the element acting trivially
     assert mask_of(reg) == phi.members
 
 
@@ -76,31 +77,31 @@ def test_induced_z4_at_point_one(z4):
 
 def test_induced_satisfies_regular_invariant(order8_instances):
     for built in order8_instances:
-        g = built.group
+        g = group_of(built.spec)
         for reg in induced_family(built):
             members = mask_of(reg)
-            image = mask_of(g.mult[g.iota][t] for t in reg)
+            image = mask_of(g.action[g.iota][t] for t in reg)
             assert members & image == 0
-            assert members | image == (1 << g.order) - 1
+            assert members | image == (1 << len(g.action)) - 1
 
 
 def test_induced_along_orbit(order8_instances):
     # membership of u in the type induced at t.s matches the criterion at
     # the composed translate
     for built in order8_instances:
-        g, s_set, phi = built.group, built.embeddings, built.cm_type
+        g, s_set, phi = group_of(built.spec), built.embeddings, built.cm_type
         family = induced_family(built)
         for s in range(s_set.size):
-            for t in range(g.order):
+            for t in range(len(g.action)):
                 reg = mask_of(family[s_set.action[t][s]])
-                for u in range(g.order):
-                    expected = phi.members >> s_set.action[g.mult[u][t]][s] & 1
+                for u in range(len(g.action)):
+                    expected = phi.members >> s_set.action[g.action[u][t]][s] & 1
                     assert (reg >> u & 1) == expected
 
 
 def test_translate_identity_and_conj_involution(z4):
-    phi, s, g = z4.cm_type, z4.embeddings, z4.group
-    assert s.translates(phi.members)[g.identity] == phi.members
+    phi, s, g = z4.cm_type, z4.embeddings, group_of(z4.spec)
+    assert s.translates(phi.members)[g.action.index(tuple(range(4)))] == phi.members
     conj = s.translates(phi.members)[g.iota]
     assert s.translates(conj)[g.iota] == phi.members
     assert phi.members in phi.rows
@@ -110,7 +111,7 @@ def test_translate_by_iota_is_conjugate(z4):
     phi, s = z4.cm_type, z4.embeddings  # phi = {0,1}
     tau = s.translates(phi.members)[2]
     assert tau == mask_of([2, 3])
-    assert tau == s.translates(phi.members)[z4.group.iota]
+    assert tau == s.translates(phi.members)[group_of(z4.spec).iota]
     assert tau in phi.rows
 
 
@@ -119,10 +120,10 @@ def test_translates_stay_cm_types(order8_instances):
         s = built.embeddings
         for phi in enumerate_cm_types(s):
             assert phi.rows == tuple(
-                sorted({s.translates(phi.members)[t] for t in range(built.group.order)})
+                sorted({s.translates(phi.members)[t] for t in range(len(s.action))})
             )
             for row in phi.rows:
-                validate_cm_type(s, row)
+                validate_cm_type(s, bits(row))
 
 
 def test_hodge_numbers_z4(z4):

@@ -13,7 +13,7 @@ from cmhodge.errors import BadInvolution, IotaInSubgroup, NotAGroup, NotASubgrou
 from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set, mask_of
 from cmhodge.instance import BuiltInstance, InstanceSpec, parse_instance
 from cmhodge.verify import _Recount
-from conftest import induced_family, written_certificate
+from conftest import group_of, induced_family, written_certificate
 
 # every catalog carrier up to order 32, two carriers of several factors,
 # the m = 68 carrier, a regular order-64 carrier (every element's image
@@ -43,9 +43,21 @@ M68 = Path(__file__).parent / "fixtures" / "m68.txt"
 
 def test_z2_is_a_group():
     g = build_group(2, [[0, 1], [1, 0]], 1)
-    assert g.identity == 0
-    assert g.inverse == (0, 1)
+    assert g.action[0] == (0, 1)  # element 0 acts trivially
+    assert tuple(row.index(0) for row in g.action) == (0, 1)  # the inverses
     assert g.iota == 1
+    # the group is the carrier of its left-regular action, G/{e}: equal
+    # as dataclasses, field by field
+    assert g == embedding_set(g, [(0,)])
+
+
+@pytest.mark.parametrize("name", TABLE_CARRIERS)
+def test_a_group_is_its_regular_coset_space(name):
+    spec = table_spec(name)
+    g = group_of(spec)
+    assert (g.iota, g.size, g.action) == (spec.iota, spec.order, spec.mult)
+    identity = g.action.index(tuple(range(spec.order)))
+    assert g == embedding_set(g, [(identity,)])
 
 
 def test_z4_with_order4_iota_rejected():
@@ -61,7 +73,7 @@ def test_dihedral8_half_turn_is_central():
     central = [
         x
         for x in range(8)
-        if x != g.identity and all(table[x][y] == table[y][x] for y in range(8))
+        if g.action[x] != tuple(range(8)) and all(table[x][y] == table[y][x] for y in range(8))
     ]
     assert central == [2]
     with pytest.raises(BadInvolution):
@@ -186,20 +198,20 @@ def test_embedding_set_propagates_factor_errors():
 
 def test_action_respects_multiplication(order8_instances):
     for built in order8_instances:
-        g, s = built.group, built.embeddings
-        for t in range(g.order):
-            for u in range(g.order):
-                tu = g.mult[t][u]
+        g, s = group_of(built.spec), built.embeddings
+        for t in range(len(g.action)):
+            for u in range(len(g.action)):
+                tu = g.action[t][u]
                 for x in range(s.size):
                     assert s.action[tu][x] == s.action[t][s.action[u][x]]
-        assert s.action[g.identity] == tuple(range(s.size))
+        assert s.action[g.action.index(tuple(range(len(g.action))))] == tuple(range(s.size))
 
 
 def test_conj_commutes_with_action(order8_instances):
     # iota is central, so translation by iota commutes with every translation
     for built in order8_instances:
-        g, s = built.group, built.embeddings
-        for t in range(g.order):
+        s = built.embeddings
+        for t in range(len(s.action)):
             for x in range(s.size):
                 assert s.action[t][s.conj[x]] == s.conj[s.action[t][x]]
 
@@ -251,7 +263,7 @@ def random_cm_types(spec: InstanceSpec, carrier: EmbeddingSet, rng: random.Rando
     pairs = conjugate_pairs(carrier)
     for _ in range(count):
         phi = validate_cm_type(carrier, [rng.choice(pair) for pair in pairs])
-        yield BuiltInstance(replace(spec, cm_type=tuple(bits(phi.members))), carrier.parent, carrier, phi)
+        yield BuiltInstance(replace(spec, cm_type=tuple(bits(phi.members))), carrier, phi)
 
 
 @pytest.mark.parametrize("name", TABLE_CARRIERS)
@@ -268,7 +280,7 @@ def test_byte_tables_match_plain_loops(name):
         assert bits(mask) == points
         images = [mask_of(row[s] for s in points) for row in carrier.action]
         assert carrier.translates(mask) == images
-        assert carrier.translates(mask)[carrier.parent.iota] == mask_of(carrier.conj[s] for s in points)
+        assert carrier.translates(mask)[carrier.iota] == mask_of(carrier.conj[s] for s in points)
     types = list(random_cm_types(spec, carrier, rng, 3))
     for built in types:
         family = induced_family(built)
@@ -313,7 +325,7 @@ def test_translate_tables_grow_linearly_in_the_points():
     assert [(offset, size) for offset, size, _ in factors] == [(64 * k, 64) for k in range(16)]
     entries = [x for _, _, tables in factors for pair in tables for table in pair for x in table]
     assert len(entries) == 32 * carrier.size // 8
-    assert max(entries).bit_length() <= 64 * group.order
+    assert max(entries).bit_length() <= 64 * len(group.action)
     mask = sum(1 << s for s in (3, 64, 700, 1023))
     images = [mask_of(row[s] for s in (3, 64, 700, 1023)) for row in carrier.action]
     assert carrier.translates(mask) == images

@@ -20,9 +20,10 @@ from cmhodge.groups import build_group, mask_of
 from cmhodge.instance import InstanceSpec, build_instance, parse_instance, serialize_instance
 from cmhodge.monomials import classify, enumerate_valid, galois_orbits
 from cmhodge.report import degree_payload
-from conftest import catalog_defaults
+from conftest import catalog_defaults, relabelled
 
-PRODUCT_PATH = Path(__file__).parent / "fixtures" / "product-6..13.txt"
+FIXTURES = Path(__file__).parent / "fixtures"
+PRODUCT_PATH = FIXTURES / "product-6..13.txt"
 
 Z2_TEXT = """\
 # minimal elliptic-curve instance
@@ -116,7 +117,42 @@ def test_catalog_groups_are_groups_with_identity_0():
     groups = _accepted_catalog_groups()
     assert len(groups) == 227
     for label, table, iota in groups:
-        assert build_group(len(table), table, iota).identity == 0, label
+        assert build_group(len(table), table, iota).action[0] == tuple(range(len(table))), label
+
+
+def moved_by_5g_plus_3(spec: InstanceSpec) -> InstanceSpec:
+    """``spec`` relabelled by sigma(g) = 5g + 3 mod n (n prime to 5), which
+    moves both the identity and iota."""
+    sigma = [(5 * g + 3) % spec.order for g in range(spec.order)]
+    moved = relabelled(spec, sigma)
+    assert sigma[0] != 0 and moved.iota != spec.iota
+    return moved
+
+
+@pytest.mark.parametrize("name", ["d16-mixed.txt", "product-6..13.txt"])
+def test_a_group_whose_identity_is_not_0_gives_the_same_answers(name, tmp_path):
+    # the catalog and every other fixture put the identity at 0: here
+    # _cosets must find it, and the inverses, from the table
+    spec = parse_instance((FIXTURES / name).read_text(encoding="utf-8"))
+    before, after = build_instance(spec), build_instance(moved_by_5g_plus_3(spec))
+    counts = []
+    for p in before.degrees:
+        reports = [classify(built.cm_type, p) for built in (before, after)]
+        counts.append([(r.hodge_dim, r.lefschetz_dim, len(r.exotic), len(r.orbits)) for r in reports])
+    assert all(old == new for old, new in counts)
+    path, bundle = tmp_path / "moved.txt", str(tmp_path / "bundle.json")
+    path.write_text(serialize_instance(after.spec), encoding="utf-8")
+    assert run_cli("witness", "--input", str(path), "--certify", bundle) == (0, "")
+    assert run_cli("verify", "--certify", bundle) == (0, "".join(f"p={p}: pass\n" for p in before.degrees))
+    agree = "".join(f"p={p}: agree ({old[0]} valid)\n" for p, (old, _) in zip(before.degrees, counts))
+    assert run_cli("oracle", "--input", str(path)) == (0, agree)
+
+
+def test_the_relabelled_fixture_is_d16_mixed_relabelled():
+    spec = parse_instance((FIXTURES / "d16-mixed.txt").read_text(encoding="utf-8"))
+    text = (FIXTURES / "d16-mixed-relabelled.txt").read_text(encoding="utf-8")
+    assert parse_instance(text) == moved_by_5g_plus_3(spec)
+    assert text.startswith("# d16-mixed.txt with every group element g renamed sigma(g) = 5g + 3 mod 16")
 
 
 def test_catalog_command_builds_its_group_once(monkeypatch):
@@ -586,6 +622,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         (Z2_TEXT.replace("cmtype 0\n", ""), ("analyze", "--input", "IN"), 2, "invalid instance: missing cmtype line"),
         (Z2_TEXT.replace("cmtype 0", "cmtype 5"), ("analyze", "--input", "IN"), 2,
          "invalid instance: NotACMType: member index out of range"),
+        (Z2_TEXT.replace("cmtype 0", "cmtype -1"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: NotACMType: member index out of range"),
         # an integer is a plain decimal token: int() alone would read these
         # as 10, 16, 1, 1 and 10
         (Z2_TEXT.replace("degrees all", "degrees 1_0"), ("analyze", "--input", "IN"), 2,
@@ -618,6 +656,7 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "short-table-row",
         "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines", "missing-group",
         "missing-table", "missing-iota", "missing-factor", "missing-cmtype", "cmtype-point-past-the-carrier",
+        "cmtype-point-negative",
         "degrees-line-underscore", "catalog-order-underscore", "degree-arabic-indic-digit", "degree-plus-sign",
         "cap-underscore", "degree-malformed-before-read", "degree-twice",
         "degree-twice-with-equals", "catalog-twice", "certify-twice", "degree-abbreviated",

@@ -145,7 +145,7 @@ def test_enumerator_matches_the_oracle_in_any_order(data):
     carrier, types = table_carrier_types(data.draw(st.integers(0, len(TABLE_CARRIERS) - 1)))
     phi = data.draw(st.sampled_from(types))
     other = data.draw(st.sampled_from([psi for psi in types if psi.rows != phi.rows]))
-    t = data.draw(st.integers(0, carrier.parent.order - 1))
+    t = data.draw(st.integers(0, len(carrier.action) - 1))
     moved = CMType(carrier, carrier.translates(phi.members)[t])
     assert moved.rows == phi.rows
     for p in data.draw(st.permutations(range(carrier.size // 2 + 1))):
@@ -433,8 +433,8 @@ def test_translation_and_conjugation_closure(order8_instances):
             for p in range(half + 1):
                 valid = set(enumerate_valid(phi, p))
                 for d in valid:
-                    assert s.translates(d)[s.parent.iota] in valid
-                    for t in range(built.group.order):
+                    assert s.translates(d)[s.iota] in valid
+                    for t in range(len(s.action)):
                         assert s.translates(d)[t] in valid
 
 
@@ -570,7 +570,7 @@ def test_class_pairs_partition_points(order8_instances):
         for phi in enumerate_cm_types(carrier):
             covered = 0
             for u, w in phi.class_pairs:
-                assert carrier.translates(u)[carrier.parent.iota] == w
+                assert carrier.translates(u)[carrier.iota] == w
                 assert u.bit_count() == w.bit_count()
                 assert not (u & w or covered & (u | w))
                 covered |= u | w

@@ -170,7 +170,7 @@ def _wrong_type(doc, built):
 
 
 def _element_past_the_group(doc, built):
-    doc["induced_types"][0][-1] = built.group.order
+    doc["induced_types"][0][-1] = len(built.embeddings.action)
 
 
 # mutations of a version-3 certificate at p = 2, each of the right shape
@@ -757,6 +757,6 @@ def test_v3_orbits_catch_a_translates_fault_shared_by_writer_and_verifier(monkey
     # an orbit of its own.  The rows are read before the fault
     built = build_instance(catalog("dihedral", "8"))
     built.cm_type.rows
-    monkeypatch.setattr(EmbeddingSet, "translates", lambda self, mask: [mask] * self.parent.order)
+    monkeypatch.setattr(EmbeddingSet, "translates", lambda self, mask: [mask] * len(self.action))
     result = verify_certificate(written_certificate(built, p))
     assert result == VerificationResult(False, "orbit_reps", f"representative {rep} is not the least member of its orbit")

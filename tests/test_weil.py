@@ -6,12 +6,13 @@ from cmhodge.cmtypes import enumerate_cm_types
 from cmhodge.groups import bits, mask_of
 from cmhodge.monomials import enumerate_valid
 from cmhodge.verify import verify_certificate
-from conftest import induced_family, with_cm_type, written_bundle, written_certificate
+from conftest import group_of, induced_family, with_cm_type, written_bundle, written_certificate
 
 
-def transcript(group, families: list[list[int]]) -> tuple[int, ...]:
-    """How many of the families contain each group element."""
-    return tuple(sum(t in f for f in families) for t in range(group.order))
+def transcript(carrier, families: list[list[int]]) -> tuple[int, ...]:
+    """How many of the families contain each element of the group acting
+    on the carrier, one per row of its action table."""
+    return tuple(sum(t in f for f in families) for t in range(len(carrier.action)))
 
 
 def family(cert: dict, rep: list[int]) -> list[list[int]]:
@@ -30,7 +31,7 @@ def test_witness_elliptic_curve(z2):
     cert = written_certificate(z2, 1)
     assert cert["orbit_reps"] == [[0, 1]]
     assert cert["induced_types"] == [[0], [1]]  # {identity}, {iota}
-    assert transcript(z2.group, family(cert, [0, 1])) == (1, 1)
+    assert transcript(z2.embeddings, family(cert, [0, 1])) == (1, 1)
     assert coverage(z2, cert) == (mask_of([0, 1]),)
     assert "witnesses" not in cert
 
@@ -39,18 +40,18 @@ def test_witness_z4(z4):
     cert = written_certificate(z4, 1)
     assert cert["orbit_reps"] == [[0, 2]]
     assert family(cert, [0, 2]) == [[0, 1], [2, 3]]
-    assert transcript(z4.group, family(cert, [0, 2])) == (1, 1, 1, 1)
+    assert transcript(z4.embeddings, family(cert, [0, 2])) == (1, 1, 1, 1)
     assert coverage(z4, cert) == (mask_of([0, 2]), mask_of([1, 3]))
 
 
 def test_witness_empty_monomial(z4):
     cert = written_certificate(z4, 0)
     assert cert["orbit_reps"] == [[]] and family(cert, []) == []
-    assert transcript(z4.group, family(cert, [])) == (0, 0, 0, 0)
+    assert transcript(z4.embeddings, family(cert, [])) == (0, 0, 0, 0)
 
 
 def test_balanced_family_examples(z2):
-    g = z2.group
+    g = group_of(z2.spec)
     assert transcript(g, [[0], [1]]) == (1, 1)
     assert transcript(g, [[1]] * 2) == (0, 2)
     assert transcript(g, []) == (0, 0)
@@ -66,14 +67,14 @@ def test_every_witness_family_is_balanced(order8_instances):
             with_phi = with_cm_type(built, phi)
             table = induced_family(with_phi)
             for p in range(half + 1):
-                balanced = (p,) * built.group.order
+                balanced = (p,) * len(built.embeddings.action)
                 cert = written_certificate(with_phi, p)
                 assert cert["induced_types"] == table
                 for rep in cert["orbit_reps"]:
-                    assert transcript(built.group, family(cert, rep)) == balanced
+                    assert transcript(built.embeddings, family(cert, rep)) == balanced
                 for delta in enumerate_valid(phi, p):
                     families = [table[s] for s in bits(delta)]
-                    assert transcript(built.group, families) == balanced
+                    assert transcript(built.embeddings, families) == balanced
 
 
 def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
@@ -87,7 +88,7 @@ def test_invalid_monomials_fail_balance_somewhere(z4, ea4):
             for pts in combinations(range(m), 2 * p):
                 delta = mask_of(pts)
                 families = [table[s] for s in pts]
-                balanced = transcript(built.group, families) == (p,) * built.group.order
+                balanced = transcript(built.embeddings, families) == (p,) * len(built.embeddings.action)
                 assert balanced == (delta in valid)
 
 
