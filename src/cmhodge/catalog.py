@@ -1,6 +1,7 @@
 """Built-in instances: small groups with a central involution, taken with
 the trivial subgroup (the full-Galois case, where the CM-algebra is the
-whole splitting field) and a canonical default CM-type.
+whole splitting field) and a canonical default CM-type, the lower point of
+each conjugate pair.
 """
 
 from __future__ import annotations
@@ -118,15 +119,10 @@ def _group_data(name: str, params: str) -> tuple[str, list[list[int]], int]:
 
 
 def default_cm_type(table: list[list[int]], iota: int) -> list[int]:
-    """Greedy canonical CM-type on the regular point set: scan elements in
-    order, keeping each one whose conjugate has not been kept yet."""
-    members: list[int] = []
-    excluded: set[int] = set()
-    for s in range(len(table)):
-        if s not in excluded:  # every kept element is below s
-            members.append(s)
-            excluded.add(table[iota][s])
-    return members
+    """The canonical CM-type on the regular point set: the lower point of
+    each conjugate pair {s, iota*s}, which is the first type
+    ``enumerate_cm_types`` yields."""
+    return [s for s, c in enumerate(table[iota]) if s < c]
 
 
 def catalog(name: str, params: str = "") -> InstanceSpec:

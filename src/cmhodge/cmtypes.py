@@ -98,22 +98,18 @@ class CMType:
 
 def validate_cm_type(carrier: EmbeddingSet, members: Iterable[int]) -> CMType:
     """Check that the listed points are a CM-type: each conjugate pair
-    contributes exactly one member.  Raises ``NotACMType`` with the first
-    offending point as witness."""
+    contributes exactly one member.  Raises ``NotACMType`` with the lower
+    point of the first offending pair as witness, which is the first
+    offending point."""
     points = list(members)
     if not all(0 <= s < carrier.size for s in points):
         raise NotACMType("member index out of range")
     mask = mask_of(points)
-    conj = carrier.conj
-    for s in range(carrier.size):
-        inside = (mask >> s) & 1
-        partner_inside = (mask >> conj[s]) & 1
-        if inside == partner_inside:
+    for s, c in conjugate_pairs(carrier):
+        inside = mask >> s & 1
+        if inside == mask >> c & 1:
             where = "in" if inside else "out"
-            raise NotACMType(
-                f"point {s} and its conjugate {conj[s]} are both {where}",
-                witness=s,
-            )
+            raise NotACMType(f"point {s} and its conjugate {c} are both {where}", witness=s)
     return CMType(carrier, mask)
 
 

@@ -72,8 +72,6 @@ def enumerate_valid_bruteforce(phi: CMType, p: int, rows: tuple[int, ...] | None
     binomial count is above ``BRUTEFORCE_CAP``.
     """
     m = phi.carrier.size
-    if 2 * p > m:
-        return []
     check_bruteforce_cap(phi, [p])
     rows = phi.rows if rows is None else rows
     # the bits are distinct, so their sum is the mask

@@ -24,10 +24,13 @@ stored group element is bounded by |G| before the table is read, and the
 table must equal the recomputed one.  Each representative must be valid:
 it meets each row t^-1*phi in p points, which is to say its family, the
 types at its points, holds each group element p times, so the row test is
-the balance test.  The representatives must ascend and each be the least
-of its translates, so no two share an orbit.  The orbits are then built
-one at a time, and their sizes must add up to the independent count.  Any
-other ``kind``, the older formats' included, fails the ``schema`` check.
+the balance test.  It is made on the point weights the count sums: a
+point's weight holds one field per kept row, so a representative's summed
+weight holds its count in every row.  The representatives must ascend and
+each be the least of its translates, so no two share an orbit.  The
+orbits are then built one at a time, and their sizes must add up to the
+independent count.  Any other ``kind``, the older formats' included, fails
+the ``schema`` check.
 
 The valid set is checked by recount, not rebuilt.  Validity is
 translate-invariant: if delta meets every row t^-1*phi in p points,
@@ -162,13 +165,13 @@ def _encoded(doc: dict) -> tuple[str, bool]:
 
 class _Recount:
     """What ``_build`` derives from one instance for every degree, read off
-    its checked action table: the induced types, the kept rows, the row
-    weights of the points of phi and of iota*phi (see ``count``), and the
-    images of each point under every group element (see ``orbit``)."""
+    its checked action table: the induced types, the weight of every point
+    (one field per kept row, see ``count``), which both checks each
+    representative and is summed by the count, and the images of each
+    point under every group element (see ``orbit``)."""
 
     def __init__(self, phi: CMType):
         carrier, m = phi.carrier, phi.carrier.size
-        self.f = m.bit_length()
         # the points are bounded and distinct: a list's mask is the sum of its bits
         self.bit = [1 << s for s in range(m)].__getitem__
         # the one table: held[t][s] is 1 iff t*s lies in phi.  Column s is the
@@ -177,9 +180,11 @@ class _Recount:
         self.types = [[t for t, h in enumerate(column) if h] for column in zip(*held)]
         rows = {sum(h << s for s, h in enumerate(row)) for row in held}
         # the smaller row of each complementary pair, ascending (see ``count``)
-        self.rows = sorted(r for r in rows if r < carrier.all_mask ^ r)
-        weights = [sum((r >> s & 1) << self.f * j for j, r in enumerate(self.rows)) for s in range(m)]
-        self.sides = [[weights[s] for s in bits(side)] for side in (phi.members, carrier.all_mask ^ phi.members)]
+        kept = sorted(r for r in rows if r < carrier.all_mask ^ r)
+        f = m.bit_length()
+        self.unit = sum(1 << f * j for j in range(len(kept)))
+        self.weight = [sum((r >> s & 1) << f * j for j, r in enumerate(kept)) for s in range(m)].__getitem__
+        self.sides = [list(map(self.weight, bits(side))) for side in (phi.members, carrier.all_mask ^ phi.members)]
         # images[s] holds the bit of t*s in field t, ceil(m/8) bytes wide (see ``orbit``)
         field = [(1 << s).to_bytes(-(-m // 8), "little") for s in range(m)]
         self.fields = Struct(f"{len(field[0])}s" * len(carrier.action))
@@ -204,8 +209,9 @@ class _Recount:
         |S & r|.  A point's weight has one F-bit field per kept row, set to 1
         iff the row holds the point, so a subset's summed weight holds its
         count in every row, and no field of E's sum plus O's carries, since
-        |S & r| <= 2p <= m < 2**F.  So O's sums are tabulated, and each E
-        looks up the sum that adds up with its own to p in every field.
+        |S & r| <= 2p <= m < 2**F: S is valid iff its weight is p * ``unit``,
+        p in every field.  So O's sums are tabulated, and each E looks up
+        the sum that adds up with its own to that.
         Nothing is kept between calls.  Raises ``CapExceeded``, before summing anything,
         if the two sides hold more than ``HALF_TABLE_CAP`` p-subsets in all.
         """
@@ -213,9 +219,8 @@ class _Recount:
         subsets = 2 * comb(len(ours), p)
         if subsets > HALF_TABLE_CAP:
             raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
-        target = sum(p << self.f * j for j in range(len(self.rows)))
         theirs = Counter(map(sum, combinations(conj, p)))
-        return sum(map(theirs.__getitem__, map(target.__sub__, map(sum, combinations(ours, p)))))
+        return sum(map(theirs.__getitem__, map((p * self.unit).__sub__, map(sum, combinations(ours, p)))))
 
 
 def _build(inst: dict) -> tuple[EmbeddingSet | None, _Recount | None, VerificationResult | None]:
@@ -289,29 +294,29 @@ def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = 
 def _verify_orbit_reps(data: dict, recount: _Recount) -> VerificationResult:
     """The checks of a certificate past the degree bound.
 
-    Each representative is checked for its size and validity (the balance
-    of its family), and the stored induced-type table against the
-    recomputed one.  The representatives must ascend and each be the least
-    of its orbit; two distinct least members cannot share an orbit, so the
-    orbits are disjoint.  Each orbit is built by ``_Recount.orbit``, one at
+    Each representative is checked for its size and validity, its points'
+    weights summing to p in every kept row's field (the balance of its
+    family), and the stored induced-type table against the recomputed
+    one.  The representatives must ascend and each be the least of its
+    orbit; two distinct least members cannot share an orbit, so the orbits
+    are disjoint.  Each orbit is built by ``_Recount.orbit``, one at
     a time, and holds only translates of a valid representative, so only
     valid monomials; the orbit sizes must add up to the independent count,
     and the orbits are then the whole valid set.
     """
     p, reps = data["p"], data["orbit_reps"]
-    masks = [sum(map(recount.bit, rep)) for rep in reps]
-    for i, (rep, delta) in enumerate(zip(reps, masks)):
+    for i, rep in enumerate(reps):
         if len(rep) != 2 * p:
             return _fail("degree", f"representative {i} has {len(rep)} points, expected {2 * p}")
-        if not all((delta & r).bit_count() == p for r in recount.rows):
+        if sum(map(recount.weight, rep)) != p * recount.unit:
             return _fail("delta_valid", f"representative {i} fails the validity criterion")
 
     if data["induced_types"] != recount.types:
         return _fail("induced_family", "stored induced types differ from the recomputed table")
 
     total, previous = 0, -1
-    for i, (rep, delta) in enumerate(zip(reps, masks)):
-        orbit = recount.orbit(rep)
+    for i, rep in enumerate(reps):
+        orbit, delta = recount.orbit(rep), sum(map(recount.bit, rep))
         if delta != min(orbit):
             return _fail("orbit_reps", f"representative {i} is not the least member of its orbit")
         if delta <= previous:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from cmhodge.catalog import sweep_instances
 from cmhodge.cmtypes import (
     enumerate_cm_types,
     hodge_numbers,
@@ -12,7 +15,10 @@ from cmhodge.cmtypes import (
 )
 from cmhodge.errors import CapExceeded, NotACMType
 from cmhodge.groups import bits, mask_of
-from conftest import group_of, induced_family
+from cmhodge.instance import build_instance, parse_instance
+from conftest import catalog_defaults, group_of, induced_family
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_validate_accepts_one_per_pair(z2):
@@ -31,6 +37,48 @@ def test_validate_z4(z4):
     assert phi.members == 0b0011
     with pytest.raises(NotACMType):
         validate_cm_type(z4.embeddings, [0, 2])
+
+
+def _first_offending_point(carrier, points: set[int]):
+    """The reference: the witness and message of the first point, in point
+    order, that is in or out together with its conjugate, or None."""
+    for s, c in enumerate(carrier.conj):
+        if (s in points) == (c in points):
+            return s, f"point {s} and its conjugate {c} are both {'in' if s in points else 'out'}"
+    return None
+
+
+# the order-8 catalog carriers, and a carrier of two factors with non-normal
+# subgroups, where the pairs are not listed in coset order
+_PAIR_CARRIERS = [
+    *((spec.name, spec) for spec in sweep_instances(8) if spec.order == 8),
+    ("d16-mixed", parse_instance((FIXTURES / "d16-mixed.txt").read_text(encoding="utf-8"))),
+]
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in _PAIR_CARRIERS], ids=[name for name, _ in _PAIR_CARRIERS])
+def test_not_a_cm_type_names_the_first_offending_point(spec):
+    carrier = build_instance(spec).embeddings
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(400):
+        points = rng.sample(range(carrier.size), rng.randint(0, carrier.size))
+        expected = _first_offending_point(carrier, set(points))
+        if expected is None:
+            assert validate_cm_type(carrier, points).members == mask_of(points)
+            continue
+        with pytest.raises(NotACMType) as err:
+            validate_cm_type(carrier, points)
+        assert (err.value.witness, str(err.value)) == expected
+        seen.add(expected[1].rsplit(" ", 1)[1])
+    assert seen == {"in", "out"}
+
+
+def test_default_type_is_the_first_enumerated_type():
+    instances = catalog_defaults(32)
+    assert len(instances) > 100
+    for built in instances:
+        assert built.spec.cm_type == tuple(bits(next(enumerate_cm_types(built.embeddings)).members)), built.spec.name
 
 
 def test_enumerate_counts(z2, z4):

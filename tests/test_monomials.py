@@ -71,6 +71,7 @@ def test_valid_delta_z4(z4):
 def test_bruteforce_small_cases(z2, z4, ea4):
     assert enumerate_valid_bruteforce(z2.cm_type, 1) == [0b11]
     assert enumerate_valid_bruteforce(z4.cm_type, 1) == masks([[0, 2], [1, 3]])
+    assert enumerate_valid_bruteforce(z4.cm_type, 3) == []  # 2p > m: C(4, 6) = 0
     assert enumerate_valid_bruteforce(ea4.cm_type, 1) == masks(
         [[0, 3], [1, 2], [0, 2], [1, 3]]
     )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmhodge.catalog import catalog
+from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cli import main
 from cmhodge.errors import CapExceeded
 from cmhodge.instance import build_instance
@@ -25,7 +25,7 @@ from cmhodge.report import (
     instance_payload,
 )
 from cmhodge import verify
-from cmhodge.cmtypes import CMType
+from cmhodge.cmtypes import CMType, enumerate_cm_types
 from cmhodge.groups import EmbeddingSet, bits, build_group, mask_of
 from cmhodge.monomials import valid_delta
 from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
@@ -96,6 +96,24 @@ def test_invalid_delta(payload):
     doc["orbit_reps"][0] = [0, 1]
     result = verify_certificate(rehash(doc))
     assert result.failed_check == "delta_valid"
+
+
+# the order-8 catalog carriers and cyclic:12, small enough to test every subset
+_EVERY_SUBSET_SPECS = [*(spec for spec in sweep_instances(8) if spec.order == 8), catalog("cyclic", "12")]
+
+
+@pytest.mark.parametrize("spec", _EVERY_SUBSET_SPECS, ids=lambda spec: spec.name)
+def test_delta_valid_agrees_with_the_reference_on_every_subset(spec):
+    # every 2p-subset as the only representative, under every CM-type: the
+    # verifier's weight check fails it iff the reference's row test does
+    carrier = build_instance(spec).embeddings
+    for phi in enumerate_cm_types(carrier):
+        recount = verify._Recount(phi)
+        for p in range(carrier.size // 2 + 1):
+            for delta in combinations(range(carrier.size), 2 * p):
+                data = {"p": p, "orbit_reps": [list(delta)], "induced_types": recount.types, "verdict": True}
+                failed = verify._verify_orbit_reps(data, recount).failed_check
+                assert (failed == "delta_valid") != valid_delta(phi, mask_of(delta), p), (phi.members, delta)
 
 
 def test_wrong_p(payload):
