@@ -37,32 +37,26 @@ class CMType:
         return tuple(sorted(set(self.carrier.translates(self.members))))
 
     @cached_property
-    def classes(self) -> dict[int, int]:
-        """Each column to its class, in order of least point: the column of
-        a point records which rows contain it (bit k for ``rows[k]``), and a
-        class is the mask of the points sharing one column.  The lattice
-        matrix and the class pairs share this table: do not change it."""
+    def class_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The column classes of the rows, as complementary pairs (U, iota*U).
+
+        The column of a point records which rows contain it, and a class is
+        the mask of the points sharing one column, so every row contains a
+        class wholly or not at all.  Every row is a CM-type, so iota*s has
+        the complementary column, and a pair {a, b} is valid (meets every
+        row once) iff the columns of a and b are complementary, i.e. b lies
+        in the partner class of a.  A monomial is therefore a disjoint union
+        of valid pairs iff it meets U and iota*U in equally many points for
+        every pair here: pair those points off in any order.  iota maps U
+        onto iota*U, so |U| = |iota*U|.  Each pair is listed once, with U
+        the class whose mask is smaller, in order of U's least point.
+        """
         rows = self.rows
-        classes: dict[int, int] = {}
+        classes: dict[int, int] = {}  # column (bit k for rows[k]) -> class
         for s in range(self.carrier.size):
             column = sum(1 << k for k, r in enumerate(rows) if r >> s & 1)
             classes[column] = classes.get(column, 0) | 1 << s
-        return classes
-
-    @cached_property
-    def class_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The complementary column classes (U, iota*U) of ``classes``.
-
-        Every row is a CM-type, so iota*s has the complementary column, and
-        a pair {a, b} is valid (meets every row once) iff the columns of a
-        and b are complementary, i.e. b lies in the partner class of a.  A
-        monomial is therefore a disjoint union of valid pairs iff it meets U
-        and iota*U in equally many points for every pair here: pair those
-        points off in any order.  iota maps U onto iota*U, so |U| = |iota*U|.
-        Each pair is listed once, with U the class whose mask is smaller.
-        """
-        classes = self.classes
-        full = (1 << len(self.rows)) - 1
+        full = (1 << len(rows)) - 1
         return tuple((u, classes[c ^ full]) for c, u in classes.items() if u < classes[c ^ full])
 
     @cached_property

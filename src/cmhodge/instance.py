@@ -126,6 +126,8 @@ def parse_instance(text: str) -> InstanceSpec:
                 raise ParseError("table must come after the group line", line_no)
             if rows:
                 raise ParseError("duplicate table", line_no)
+            if parts:
+                raise ParseError("table takes no value; its rows follow", line_no)
             for r in range(order):
                 row_no, words = next(stream, (len(lines), None))
                 if words is None:

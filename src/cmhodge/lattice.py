@@ -1,14 +1,17 @@
 """Exact integer-lattice view of a CM-type: one matrix over its class
-columns and one elimination over its rows.
+pairs and one elimination over its rows.
 
-The matrix has a row for each distinct translate of phi and a column for
-each class of ``CMType.classes``.  Repeated columns add no rank, so this
-R x 2K matrix has the rank, and the row relations, of the R x m matrix of
-points.  A fraction-free elimination over the rows in ascending order keeps
-each row independent of those kept before it: the kept rows are the
-validity basis, and the rank is their number.  The all-ones vector adds no
-rank: for every row r, iota*r is also a row, and r + iota*r = 1 because r
-is a CM-type, so the all-ones vector lies in the row span.
+The matrix has a row for each distinct translate of phi and, for each
+pair (U, iota*U) of ``CMType.class_pairs``, a column that is 1 where the
+row contains U; a last column is all ones.  A row contains iota*U iff it
+does not contain U, so the iota*U column is the ones column minus the U
+column: this R x (K+1) matrix has the column span, hence the rank and the
+row relations, of the R x m matrix of points.  Without the ones column the
+iota*U columns would leave the span.  A fraction-free elimination over the
+rows in ascending order keeps each row independent of those kept before
+it: the kept rows are the validity basis, and the rank is their number.
+The all-ones point vector adds no rank: for every row r, iota*r is also a
+row, and r + iota*r = 1 because r is a CM-type.
 
 All arithmetic is exact integer arithmetic.  No floating point: validity is
 an integer statement and any epsilon would be a bug.
@@ -38,12 +41,12 @@ class OrbitMatrix:
 
 
 def orbit_matrix(phi: CMType) -> OrbitMatrix:
-    """The one elimination, over the rows read on the class columns."""
-    columns = list(phi.classes)  # bit k of a column is the entry of rows[k]
+    """The one elimination, over the rows read on the K + 1 columns."""
+    pairs = phi.class_pairs
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
     basis = []
-    for k, row in enumerate(phi.rows):
-        v = [c >> k & 1 for c in columns]
+    for row in phi.rows:
+        v = [1 if row & u else 0 for u, _ in pairs] + [1]
         for col, kept in echelon:
             if v[col]:
                 a, b = kept[col], v[col]

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 from cmhodge.catalog import catalog, sweep_instances
-from cmhodge.cmtypes import CMType
+from cmhodge.cmtypes import CMType, conjugate_pairs, validate_cm_type
 from cmhodge.errors import CmhodgeError
-from cmhodge.groups import EmbeddingSet, bits, build_group
+from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set
 from cmhodge.instance import BuiltInstance, InstanceSpec, build_instance
 from cmhodge.monomials import enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json, certificate_bundle
@@ -92,6 +93,25 @@ def catalog_defaults(max_order):
         except CmhodgeError:
             pass
     return built
+
+
+# non-regular carriers: several factors, non-normal subgroups
+MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
+
+
+def mixed_carrier(entry, factors):
+    spec = catalog(*entry.split(":"))
+    return embedding_set(build_group(spec.order, spec.mult, spec.iota), factors)
+
+
+def random_types(entry: str, seeds):
+    """The default type of a catalog entry, then one random type per seed."""
+    built = build_instance(catalog(*entry.split(":")))
+    yield built.cm_type
+    pairs = conjugate_pairs(built.embeddings)
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield validate_cm_type(built.embeddings, [rng.choice(pair) for pair in pairs])
 
 
 @pytest.fixture(scope="session")

@@ -604,6 +604,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
          "invalid instance: line 2: group wants exactly one integer (the order)"),
         (Z2_TEXT.replace("iota 1", "iota"), ("analyze", "--input", "IN"), 2,
          "invalid instance: line 6: iota wants exactly one integer"),
+        (Z2_TEXT.replace("table\n", "table 9 9 9\n"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: line 3: table takes no value; its rows follow"),
         (Z2_TEXT.replace("1 0\n", "1\n"), ("analyze", "--input", "IN"), 2,
          "invalid instance: line 5: table row has 1 entries, expected 2"),
         (Z2_TEXT + "frobnicate 3\n", ("analyze", "--input", "IN"), 2,
@@ -653,10 +655,10 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
     ids=(
         "degree-not-an-integer", "degree-past-half", "degrees-line-past-half", "verify-without-certify",
         "certificate-not-json", "certificate-not-utf-8", "quaternion-16", "product-of-one", "duplicate-group",
-        "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "short-table-row",
-        "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines", "missing-group",
-        "missing-table", "missing-iota", "missing-factor", "missing-cmtype", "cmtype-point-past-the-carrier",
-        "cmtype-point-negative",
+        "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "table-arity",
+        "short-table-row", "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines",
+        "missing-group", "missing-table", "missing-iota", "missing-factor", "missing-cmtype",
+        "cmtype-point-past-the-carrier", "cmtype-point-negative",
         "degrees-line-underscore", "catalog-order-underscore", "degree-arabic-indic-digit", "degree-plus-sign",
         "cap-underscore", "degree-malformed-before-read", "degree-twice",
         "degree-twice-with-equals", "catalog-twice", "certify-twice", "degree-abbreviated",

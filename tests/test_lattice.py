@@ -1,18 +1,18 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhodge.catalog import catalog, sweep_instances
-from cmhodge.cmtypes import conjugate_pairs, enumerate_cm_types, validate_cm_type
+from cmhodge.catalog import sweep_instances
+from cmhodge.cmtypes import enumerate_cm_types
 from cmhodge.groups import mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import valid_delta
+from conftest import MIXED_CARRIERS, mixed_carrier, random_types
 
 
 def meets_basis(basis: tuple[int, ...], delta: int, p: int) -> bool:
@@ -92,18 +92,12 @@ def reference_elimination(phi) -> tuple[int, tuple[int, ...], int]:
             out.append(index)
         return out
 
+    # the elimination is greedy, so the ones vector put last leaves the
+    # rows before it kept as they are kept alone
     rows = [[Fraction(r >> s & 1) for s in range(m)] for r in phi.rows]
-    basis = tuple(phi.rows[k] for k in kept(rows))
-    return len(basis), basis, len(kept(rows + [[Fraction(1)] * m]))
-
-
-def random_types(entry: str, seeds):
-    built = build_instance(catalog(*entry.split(":")))
-    yield built.cm_type
-    pairs = conjugate_pairs(built.embeddings)
-    for seed in seeds:
-        rng = random.Random(seed)
-        yield validate_cm_type(built.embeddings, [rng.choice(pair) for pair in pairs])
+    with_ones = kept(rows + [[Fraction(1)] * m])
+    basis = tuple(phi.rows[k] for k in with_ones if k < len(rows))
+    return len(basis), basis, len(with_ones)
 
 
 def test_elimination_matches_fraction_reference():
@@ -112,8 +106,9 @@ def test_elimination_matches_fraction_reference():
         for spec in sweep_instances(12)
         for phi in enumerate_cm_types(build_instance(spec).embeddings)
     ]
-    # seed 3 draws a type of rank 25 < 33 with 64 distinct columns on
-    # elementary-abelian:64; the defaults there are compressed to few columns
+    types += [phi for entry in MIXED_CARRIERS for phi in enumerate_cm_types(mixed_carrier(*entry))]
+    # seed 3 draws a type of rank 25 < 33 with 32 class pairs (33 columns)
+    # on elementary-abelian:64; the defaults there have few class pairs
     for entry in ("cyclic:64", "dihedral:64", "elementary-abelian:64", "product:cyclic.8xcyclic.4"):
         types += random_types(entry, (0, 3))
     for phi in types:

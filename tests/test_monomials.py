@@ -15,7 +15,7 @@ from cmhodge.catalog import catalog, sweep_instances
 from cmhodge import monomials, verify
 from cmhodge.cmtypes import CMType, enumerate_cm_types, validate_cm_type
 from cmhodge.errors import CapExceeded, NotClosed
-from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set, mask_of
+from cmhodge.groups import EmbeddingSet, bits, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import (
@@ -27,21 +27,22 @@ from cmhodge.monomials import (
     valid_delta,
 )
 from cmhodge.verify import _Recount, verify_document
-from conftest import catalog_defaults, with_cm_type, written_bundle
+from conftest import (
+    MIXED_CARRIERS,
+    catalog_defaults,
+    mixed_carrier,
+    random_types,
+    with_cm_type,
+    written_bundle,
+)
 
 EXOTIC_HUNT = Path(__file__).parents[1] / "scripts" / "exotic_hunt.py"
-MIXED_CARRIERS = [("dihedral:16", [[0, 8], [0, 9]]), ("cyclic:12", [[0, 4, 8], [0]])]
 # carriers for the table tests: two catalog defaults and the mixed ones
 TABLE_CARRIERS = [("product:cyclic.4xcyclic.4", None), ("dihedral:16", None), *MIXED_CARRIERS]
 
 
 def masks(point_lists):
     return sorted(mask_of(pts) for pts in point_lists)
-
-
-def mixed_carrier(entry, factors):
-    spec = catalog(*entry.split(":"))
-    return embedding_set(build_group(spec.order, spec.mult, spec.iota), factors)
 
 
 def has_pair_matching(delta, pairs):
@@ -284,7 +285,7 @@ def test_verifier_reads_none_of_the_cm_type_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("a CMType table or the translates were read")
 
-    for name in ("rows", "points", "classes", "class_pairs", "induced_types"):
+    for name in ("rows", "points", "class_pairs", "induced_types"):
         monkeypatch.setattr(CMType, name, property(refuse))
     monkeypatch.setattr(EmbeddingSet, "translates", refuse)
     with pytest.raises(AssertionError, match="a CMType table or the translates were read"):
@@ -564,19 +565,28 @@ def test_classify_agrees_with_per_monomial_matching_mixed_carrier():
 
 
 def test_class_pairs_partition_points(order8_instances):
-    carriers = [built.embeddings for built in order8_instances] + [
-        mixed_carrier(*entry) for entry in MIXED_CARRIERS
-    ]
-    for carrier in carriers:
-        for phi in enumerate_cm_types(carrier):
-            covered = 0
-            for u, w in phi.class_pairs:
-                assert carrier.translates(u)[carrier.iota] == w
-                assert u.bit_count() == w.bit_count()
-                assert not (u & w or covered & (u | w))
-                covered |= u | w
-            assert covered == carrier.all_mask
-            assert classify(phi, 1).valid_pair_count == len(enumerate_valid(phi, 1))
+    types = [phi for built in order8_instances for phi in enumerate_cm_types(built.embeddings)]
+    types += [phi for entry in MIXED_CARRIERS for phi in enumerate_cm_types(mixed_carrier(*entry))]
+    for entry in ("dihedral:24", "product:cyclic.6xcyclic.4"):
+        types += random_types(entry, range(40))
+    for phi in types:
+        carrier = phi.carrier
+        covered = 0
+        for u, w in phi.class_pairs:
+            assert carrier.translates(u)[carrier.iota] == w
+            assert u.bit_count() == w.bit_count()
+            assert not (u & w or covered & (u | w))
+            covered |= u | w
+            # the induced types at U's and iota*U's least points are complementary
+            at_u, at_w = (phi.induced_types[(c & -c).bit_length() - 1] for c in (u, w))
+            assert at_u ^ at_w == (1 << len(carrier.action)) - 1
+        assert covered == carrier.all_mask
+        # the classes are the points of one induced type each
+        by_type: dict[int, int] = {}
+        for s, induced in enumerate(phi.induced_types):
+            by_type[induced] = by_type.get(induced, 0) | 1 << s
+        assert sorted(by_type.values()) == sorted(c for pair in phi.class_pairs for c in pair)
+        assert classify(phi, 1).valid_pair_count == len(enumerate_valid(phi, 1))
 
 
 def test_exotic_hunt_script():
