@@ -107,8 +107,12 @@ def _group_data(name: str, params: str) -> tuple[str, list[list[int]], int]:
         if len(parts) != 2:
             raise UnknownCatalogEntry(f"product wants two factors, got {params!r}")
         specs = []
-        for part in parts:
+        for which, part in zip(("first", "second"), parts):
             inner_name, _, inner_params = part.partition(".")
+            if not inner_name:
+                raise UnknownCatalogEntry(
+                    f"the {which} factor of product {params!r} has no name; expected NAME.PARAMSxNAME.PARAMS"
+                )
             specs.append(_group_data(inner_name, inner_params))
         (label1, t1, iota1), (label2, t2, _) = specs
         check_order(len(t1) * len(t2))

@@ -12,18 +12,19 @@ width of the largest, and reads each byte's points, already written out,
 from the table of its offset.  An exotic monomial, valid too, is written
 once in each of its two lists.  A degree of an analysis report lists its
 valid monomials orbit by orbit, cut into the Galois orbits by its
-``orbit_sizes``.  A certificate (format version 3) holds the least member
-of each Galois orbit of its degree and the table of the induced type at
-every point; the verifier derives all else a split-Weil witness states.
+``orbit_sizes``.  A certificate bundle (format version 4) holds the
+instance and the table of the induced type at every point once, and each
+of its certificates the least member of each Galois orbit of its degree;
+the verifier derives all else a split-Weil witness states.
+
 ``_pieces`` writes an object in key order, in pieces, from values it
 encodes with ``canonical_json`` and values given as text; ``_object``
 joins them, and ``_document`` hashes the pieces of a whole output and
 writes them again with the hash as one more field.  The degrees of a
 report or a deltas listing stay separate pieces, so the command writes
-them one by one and its text is held once.  A bundle is joined from the
-finished text of each certificate, with the instance and the induced-type
-table encoded once.  The verifier checks the hashes with an encoder of its
-own, which never calls into this assembly.
+them one by one and its text is held once.  Every output has one content
+hash.  The verifier checks a bundle's hash with an encoder of its own,
+which never calls into this assembly.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .lattice import orbit_matrix
 from .monomials import DecompositionReport
 
 REPORT_KIND = "cmhodge.report/2"
-# version 3: orbit representatives and one induced-type table; ``verify``
-# reads this version only
-CERTIFICATE_KIND = "cmhodge.certificate/3"
-BUNDLE_KIND = "cmhodge.certificate-bundle/3"
+# version 4: the instance and the induced-type table once per bundle, and
+# only the degree, orbit representatives and verdict per certificate;
+# ``verify`` reads this version only
+BUNDLE_KIND = "cmhodge.certificate-bundle/4"
 DELTAS_KIND = "cmhodge.deltas"
 
 
@@ -188,10 +189,11 @@ def analysis_report(built: BuiltInstance, per_degree: list[tuple[int, str]]) -> 
     )
 
 
-def _certificate(instance: str, types: str, p: int, reps: list[int]) -> str:
-    """The canonical text of one certificate, content hash included: the
-    least member of each Galois orbit, in the order ``galois_orbits`` lists
-    the orbits, and the table of induced types, given as text.
+def certificate_bundle(built: BuiltInstance, per_degree: list[tuple[int, list[int]]]) -> str:
+    """The canonical text of a bundle of one certificate per (p, orbit
+    representatives) pair, each the least member of each Galois orbit, in
+    the order ``galois_orbits`` lists the orbits.  The instance and the
+    table of induced types are written once, for all the certificates.
 
     The verdict, that the orbits of the representatives exhaust the valid
     set, holds because the orbits partition it (``galois_orbits`` raises
@@ -201,26 +203,14 @@ def _certificate(instance: str, types: str, p: int, reps: list[int]) -> str:
     points, and it is balanced, since the number of family members that
     contain t is |t*delta & phi| = p: the verifier's row test.
     """
+    certificates = (_object({"p": p, "verdict": True}, orbit_reps=_monomials(reps)) for p, reps in per_degree)
     return "".join(
         _document(
-            {"kind": CERTIFICATE_KIND, "version": __version__, "p": p, "verdict": True},
-            instance=instance,
-            induced_types=types,
-            orbit_reps=_monomials(reps),
+            {"kind": BUNDLE_KIND, "version": __version__},
+            instance=_instance_text(built.spec),
+            induced_types=_monomials(built.cm_type.induced_types),
+            certificates=_list_pieces(certificates),
         )
-    )
-
-
-def certificate_bundle(built: BuiltInstance, per_degree: list[tuple[int, list[int]]]) -> str:
-    """The canonical text of a bundle of one certificate per (p, orbit
-    representatives) pair, joined from the finished text of each
-    certificate.  The instance and the induced-type table are encoded once
-    for all of them."""
-    instance = _instance_text(built.spec)
-    types = _monomials(built.cm_type.induced_types)
-    certificates = "[" + ",".join(_certificate(instance, types, p, reps)[:-1] for p, reps in per_degree) + "]"
-    return "".join(
-        _document({"kind": BUNDLE_KIND, "version": __version__}, instance=instance, certificates=certificates)
     )
 
 

@@ -1,36 +1,37 @@
 """Independent certificate verifier.
 
-Takes nothing in a certificate on trust: the group axioms, the CM-type
-partition, validity of every monomial, the induced families and the
-coverage claim are all recomputed from the raw tables in the file and
-compared against what the certificate asserts.  What the instance fixes is
-read off its checked action table once per document (``_Recount``), in one
+Takes nothing in a certificate bundle on trust: the group axioms, the
+CM-type partition, validity of every monomial, the induced families and
+the coverage claim are all recomputed from the raw tables in the file and
+compared against what the bundle asserts.  What the instance fixes is
+read off its checked action table once per bundle (``_Recount``), in one
 table: t is in the induced type at s iff t*s lies in phi, so the points
 whose type holds t form the row t^-1*phi.  The orbits are read off the
 action table too: the verifier reads neither ``EmbeddingSet.translates``
 nor the ``CMType`` tables, and no stored element is shifted into a mask.
 
-Each content hash is checked once, on text the verifier encodes itself
-and never takes from ``report``.  ``_encoded`` encodes every top-level
-value of a parsed certificate once and hashes the entries other than
-``content_hash``; a bundle's digest takes each certificate's text as soon
-as that text is made, and keeps only whether the certificate's own hash
-matched.  So nothing is encoded twice, and no two certificate texts are
-held at once.
+A bundle (format version 4, the only one read) holds the instance and the
+induced type at every point once, under one content hash, and each of its
+certificates only its degree, the least member of each Galois orbit and
+the verdict.  The hash is checked on text the verifier encodes itself and
+never takes from ``report``, one certificate at a time, so the bundle's
+text is never joined.  What the bundle states for every certificate
+(``_Shared``) is then checked once: the shape of the instance and of the
+table, the group, factors and CM-type, the bound on every stored element,
+and the stored table against the recomputed one.  Each certificate gets a
+line of its own, naming the first check in ``CHECKS`` order that fails
+for it, its own or a shared one.  Any other ``kind``, the older formats'
+included, fails the ``schema`` check, and so does a certificate that
+names a kind of its own, as the older formats' certificates do.
 
-A certificate (format version 3, the only one read) stores only the least
-member of each Galois orbit and the induced type at every point.  Every
-stored group element is bounded by |G| before the table is read, and the
-table must equal the recomputed one.  Each representative must be valid:
-it meets each row t^-1*phi in p points, which is to say its family, the
-types at its points, holds each group element p times, so the row test is
-the balance test.  It is made on the point weights the count sums: a
-point's weight holds one field per kept row, so a representative's summed
-weight holds its count in every row.  The representatives must ascend and
-each be the least of its translates, so no two share an orbit.  The
-orbits are then built one at a time, and their sizes must add up to the
-independent count.  Any other ``kind``, the older formats' included, fails
-the ``schema`` check.
+Each representative must be valid: it meets each row t^-1*phi in p
+points, which is to say its family, the types at its points, holds each
+group element p times, so the row test is the balance test.  It is made
+on the point weights the count sums: a point's weight holds one field per
+kept row, so a representative's summed weight holds its count in every
+row.  The representatives must ascend and each be the least of its
+translates, so no two share an orbit.  The orbits are then built one at a
+time, and their sizes must add up to the independent count.
 
 The valid set is checked by recount, not rebuilt.  Validity is
 translate-invariant: if delta meets every row t^-1*phi in p points,
@@ -55,12 +56,12 @@ from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import comb
 from struct import Struct
-from typing import Iterable
+from typing import Iterator
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CapExceeded, CmhodgeError
-from .groups import EmbeddingSet, bits, build_group, embedding_set
-from .report import BUNDLE_KIND, CERTIFICATE_KIND, canonical_json
+from .groups import bits, build_group, embedding_set
+from .report import BUNDLE_KIND, canonical_json
 
 # largest number of subsets, 2 * C(m/2, p), that ``_Recount.count`` sums
 # for one degree
@@ -97,20 +98,23 @@ def _fail(check: str, detail: str) -> VerificationResult:
     return VerificationResult(False, check, detail)
 
 
-# The JSON shape of a certificate: a dict lists its fields, [s] is a list
-# of s, {int} a list of distinct ints, and int means a non-negative int
-# that is not a bool (JSON true loads as one, and int() would take "2").
+# The JSON shape of a bundle's shared fields and of each certificate: a
+# dict lists its fields, [s] is a list of s, {int} a list of distinct
+# ints, and int means a non-negative int that is not a bool (JSON true
+# loads as one, and int() would take "2").
 _SCHEMA = {
     "instance": {
         "group": {"order": int, "table": [[int]], "iota": int},
         "factors": [{int}],
         "cm_type": {int},
     },
-    "p": int,
-    # the least member of each orbit, and the induced type at each point
-    # as a list of group elements
-    "orbit_reps": [{int}],
+    # the induced type at each point, as a list of group elements
     "induced_types": [{int}],
+}
+_CERTIFICATE_SCHEMA = {
+    "p": int,
+    # the least member of each orbit
+    "orbit_reps": [{int}],
     "verdict": bool,
 }
 
@@ -136,35 +140,42 @@ def _all_conform(values: list, shape) -> bool:
     return set(map(type, values)) <= {shape} and (shape is not int or min(values, default=0) >= 0)
 
 
-def _hash_ok(doc: dict, entries: dict[str, Iterable[str]]) -> bool:
+def _misshapen(doc: dict, schema: dict) -> VerificationResult | None:
+    bad = [key for key, shape in schema.items() if not _conforms(doc.get(key), shape)]
+    return _fail("schema", f"field {bad[0]!r} is missing or malformed") if bad else None
+
+
+def _texts(value) -> Iterator[str]:
+    """The canonical text of a parsed value without the newline, a list's
+    one item at a time, so that the text of a list is never joined."""
+    if not isinstance(value, list):
+        yield canonical_json(value)[:-1]
+        return
+    yield "["
+    for i, item in enumerate(value):
+        yield ("," if i else "") + canonical_json(item)[:-1]
+    yield "]"
+
+
+def _hash_ok(doc: dict) -> bool:
     """Whether a parsed document's stored content hash is the SHA-256 of
-    its canonical text without that hash.  ``entries`` holds the text of
-    every other top-level entry, '"key":value', in pieces; the entries are
-    read in key order, so their pieces may be made as the digest takes
-    them."""
+    its canonical text without that hash.  The text is digested one
+    top-level entry at a time, and a list's one item at a time, so no two
+    certificate texts are held at once."""
     digest = hashlib.sha256(b"{")
-    for i, key in enumerate(sorted(entries)):
-        digest.update(b"," if i else b"")
-        for piece in entries[key]:
-            digest.update(piece.encode("utf-8"))
+    try:
+        for i, key in enumerate(sorted(doc.keys() - {"content_hash"})):
+            digest.update(f"{',' if i else ''}{canonical_json(key)[:-1]}:".encode("utf-8"))
+            for text in _texts(doc[key]):
+                digest.update(text.encode("utf-8"))
+    except (RecursionError, ValueError):  # nested past what the encoder takes, or a non-finite float
+        return False
     digest.update(b"}\n")
     return doc.get("content_hash") == digest.hexdigest()
 
 
-def _entry(key: str, value) -> str:
-    return f"{canonical_json(key)[:-1]}:{canonical_json(value)[:-1]}"
-
-
-def _encoded(doc: dict) -> tuple[str, bool]:
-    """The canonical text of a parsed document, each top-level value encoded
-    once, and whether its stored content hash matches that text."""
-    entries = {k: _entry(k, v) for k, v in doc.items()}
-    text = "{" + ",".join(entries[k] for k in sorted(entries)) + "}\n"
-    return text, _hash_ok(doc, {k: (e,) for k, e in entries.items() if k != "content_hash"})
-
-
 class _Recount:
-    """What ``_build`` derives from one instance for every degree, read off
+    """What ``_Shared`` derives from one instance for every degree, read off
     its checked action table: the induced types, the weight of every point
     (one field per kept row, see ``count``), which both checks each
     representative and is summed by the count, and the images of each
@@ -223,95 +234,102 @@ class _Recount:
         return sum(map(theirs.__getitem__, map((p * self.unit).__sub__, map(sum, combinations(ours, p)))))
 
 
-def _build(inst: dict) -> tuple[EmbeddingSet | None, _Recount | None, VerificationResult | None]:
-    """Build the embedding set and CM-type of a schema-checked instance.
+class _Shared:
+    """What a bundle states for every certificate, checked once: the shape
+    of the instance and of the induced-type table, the embedding set and
+    CM-type built from the instance, the bound on every shared stored
+    element, and the stored table against ``_Recount.types``.  Each
+    failure is kept, to be reported on every certificate at its place in
+    ``CHECKS`` (see ``verify_certificate``).
 
-    Returns (embeddings, recount, failure), recount a ``_Recount`` of the
-    CM-type.  A failed ``group_axioms`` or ``factors`` check leaves both
-    objects None; a failed ``cm_type`` check keeps the embedding set,
-    because the points are bounded before the CM-type is checked.
+    ``shape`` is a failed shape check; ``built`` a failed ``group_axioms``
+    or ``factors`` check, which leaves ``size`` 0; and ``cm_type`` a
+    stored point or group element out of range, or a failed ``cm_type``
+    check.  Any failure leaves ``recount`` None.
     """
-    try:
-        group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
-    except CmhodgeError as exc:
-        return None, None, _fail("group_axioms", str(exc))
-    try:
-        embeddings = embedding_set(group, inst["factors"])
-    except CmhodgeError as exc:
-        return None, None, _fail("factors", str(exc))
-    try:
-        return embeddings, _Recount(validate_cm_type(embeddings, inst["cm_type"])), None
-    except CmhodgeError as exc:
-        return embeddings, None, _fail("cm_type", str(exc))
 
-
-def verify_certificate(data, built: tuple | None = None, hash_ok: bool | None = None) -> VerificationResult:
-    """Re-check a single certificate from scratch.  Input of the wrong shape
-    or of any kind but ``CERTIFICATE_KIND`` fails the ``schema`` check
-    before anything reads it.  The one exception that gets through is
-    ``CapExceeded``, raised before any table is built when the valid set is
-    too large to recount.
-
-    ``verify_document`` passes what ``_build`` returned for the bundle's
-    instance, after finding every certificate's instance equal to it, and
-    the certificate's hash result from ``_encoded``, so that neither is
-    computed twice."""
-    if not isinstance(data, dict):
-        return _fail("schema", "certificate is not a JSON object")
-    if data.get("kind") != CERTIFICATE_KIND:
-        return _fail("schema", f"unexpected kind {data.get('kind')!r}")
-    bad = [key for key, shape in _SCHEMA.items() if not _conforms(data.get(key), shape)]
-    if bad:
-        return _fail("schema", f"field {bad[0]!r} is missing or malformed")
-    inst, p = data["instance"], data["p"]
-
-    if hash_ok is None:
+    def __init__(self, data: dict):
+        self.shape = _misshapen(data, _SCHEMA)
+        self.built = self.cm_type = self.recount = None
+        self.size, self.types_ok = 0, False
+        if self.shape:
+            return
+        inst = data["instance"]
         try:
-            hash_ok = _encoded(data)[1]
-        except (RecursionError, ValueError):  # nested past what the encoder takes, or a non-finite float
-            hash_ok = False
-    if not hash_ok:
-        return _fail("content_hash", "stored hash does not match the content")
+            group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
+        except CmhodgeError as exc:
+            self.built = _fail("group_axioms", str(exc))
+            return
+        try:
+            embeddings = embedding_set(group, inst["factors"])
+        except CmhodgeError as exc:
+            self.built = _fail("factors", str(exc))
+            return
+        # bound every point and group element before it is shifted into a
+        # mask or read as an index
+        self.size, order = embeddings.size, len(embeddings.action)
+        if max(inst["cm_type"], default=0) >= self.size:
+            self.cm_type = _fail("schema", f"a point lies outside 0..{self.size - 1}")
+            return
+        if max(map(max, filter(None, data["induced_types"])), default=0) >= order:
+            self.cm_type = _fail("schema", f"a group element lies outside 0..{order - 1}")
+            return
+        try:
+            phi = validate_cm_type(embeddings, inst["cm_type"])
+        except CmhodgeError as exc:
+            self.cm_type = _fail("cm_type", str(exc))
+            return
+        self.recount = _Recount(phi)
+        self.types_ok = data["induced_types"] == self.recount.types
 
-    embeddings, recount, failure = built or _build(inst)
-    if embeddings is None:
+
+def verify_certificate(cert, shared: _Shared) -> VerificationResult:
+    """Re-check one certificate of a bundle whose hash matched, against
+    what the bundle states for all of them, checked once in ``shared``.
+    Its own checks and the shared ones run in ``CHECKS`` order, so the
+    first to fail is named whichever it is.  The one exception that gets
+    through is ``CapExceeded``, raised before any table is built when the
+    valid set is too large to recount."""
+    if not isinstance(cert, dict):
+        return _fail("schema", "certificate is not a JSON object")
+    if "kind" in cert:
+        return _fail("schema", f"unexpected kind {cert['kind']!r}")
+    failure = shared.shape or _misshapen(cert, _CERTIFICATE_SCHEMA) or shared.built
+    if failure:
         return failure
-    # bound every point and group element before it is shifted into a mask
-    # or read as an index
-    if max(map(max, filter(None, [inst["cm_type"], *data["orbit_reps"]])), default=0) >= embeddings.size:
-        return _fail("schema", f"a point lies outside 0..{embeddings.size - 1}")
-    order = len(embeddings.action)
-    if max(map(max, filter(None, data["induced_types"])), default=0) >= order:
-        return _fail("schema", f"a group element lies outside 0..{order - 1}")
-    if recount is None:
-        return failure
+    if max(map(max, filter(None, cert["orbit_reps"])), default=0) >= shared.size:
+        return _fail("schema", f"a point lies outside 0..{shared.size - 1}")
+    if shared.cm_type:
+        return shared.cm_type
 
-    if 2 * p > embeddings.size:
-        return _fail("degree", f"p = {p} exceeds m/2 = {embeddings.size // 2}")
-    return _verify_orbit_reps(data, recount)
+    p = cert["p"]
+    if 2 * p > shared.size:
+        return _fail("degree", f"p = {p} exceeds m/2 = {shared.size // 2}")
+    return _verify_orbit_reps(cert, shared.recount, shared.types_ok)
 
 
-def _verify_orbit_reps(data: dict, recount: _Recount) -> VerificationResult:
+def _verify_orbit_reps(cert: dict, recount: _Recount, types_ok: bool) -> VerificationResult:
     """The checks of a certificate past the degree bound.
 
     Each representative is checked for its size and validity, its points'
     weights summing to p in every kept row's field (the balance of its
-    family), and the stored induced-type table against the recomputed
-    one.  The representatives must ascend and each be the least of its
-    orbit; two distinct least members cannot share an orbit, so the orbits
-    are disjoint.  Each orbit is built by ``_Recount.orbit``, one at
-    a time, and holds only translates of a valid representative, so only
-    valid monomials; the orbit sizes must add up to the independent count,
-    and the orbits are then the whole valid set.
+    family); then ``types_ok``, whether the bundle's induced-type table
+    equals the recomputed one.  The representatives must ascend and each
+    be the least of its orbit; two distinct least members cannot share an
+    orbit, so the orbits are disjoint.  Each orbit is built by
+    ``_Recount.orbit``, one at a time, and holds only translates of a
+    valid representative, so only valid monomials; the orbit sizes must
+    add up to the independent count, and the orbits are then the whole
+    valid set.
     """
-    p, reps = data["p"], data["orbit_reps"]
+    p, reps = cert["p"], cert["orbit_reps"]
     for i, rep in enumerate(reps):
         if len(rep) != 2 * p:
             return _fail("degree", f"representative {i} has {len(rep)} points, expected {2 * p}")
         if sum(map(recount.weight, rep)) != p * recount.unit:
             return _fail("delta_valid", f"representative {i} fails the validity criterion")
 
-    if data["induced_types"] != recount.types:
+    if not types_ok:
         return _fail("induced_family", "stored induced types differ from the recomputed table")
 
     total, previous = 0, -1
@@ -324,7 +342,7 @@ def _verify_orbit_reps(data: dict, recount: _Recount) -> VerificationResult:
         previous = delta
         total += len(orbit)
 
-    if not data["verdict"]:
+    if not cert["verdict"]:
         return _fail("coverage", "coverage verdict is wrong")
     if total != recount.count(p):
         return _fail("valid_set", "the orbits differ in size from the independent count")
@@ -332,45 +350,24 @@ def _verify_orbit_reps(data: dict, recount: _Recount) -> VerificationResult:
 
 
 def _label(cert) -> str:
-    return f"p={cert.get('p', '?')}" if isinstance(cert, dict) else "p=?"
+    """``p=N`` for a certificate whose degree is a non-negative int, so
+    that no stored text is printed as part of a verdict line."""
+    p = cert.get("p") if isinstance(cert, dict) else None
+    return f"p={p}" if type(p) is int and p >= 0 else "p=?"
 
 
 def verify_document(data) -> list[tuple[str, VerificationResult]]:
-    """Verify a certificate or a bundle; returns (label, result) pairs,
-    at least one, so that no input passes by checking nothing."""
+    """Verify a certificate bundle; returns (label, result) pairs, one per
+    certificate, or one labelled ``bundle`` for a failure of the bundle as
+    a whole, so that no input passes by checking nothing."""
     if not isinstance(data, dict):
         return [("document", _fail("schema", "top level is not a JSON object"))]
-    kind = data.get("kind")
-    if kind != BUNDLE_KIND:
-        # a bundle of another format version fails its kind as a bundle
-        old_bundle = isinstance(kind, str) and kind.partition("/")[0] == BUNDLE_KIND.partition("/")[0]
-        return [("bundle" if old_bundle else _label(data), verify_certificate(data))]
+    if data.get("kind") != BUNDLE_KIND:
+        return [("bundle", _fail("schema", f"unexpected kind {data.get('kind')!r}"))]
     certs = data.get("certificates")
     if not isinstance(certs, list) or not certs:
         return [("bundle", _fail("schema", "bundle lists no certificates"))]
-    hash_oks: list[bool] = []
-
-    def certificates():
-        # each certificate is encoded once: its hash is checked and its text
-        # joins the bundle's digest, and only the result is kept
-        yield '"certificates":['
-        for i, cert in enumerate(certs):
-            text, ok = _encoded(cert) if isinstance(cert, dict) else (canonical_json(cert), False)
-            hash_oks.append(ok)
-            yield ("," if i else "") + text[:-1]
-        yield "]"
-
-    try:
-        others = {k: (_entry(k, v),) for k, v in data.items() if k not in ("certificates", "content_hash")}
-        hash_ok = _hash_ok(data, {**others, "certificates": certificates()})
-    except (RecursionError, ValueError):  # nested past what the encoder takes, or a non-finite float
-        hash_ok = False
-    if not hash_ok:
+    if not _hash_ok(data):
         return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
-    if any(isinstance(cert, dict) and cert.get("instance") != data.get("instance") for cert in certs):
-        return [("bundle", _fail("schema", "a certificate's instance differs from the bundle's"))]
-    # every certificate carries this instance, so it is built once; one
-    # that does not conform fails each certificate's schema check instead
-    inst = data.get("instance")
-    built = _build(inst) if _conforms(inst, _SCHEMA["instance"]) else None
-    return [(_label(cert), verify_certificate(cert, built, ok)) for cert, ok in zip(certs, hash_oks)]
+    shared = _Shared(data)
+    return [(_label(cert), verify_certificate(cert, shared)) for cert in certs]

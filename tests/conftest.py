@@ -14,6 +14,7 @@ from cmhodge.groups import EmbeddingSet, bits, build_group, embedding_set
 from cmhodge.instance import BuiltInstance, InstanceSpec, build_instance
 from cmhodge.monomials import enumerate_valid, galois_orbits
 from cmhodge.report import canonical_json, certificate_bundle
+from cmhodge.verify import VerificationResult, verify_document
 
 
 def content_hash(doc: dict) -> str:
@@ -67,16 +68,22 @@ def written_bundle(built: BuiltInstance, degrees: list[int]) -> str:
     return certificate_bundle(built, list(zip(degrees, reps)))
 
 
-def written_certificate(built: BuiltInstance, p: int) -> dict:
-    """The degree-p certificate as ``witness`` writes it, read back from a
-    bundle of that degree alone: it carries its own content hash."""
-    return json.loads(written_bundle(built, [p]))["certificates"][0]
+def one_degree_bundle(built: BuiltInstance, p: int) -> dict:
+    """The bundle ``witness`` writes for degree p alone, parsed."""
+    return json.loads(written_bundle(built, [p]))
 
 
 def induced_family(built: BuiltInstance) -> list[list[int]]:
-    """The induced type at every point, as written: every certificate holds
-    the table, and the one of degree 0 is the smallest."""
-    return written_certificate(built, 0)["induced_types"]
+    """The induced type at every point, as a bundle writes it, once for
+    all its certificates."""
+    return one_degree_bundle(built, 0)["induced_types"]
+
+
+def verdict(doc) -> VerificationResult:
+    """The one line ``verify_document`` prints for a one-degree bundle: its
+    certificate's result, or the bundle's if the bundle fails as a whole."""
+    ((_, result),) = verify_document(doc)
+    return result
 
 
 def catalog_defaults(max_order):

@@ -21,8 +21,7 @@ from cmhodge.groups import bits, mask_of
 from cmhodge.instance import build_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import classify, enumerate_valid
-from cmhodge.verify import verify_certificate
-from conftest import content_hash, with_cm_type, written_certificate
+from conftest import content_hash, one_degree_bundle, verdict, with_cm_type
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SWEEP_SCRIPT = Path(__file__).parents[1] / "scripts" / "sweep_order8_degree2.py"
@@ -60,7 +59,8 @@ def test_criterion_2_theorem1_coverage(order8_instances):
         for phi in enumerate_cm_types(built.embeddings):
             with_phi = with_cm_type(built, phi)
             for p in range(half + 1):
-                payload = written_certificate(with_phi, p)
+                bundle = one_degree_bundle(with_phi, p)
+                (payload,) = bundle["certificates"]
                 # each orbit is listed once, by its least member: together
                 # the orbits are the valid set
                 reps = list(map(mask_of, payload["orbit_reps"]))
@@ -72,11 +72,11 @@ def test_criterion_2_theorem1_coverage(order8_instances):
                 assert payload["verdict"] and sorted(listed) == covered
                 for rep in payload["orbit_reps"]:
                     # count the transcript from the induced family
-                    family = [payload["induced_types"][s] for s in rep]
+                    family = [bundle["induced_types"][s] for s in rep]
                     order = len(built.embeddings.action)
                     recount = tuple(sum(t in f for f in family) for t in range(order))
                     assert recount == (p,) * order
-                assert verify_certificate(payload).ok, (built.spec.name, bits(phi.members), p)
+                assert verdict(bundle).ok, (built.spec.name, bits(phi.members), p)
                 certs += 1
     passed(2, f"coverage verdict true and transcripts balanced for {certs} certificates")
 
@@ -157,24 +157,24 @@ def test_criterion_7_order8_degree2_sweep():
 def test_criterion_8_certificate_integrity(z4, order8_instances):
     for built in order8_instances:
         for p in built.degrees:
-            assert verify_certificate(written_certificate(built, p)).ok
+            assert verdict(one_degree_bundle(built, p)).ok
 
-    payload = written_certificate(z4, 1)
+    payload = one_degree_bundle(z4, 1)
     mutations = []
     doc = copy.deepcopy(payload)
     doc["induced_types"][0] = [0, 2]
     mutations.append((doc, "induced_family"))
     doc = copy.deepcopy(payload)
-    doc["orbit_reps"][0] = [0, 1]
+    doc["certificates"][0]["orbit_reps"][0] = [0, 1]
     mutations.append((doc, "delta_valid"))
     doc = copy.deepcopy(payload)
-    doc["p"] = 2
+    doc["certificates"][0]["p"] = 2
     mutations.append((doc, "degree"))
     doc = copy.deepcopy(payload)
     doc["instance"]["group"]["table"][1][1] = 1
     mutations.append((doc, "group_axioms"))
     for doc, expected in mutations:
-        result = verify_certificate({**doc, "content_hash": content_hash(doc)})
+        result = verdict({**doc, "content_hash": content_hash(doc)})
         assert result.failed_check == expected, (expected, result.describe())
     passed(8, "all generated certificates verify; 4 mutations fail with the named check")
 

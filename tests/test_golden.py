@@ -3,8 +3,10 @@ of one certificate file that ``verify`` passes.
 
 Outputs are canonical and byte-identical across runs, so a digest may
 change only with a version or format bump recorded in CHANGES.md.  The
-witness digests were re-recorded with certificate format version 3, and
-the analyze digests with report format version 2.
+witness digests were re-recorded with certificate bundle format version 4,
+whose one content hash covers the instance and the induced-type table,
+each written once, and every certificate; the analyze digests with report
+format version 2.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ GOLDEN = {
     "deltas --orbits-only cyclic:8":
         "d4de22b745459522884e31a35b3195388ed07b8ddd47928b528ca8db2de818a7",
     "witness cyclic:8":
-        "827c8e509a8af00f5414d60af8a5bf685e8aa7cde831994104d951139243e2d6",
+        "33645e51b0b786b8b9cdd14f1879d0b7ed506e7b141073a7fbe5d8fc1d136a4b",
     "analyze quaternion:8":
         "24ad2b63a7ebd9ea79fc58a73f16ec71276f77dbea0d3144947838cbcc2e4b09",
     "deltas quaternion:8":
@@ -61,7 +63,7 @@ GOLDEN = {
     "deltas --orbits-only quaternion:8":
         "f76a9d5eb5c7a1e39eb4c7d7b558d7b37e7b084c821a65306f9b4c8b9e9a65c7",
     "witness quaternion:8":
-        "86400a3ac404c0ff18d8a61133301a31fc5806e5880b424aa8d005a8b52586b3",
+        "78782517e37c465550fd6c42d88e43a667f6a89ed17c406e8b79ae4acae4e3ea",
     "analyze elementary-abelian:16":
         "dc51ba97d8873f1a104eeb6b2a4959d1b23bee31b22e8205f8d14b83bc25a375",
     "deltas elementary-abelian:16":
@@ -69,7 +71,7 @@ GOLDEN = {
     "deltas --orbits-only elementary-abelian:16":
         "8cedb64ebf311ed480fb8fda974ce1c9f2c5fd1563456f74a19d49639f350668",
     "witness elementary-abelian:16":
-        "33f0f279f8a801263b2c799e1e66f9a9381296ec7ce5e2bf29c8b7e97b9e764e",
+        "914cf753ce20091db66d9ce585a06e59370f8b2c39598cfbec55e38bb0f5fc7d",
     "analyze cyclic:20":
         "3325c7d9ee117d9ca26b074e23a4a5aacef06a77d24469f45f2825decdf2d671",
     "deltas cyclic:20":
@@ -77,7 +79,7 @@ GOLDEN = {
     "deltas --orbits-only cyclic:20":
         "8320ba481893122083b83a368b3d4de095aee0800e7a7e0ebd3d4415ea495da8",
     "witness cyclic:20":
-        "c87fe4c6362a34412358ccc722b7bd2d6bffcec42e22aaa6f744ef457041f22a",
+        "5e3971f7d48d8b61308b1b300baf3e0f4a16f2acd90229b2347dece46e0c9864",
     f"analyze {PRODUCT}":
         "78f6b79438760d979a42ba7df0c33df12abda06923ee9fe9316e604d3acd82ba",
     f"deltas {PRODUCT}":
@@ -85,7 +87,7 @@ GOLDEN = {
     f"deltas --orbits-only {PRODUCT}":
         "139366463dbf27ec4438e6d9d94468e653dabe62368b87910fe3573fc97daa83",
     f"witness {PRODUCT}":
-        "64bbdf55aee10f5f1fef0e8452fbc7f3191e2567b9fa2aac5464a1bafe8db2fd",
+        "2a114438e417d5e47bf7f6d9d4a124b379af9ad85a43f08febc712baf8a96b3d",
     f"analyze {M68}":
         "f91014fc4e69589680bd6ef89720e1bb2d976bd92e5b63679a639812507fae26",
     f"deltas {M68}":
@@ -93,7 +95,7 @@ GOLDEN = {
     f"deltas --orbits-only {M68}":
         "34e394468329dce4fb5f78be32e4c5df5d49b7d7fed4ea07116d56cd49dd836a",
     f"witness {M68}":
-        "70d075a4c58241629a91e5abc6ae528067b6154a0520e5507dc492f36a0bfdf3",
+        "3bf4ab14966b712c85af9077ef8e70df74db670dcea8bb7a3ad5c5410a15f765",
     f"analyze {D16_MIXED}":
         "ccd17f6a1370fc5f36b5898f200bf96821074ff4a3507e3316ee2b87443bf3a7",
     f"deltas {D16_MIXED}":
@@ -101,7 +103,7 @@ GOLDEN = {
     f"deltas --orbits-only {D16_MIXED}":
         "6fbe5e4047f0085dd589f541465a70c395892dd489a4290ef4e3b5a660c07a2c",
     f"witness {D16_MIXED}":
-        "6e7e15d41c50f04bc18809bb0c3e105f7c12898ae47b6bf0058d331716c0f501",
+        "274ff48de05356fd63d5bb58664bd984ad1e6919a7c870939c98ad1acc6f9e64",
 }
 
 
@@ -126,11 +128,10 @@ def test_stdout_digest(command, instance):
     code, out = run_cli(*command, *source(instance))
     assert code == 0
     assert sha256(out) == GOLDEN[" ".join((*command, instance))]
-    # the inserted hashes against the verifier's independent encoder
+    # the one document hash against an independent encoding
     doc = json.loads(out)
     assert canonical_json(doc) == out
-    for part in (doc, *doc.get("certificates", ())):
-        assert part["content_hash"] == content_hash(part)
+    assert doc["content_hash"] == content_hash(doc)
 
 
 @pytest.mark.parametrize("instance", (PRODUCT, D16_MIXED))
@@ -223,14 +224,15 @@ def test_monomial_text_matches_canonical_json():
 
 
 def test_family_text_of_each_point_matches_canonical_json():
-    # a certificate lists the induced type at every point, from which the
-    # verifier reads each representative's family
+    # a bundle lists the induced type at every point, once for all its
+    # certificates, and the verifier reads each representative's family
+    # from it
     fixture = build_instance(parse_instance(M68_PATH.read_text(encoding="utf-8")))
     for built in (*map(build_instance, sweep_instances(16)), fixture):
         text = written_bundle(built, [0])
         doc = json.loads(text)
         assert canonical_json(doc) == text
-        assert doc["certificates"][0]["induced_types"] == [bits(t) for t in built.cm_type.induced_types]
+        assert doc["induced_types"] == [bits(t) for t in built.cm_type.induced_types]
 
 
 @pytest.mark.parametrize("command", ("analyze", "witness"))
@@ -253,13 +255,13 @@ def test_each_output_byte_is_encoded_once(command, encoded, monomial_texts):
     assert sum(encoded) + sum(length for _, length in monomial_texts) <= len(out)
     if command == "witness":
         # nothing is encoded per representative: the table is joined from
-        # texts written once per point, and the other values once per
-        # certificate
+        # texts written once per point, the instance once, and the degree
+        # and verdict once per certificate
         assert len(encoded) < sum(len(cert["orbit_reps"]) for cert in json.loads(out)["certificates"])
 
 
 def test_verify_encodes_each_input_byte_once(tmp_path, encoded):
-    # the bundle's hash is taken over the certificates' own texts
+    # the bundle's hash is taken over each certificate's text, one at a time
     cert = tmp_path / "cert.json"
     assert run_cli("witness", "--input", str(INPUTS[PRODUCT]), "--certify", str(cert)) == (0, "")
     encoded.clear()

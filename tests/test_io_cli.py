@@ -596,6 +596,11 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
          "error: UnknownCatalogEntry: quaternion only comes in order 8, got 16"),
         (Z2_TEXT, ("analyze", "--catalog", "product:cyclic.4"), 2,
          "error: UnknownCatalogEntry: product wants two factors, got 'cyclic.4'"),
+        (Z2_TEXT, ("analyze", "--catalog", "product:x"), 2,
+         "error: UnknownCatalogEntry: the first factor of product 'x' has no name; expected NAME.PARAMSxNAME.PARAMS"),
+        (Z2_TEXT, ("analyze", "--catalog", "product:cyclic.4x"), 2,
+         "error: UnknownCatalogEntry: the second factor of product 'cyclic.4x' has no name; "
+         "expected NAME.PARAMSxNAME.PARAMS"),
         (Z2_TEXT + "group 2\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate group line"),
         (Z2_TEXT + "table\n0 1\n1 0\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate table"),
         (Z2_TEXT + "iota 1\n", ("analyze", "--input", "IN"), 2, "invalid instance: line 10: duplicate iota line"),
@@ -654,7 +659,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
     ],
     ids=(
         "degree-not-an-integer", "degree-past-half", "degrees-line-past-half", "verify-without-certify",
-        "certificate-not-json", "certificate-not-utf-8", "quaternion-16", "product-of-one", "duplicate-group",
+        "certificate-not-json", "certificate-not-utf-8", "quaternion-16", "product-of-one", "product-factor-unnamed",
+        "product-factor-empty", "duplicate-group",
         "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "table-arity",
         "short-table-row", "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines",
         "missing-group", "missing-table", "missing-iota", "missing-factor", "missing-cmtype",

@@ -17,24 +17,22 @@ from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cli import main
 from cmhodge.errors import CapExceeded
 from cmhodge.instance import build_instance
-from cmhodge.report import (
-    BUNDLE_KIND,
-    CERTIFICATE_KIND,
-    canonical_json,
-    certificate_bundle,
-    instance_payload,
-)
+from cmhodge.report import BUNDLE_KIND, certificate_bundle, instance_payload
 from cmhodge import verify
 from cmhodge.cmtypes import CMType, enumerate_cm_types
 from cmhodge.groups import EmbeddingSet, bits, build_group, mask_of
 from cmhodge.monomials import valid_delta
-from cmhodge.verify import CHECKS, VerificationResult, verify_certificate, verify_document
-from conftest import content_hash, written_bundle, written_certificate
+from cmhodge.verify import CHECKS, VerificationResult, verify_document
+from conftest import content_hash, one_degree_bundle, verdict, written_bundle
+
+# the path to the one certificate of a one-degree bundle
+CERT = ("certificates", 0)
 
 
 @pytest.fixture()
 def payload(z4):
-    return written_certificate(z4, 1)
+    """The z4 bundle of degree 1 alone."""
+    return one_degree_bundle(z4, 1)
 
 
 def rehash(doc: dict) -> dict:
@@ -42,31 +40,65 @@ def rehash(doc: dict) -> dict:
     return {**doc, "content_hash": content_hash(doc)}
 
 
-# the kinds of the retired formats 1 and 2, which fail like any unknown kind
-_OLD_CERTIFICATE_KINDS = ("cmhodge.certificate", "cmhodge.certificate/2")
-_OLD_BUNDLE_KINDS = ("cmhodge.certificate-bundle", "cmhodge.certificate-bundle/2")
+# the kinds of the retired formats 1 to 3, which fail like any unknown kind
+_OLD_CERTIFICATE_KINDS = ("cmhodge.certificate", "cmhodge.certificate/2", "cmhodge.certificate/3")
+_OLD_BUNDLE_KINDS = ("cmhodge.certificate-bundle", "cmhodge.certificate-bundle/2", "cmhodge.certificate-bundle/3")
 
 
 def _relabelled(doc: dict, kind: str) -> dict:
     return rehash({**doc, "kind": kind})
 
 
+def _cert(doc: dict) -> dict:
+    """The one certificate of a one-degree bundle."""
+    return doc["certificates"][0]
+
+
 def test_intact_certificate_passes(payload):
-    assert verify_certificate(payload).ok
+    assert verdict(payload).ok
 
 
 def test_tamper_without_rehash_is_caught(payload):
     doc = copy.deepcopy(payload)
-    doc["p"] = 2
-    result = verify_certificate(doc)
+    _cert(doc)["p"] = 2
+    result = verdict(doc)
     assert result.failed_check == "content_hash"
+
+
+def test_changed_representative_without_rehash_fails_the_bundle_hash_once(z4):
+    # [1, 3] is a translate of the p = 1 representative [0, 2]
+    bundle = _z4_bundle(z4)
+    bundle["certificates"][1]["orbit_reps"][0] = [1, 3]
+    assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
 
 
 def test_flipped_family_bit(payload):
     doc = copy.deepcopy(payload)
     doc["induced_types"][0] = [0, 2]  # induced type is [0, 1]
-    result = verify_certificate(rehash(doc))
+    result = verdict(rehash(doc))
     assert result.failed_check == "induced_family"
+
+
+def test_tampered_type_table_fails_induced_family_on_every_degree():
+    # the table is stored once and compared once, and every degree reads it
+    built = build_instance(catalog("dihedral", "8"))
+    bundle = json.loads(written_bundle(built, built.degrees))
+    _wrong_type(bundle, 0, built)
+    failed = VerificationResult(False, "induced_family", "stored induced types differ from the recomputed table")
+    assert verify_document(rehash(bundle)) == [(f"p={p}", failed) for p in built.degrees]
+
+
+@pytest.mark.parametrize("p", ["0: pass\np=1", True, -1, 1.0], ids=("forged-line", "true", "negative", "float"))
+def test_forged_degree_prints_no_pass_line(tmp_path, capsys, z4, p):
+    # a degree that is not a non-negative int is never printed: each
+    # certificate gives exactly one line, and the forged one does not pass
+    bundle = _z4_bundle(z4)
+    bundle["certificates"][0]["p"] = p
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(rehash(bundle)))
+    assert main(["verify", "--certify", str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["p=?: fail [schema] field 'p' is missing or malformed", "p=1: pass", "p=2: pass"]
 
 
 @pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
@@ -87,14 +119,14 @@ def test_induced_type_element_outside_the_group(payload, element):
     # every stored element is bounded before the table is read
     doc = copy.deepcopy(payload)
     doc["induced_types"][2] = [2, element]
-    result = verify_certificate(rehash(doc))
+    result = verdict(rehash(doc))
     assert result == VerificationResult(False, "schema", "a group element lies outside 0..3")
 
 
 def test_invalid_delta(payload):
     doc = copy.deepcopy(payload)
-    doc["orbit_reps"][0] = [0, 1]
-    result = verify_certificate(rehash(doc))
+    _cert(doc)["orbit_reps"][0] = [0, 1]
+    result = verdict(rehash(doc))
     assert result.failed_check == "delta_valid"
 
 
@@ -111,37 +143,37 @@ def test_delta_valid_agrees_with_the_reference_on_every_subset(spec):
         recount = verify._Recount(phi)
         for p in range(carrier.size // 2 + 1):
             for delta in combinations(range(carrier.size), 2 * p):
-                data = {"p": p, "orbit_reps": [list(delta)], "induced_types": recount.types, "verdict": True}
-                failed = verify._verify_orbit_reps(data, recount).failed_check
+                cert = {"p": p, "orbit_reps": [list(delta)], "verdict": True}
+                failed = verify._verify_orbit_reps(cert, recount, True).failed_check
                 assert (failed == "delta_valid") != valid_delta(phi, mask_of(delta), p), (phi.members, delta)
 
 
 def test_wrong_p(payload):
     doc = copy.deepcopy(payload)
-    doc["p"] = 2
-    result = verify_certificate(rehash(doc))
+    _cert(doc)["p"] = 2
+    result = verdict(rehash(doc))
     assert result.failed_check == "degree"
 
 
 def test_corrupted_group_table(payload):
     doc = copy.deepcopy(payload)
     doc["instance"]["group"]["table"][1][1] = 1  # breaks the Latin property
-    result = verify_certificate(rehash(doc))
+    result = verdict(rehash(doc))
     assert result.failed_check == "group_axioms"
 
 
 def test_degree_above_half(payload):
     # no monomial has 2p > m points, so an empty certificate would check nothing
-    doc = {**payload, "p": 3, "orbit_reps": []}
-    result = verify_certificate(rehash(doc))
+    doc = {**payload, "certificates": [{**_cert(payload), "p": 3, "orbit_reps": []}]}
+    result = verdict(rehash(doc))
     assert result.failed_check == "degree"
 
 
 def test_missing_coverage_entry(payload):
     # the coverage claim is the verdict
     doc = copy.deepcopy(payload)
-    del doc["verdict"]
-    result = verify_certificate(rehash(doc))
+    del _cert(doc)["verdict"]
+    result = verdict(rehash(doc))
     assert result == VerificationResult(False, "schema", "field 'verdict' is missing or malformed")
 
 
@@ -149,49 +181,56 @@ def test_padded_valid_set(payload):
     # [1, 3] is a translate of the one representative, [0, 2]: appended,
     # its orbit would be counted twice
     doc = copy.deepcopy(payload)
-    doc["orbit_reps"] = doc["orbit_reps"] + [[1, 3]]
-    result = verify_certificate(rehash(doc))
+    _cert(doc)["orbit_reps"] += [[1, 3]]
+    result = verdict(rehash(doc))
     assert result == VerificationResult(False, "orbit_reps", "representative 1 is not the least member of its orbit")
 
 
 @pytest.fixture(scope="module")
 def d8_p2_v3():
-    return written_certificate(build_instance(catalog("dihedral", "8")), 2)
+    """The dihedral:8 bundle of degree 2 alone."""
+    return one_degree_bundle(build_instance(catalog("dihedral", "8")), 2)
 
 
-def _drop_rep(doc, built):
+# Each mutation changes certificate i of a bundle, or the table the bundle
+# holds for all its certificates.
+
+
+def _drop_rep(doc, i, built):
     # consistent but incomplete: only the count can tell
-    doc["orbit_reps"].pop()
+    doc["certificates"][i]["orbit_reps"].pop()
 
 
-def _repeat_rep(doc, built):
+def _repeat_rep(doc, i, built):
     # a least member listed twice: the list no longer ascends
-    doc["orbit_reps"][-1] = doc["orbit_reps"][0]
+    reps = doc["certificates"][i]["orbit_reps"]
+    reps[-1] = reps[0]
 
 
-def _non_least_rep(doc, built):
+def _non_least_rep(doc, i, built):
     # the greatest member of the last orbit in place of its least one
-    orbit = built.embeddings.translates(mask_of(doc["orbit_reps"][-1]))
-    doc["orbit_reps"][-1] = bits(max(orbit))
+    reps = doc["certificates"][i]["orbit_reps"]
+    reps[-1] = bits(max(built.embeddings.translates(mask_of(reps[-1]))))
 
 
-def _invalid_rep(doc, built):
+def _invalid_rep(doc, i, built):
     # the first 2p-subset that fails the criterion, in place of the first
-    p, points = doc["p"], range(built.embeddings.size)
+    p, points = doc["certificates"][i]["p"], range(built.embeddings.size)
     invalid = (c for c in combinations(points, 2 * p) if not valid_delta(built.cm_type, mask_of(c), p))
-    doc["orbit_reps"][0] = list(next(invalid))
+    doc["certificates"][i]["orbit_reps"][0] = list(next(invalid))
 
 
-def _wrong_type(doc, built):
+def _wrong_type(doc, i, built):
     # the type at point 1 stored at point 0 as well
     doc["induced_types"][0] = doc["induced_types"][1]
 
 
-def _element_past_the_group(doc, built):
+def _element_past_the_group(doc, i, built):
     doc["induced_types"][0][-1] = len(built.embeddings.action)
 
 
-# mutations of a version-3 certificate at p = 2, each of the right shape
+# mutations of a certificate at p = 2 or of its bundle's table, each of the
+# right shape
 _V3_MUTATIONS = (_drop_rep, _repeat_rep, _non_least_rep, _invalid_rep, _wrong_type, _element_past_the_group)
 
 
@@ -208,11 +247,11 @@ _V3_MUTATIONS = (_drop_rep, _repeat_rep, _non_least_rep, _invalid_rep, _wrong_ty
     ids=("drop", "repeat", "non-least", "invalid", "wrong-type", "element-past-the-group"),
 )
 def test_v3_wrong_orbits_of_right_shape(d8_p2_v3, mutate, check, detail):
-    assert d8_p2_v3["kind"] == CERTIFICATE_KIND and "witnesses" not in d8_p2_v3
-    assert len(d8_p2_v3["orbit_reps"]) == 5
+    assert d8_p2_v3["kind"] == BUNDLE_KIND and _cert(d8_p2_v3).keys() == {"p", "orbit_reps", "verdict"}
+    assert len(_cert(d8_p2_v3)["orbit_reps"]) == 5
     doc = copy.deepcopy(d8_p2_v3)
-    mutate(doc, build_instance(catalog("dihedral", "8")))
-    assert verify_certificate(rehash(doc)) == VerificationResult(False, check, detail)
+    mutate(doc, 0, build_instance(catalog("dihedral", "8")))
+    assert verdict(rehash(doc)) == VerificationResult(False, check, detail)
 
 
 @pytest.mark.parametrize(
@@ -228,16 +267,13 @@ def test_v3_wrong_orbits_of_right_shape(d8_p2_v3, mutate, check, detail):
 )
 def test_wrong_valid_set_of_right_shape(mutate, check, detail):
     # the quaternion:8 certificate at p = 2 changed inside its bundle and
-    # both hashes recomputed: only that certificate fails, on the instance
-    # the bundle builds once
+    # the hash recomputed: only that certificate fails, on the instance the
+    # bundle builds once
     built = build_instance(catalog("quaternion", "8"))
     bundle = json.loads(written_bundle(built, built.degrees))
-    cert = copy.deepcopy(bundle["certificates"][2])
-    assert len(cert["orbit_reps"]) == 3
-    mutate(cert, built)
-    certs = [*bundle["certificates"]]
-    certs[2] = rehash(cert)
-    results = verify_document(rehash({**bundle, "certificates": certs}))
+    assert len(bundle["certificates"][2]["orbit_reps"]) == 3
+    mutate(bundle, 2, built)
+    results = verify_document(rehash(bundle))
     expected = [VerificationResult(True)] * 5
     expected[2] = VerificationResult(False, check, detail)
     assert results == list(zip([f"p={p}" for p in built.degrees], expected))
@@ -248,19 +284,19 @@ def test_v2_wrong_orbits_of_right_shape(d8_p2_v3, mutate):
     # relabelled version 2 and rehashed: refused at its kind, before any
     # orbit is read
     doc = copy.deepcopy(d8_p2_v3)
-    mutate(doc, build_instance(catalog("dihedral", "8")))
-    result = verify_certificate(_relabelled(doc, "cmhodge.certificate/2"))
+    mutate(doc, 0, build_instance(catalog("dihedral", "8")))
+    result = verdict(_relabelled(doc, "cmhodge.certificate/2"))
     assert result == VerificationResult(False, "schema", "unexpected kind 'cmhodge.certificate/2'")
 
 
 def _unlisted_m64(payload) -> dict:
-    """A cyclic:64 certificate at p = 16 that lists no orbit, with the true
-    induced types: every check before the count passes, and the count would
-    sum 2 * C(32, 16) subsets."""
+    """A cyclic:64 bundle of one certificate, at p = 16, that lists no
+    orbit, with the true induced types: every check before the count
+    passes, and the count would sum 2 * C(32, 16) subsets."""
     built = build_instance(catalog("cyclic", "64"))
     types = [bits(t) for t in built.cm_type.induced_types]
-    fields = {"instance": instance_payload(built.spec), "induced_types": types, "orbit_reps": [], "p": 16}
-    return rehash({**payload, **fields, "verdict": True})
+    cert = {"p": 16, "orbit_reps": [], "verdict": True}
+    return rehash({**payload, "instance": instance_payload(built.spec), "induced_types": types, "certificates": [cert]})
 
 
 def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
@@ -290,7 +326,7 @@ def test_certificate_past_the_points_bound_fails_factors(tmp_path, capsys, paylo
 def test_wrong_kind(payload):
     doc = copy.deepcopy(payload)
     doc["kind"] = "something-else"
-    result = verify_certificate(rehash(doc))
+    result = verdict(rehash(doc))
     assert result.failed_check == "schema"
 
 
@@ -304,9 +340,7 @@ def _z4_bundle(z4) -> dict:
 
 def test_bundle_with_bad_group_fails_group_axioms_on_every_certificate(z4):
     bundle = _z4_bundle(z4)
-    for doc in (bundle, *bundle["certificates"]):
-        doc["instance"]["group"]["table"][1][1] = 1  # breaks the Latin property
-    bundle["certificates"] = [rehash(cert) for cert in bundle["certificates"]]
+    bundle["instance"]["group"]["table"][1][1] = 1  # breaks the Latin property
     results = verify_document(rehash(bundle))
     assert [label for label, _ in results] == ["p=0", "p=1", "p=2"]
     assert all(res.failed_check == "group_axioms" for _, res in results)
@@ -339,7 +373,8 @@ def _top_level_array(built, payload):
 
 
 def _boolean_p(built, payload):
-    return rehash({**payload, "p": True})  # True == 1 in Python, not in the schema
+    # True == 1 in Python, not in the schema
+    return rehash({**payload, "certificates": [{**_cert(payload), "p": True}]})
 
 
 def _at(doc, path):
@@ -365,19 +400,12 @@ def _set(path, value):
 
 def _bundle_of(bundle_kind: str, kind: str):
     """A document maker: a bundle labelled ``bundle_kind`` that holds the
-    z4 certificate at p = 1 labelled ``kind``, both rehashed."""
+    z4 certificate at p = 1 labelled ``kind``, rehashed."""
 
     def make(built, payload):
-        bundle = {**json.loads(certificate_bundle(built, [])), "certificates": [_relabelled(payload, kind)]}
-        return _relabelled(bundle, bundle_kind)
+        return _relabelled({**payload, "certificates": [{**_cert(payload), "kind": kind}]}, bundle_kind)
 
     return make
-
-
-def _bundle_of_other_instance(built, payload):
-    # z4 certificates under a bundle that declares cyclic:8
-    bundle = {**json.loads(certificate_bundle(built, [])), "certificates": [payload]}
-    return rehash({**bundle, "instance": instance_payload(catalog("cyclic", "8"))})
 
 
 @pytest.mark.parametrize(
@@ -388,30 +416,37 @@ def _bundle_of_other_instance(built, payload):
         _bundle_of_non_object,
         _top_level_array,
         _boolean_p,
-        pytest.param(_set(("orbit_reps", 0, 0), -1), id="negative-point"),
-        pytest.param(_set(("orbit_reps", 0, 0), "0"), id="string-point"),
-        pytest.param(_set(("orbit_reps", 0, 0), False), id="boolean-point"),
-        pytest.param(_set(("orbit_reps", 0, 1), 0), id="repeated-point"),
-        pytest.param(_set(("orbit_reps", 0, 0), 4), id="point-out-of-range"),
+        pytest.param(_set((*CERT, "orbit_reps", 0, 0), -1), id="negative-point"),
+        pytest.param(_set((*CERT, "orbit_reps", 0, 0), "0"), id="string-point"),
+        pytest.param(_set((*CERT, "orbit_reps", 0, 0), False), id="boolean-point"),
+        pytest.param(_set((*CERT, "orbit_reps", 0, 1), 0), id="repeated-point"),
+        pytest.param(_set((*CERT, "orbit_reps", 0, 0), 4), id="point-out-of-range"),
         pytest.param(_set(("instance", "group", "iota"), "2"), id="string-iota"),
         pytest.param(_set(("instance", "group", "iota"), 2.5), id="float-iota"),
-        pytest.param(_bundle_of_other_instance, id="bundle-instance-mismatch"),
         pytest.param(_set(("induced_types",), None), id="null-induced-types"),
         pytest.param(_set(("induced_types", 0, 0), -1), id="negative-element"),
         pytest.param(_set(("induced_types", 0, 1), 4), id="element-out-of-range"),
         # the orbit representatives stand for the valid set, one per orbit
         # of covered translates, and the verdict is the coverage claim
-        pytest.param(_set(("orbit_reps",), None), id="null-valid-set"),
-        pytest.param(_set(("orbit_reps", 0), None), id="null-covered-translates"),
+        pytest.param(_set((*CERT, "orbit_reps"), None), id="null-valid-set"),
+        pytest.param(_set((*CERT, "orbit_reps", 0), None), id="null-covered-translates"),
         pytest.param(_set(("induced_types", 0), None), id="null-family"),
-        pytest.param(_set(("verdict",), None), id="null-coverage"),
+        pytest.param(_set((*CERT, "verdict"), None), id="null-coverage"),
         pytest.param(_bundle_of(BUNDLE_KIND, "cmhodge.certificate"), id="bundle-of-v1-certificate"),
         pytest.param(_bundle_of(BUNDLE_KIND, "cmhodge.certificate/2"), id="bundle-of-v2-certificate"),
+        pytest.param(_bundle_of(BUNDLE_KIND, "cmhodge.certificate/3"), id="bundle-of-v3-certificate"),
         pytest.param(
             _bundle_of("cmhodge.certificate-bundle", "cmhodge.certificate/2"), id="v1-bundle-of-v2-certificate"
         ),
-        pytest.param(_bundle_of("cmhodge.certificate-bundle", CERTIFICATE_KIND), id="v1-bundle-of-v3-certificate"),
-        pytest.param(_bundle_of("cmhodge.certificate-bundle/2", CERTIFICATE_KIND), id="v2-bundle-of-v3-certificate"),
+        pytest.param(
+            _bundle_of("cmhodge.certificate-bundle", "cmhodge.certificate/3"), id="v1-bundle-of-v3-certificate"
+        ),
+        pytest.param(
+            _bundle_of("cmhodge.certificate-bundle/2", "cmhodge.certificate/3"), id="v2-bundle-of-v3-certificate"
+        ),
+        pytest.param(
+            _bundle_of("cmhodge.certificate-bundle/3", "cmhodge.certificate/3"), id="v3-bundle-of-v3-certificate"
+        ),
     ],
 )
 def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make):
@@ -433,8 +468,9 @@ def test_vacuous_or_malformed_document_fails_schema(tmp_path, z4, payload, make)
 )
 def test_old_kind_fails_schema(tmp_path, capsys, z4, payload, kind, where):
     # each document is a written one relabelled and rehashed: an old
-    # certificate, an old bundle of old certificates, or a current bundle
-    # holding an old certificate at p = 1
+    # certificate, which held the instance and the type table itself, an
+    # old bundle of old certificates, or a current bundle holding an old
+    # certificate at p = 1
     failed = f"fail [schema] unexpected kind {kind!r}"
     bundle = _z4_bundle(z4)
     if where == "in-current-bundle":
@@ -445,7 +481,8 @@ def test_old_kind_fails_schema(tmp_path, capsys, z4, payload, kind, where):
         certs = [_relabelled(cert, kind.replace("-bundle", "")) for cert in bundle["certificates"]]
         doc, expected = _relabelled({**bundle, "certificates": certs}, kind), f"bundle: {failed}\n"
     else:
-        doc, expected = _relabelled(payload, kind), f"p=1: {failed}\n"
+        shared = {key: payload[key] for key in ("instance", "induced_types")}
+        doc, expected = _relabelled({**_cert(payload), **shared}, kind), f"bundle: {failed}\n"
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--certify", str(path)]) == 3
@@ -462,10 +499,10 @@ def test_non_finite_number_is_a_parse_error(tmp_path, payload):
 
 def test_non_finite_float_fails_the_hash(z4, payload):
     # canonical JSON cannot encode it, so no hash can match
-    failed = VerificationResult(False, "content_hash", "stored hash does not match the content")
-    assert verify_document({**payload, "x": float("inf")}) == [("p=1", failed)]
-    bundle = {**_z4_bundle(z4), "x": float("inf")}
-    assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
+    bundle = _z4_bundle(z4)
+    in_a_certificate = {**bundle, "certificates": [{**bundle["certificates"][0], "x": float("inf")}]}
+    for doc in ({**payload, "x": float("inf")}, {**bundle, "x": float("inf")}, in_a_certificate):
+        assert verify_document(doc) == [("bundle", _BUNDLE_HASH_MISMATCH)]
 
 
 def _node_paths(obj, path=()):
@@ -487,9 +524,9 @@ _JUNK = (-1, "x", None, [], {}, True, 2.5)
 
 
 def _junk_doc(z4, data) -> dict:
-    """A z4 certificate as written at any degree, with one node replaced by
+    """A z4 bundle of any one degree as written, with one node replaced by
     junk, rehashed."""
-    return _junked(written_certificate(z4, data.draw(st.sampled_from(z4.degrees))), data)
+    return _junked(one_degree_bundle(z4, data.draw(st.sampled_from(z4.degrees))), data)
 
 
 def _junked(doc: dict, data) -> dict:
@@ -506,7 +543,7 @@ def _junked(doc: dict, data) -> dict:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_junk_node_fails_a_named_check_and_never_raises(z4, data):
-    result = verify_certificate(_junk_doc(z4, data))
+    result = verdict(_junk_doc(z4, data))
     assert not result.ok
     assert result.failed_check in CHECKS
 
@@ -528,12 +565,22 @@ def _recursive_conforms(value, shape) -> bool:
     return type(value) is shape and (shape is not int or value >= 0)
 
 
+def _schema_fields(doc: dict):
+    """(key, value, shape) for each field of a bundle the schema checks, and
+    for each field of its first certificate if that is an object."""
+    certs = doc.get("certificates")
+    cert = certs[0] if isinstance(certs, list) and certs and isinstance(certs[0], dict) else {}
+    for part, schema in ((doc, verify._SCHEMA), (cert, verify._CERTIFICATE_SCHEMA)):
+        for key, shape in schema.items():
+            yield key, part.get(key), shape
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
     doc = _junk_doc(z4, data)
-    for key, shape in verify._SCHEMA.items():
-        assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
+    for key, value, shape in _schema_fields(doc):
+        assert verify._conforms(value, shape) == _recursive_conforms(value, shape), key
 
 
 @settings(max_examples=300, deadline=None)
@@ -541,14 +588,14 @@ def test_flat_schema_check_agrees_with_the_recursive_one(z4, data):
 def test_column_schema_check_agrees_with_the_recursive_one_on_many_rows(d8_p2_v3, data):
     # five representatives and eight induced types make columns of many rows
     doc = _junked(d8_p2_v3, data)
-    for key, shape in verify._SCHEMA.items():
-        assert verify._conforms(doc.get(key), shape) == _recursive_conforms(doc.get(key), shape), key
+    for key, value, shape in _schema_fields(doc):
+        assert verify._conforms(value, shape) == _recursive_conforms(value, shape), key
 
 
-# every field that holds a list of point lists, by its path to one point
+# every field that holds a list of point lists, by its path
 _POINT_LIST_FIELDS = {
-    "orbit_reps": ("orbit_reps", 0, 0),
-    "induced_types": ("induced_types", 0, 0),
+    "orbit_reps": (*CERT, "orbit_reps"),
+    "induced_types": ("induced_types",),
 }
 
 
@@ -590,14 +637,14 @@ def _point_value(value):
 )
 def test_point_list_field_rejects(payload, field, mutate):
     doc = copy.deepcopy(payload)
-    path = _POINT_LIST_FIELDS[field]
-    mutate(doc, path)
-    result = verify_certificate(rehash(doc))
+    node, key = _at(doc, _POINT_LIST_FIELDS[field])
+    mutate(doc, (*_POINT_LIST_FIELDS[field], 0, 0))
+    result = verdict(rehash(doc))
     assert result.failed_check == "schema"
-    assert f"field {path[0]!r}" in result.detail
-    shape = verify._SCHEMA[path[0]]
-    assert not verify._conforms(doc[path[0]], shape)
-    assert not _recursive_conforms(doc[path[0]], shape)
+    assert f"field {field!r}" in result.detail
+    shape = {**verify._SCHEMA, **verify._CERTIFICATE_SCHEMA}[field]
+    assert not verify._conforms(node[key], shape)
+    assert not _recursive_conforms(node[key], shape)
 
 
 def _changed(doc: dict, key: str, op: str) -> dict:
@@ -619,13 +666,11 @@ def _changed(doc: dict, key: str, op: str) -> dict:
 def _tamper_corpus():
     """(name, bundle) for mutations of the golden witness bundles: each
     top-level entry of the bundle and of each cyclic:8 certificate nulled,
-    wrapped in a list or dropped, each stored hash flipped, an extra key
+    wrapped in a list or dropped, the stored hash flipped, an extra key
     added, and one certificate replaced by a non-object.  Each is kept
-    with stale hashes and with hashes recomputed around the change: a
-    changed certificate under a stale bundle hash is only checked with
-    its own hash recomputed.  The corpus ends with each of
-    ``_V3_MUTATIONS`` applied to the certificate at p = 2 of each bundle,
-    with both hashes recomputed."""
+    with the stale hash and with the hash recomputed around the change.
+    The corpus ends with each of ``_V3_MUTATIONS`` applied to the
+    certificate at p = 2 of each bundle, with the hash recomputed."""
     built = {instance: build_instance(catalog(*instance.split(":"))) for instance in ("cyclic:8", "quaternion:8")}
     bundles = {instance: json.loads(written_bundle(b, b.degrees)) for instance, b in built.items()}
     for instance, bundle in bundles.items():
@@ -643,47 +688,40 @@ def _tamper_corpus():
             continue
         for i, cert in enumerate(bundle["certificates"]):
             changes = [(key, op) for key in sorted(cert) for op in ("null", "wrap", "drop")]
-            for key, op in changes + [("content_hash", "flip"), ("extra", "add")]:
-                name = f"{instance} p={i} {key} {op}"
-                stale = {**bundle, "certificates": [*bundle["certificates"]]}
-                stale["certificates"][i] = _changed(cert, key, op)
-                fresh = {**bundle, "certificates": [*bundle["certificates"]]}
-                fresh["certificates"][i] = rehash(_changed(cert, key, op))
-                yield name + ", bundle rehashed", rehash(stale)
-                yield name + " rehashed", fresh
-                yield name + " rehashed, bundle rehashed", rehash(fresh)
+            for key, op in changes + [("extra", "add")]:
+                doc = {**bundle, "certificates": [*bundle["certificates"]]}
+                doc["certificates"][i] = _changed(cert, key, op)
+                yield f"{instance} p={i} {key} {op}", doc
+                yield f"{instance} p={i} {key} {op}, bundle rehashed", rehash(doc)
     for instance, bundle in bundles.items():
         for mutate in _V3_MUTATIONS:
-            cert = copy.deepcopy(bundle["certificates"][2])
-            mutate(cert, built[instance])
-            doc = {**bundle, "certificates": [*bundle["certificates"]]}
-            doc["certificates"][2] = rehash(cert)
+            doc = copy.deepcopy(bundle)
+            mutate(doc, 2, built[instance])
             yield f"{instance} p=2{mutate.__name__.replace('_', ' ')}", rehash(doc)
 
 
-# the verdicts on the tamper corpus, pinned when format version 3 was
+# the verdicts on the tamper corpus, pinned when format version 4 was
 # introduced; a change to any verdict or check order changes this digest
-TAMPER_DIGEST_V3 = "3f4041f4eb0424b6c996a6ef2f84344318762d9b7a7df441e5e5c5e8c43cd5bb"
+TAMPER_DIGEST_V4 = "36cef39628bf2aaa2f4023c927bba67c87d529b079fd2f2e13a516aca8412c55"
 _BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
 
 
-def test_tamper_corpus_v3_hash_results_and_verdicts():
-    assert _tamper_digest() == TAMPER_DIGEST_V3
+def test_tamper_corpus_v4_hash_results_and_verdicts():
+    assert _tamper_digest() == TAMPER_DIGEST_V4
 
 
 def _refused_at_kind(monkeypatch, kind: str) -> None:
     """Each bundle of the tamper corpus that keeps the current kind,
     relabelled ``kind``, fails ``schema`` at its kind alone, labelled as a
-    bundle: no hash is
-    encoded and no instance is built."""
+    bundle: no hash is encoded and no instance is built."""
 
     def unreached(*args):
         raise AssertionError("an old-kind document was read past its kind")
 
-    for name in ("_encoded", "_hash_ok", "_build"):
+    for name in ("_texts", "_hash_ok", "_Shared"):
         monkeypatch.setattr(verify, name, unreached)
     corpus = [(name, doc) for name, doc in _tamper_corpus() if doc.get("kind") == BUNDLE_KIND]
-    assert len(corpus) >= 200
+    assert len(corpus) >= 150
     for name, doc in corpus:
         refused = [("bundle", VerificationResult(False, "schema", f"unexpected kind {kind!r}"))]
         assert verify_document({**doc, "kind": kind}) == refused, name
@@ -697,25 +735,23 @@ def test_tamper_corpus_v2_hash_results_and_verdicts(monkeypatch):
     _refused_at_kind(monkeypatch, "cmhodge.certificate-bundle/2")
 
 
+def test_tamper_corpus_v3_hash_results_and_verdicts(monkeypatch):
+    _refused_at_kind(monkeypatch, "cmhodge.certificate-bundle/3")
+
+
 def _tamper_digest() -> str:
-    """The digest of the verdict lines on the tamper corpus,
-    with each hash result checked against one encoding of its document."""
+    """The digest of the verdict lines on the tamper corpus, with the hash
+    result checked against one encoding of each document."""
     corpus = list(_tamper_corpus())
-    assert len(corpus) >= 200
+    assert len(corpus) >= 150
     lines = []
     for name, doc in corpus:
         results = verify_document(doc)
         lines += [f"{name}: {label}: {res.describe()}" for label, res in results]
         certs = doc.get("certificates")
-        if doc.get("kind") != BUNDLE_KIND or not isinstance(certs, list) or not certs:
-            continue
-        # each hash result against one encoding of the whole document
-        bundle_failed = results == [("bundle", _BUNDLE_HASH_MISMATCH)]
-        assert bundle_failed == (doc.get("content_hash") != content_hash(doc)), name
-        for cert in certs:
-            if isinstance(cert, dict):
-                expected = (canonical_json(cert), cert.get("content_hash") == content_hash(cert))
-                assert verify._encoded(cert) == expected, name
+        if doc.get("kind") == BUNDLE_KIND and isinstance(certs, list) and certs:
+            bundle_failed = results == [("bundle", _BUNDLE_HASH_MISMATCH)]
+            assert bundle_failed == (doc.get("content_hash") != content_hash(doc)), name
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -725,33 +761,31 @@ def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
     nested = []
     for _ in range(sys.getrecursionlimit()):
         nested = [nested]
-    assert verify_certificate({**payload, "extra": nested}).failed_check == "content_hash"
     bundle = _z4_bundle(z4)
     deep_cert = {**bundle, "certificates": [{**bundle["certificates"][0], "extra": nested}]}
-    for doc in ({**bundle, "extra": nested}, deep_cert):
+    for doc in ({**payload, "extra": nested}, {**bundle, "extra": nested}, deep_cert):
         assert verify_document(doc) == [("bundle", _BUNDLE_HASH_MISMATCH)]
 
 
 def test_bundle_hash_is_checked_before_a_count_that_raises(z4, payload):
     # a certificate whose count refuses: the bundle's stale hash is still
     # the verdict, and with a good hash the refusal gets through
-    cert = _unlisted_m64(payload)
-    bundle = {**json.loads(certificate_bundle(z4, [])), "instance": cert["instance"], "certificates": [cert]}
-    assert verify_document(bundle) == [("bundle", _BUNDLE_HASH_MISMATCH)]
+    bundle = _unlisted_m64(payload)
+    assert verify_document(_changed(bundle, "content_hash", "flip")) == [("bundle", _BUNDLE_HASH_MISMATCH)]
     with pytest.raises(CapExceeded):
-        verify_document(rehash(bundle))
+        verify_document(bundle)
 
 
 def test_cm_type_holding_a_conjugate_pair_fails_cm_type(payload):
     doc = copy.deepcopy(payload)
     doc["instance"]["cm_type"] = [0, 2]  # 2 is the conjugate of 0 on cyclic:4
-    result = verify_certificate(rehash(doc))
+    result = verdict(rehash(doc))
     assert result == VerificationResult(False, "cm_type", "point 0 and its conjugate 2 are both in")
 
 
 def test_v3_verdict_false_fails_coverage(d8_p2_v3):
-    doc = rehash({**d8_p2_v3, "verdict": False})
-    assert verify_certificate(doc) == VerificationResult(False, "coverage", "coverage verdict is wrong")
+    doc = rehash({**d8_p2_v3, "certificates": [{**_cert(d8_p2_v3), "verdict": False}]})
+    assert verdict(doc) == VerificationResult(False, "coverage", "coverage verdict is wrong")
 
 
 def test_v3_induced_family_catches_a_type_fault_in_the_writer(monkeypatch):
@@ -763,7 +797,7 @@ def test_v3_induced_family_catches_a_type_fault_in_the_writer(monkeypatch):
     monkeypatch.setattr(CMType, "induced_types", property(lambda phi: induced(phi)[1:2] + induced(phi)[1:]))
     built = build_instance(catalog("dihedral", "8"))
     for p in (0, 2):
-        result = verify_certificate(written_certificate(built, p))
+        result = verdict(one_degree_bundle(built, p))
         assert result == VerificationResult(False, "induced_family", "stored induced types differ from the recomputed table")
 
 
@@ -776,5 +810,5 @@ def test_v3_orbits_catch_a_translates_fault_shared_by_writer_and_verifier(monkey
     built = build_instance(catalog("dihedral", "8"))
     built.cm_type.rows
     monkeypatch.setattr(EmbeddingSet, "translates", lambda self, mask: [mask] * len(self.action))
-    result = verify_certificate(written_certificate(built, p))
+    result = verdict(one_degree_bundle(built, p))
     assert result == VerificationResult(False, "orbit_reps", f"representative {rep} is not the least member of its orbit")
