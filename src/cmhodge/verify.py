@@ -15,14 +15,19 @@ induced type at every point once, under one content hash, and each of its
 certificates only its degree, the least member of each Galois orbit and
 the verdict.  The hash is checked on text the verifier encodes itself and
 never takes from ``report``, one certificate at a time, so the bundle's
-text is never joined.  What the bundle states for every certificate
-(``_Shared``) is then checked once: the shape of the instance and of the
-table, the group, factors and CM-type, the bound on every stored element,
-and the stored table against the recomputed one.  Each certificate gets a
-line of its own, naming the first check in ``CHECKS`` order that fails
-for it, its own or a shared one.  Any other ``kind``, the older formats'
-included, fails the ``schema`` check, and so does a certificate that
-names a kind of its own, as the older formats' certificates do.
+text is never joined.  Any other ``kind``, the older formats' included,
+fails the ``schema`` check, and so does a certificate that names a kind
+of its own, as the older formats' certificates do.
+
+One rule: what the bundle states once is checked once and fails once.
+The shape of the instance and of the table, the group, the factors, the
+bound on every stored group element, the CM-type and the stored table
+against the recomputed one are checked by ``_bundle_facts``, and the
+first of them to fail is the one ``bundle`` line.  Otherwise each
+certificate gets a line of its own from ``verify_certificate``, naming
+the first of its own checks, in ``CHECKS`` order, that fails.  A degree
+whose count would sum more than ``HALF_TABLE_CAP`` subsets fails its
+``degree`` check, so no input makes the verifier raise.
 
 Each representative must be valid: it meets each row t^-1*phi in p
 points, which is to say its family, the types at its points, holds each
@@ -59,7 +64,7 @@ from struct import Struct
 from typing import Iterator
 
 from .cmtypes import CMType, validate_cm_type
-from .errors import CapExceeded, CmhodgeError
+from .errors import CmhodgeError
 from .groups import bits, build_group, embedding_set
 from .report import BUNDLE_KIND, canonical_json
 
@@ -73,9 +78,9 @@ CHECKS = (
     "group_axioms",
     "factors",
     "cm_type",
+    "induced_family",
     "degree",
     "delta_valid",
-    "induced_family",
     "orbit_reps",
     "coverage",
     "valid_set",
@@ -175,14 +180,16 @@ def _hash_ok(doc: dict) -> bool:
 
 
 class _Recount:
-    """What ``_Shared`` derives from one instance for every degree, read off
-    its checked action table: the induced types, the weight of every point
-    (one field per kept row, see ``count``), which both checks each
-    representative and is summed by the count, and the images of each
-    point under every group element (see ``orbit``)."""
+    """What ``_bundle_facts`` derives from one instance for every degree,
+    read off its checked action table: the number of points m, the induced
+    types, the weight of every point (one field per kept row, see
+    ``count``), which both checks each representative and is summed by the
+    count, and the images of each point under every group element (see
+    ``orbit``)."""
 
     def __init__(self, phi: CMType):
         carrier, m = phi.carrier, phi.carrier.size
+        self.size = m
         # the points are bounded and distinct: a list's mask is the sum of its bits
         self.bit = [1 << s for s in range(m)].__getitem__
         # the one table: held[t][s] is 1 iff t*s lies in phi.  Column s is the
@@ -223,114 +230,76 @@ class _Recount:
         |S & r| <= 2p <= m < 2**F: S is valid iff its weight is p * ``unit``,
         p in every field.  So O's sums are tabulated, and each E looks up
         the sum that adds up with its own to that.
-        Nothing is kept between calls.  Raises ``CapExceeded``, before summing anything,
-        if the two sides hold more than ``HALF_TABLE_CAP`` p-subsets in all.
+        Nothing is kept between calls.  The two sides hold 2 * C(m/2, p)
+        p-subsets in all, which ``verify_certificate`` bounds first.
         """
         ours, conj = self.sides
-        subsets = 2 * comb(len(ours), p)
-        if subsets > HALF_TABLE_CAP:
-            raise CapExceeded(f"counting needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
         theirs = Counter(map(sum, combinations(conj, p)))
         return sum(map(theirs.__getitem__, map((p * self.unit).__sub__, map(sum, combinations(ours, p)))))
 
 
-class _Shared:
+def _bundle_facts(data: dict) -> VerificationResult | _Recount:
     """What a bundle states for every certificate, checked once: the shape
-    of the instance and of the induced-type table, the embedding set and
-    CM-type built from the instance, the bound on every shared stored
-    element, and the stored table against ``_Recount.types``.  Each
-    failure is kept, to be reported on every certificate at its place in
-    ``CHECKS`` (see ``verify_certificate``).
-
-    ``shape`` is a failed shape check; ``built`` a failed ``group_axioms``
-    or ``factors`` check, which leaves ``size`` 0; and ``cm_type`` a
-    stored point or group element out of range, or a failed ``cm_type``
-    check.  Any failure leaves ``recount`` None.
-    """
-
-    def __init__(self, data: dict):
-        self.shape = _misshapen(data, _SCHEMA)
-        self.built = self.cm_type = self.recount = None
-        self.size, self.types_ok = 0, False
-        if self.shape:
-            return
-        inst = data["instance"]
-        try:
-            group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
-        except CmhodgeError as exc:
-            self.built = _fail("group_axioms", str(exc))
-            return
-        try:
-            embeddings = embedding_set(group, inst["factors"])
-        except CmhodgeError as exc:
-            self.built = _fail("factors", str(exc))
-            return
-        # bound every point and group element before it is shifted into a
-        # mask or read as an index
-        self.size, order = embeddings.size, len(embeddings.action)
-        if max(inst["cm_type"], default=0) >= self.size:
-            self.cm_type = _fail("schema", f"a point lies outside 0..{self.size - 1}")
-            return
-        if max(map(max, filter(None, data["induced_types"])), default=0) >= order:
-            self.cm_type = _fail("schema", f"a group element lies outside 0..{order - 1}")
-            return
-        try:
-            phi = validate_cm_type(embeddings, inst["cm_type"])
-        except CmhodgeError as exc:
-            self.cm_type = _fail("cm_type", str(exc))
-            return
-        self.recount = _Recount(phi)
-        self.types_ok = data["induced_types"] == self.recount.types
+    of the instance and of the induced-type table, the group and the
+    factors built from the instance, the bound on every stored group
+    element, the CM-type, and the stored table against ``_Recount.types``.
+    Returns the first failure, or the ``_Recount`` each certificate is
+    checked against."""
+    failure = _misshapen(data, _SCHEMA)
+    if failure:
+        return failure
+    inst = data["instance"]
+    try:
+        group = build_group(inst["group"]["order"], inst["group"]["table"], inst["group"]["iota"])
+    except CmhodgeError as exc:
+        return _fail("group_axioms", str(exc))
+    try:
+        embeddings = embedding_set(group, inst["factors"])
+    except CmhodgeError as exc:
+        return _fail("factors", str(exc))
+    # an element past the group is malformed, not a wrong type
+    order = len(embeddings.action)
+    if max(map(max, filter(None, data["induced_types"])), default=0) >= order:
+        return _fail("schema", f"a group element lies outside 0..{order - 1}")
+    try:
+        phi = validate_cm_type(embeddings, inst["cm_type"])
+    except CmhodgeError as exc:
+        return _fail("cm_type", str(exc))
+    recount = _Recount(phi)
+    if data["induced_types"] != recount.types:
+        return _fail("induced_family", "stored induced types differ from the recomputed table")
+    return recount
 
 
-def verify_certificate(cert, shared: _Shared) -> VerificationResult:
-    """Re-check one certificate of a bundle whose hash matched, against
-    what the bundle states for all of them, checked once in ``shared``.
-    Its own checks and the shared ones run in ``CHECKS`` order, so the
-    first to fail is named whichever it is.  The one exception that gets
-    through is ``CapExceeded``, raised before any table is built when the
-    valid set is too large to recount."""
+def verify_certificate(cert, recount: _Recount) -> VerificationResult:
+    """Re-check one certificate of a bundle whose hash and shared facts
+    passed, in one pass in ``CHECKS`` order: its shape and the bound on its
+    points; its degree, 2p at most m and at most ``HALF_TABLE_CAP`` subsets
+    to count, before any representative is read; the size and validity of
+    each representative; that they ascend and each is the least of its
+    orbit, so that the orbits are disjoint; the verdict; and the sum of the
+    orbit sizes against the independent count."""
     if not isinstance(cert, dict):
         return _fail("schema", "certificate is not a JSON object")
     if "kind" in cert:
         return _fail("schema", f"unexpected kind {cert['kind']!r}")
-    failure = shared.shape or _misshapen(cert, _CERTIFICATE_SCHEMA) or shared.built
+    failure = _misshapen(cert, _CERTIFICATE_SCHEMA)
     if failure:
         return failure
-    if max(map(max, filter(None, cert["orbit_reps"])), default=0) >= shared.size:
-        return _fail("schema", f"a point lies outside 0..{shared.size - 1}")
-    if shared.cm_type:
-        return shared.cm_type
+    p, reps, m = cert["p"], cert["orbit_reps"], recount.size
+    if max(map(max, filter(None, reps)), default=0) >= m:
+        return _fail("schema", f"a point lies outside 0..{m - 1}")
 
-    p = cert["p"]
-    if 2 * p > shared.size:
-        return _fail("degree", f"p = {p} exceeds m/2 = {shared.size // 2}")
-    return _verify_orbit_reps(cert, shared.recount, shared.types_ok)
-
-
-def _verify_orbit_reps(cert: dict, recount: _Recount, types_ok: bool) -> VerificationResult:
-    """The checks of a certificate past the degree bound.
-
-    Each representative is checked for its size and validity, its points'
-    weights summing to p in every kept row's field (the balance of its
-    family); then ``types_ok``, whether the bundle's induced-type table
-    equals the recomputed one.  The representatives must ascend and each
-    be the least of its orbit; two distinct least members cannot share an
-    orbit, so the orbits are disjoint.  Each orbit is built by
-    ``_Recount.orbit``, one at a time, and holds only translates of a
-    valid representative, so only valid monomials; the orbit sizes must
-    add up to the independent count, and the orbits are then the whole
-    valid set.
-    """
-    p, reps = cert["p"], cert["orbit_reps"]
+    if 2 * p > m:
+        return _fail("degree", f"p = {p} exceeds m/2 = {m // 2}")
+    subsets = 2 * comb(m // 2, p)
+    if subsets > HALF_TABLE_CAP:
+        return _fail("degree", f"counting p = {p} needs {subsets} subsets, above the cap of {HALF_TABLE_CAP}")
     for i, rep in enumerate(reps):
         if len(rep) != 2 * p:
             return _fail("degree", f"representative {i} has {len(rep)} points, expected {2 * p}")
         if sum(map(recount.weight, rep)) != p * recount.unit:
             return _fail("delta_valid", f"representative {i} fails the validity criterion")
-
-    if not types_ok:
-        return _fail("induced_family", "stored induced types differ from the recomputed table")
 
     total, previous = 0, -1
     for i, rep in enumerate(reps):
@@ -369,5 +338,7 @@ def verify_document(data) -> list[tuple[str, VerificationResult]]:
         return [("bundle", _fail("schema", "bundle lists no certificates"))]
     if not _hash_ok(data):
         return [("bundle", _fail("content_hash", "bundle hash mismatch"))]
-    shared = _Shared(data)
-    return [(_label(cert), verify_certificate(cert, shared)) for cert in certs]
+    facts = _bundle_facts(data)
+    if isinstance(facts, VerificationResult):
+        return [("bundle", facts)]
+    return [(_label(cert), verify_certificate(cert, facts)) for cert in certs]

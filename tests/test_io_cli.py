@@ -631,6 +631,15 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
          "invalid instance: NotACMType: member index out of range"),
         (Z2_TEXT.replace("cmtype 0", "cmtype -1"), ("analyze", "--input", "IN"), 2,
          "invalid instance: NotACMType: member index out of range"),
+        (Z2_TEXT.replace("1 0\n", "1 2\n"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: NotAGroup: entry mult[1][1] = 2 out of range"),
+        (Z2_TEXT.replace("1 0\n", "0 0\n"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: NotAGroup: no two-sided identity element"),
+        (Z2_TEXT.replace("iota 1", "iota 5"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: BadInvolution: iota index 5 out of range"),
+        # iota = 4 is a reflection of dihedral:8, an involution that is not central
+        (serialize_instance(catalog("dihedral", "8")).replace("iota 2\n", "iota 4\n"), ("analyze", "--input", "IN"), 2,
+         "invalid instance: BadInvolution: iota is not central: fails to commute with 1"),
         # an integer is a plain decimal token: int() alone would read these
         # as 10, 16, 1, 1 and 10
         (Z2_TEXT.replace("degrees all", "degrees 1_0"), ("analyze", "--input", "IN"), 2,
@@ -664,7 +673,8 @@ def test_blank_and_comment_lines_inside_a_table_are_skipped(old, new):
         "duplicate-table", "duplicate-iota", "duplicate-cmtype", "group-arity", "iota-arity", "table-arity",
         "short-table-row", "unknown-directive", "table-cut-short", "table-cut-short-before-blank-lines",
         "missing-group", "missing-table", "missing-iota", "missing-factor", "missing-cmtype",
-        "cmtype-point-past-the-carrier", "cmtype-point-negative",
+        "cmtype-point-past-the-carrier", "cmtype-point-negative", "table-entry-past-the-order", "no-identity",
+        "iota-past-the-order", "iota-not-central",
         "degrees-line-underscore", "catalog-order-underscore", "degree-arabic-indic-digit", "degree-plus-sign",
         "cap-underscore", "degree-malformed-before-read", "degree-twice",
         "degree-twice-with-equals", "catalog-twice", "certify-twice", "degree-abbreviated",

@@ -26,7 +26,7 @@ from cmhodge.monomials import (
     galois_orbits,
     valid_delta,
 )
-from cmhodge.verify import _Recount, verify_document
+from cmhodge.verify import VerificationResult, _Recount, verify_certificate, verify_document
 from conftest import (
     MIXED_CARRIERS,
     catalog_defaults,
@@ -362,23 +362,26 @@ def test_one_recount_counts_every_degree_in_any_order(data):
 
 
 def test_count_refuses_before_summing_a_subset(monkeypatch):
-    # m = 16: degree p sums 2 * C(8, p) subsets, 16 at p = 1 and 56 at p = 2
+    # m = 16: degree p sums 2 * C(8, p) subsets, 16 at p = 1 and 56 at p = 2;
+    # a certificate past the cap fails its degree before the count runs
     _, types = table_carrier_types(0)
     phi = types[100]
     recount = _Recount(phi)
+    unlisted = {p: {"p": p, "orbit_reps": [], "verdict": True} for p in (1, 2)}
 
     def refuse(*args):
         raise AssertionError("a count past the cap summed a subset")
 
     monkeypatch.setattr(verify, "HALF_TABLE_CAP", 15)
     monkeypatch.setattr(verify, "combinations", refuse)
-    with pytest.raises(CapExceeded, match="counting needs 16 subsets, above the cap of 15"):
-        recount.count(1)
-    with pytest.raises(CapExceeded, match="counting needs 56 subsets, above the cap of 15"):
-        recount.count(2)
-    # a count of exactly the cap's subsets goes ahead
+    for p, subsets in ((1, 16), (2, 56)):
+        detail = f"counting p = {p} needs {subsets} subsets, above the cap of 15"
+        assert verify_certificate(unlisted[p], recount) == VerificationResult(False, "degree", detail)
+    # a count of exactly the cap's subsets goes ahead, and finds the valid
+    # monomials that the certificate leaves out
     monkeypatch.setattr(verify, "HALF_TABLE_CAP", 16)
     monkeypatch.setattr(verify, "combinations", combinations)
+    assert verify_certificate(unlisted[1], recount).failed_check == "valid_set"
     assert recount.count(1) == len(enumerate_valid_bruteforce(phi, 1))
 
 
@@ -398,7 +401,10 @@ def test_every_listed_degree_is_counted_within_the_count_cap(monkeypatch):
                     valid = enumerate_valid(phi, p)
                 except CapExceeded:
                     continue
-                assert recount.count(p) == len(valid), (index, phi.members, p)
+                # the certificate ``witness`` would write passes, count included
+                reps = [bits(orbit[0]) for orbit in galois_orbits(carrier, valid)]
+                cert = {"p": p, "orbit_reps": reps, "verdict": True}
+                assert verify_certificate(cert, recount).ok, (index, phi.members, p)
                 listed.add(p)
     assert listed == {0, 1, 2, 6, 7, 8}
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from cmhodge.catalog import catalog, sweep_instances
 from cmhodge.cli import main
-from cmhodge.errors import CapExceeded
 from cmhodge.instance import build_instance
 from cmhodge.report import BUNDLE_KIND, certificate_bundle, instance_payload
 from cmhodge import verify
@@ -79,13 +78,13 @@ def test_flipped_family_bit(payload):
     assert result.failed_check == "induced_family"
 
 
-def test_tampered_type_table_fails_induced_family_on_every_degree():
-    # the table is stored once and compared once, and every degree reads it
+def test_tampered_type_table_fails_induced_family_once():
+    # the table is stored once, compared once and fails once, for every degree
     built = build_instance(catalog("dihedral", "8"))
     bundle = json.loads(written_bundle(built, built.degrees))
     _wrong_type(bundle, 0, built)
     failed = VerificationResult(False, "induced_family", "stored induced types differ from the recomputed table")
-    assert verify_document(rehash(bundle)) == [(f"p={p}", failed) for p in built.degrees]
+    assert verify_document(rehash(bundle)) == [("bundle", failed)]
 
 
 @pytest.mark.parametrize("p", ["0: pass\np=1", True, -1, 1.0], ids=("forged-line", "true", "negative", "float"))
@@ -103,15 +102,14 @@ def test_forged_degree_prints_no_pass_line(tmp_path, capsys, z4, p):
 
 @pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
 def test_family_element_outside_the_group(tmp_path, capsys, payload, element):
-    # |G| = 4: point 0 lies in the one representative, [0, 2], so its type
-    # is in that family; an element past the group fails through the
-    # command line and shifts nothing
+    # |G| = 4: an element past the group fails the bundle once, through
+    # the command line, and shifts nothing
     doc = copy.deepcopy(payload)
     doc["induced_types"][0] = [0, element]
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(rehash(doc)))
     assert main(["verify", "--certify", str(path)]) == 3
-    assert capsys.readouterr().out == "p=1: fail [schema] a group element lies outside 0..3\n"
+    assert capsys.readouterr().out == "bundle: fail [schema] a group element lies outside 0..3\n"
 
 
 @pytest.mark.parametrize("element", [4, 10**30], ids=("order", "huge"))
@@ -144,7 +142,7 @@ def test_delta_valid_agrees_with_the_reference_on_every_subset(spec):
         for p in range(carrier.size // 2 + 1):
             for delta in combinations(range(carrier.size), 2 * p):
                 cert = {"p": p, "orbit_reps": [list(delta)], "verdict": True}
-                failed = verify._verify_orbit_reps(cert, recount, True).failed_check
+                failed = verify.verify_certificate(cert, recount).failed_check
                 assert (failed == "delta_valid") != valid_delta(phi, mask_of(delta), p), (phi.members, delta)
 
 
@@ -299,18 +297,37 @@ def _unlisted_m64(payload) -> dict:
     return rehash({**payload, "instance": instance_payload(built.spec), "induced_types": types, "certificates": [cert]})
 
 
+# the degree line of a certificate whose count is past HALF_TABLE_CAP
+_M64_PAST_THE_CAP = "p=16: fail [degree] counting p = 16 needs 1202160780 subsets, above the cap of 10000000"
+
+
 def test_verifier_reaches_m32_and_refuses_m64_fast(tmp_path, capsys, payload):
     path = tmp_path / "cert.json"
     assert main(["witness", "--catalog", "cyclic:32", "--degree", "4", "--certify", str(path)]) == 0
     capsys.readouterr()
     assert main(["verify", "--certify", str(path)]) == 0
     assert capsys.readouterr().out == "p=4: pass\n"
-    # the count must refuse before building a table
+    # the degree check must refuse the count before building a table
     path.write_text(json.dumps(_unlisted_m64(payload)))
     start = time.perf_counter()
-    assert main(["verify", "--certify", str(path)]) == 4
+    assert main(["verify", "--certify", str(path)]) == 3
     assert time.perf_counter() - start < 10
-    assert "cap exceeded" in capsys.readouterr().err
+    assert capsys.readouterr() == (_M64_PAST_THE_CAP + "\n", "")
+
+
+def test_degree_past_the_count_cap_hides_no_other_verdict(tmp_path, capsys):
+    # a cyclic:64 bundle of degree 1 with an invalid representative, and a
+    # second certificate past the count's cap: each gets its own line
+    path = tmp_path / "cert.json"
+    assert main(["witness", "--catalog", "cyclic:64", "--degree", "1", "--certify", str(path)]) == 0
+    bundle = json.loads(path.read_text())
+    bundle["certificates"][0]["orbit_reps"][0] = [0, 1]
+    bundle["certificates"].append({"p": 16, "orbit_reps": [], "verdict": True})
+    path.write_text(json.dumps(rehash(bundle)))
+    capsys.readouterr()
+    assert main(["verify", "--certify", str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["p=1: fail [delta_valid] representative 0 fails the validity criterion", _M64_PAST_THE_CAP]
 
 
 def test_certificate_past_the_points_bound_fails_factors(tmp_path, capsys, payload):
@@ -320,7 +337,7 @@ def test_certificate_past_the_points_bound_fails_factors(tmp_path, capsys, paylo
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(rehash({**payload, "instance": inst})))
     assert main(["verify", "--certify", str(path)]) == 3
-    assert capsys.readouterr().out == "p=1: fail [factors] the factors have more than 1024 points\n"
+    assert capsys.readouterr().out == "bundle: fail [factors] the factors have more than 1024 points\n"
 
 
 def test_wrong_kind(payload):
@@ -338,12 +355,29 @@ def _z4_bundle(z4) -> dict:
     return json.loads(written_bundle(z4, z4.degrees))
 
 
-def test_bundle_with_bad_group_fails_group_axioms_on_every_certificate(z4):
+def test_bundle_with_bad_group_fails_group_axioms_once(z4):
     bundle = _z4_bundle(z4)
     bundle["instance"]["group"]["table"][1][1] = 1  # breaks the Latin property
     results = verify_document(rehash(bundle))
-    assert [label for label, _ in results] == ["p=0", "p=1", "p=2"]
-    assert all(res.failed_check == "group_axioms" for _, res in results)
+    assert results == [("bundle", VerificationResult(False, "group_axioms", "associativity fails at (1,1,2)"))]
+
+
+@pytest.mark.parametrize(
+    "field, value, line",
+    [
+        ("cm_type", [4], "bundle: fail [cm_type] member index out of range"),
+        ("factors", [], "bundle: fail [factors] at least one factor is required"),
+    ],
+    ids=("cm-type-point-m", "no-factor"),
+)
+def test_bad_instance_fact_prints_one_bundle_line(tmp_path, capsys, z4, field, value, line):
+    # cyclic:4 has m = 4 points, 0..3
+    bundle = _z4_bundle(z4)
+    bundle["instance"][field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(rehash(bundle)))
+    assert main(["verify", "--certify", str(path)]) == 3
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_bundle_builds_its_instance_once(z4, monkeypatch):
@@ -700,9 +734,10 @@ def _tamper_corpus():
             yield f"{instance} p=2{mutate.__name__.replace('_', ' ')}", rehash(doc)
 
 
-# the verdicts on the tamper corpus, pinned when format version 4 was
-# introduced; a change to any verdict or check order changes this digest
-TAMPER_DIGEST_V4 = "36cef39628bf2aaa2f4023c927bba67c87d529b079fd2f2e13a516aca8412c55"
+# the verdicts on the tamper corpus, pinned with format version 4 and
+# re-pinned when a failure of the bundle's shared facts became one
+# ``bundle`` line; a change to any verdict or check order changes this digest
+TAMPER_DIGEST_V4 = "c9d0e63d22ace4ae887259f9da708fe85b8cad0d11fdabee93fe920f6f356b3a"
 _BUNDLE_HASH_MISMATCH = VerificationResult(False, "content_hash", "bundle hash mismatch")
 
 
@@ -718,7 +753,7 @@ def _refused_at_kind(monkeypatch, kind: str) -> None:
     def unreached(*args):
         raise AssertionError("an old-kind document was read past its kind")
 
-    for name in ("_texts", "_hash_ok", "_Shared"):
+    for name in ("_texts", "_hash_ok", "_bundle_facts"):
         monkeypatch.setattr(verify, name, unreached)
     corpus = [(name, doc) for name, doc in _tamper_corpus() if doc.get("kind") == BUNDLE_KIND]
     assert len(corpus) >= 150
@@ -768,12 +803,11 @@ def test_nesting_past_the_encoder_fails_content_hash(z4, payload):
 
 
 def test_bundle_hash_is_checked_before_a_count_that_raises(z4, payload):
-    # a certificate whose count refuses: the bundle's stale hash is still
-    # the verdict, and with a good hash the refusal gets through
+    # a certificate whose count is past the cap: the bundle's stale hash is
+    # still the verdict, and with a good hash the certificate fails its degree
     bundle = _unlisted_m64(payload)
     assert verify_document(_changed(bundle, "content_hash", "flip")) == [("bundle", _BUNDLE_HASH_MISMATCH)]
-    with pytest.raises(CapExceeded):
-        verify_document(bundle)
+    assert [f"{label}: {res.describe()}" for label, res in verify_document(bundle)] == [_M64_PAST_THE_CAP]
 
 
 def test_cm_type_holding_a_conjugate_pair_fails_cm_type(payload):
