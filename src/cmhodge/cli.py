@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .catalog import CATALOG_NAMES, catalog, sweep_instances
@@ -85,7 +84,7 @@ def _load_instance(args) -> BuiltInstance:
         name, _, params = args.catalog.partition(":")
         spec = catalog(name, params)
     if args.degree is not None:
-        spec = replace(spec, degrees=degrees)
+        spec = spec._replace(degrees=degrees)
     return build_instance(spec)
 
 

@@ -7,7 +7,6 @@ bit mask over the canonical point order, so set algebra is mask algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
@@ -20,10 +19,13 @@ from .groups import EmbeddingSet, mask_of
 CM_TYPE_CAP = 20
 
 
-@dataclass(frozen=True)
 class CMType:
-    carrier: EmbeddingSet
-    members: int  # bit mask over points
+    """A CM-type on a carrier and its tables, each computed on first use.
+    Two types compare by identity."""
+
+    def __init__(self, carrier: EmbeddingSet, members: int):
+        self.carrier = carrier
+        self.members = members  # bit mask over points
 
     @cached_property
     def rows(self) -> tuple[int, ...]:

@@ -8,8 +8,8 @@ and point indices are 0-based everywhere.  Groups are small (order <=
 MAX_ORDER = 64, enforced by ``build_group``), and so are embedding sets
 (at most MAX_POINTS = 1024 points, enforced by ``embedding_set``; the
 largest carrier the tests build), so every structural check is
-exhaustive, associativity one row at a time.  All values are immutable
-after construction; everything here is a pure function.
+exhaustive, associativity one row at a time.  Nothing here changes a
+value once it is built; everything here is a pure function.
 
 The embedding set of a product of CM-fields E = E_1 x ... x E_k is the
 disjoint union of the left coset spaces G/H_i, one per factor; G acts on
@@ -21,7 +21,6 @@ number of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, lshift, or_
@@ -143,15 +142,16 @@ def _cosets(group: EmbeddingSet, elements: Iterable[int]) -> list[tuple[int, ...
     return sorted({tuple(sorted(row[h] for h in elems)) for row in mult})
 
 
-@dataclass(frozen=True)
 class EmbeddingSet:
     """Disjoint union of coset spaces: the set of embeddings of a product
     of CM-fields, with the group's action by left translation.  The action
-    table and iota are all of the group that is kept."""
+    table and iota are all of the group that is kept.  Two sets compare
+    by identity."""
 
-    iota: int
-    size: int
-    action: tuple[tuple[int, ...], ...]  # n x m
+    def __init__(self, iota: int, size: int, action: tuple[tuple[int, ...], ...]):
+        self.iota = iota
+        self.size = size
+        self.action = action  # n x m
 
     @property
     def conj(self) -> tuple[int, ...]:

@@ -22,15 +22,14 @@ Exactly one ``group``/``table``/``iota``/``cmtype`` each; at least one
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CmhodgeError, ParseError, ValidationError
 from .groups import EmbeddingSet, build_group, embedding_set
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     name: str
     order: int
     mult: tuple[tuple[int, ...], ...]
@@ -40,8 +39,7 @@ class InstanceSpec:
     degrees: tuple[int, ...] | None  # None means "all"
 
 
-@dataclass(frozen=True)
-class BuiltInstance:
+class BuiltInstance(NamedTuple):
     spec: InstanceSpec
     embeddings: EmbeddingSet
     cm_type: CMType

@@ -19,14 +19,13 @@ an integer statement and any epsilon would be a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cmtypes import CMType
 
 
-@dataclass(frozen=True)
-class OrbitMatrix:
+class OrbitMatrix(NamedTuple):
     """The distinct translates of phi as point masks, ascending (their
     count divides |G|), and the kept rows, whose number is the rank.
 

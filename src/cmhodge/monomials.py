@@ -35,10 +35,9 @@ works out the degree it is given; ``oracle`` and ``verify`` skip the map.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .cmtypes import CMType
 from .errors import CapExceeded, NotClosed
@@ -185,8 +184,7 @@ def galois_orbits(carrier, deltas: list[int]) -> list[tuple[int, ...]]:
     return orbits
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Full per-degree classification: the Galois orbits of the valid
     monomials, their only stored listing, and the exotic ones, all sorted
     canonically; the rest of the valid monomials are divisor-generated."""

@@ -57,11 +57,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import comb
 from struct import Struct
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cmtypes import CMType, validate_cm_type
 from .errors import CmhodgeError
@@ -87,8 +86,7 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     failed_check: str | None = None
     detail: str = ""

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -53,12 +52,12 @@ def relabelled(spec: InstanceSpec, sigma: list[int]) -> InstanceSpec:
     cm_type = sorted(
         new_point[k, frozenset(sigma[g] for g in coset)] for k, coset in (old_points[s] for s in spec.cm_type)
     )
-    return replace(spec, mult=tuple(map(tuple, mult)), iota=sigma[spec.iota], factors=factors, cm_type=tuple(cm_type))
+    return spec._replace(mult=tuple(map(tuple, mult)), iota=sigma[spec.iota], factors=factors, cm_type=tuple(cm_type))
 
 
 def with_cm_type(built: BuiltInstance, phi: CMType) -> BuiltInstance:
     """``built`` with phi as its CM-type, in its spec too."""
-    return replace(built, spec=replace(built.spec, cm_type=tuple(bits(phi.members))), cm_type=phi)
+    return built._replace(spec=built.spec._replace(cm_type=tuple(bits(phi.members))), cm_type=phi)
 
 
 def written_bundle(built: BuiltInstance, degrees: list[int]) -> str:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,8 +46,9 @@ def test_z2_is_a_group():
     assert tuple(row.index(0) for row in g.action) == (0, 1)  # the inverses
     assert g.iota == 1
     # the group is the carrier of its left-regular action, G/{e}: equal
-    # as dataclasses, field by field
-    assert g == embedding_set(g, [(0,)])
+    # field by field
+    s = embedding_set(g, [(0,)])
+    assert (g.iota, g.size, g.action) == (s.iota, s.size, s.action)
 
 
 @pytest.mark.parametrize("name", TABLE_CARRIERS)
@@ -57,7 +57,8 @@ def test_a_group_is_its_regular_coset_space(name):
     g = group_of(spec)
     assert (g.iota, g.size, g.action) == (spec.iota, spec.order, spec.mult)
     identity = g.action.index(tuple(range(spec.order)))
-    assert g == embedding_set(g, [(identity,)])
+    s = embedding_set(g, [(identity,)])
+    assert (g.iota, g.size, g.action) == (s.iota, s.size, s.action)
 
 
 def test_z4_with_order4_iota_rejected():
@@ -251,7 +252,7 @@ def table_spec(name) -> InstanceSpec:
         return parse_instance(M68.read_text(encoding="utf-8"))
     entry, _, factors = name.partition(" ")
     spec = catalog(*entry.split(":"))
-    return replace(spec, factors=tuple(map(tuple, json.loads(factors)))) if factors else spec
+    return spec._replace(factors=tuple(map(tuple, json.loads(factors)))) if factors else spec
 
 
 def table_carrier(spec: InstanceSpec) -> EmbeddingSet:
@@ -263,7 +264,7 @@ def random_cm_types(spec: InstanceSpec, carrier: EmbeddingSet, rng: random.Rando
     pairs = conjugate_pairs(carrier)
     for _ in range(count):
         phi = validate_cm_type(carrier, [rng.choice(pair) for pair in pairs])
-        yield BuiltInstance(replace(spec, cm_type=tuple(bits(phi.members))), carrier, phi)
+        yield BuiltInstance(spec._replace(cm_type=tuple(bits(phi.members))), carrier, phi)
 
 
 @pytest.mark.parametrize("name", TABLE_CARRIERS)

@@ -3,9 +3,10 @@ from __future__ import annotations
 import errno
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -190,6 +191,14 @@ def test_a_named_command_builds_only_its_own_parser(monkeypatch):
     assert len(built) == 1 + len(cli._COMMANDS)
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since pytest itself has loaded both
+    probe = "import sys, cmhodge.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_cli_analyze_dims():
     code, out = run_cli("analyze", "--catalog", "cyclic:4", "--degree", "all")
     assert code == 0
@@ -336,7 +345,7 @@ def test_m64_degree_lists_and_its_bundle_verifies(tmp_path):
 
 def test_degree_option_replaces_the_degrees_line(tmp_path, capsys):
     path = tmp_path / "in.txt"
-    path.write_text(serialize_instance(replace(catalog("cyclic", "4"), degrees=(1,))))
+    path.write_text(serialize_instance(catalog("cyclic", "4")._replace(degrees=(1,))))
     for flags, degrees in (((), [1]), (("--degree", "all"), [0, 1, 2]), (("--degree", "2"), [2])):
         for command in ("analyze", "deltas", "witness"):
             code, out = run_cli(command, "--input", str(path), *flags)
@@ -346,7 +355,7 @@ def test_degree_option_replaces_the_degrees_line(tmp_path, capsys):
         assert code == 0 and [line.split(":")[0] for line in out.splitlines()] == [f"p={p}" for p in degrees]
     # m = 16: the line's degree 10 is out of range, but --degree replaces it
     # before build_instance checks the range
-    path.write_text(serialize_instance(replace(catalog("cyclic", "16"), degrees=(10,))))
+    path.write_text(serialize_instance(catalog("cyclic", "16")._replace(degrees=(10,))))
     assert run_cli("deltas", "--input", str(path), "--degree", "9") == (2, "")
     assert capsys.readouterr().err == "invalid instance: degree 9 outside 0..8\n"
     code, out = run_cli("deltas", "--input", str(path), "--degree", "1", "--orbits-only")
@@ -379,7 +388,7 @@ def test_points_past_the_bound_are_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "invalid instance: CapExceeded: the factors have more than 1024 points\n"
     # 16 factors, 1,024 points, still build, and the report holds only the
     # Hodge row of the degree asked for
-    spec = replace(spec, factors=spec.factors[1:], cm_type=phi[:-32])
+    spec = spec._replace(factors=spec.factors[1:], cm_type=phi[:-32])
     assert build_instance(spec).embeddings.size == 1024
     path.write_text(serialize_instance(spec))
     code, out = run_cli("analyze", "--input", str(path), "--degree", "0")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from cmhodge.catalog import sweep_instances
 from cmhodge.cmtypes import enumerate_cm_types
 from cmhodge.groups import mask_of
-from cmhodge.instance import build_instance
+from cmhodge.instance import build_instance, parse_instance
 from cmhodge.lattice import orbit_matrix
 from cmhodge.monomials import valid_delta
-from conftest import MIXED_CARRIERS, mixed_carrier, random_types
+from cmhodge.report import lattice_payload
+from conftest import MIXED_CARRIERS, catalog_defaults, mixed_carrier, random_types
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def meets_basis(basis: tuple[int, ...], delta: int, p: int) -> bool:
@@ -119,6 +123,18 @@ def test_elimination_matches_fraction_reference():
         # row, and the two sum to 1
         assert rank_with_ones == rank
         assert {phi.carrier.all_mask ^ r for r in phi.rows} == set(phi.rows)
+
+
+def test_lattice_payload_matches_the_fraction_reference():
+    # the report's figures, each against a route that does not read
+    # orbit_matrix: a rank one off fails here, not only in the golden digests
+    files = sorted(FIXTURES.glob("*.txt"))
+    instances = catalog_defaults(16) + [build_instance(parse_instance(f.read_text(encoding="utf-8"))) for f in files]
+    for built in instances:
+        rank = reference_elimination(built.cm_type)[0]
+        top = built.embeddings.size // 2 + 1
+        expected = {"row_count": len(built.cm_type.rows), "rank": rank, "max_possible": top, "is_maximal": rank == top}
+        assert lattice_payload(built) == expected, built.spec.name
 
 
 def test_system_targets_are_p(z2, z4):
